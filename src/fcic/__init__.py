@@ -3,7 +3,6 @@ interference channel: exact finite-field schemes, closed-form rate theory,
 and Monte Carlo checks of the Gaussian signal algebra."""
 
 from .channel import (
-    CausalityViolation,
     DetParams,
     Scheme,
     Transcript,

@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from . import gauss_sim, rates, schemes
-from .channel import run_feedback_session
 from .gf import SingularSystem
 
 __all__ = ["main", "entry"]
@@ -116,9 +115,7 @@ def cmd_det_verify(args) -> int:
     scheme = schemes.build_scheme(args.k, args.n, args.m, p=args.p, signs=signs)
     report = schemes.verify_scheme(scheme.params, scheme, args.trials, args.seed)
     if args.dump:
-        rng = np.random.default_rng(args.seed)
-        msgs = rng.integers(0, scheme.params.p, size=(args.k, scheme.msg_symbols))
-        tr = run_feedback_session(scheme.params, scheme, msgs)
+        tr = report.first_failure if report.first_failure is not None else report.first_trial
         with open(args.dump, "w") as fh:
             json.dump(tr.to_json_dict(), fh)
         print(f"transcript written to {args.dump}", file=sys.stderr)
@@ -269,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--signs", type=str, default=None)
     p.add_argument("--dump", type=str, default=None,
-                   help="write one session transcript as JSON to this path")
+                   help="write the first failing session's transcript (else "
+                        "trial 0's) as JSON to this path")
     p.set_defaults(func=cmd_det_verify)
 
     p = sub.add_parser("qsym", help="solve the sign-matrix alignment equations")

@@ -14,8 +14,9 @@ Two independent pieces:
   constructed.
 
 Randomness comes from numpy's counter-based Philox generator; the strong-
-regime simulation derives one stream per trial (key = seed XOR trial index)
-so trials are order-independent, and results for a given seed are
+regime simulation derives one stream per trial, keyed by the two words
+(trial index, seed), so distinct (seed, trial) pairs draw distinct streams,
+trials are order-independent, and results for a given seed are
 bit-reproducible.
 """
 
@@ -47,7 +48,8 @@ RNG_NAME = "philox"
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed ^ trial) & (2**64 - 1)))
+    key = np.array([trial, seed & (2**64 - 1)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def gaussian_tail(x: float) -> float:

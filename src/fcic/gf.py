@@ -2,7 +2,9 @@
 
 Entries are canonical integers in [0, p).  Everything is carried in int64
 numpy arrays with reduction mod p after each arithmetic step, so all results
-are exact; matrices in scope are small (<= ~64 per side) and dense.
+are exact as long as no unreduced sum reaches 2^63; `check_dot_length`
+rejects the moduli for which one could.  Matrices in scope are small
+(<= ~64 per side) and dense.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "SingularSystem",
+    "check_dot_length",
     "is_prime",
     "GfMatrix",
     "shift_matrix",
@@ -40,8 +43,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_dot_length(p: int, length: int) -> None:
+    """Reject p when a sum of `length` products of residues can reach 2^63.
+
+    Products and dot products are formed in int64 and reduced mod p only
+    afterwards, so the longest dot product an algorithm forms bounds the
+    usable field size.  Raises ValueError.
+    """
+    if length * (p - 1) ** 2 >= 2**63:
+        raise ValueError(
+            f"p={p} is too large for int64 arithmetic: a length-{length} "
+            f"dot product over GF(p) can reach 2^63"
+        )
+
+
 def _require_prime(p: int) -> int:
     p = int(p)
+    check_dot_length(p, 1)
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
     return p
@@ -112,6 +130,7 @@ class GfMatrix:
         return GfMatrix(self.data * (int(c) % self.p), self.p)
 
     def __matmul__(self, other):
+        check_dot_length(self.p, self.cols)
         if isinstance(other, GfMatrix):
             self._check_same_field(other)
             return GfMatrix(self.data @ other.data, self.p)
@@ -190,7 +209,8 @@ class GfMatrix:
             inv = pow(int(a[c, c]), p - 2, p)
             for i in range(c + 1, n):
                 if a[i, c]:
-                    a[i] = (a[i] - int(a[i, c]) * inv * a[c]) % p
+                    f = int(a[i, c]) * inv % p
+                    a[i] = (a[i] - f * a[c]) % p
         return det
 
     def inverse(self) -> "GfMatrix":

@@ -6,9 +6,11 @@ are combined through per-user diagonal coefficients (A, B) chosen so that
 every receiver sees its block-1 interference again, only rescaled
 (the simultaneous-alignment identity  Lambda A + Lambda B Lambda = U + V Lambda).
 
-Every constructed scheme precomputes its decode matrix and checks full rank
-at build time, so an undecodable configuration fails fast as SingularSystem
-instead of silently corrupting messages.
+Every scheme is written out as explicit GF(p) encoder and decoder maps (see
+`Scheme`).  Each builder inverts its decode matrices once at build time, so
+an undecodable configuration fails fast as SingularSystem instead of
+silently corrupting messages.  `verify_scheme` replays all of its trials as
+one batch through `run_feedback_session`.
 """
 
 from __future__ import annotations
@@ -84,6 +86,54 @@ def weak_decode_matrix(K: int, n: int, m: int, p: int) -> GfMatrix:
     return GfMatrix(mat, p)
 
 
+def _invert(dec: GfMatrix, what: str) -> GfMatrix:
+    """Inverse of a decode matrix; SingularSystem names the matrix if none."""
+    try:
+        return dec.inverse()
+    except SingularSystem:
+        raise SingularSystem(f"{what}:\n{dec.data}") from None
+
+
+def _two_block_scheme(params: DetParams, a, b, decoders, name: str) -> Scheme:
+    """The aligned two-block scheme, written out as encoder/decoder maps.
+
+    Block 1 sends the first q own symbols.  From its block-1 feedback user k
+    recovers the interference I_k its receiver heard (its output minus its
+    own contribution) and in block 2 sends A_k (first q own symbols) + B_k R,
+    where R carries I_k on the aligned levels and, when m < n, the n - m
+    remaining fresh symbols below it.  a and b are scalars shared by every
+    user or length-K vectors; decoders is one (L, 2q) map shared by every
+    user or K of them, the rows of each user's inverted decode matrix that
+    yield its own symbols.  Shared maps stay single broadcast arrays.
+    """
+    K, n, m, q, p = params.K, params.n, params.m, params.q, params.p
+    L = 2 * n - m if n > m else q  # message symbols
+    eye = np.eye(q, dtype=np.int64)
+    own = np.zeros((q, L + q), dtype=np.int64)  # the first q own symbols
+    own[:, :q] = eye
+    first = own[:, :L]
+    relay = np.zeros((q, L + q), dtype=np.int64)  # over [own message; block-1 outputs]
+    if n >= m:  # I_k is the bottom m output levels minus own symbols n-m..n-1
+        relay[:m, n - m:n] = -np.eye(m, dtype=np.int64)
+        relay[:m, L + n - m:] = np.eye(m, dtype=np.int64)
+        relay[m:, n:L] = np.eye(n - m, dtype=np.int64)
+    else:  # I_k = Y_k - D^(m-n) S_k
+        relay[:, :q] = -shift_matrix(m, m - n, p).data
+        relay[:, L:] = eye
+    a = np.asarray(a, dtype=np.int64).reshape(-1, 1, 1)
+    b = np.asarray(b, dtype=np.int64).reshape(-1, 1, 1)
+    second = (a * own + b * relay) % p
+    return Scheme(
+        params=params,
+        msg_symbols=L,
+        declared_rate=Fraction(L, 2),
+        encoders=(np.broadcast_to(first, (K, q, L)),
+                  np.broadcast_to(second, (K, q, L + q))),
+        decoders=np.broadcast_to(decoders, (K, L, 2 * q)),
+        name=name,
+    )
+
+
 def weak_scheme(params: DetParams) -> Scheme:
     """Two-block weak-interference scheme at the converse rate n - m/2.
 
@@ -91,42 +141,19 @@ def weak_scheme(params: DetParams) -> Scheme:
     interference sums its receiver heard, which it relays on its top m
     levels in block 2 above the remaining n - m fresh symbols.  Each
     receiver then solves a 2n x 2n system in its own 2n - m symbols plus
-    the m interference sums.
+    the m interference sums.  This is the aligned scheme at A = 0, B = 1.
     """
     if params.signs is not None:
         raise RegimeMismatch("weak_scheme is for the fully symmetric channel")
     K, n, m, p = params.K, params.n, params.m, params.p
     if m >= n:
         raise RegimeMismatch(f"weak scheme needs m < n, got n={n}, m={m}")
-    dec = weak_decode_matrix(K, n, m, p)
-    if dec.rank() < 2 * n:
-        raise SingularSystem(
-            f"weak decode matrix rank-deficient for K={K}, n={n}, m={m}, p={p}:\n"
-            f"{dec.data}"
-        )
-    inv = dec.inverse()
-    msg_symbols = 2 * n - m
-
-    def encode(k, msg, outs):
-        if len(outs) == 0:
-            return msg[:n]
-        y1 = outs[0]
-        relayed = (y1[n - m:] - msg[n - m:n]) % p  # S_~k(1:m) off the feedback
-        return np.concatenate([relayed, msg[n:msg_symbols]])
-
-    def decode(k, outs):
-        z = inv @ np.concatenate([outs[0], outs[1]])
-        return z[:msg_symbols]
-
-    return Scheme(
-        params=params,
-        blocks=2,
-        msg_symbols=msg_symbols,
-        declared_rate=Fraction(msg_symbols, 2),
-        encode=encode,
-        decode=decode,
-        name="weak",
+    inv = _invert(
+        weak_decode_matrix(K, n, m, p),
+        f"weak decode matrix rank-deficient for K={K}, n={n}, m={m}, p={p}",
     )
+    # unknowns: own symbols S_k(1 : 2n-m), then interference sums
+    return _two_block_scheme(params, 0, 1, inv.data[:2 * n - m], "weak")
 
 
 def strong_decode_matrix(K: int, n: int, m: int, p: int) -> GfMatrix:
@@ -149,40 +176,20 @@ def strong_scheme(params: DetParams) -> Scheme:
 
     Block 1 broadcasts all m fresh symbols; each transmitter subtracts its
     own contribution from the feedback and re-sends the residual
-    interference sums in block 2.
+    interference sums in block 2 (the aligned scheme at A = 0, B = 1).
     """
     if params.signs is not None:
         raise RegimeMismatch("strong_scheme is for the fully symmetric channel")
     K, n, m, p = params.K, params.n, params.m, params.p
     if m <= n:
         raise RegimeMismatch(f"strong scheme needs m > n, got n={n}, m={m}")
-    dec = strong_decode_matrix(K, n, m, p)
-    if dec.rank() < 2 * m:
-        raise SingularSystem(
-            f"strong decode matrix rank-deficient for K={K}, n={n}, m={m}, p={p}"
-            f" (K = 1 mod p):\n{dec.data}"
-        )
-    inv = dec.inverse()
-    shift = shift_matrix(m, m - n, p)
-
-    def encode(k, msg, outs):
-        if len(outs) == 0:
-            return msg
-        return (outs[0] - (shift @ msg)) % p  # S_~k(1:m)
-
-    def decode(k, outs):
-        z = inv @ np.concatenate([outs[0], outs[1]])
-        return z[:m]
-
-    return Scheme(
-        params=params,
-        blocks=2,
-        msg_symbols=m,
-        declared_rate=Fraction(m, 2),
-        encode=encode,
-        decode=decode,
-        name="strong",
+    inv = _invert(
+        strong_decode_matrix(K, n, m, p),
+        f"strong decode matrix rank-deficient for K={K}, n={n}, m={m}, p={p}"
+        f" (K = 1 mod p)",
     )
+    # unknowns: own symbols S_k(1:m), then interference sums
+    return _two_block_scheme(params, 0, 1, inv.data[:m], "strong")
 
 
 def moderate_scheme(params: DetParams) -> Scheme:
@@ -192,26 +199,20 @@ def moderate_scheme(params: DetParams) -> Scheme:
     decoding budget is shared and each user gets rate n/K.  No feedback is
     used; the scheme also works unchanged on signed channels.
     """
-    K, n, m, p = params.K, params.n, params.m, params.p
+    K, n, m = params.K, params.n, params.m
     if m != n:
         raise RegimeMismatch(f"time sharing applies at m = n, got n={n}, m={m}")
-    q = params.q
-
-    def encode(k, msg, outs):
-        if len(outs) == k:
-            return msg
-        return np.zeros(q, dtype=np.int64)
-
-    def decode(k, outs):
-        return outs[k]
-
+    encoders = []
+    for t in range(K):  # block t: user t sends its message, everyone else is silent
+        enc = np.zeros((K, n, (t + 1) * n), dtype=np.int64)
+        enc[t, :, :n] = np.eye(n, dtype=np.int64)
+        encoders.append(enc)
     return Scheme(
         params=params,
-        blocks=K,
         msg_symbols=n,
         declared_rate=Fraction(n, K),
-        encode=encode,
-        decode=decode,
+        encoders=tuple(encoders),
+        decoders=np.eye(K * n, dtype=np.int64).reshape(K, n, K * n),  # user k reads block k
         name="moderate",
     )
 
@@ -394,77 +395,17 @@ def qsym_scheme(params: DetParams, sol: AlignmentSolution) -> Scheme:
         raise RegimeMismatch("qsym_scheme needs an explicit sign matrix")
     if sol.p != params.p or sol.signs != params.signs:
         raise ValueError("alignment solution does not match channel parameters")
-    K, n, m, p = params.K, params.n, params.m, params.p
+    n, m = params.n, params.m
     if min(n, m) < 1:
         raise RegimeMismatch("quasi-symmetric scheme needs n >= 1 and m >= 1")
-    a, b = np.array(sol.a), np.array(sol.b)
-
-    invs = []
-    for k in range(K):
-        dec = qsym_decode_matrix(params, sol, k)
-        if dec.rank() < dec.rows:
-            raise SingularSystem(
-                f"quasi-symmetric decode matrix singular for user {k}:\n{dec.data}"
-            )
-        invs.append(dec.inverse())
-
-    if n > m:  # weak: message 2n - m, interference on the bottom m levels
-        msg_symbols = 2 * n - m
-
-        def encode(k, msg, outs):
-            if len(outs) == 0:
-                return msg[:n]
-            resid = (outs[0] - msg[:n]) % p
-            i_k = resid[n - m:]
-            x = np.empty(n, dtype=np.int64)
-            x[:m] = a[k] * msg[:m] + b[k] * i_k
-            x[m:] = a[k] * msg[m:n] + b[k] * msg[n:msg_symbols]
-            return x % p
-
-        def decode(k, outs):
-            z = invs[k] @ np.concatenate([outs[0], outs[1]])
-            return np.concatenate([z[:n], z[n + m: 2 * n]])
-
-        rate = Fraction(msg_symbols, 2)
-    elif m > n:  # strong: message m, full interference vector relayed scaled
-        msg_symbols = m
-        shift = shift_matrix(m, m - n, p)
-
-        def encode(k, msg, outs):
-            if len(outs) == 0:
-                return msg
-            i_k = (outs[0] - (shift @ msg)) % p
-            return (a[k] * msg + b[k] * i_k) % p
-
-        def decode(k, outs):
-            z = invs[k] @ np.concatenate([outs[0], outs[1]])
-            return z[:m]
-
-        rate = Fraction(m, 2)
-    else:  # moderate: message n, needs the margin condition (checked above)
-        msg_symbols = n
-
-        def encode(k, msg, outs):
-            if len(outs) == 0:
-                return msg
-            i_k = (outs[0] - msg) % p
-            return (a[k] * msg + b[k] * i_k) % p
-
-        def decode(k, outs):
-            z = invs[k] @ np.concatenate([outs[0], outs[1]])
-            return z[:n]
-
-        rate = Fraction(n, 2)
-
-    return Scheme(
-        params=params,
-        blocks=2,
-        msg_symbols=msg_symbols,
-        declared_rate=rate,
-        encode=encode,
-        decode=decode,
-        name="qsym",
-    )
+    # own symbols: the first q unknowns, and for n > m the last n - m
+    keep = list(range(n)) + list(range(n + m, 2 * n)) if n > m else list(range(params.q))
+    decoders = np.stack([
+        _invert(qsym_decode_matrix(params, sol, k),
+                f"quasi-symmetric decode matrix singular for user {k}").data[keep]
+        for k in range(params.K)
+    ])
+    return _two_block_scheme(params, sol.a, sol.b, decoders, "qsym")
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +435,13 @@ def _try_build(params: DetParams) -> Scheme:
 
 def select_prime(K: int, n: int, m: int, signs=None) -> int:
     """Smallest prime in the scan set for which construction succeeds."""
-    last: Exception | None = None
+    last = ""  # the message only: keeping the exception would keep its frames alive
     for p in PRIME_SCAN:
         try:
             _try_build(DetParams(K=K, n=n, m=m, p=p, signs=signs))
             return p
         except (SingularSystem, NoSolution) as exc:
-            last = exc
+            last = str(exc)
     raise SingularSystem(
         f"no prime in {PRIME_SCAN} yields a decodable scheme for "
         f"K={K}, n={n}, m={m}: {last}"
@@ -525,6 +466,7 @@ class VerifyReport:
     converse_rate: Fraction
     matches_converse: bool
     first_failure: Transcript | None = None
+    first_trial: Transcript | None = None
 
     @property
     def all_passed(self) -> bool:
@@ -550,19 +492,14 @@ class VerifyReport:
 def verify_scheme(
     params: DetParams, scheme: Scheme, trials: int, seed: int
 ) -> VerifyReport:
-    """Replay `trials` sessions with seeded uniform messages; bit-exactness
-    of every user's decode counts as success, failures are data (the first
-    failing transcript is attached for inspection)."""
+    """Replay `trials` sessions with seeded uniform messages as one batch;
+    bit-exactness of every user's decode counts as success, failures are
+    data (the first failing transcript is attached for inspection, and the
+    trial-0 transcript always is)."""
     rng = np.random.default_rng(seed)
     msgs = rng.integers(0, params.p, size=(trials, params.K, scheme.msg_symbols))
-    successes = 0
-    first_failure = None
-    for t in range(trials):
-        tr = run_feedback_session(params, scheme, msgs[t])
-        if (tr.messages_out == tr.messages_in).all():
-            successes += 1
-        elif first_failure is None:
-            first_failure = tr
+    batch = run_feedback_session(params, scheme, msgs)
+    failed = np.flatnonzero((batch.messages_out != batch.messages_in).any(axis=(1, 2)))
     if params.signs is not None and params.K == 3:
         converse = qsym_converse(params.n, params.m, params.signs)
     else:
@@ -571,8 +508,9 @@ def verify_scheme(
         params=params,
         declared_rate=scheme.declared_rate,
         trials=trials,
-        successes=successes,
+        successes=trials - failed.size,
         converse_rate=converse,
         matches_converse=scheme.declared_rate == converse,
-        first_failure=first_failure,
+        first_failure=batch.trial(failed[0]) if failed.size else None,
+        first_trial=batch.trial(0) if trials else None,
     )

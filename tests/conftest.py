@@ -1,25 +1,34 @@
+import functools
 import itertools
 
 import numpy as np
 
 
 def cofactor_det_mod(mat, p: int) -> int:
-    """Brute-force determinant mod p by recursive cofactor expansion.
+    """Brute-force determinant mod p by Laplace expansion along the rows.
 
-    Independent of the elimination-based determinant in the package; only
-    usable for small matrices (factorial cost).
+    Independent of the elimination-based determinant in the package.  The
+    minor below row r depends only on which columns rows 0..r-1 used, so it
+    is memoized over that column bitmask: O(2^n * n) Python-int steps.
     """
-    a = np.asarray(mat, dtype=np.int64) % p
-    n = a.shape[0]
-    if n == 1:
-        return int(a[0, 0]) % p
-    total = 0
-    sign = 1
-    for j in range(n):
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total += sign * int(a[0, j]) * cofactor_det_mod(minor, p)
-        sign = -sign
-    return total % p
+    a = [[int(v) % p for v in row] for row in np.asarray(mat)]
+    n = len(a)
+
+    @functools.lru_cache(maxsize=None)
+    def minor(used: int) -> int:
+        r = bin(used).count("1")
+        if r == n:
+            return 1
+        total, pos = 0, 0
+        for j in range(n):
+            if used >> j & 1:
+                continue
+            if a[r][j]:
+                total += (-1) ** pos * a[r][j] * minor(used | 1 << j)
+            pos += 1
+        return total % p
+
+    return minor(0)
 
 
 def all_sign_matrices_k3():

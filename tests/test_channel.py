@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from fcic.channel import DetParams, Scheme, apply_channel, run_feedback_session
-from fcic.schemes import build_scheme, weak_scheme
+from fcic.channel import DetParams, apply_channel, run_feedback_session
+from fcic.schemes import NoSolution, build_scheme
+
+from conftest import all_sign_matrices_k3
 
 
 def test_params_validation():
@@ -149,41 +152,104 @@ def test_driver_rejects_wrong_block_count():
 
 
 def test_encoders_receive_only_past_outputs():
-    """A probing encoder records the history length it was handed at each
-    block; the driver must never leak current or future outputs."""
-    params = DetParams(K=2, n=2, m=1, p=3)
-    seen: list[tuple[int, int]] = []
-    base = weak_scheme(params)
-
-    def probe_encode(k, msg, outs):
-        seen.append((len(outs), k))
-        return base.encode(k, msg, outs)
-
-    probed = Scheme(
-        params=params,
-        blocks=base.blocks,
-        msg_symbols=base.msg_symbols,
-        declared_rate=base.declared_rate,
-        encode=probe_encode,
-        decode=base.decode,
-    )
-    msgs = np.arange(6).reshape(2, 3) % 3
-    run_feedback_session(params, probed, msgs)
-    assert sorted(set(seen)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    """Block t's encoder map has exactly L + t*q columns, its own message and
+    its outputs of blocks < t, so no scheme can see current or future
+    outputs; a map with a column more is rejected at construction."""
+    for k_users, n, m, p in ((2, 2, 1, 3), (3, 1, 3, 5), (4, 2, 2, 5), (3, 3, 1, 5)):
+        scheme = build_scheme(k_users, n, m, p=p)
+        q, msg = scheme.params.q, scheme.msg_symbols
+        assert [enc.shape for enc in scheme.encoders] == [
+            (k_users, q, msg + t * q) for t in range(scheme.blocks)
+        ]
+        assert scheme.decoders.shape == (k_users, msg, scheme.blocks * q)
+    leaky = list(scheme.encoders)
+    leaky[0] = np.concatenate([leaky[0], np.zeros((3, 3, 1), dtype=np.int64)], axis=2)
+    with pytest.raises(ValueError):
+        dataclasses.replace(scheme, encoders=tuple(leaky))
 
 
 def test_truncated_history_replay_reproduces_inputs():
-    """Re-running every encoder on the recorded past outputs must reproduce
-    the recorded inputs exactly (regression check on causality)."""
+    """Re-applying every block's encoder map to the message and the recorded
+    past outputs must reproduce the recorded inputs exactly (regression
+    check on causality)."""
     scheme = build_scheme(3, 1, 3, p=5)
     rng = np.random.default_rng(8)
     msgs = rng.integers(0, 5, size=(3, 3))
     tr = run_feedback_session(scheme.params, scheme, msgs)
     for t, (x, _y) in enumerate(tr.blocks):
         for k in range(3):
-            past = tuple(tr.blocks[s][1][k] for s in range(t))
-            replay = scheme.encode(k, msgs[k], past) % 5
+            seen = np.concatenate([msgs[k]] + [tr.blocks[s][1][k] for s in range(t)])
+            replay = scheme.encoders[t][k] @ seen % 5
             assert (replay == x[k]).all()
+
+
+def test_apply_channel_batch_matches_single_uses():
+    rng = np.random.default_rng(9)
+    for params in (DetParams(K=3, n=2, m=4, p=7),
+                   DetParams(K=3, n=3, m=1, p=5, signs=((0, -1, 1), (1, 0, -1), (1, -1, 0)))):
+        x = rng.integers(0, params.p, size=(6, params.K, params.q))
+        y = apply_channel(params, x)
+        for b in range(6):
+            assert (y[b] == apply_channel(params, x[b])).all()
+    with pytest.raises(ValueError):
+        apply_channel(params, x[:, :2])
+
+
+def _loop_session(scheme, msgs):
+    """Reference replay: one user and one block at a time, matrix-vector."""
+    p = scheme.params.p
+    seen = [list(row) for row in msgs]
+    blocks = []
+    for enc in scheme.encoders:
+        x = np.array([enc[k] @ np.array(seen[k]) % p for k in range(len(msgs))])
+        y = apply_channel(scheme.params, x)
+        blocks.append((x, y))
+        for k, row in enumerate(y):
+            seen[k].extend(row)
+    out = [scheme.decoders[k] @ np.array(seen[k][scheme.msg_symbols:]) % p
+           for k in range(len(msgs))]
+    return blocks, np.array(out)
+
+
+def _assert_batch_matches_single(scheme, rng, sessions=4):
+    params = scheme.params
+    msgs = rng.integers(0, params.p, size=(sessions, params.K, scheme.msg_symbols))
+    batch = run_feedback_session(params, scheme, msgs)
+    assert batch.messages_out.shape == msgs.shape
+    for b in range(sessions):
+        single = run_feedback_session(params, scheme, msgs[b])
+        ref_blocks, ref_out = _loop_session(scheme, msgs[b])
+        for tr in (batch.trial(b), single):
+            assert tr.to_json_dict() == single.to_json_dict()
+            assert all((x == rx).all() and (y == ry).all()
+                       for (x, y), (rx, ry) in zip(tr.blocks, ref_blocks))
+            assert (tr.messages_out == ref_out).all()
+            assert (tr.messages_out == msgs[b]).all()
+
+
+def test_batched_replay_matches_single_sessions_on_the_sweep():
+    """Every criterion-1 configuration (auto prime): a batched replay equals
+    the B = 1 replay and a per-user loop, session by session."""
+    rng = np.random.default_rng(10)
+    for k_users in (2, 3, 4, 5):
+        for n in range(7):
+            for m in range(7):
+                if n + m:
+                    _assert_batch_matches_single(build_scheme(k_users, n, m), rng)
+
+
+def test_batched_replay_matches_single_sessions_signed():
+    rng = np.random.default_rng(11)
+    names = []
+    for lam in list(all_sign_matrices_k3())[::5]:
+        for n, m in ((2, 1), (1, 2), (2, 2), (3, 1)):
+            try:
+                scheme = build_scheme(3, n, m, p=5, signs=lam)
+            except NoSolution:  # moderate alignment infeasible over GF(5)
+                continue
+            _assert_batch_matches_single(scheme, rng)
+            names.append(scheme.name)
+    assert {"qsym", "moderate"} <= set(names) and len(names) >= 40
 
 
 def test_transcript_json_shape():

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from fcic import schemes
 from fcic.cli import main
 
 
@@ -113,6 +116,46 @@ def test_det_verify_dump_and_signs(capsys, tmp_path):
     assert list(tr) == ["params", "blocks", "messages_in", "messages_out"]
     assert len(tr["blocks"]) == 2
     assert tr["messages_out"] == tr["messages_in"]
+
+
+def test_det_verify_dump_is_first_failure_else_trial_0(capsys, tmp_path, monkeypatch):
+    args = ("det-verify", "--k", "3", "--n", "3", "--m", "1", "--p", "5",
+            "--trials", "20", "--seed", "22", "--dump", str(tmp_path / "t.json"))
+    msgs = np.random.default_rng(22).integers(0, 5, size=(20, 3, 5))
+    code, _, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert json.loads((tmp_path / "t.json").read_text())["messages_in"] == msgs[0].tolist()
+
+    real = schemes.build_scheme
+
+    def corrupted(*a, **kw):
+        scheme = real(*a, **kw)
+        bad = scheme.decoders.copy()
+        # user 1 adds its own first symbol to its first decoded symbol
+        bad[1, 0, 0] = (bad[1, 0, 0] + 1) % 5
+        return dataclasses.replace(scheme, decoders=bad)
+
+    monkeypatch.setattr(schemes, "build_scheme", corrupted)
+    code, _, _ = run_cli(capsys, *args)
+    assert code == 1
+    first = int(np.flatnonzero(msgs[:, 1, 0] != 0)[0])
+    assert first > 0
+    tr = json.loads((tmp_path / "t.json").read_text())
+    assert tr["messages_in"] == msgs[first].tolist()
+    assert tr["messages_out"] != tr["messages_in"]
+
+
+def test_det_verify_rejects_primes_beyond_int64(capsys):
+    """1073741789 and 1073741827 sit either side of the int64 limit for this
+    configuration's longest map row (8 columns: 8 (p - 1)^2 < 2^63)."""
+    for p, expect in (("1073741789", 0), ("1073741827", 2), ("3037000493", 2),
+                      ("4294967291", 2)):
+        code, out, err = run_cli(
+            capsys, "det-verify", "--k", "3", "--n", "3", "--m", "1", "--p", p,
+            "--trials", "20",
+        )
+        assert code == expect, (p, err)
+        assert (out == "") == (expect == 2)
 
 
 def test_det_verify_stdout_is_deterministic(capsys):

@@ -1,9 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fcic.channel import DetParams, Scheme, run_feedback_session
+from fcic.channel import DetParams, run_feedback_session
 from fcic.gf import SingularSystem, mat_rank
 from fcic.rates import det_converse
 from fcic.schemes import (
@@ -318,29 +319,68 @@ def test_build_scheme_dispatch():
     assert build_scheme(3, 2, 1, p=5, signs=SINGULAR_LAMBDA).name == "qsym"
 
 
+def _corrupt_decoder(scheme):
+    """User 1 adds its block-1 top output, which is its own first message
+    symbol when m < n, to its first decoded symbol."""
+    bad = scheme.decoders.copy()
+    bad[1, 0, 0] = (bad[1, 0, 0] + 1) % scheme.params.p
+    return dataclasses.replace(scheme, decoders=bad)
+
+
 def test_verify_scheme_reports_fault_injection():
-    """A corrupted decoder must be caught and the failing transcript kept."""
+    """A corrupted decoder map must be caught and the first failing trial's
+    transcript kept."""
     base = build_scheme(3, 3, 1, p=5)
-
-    def bad_decode(k, outs):
-        out = base.decode(k, outs).copy()
-        if k == 1:
-            out[0] = (out[0] + 1) % 5
-        return out
-
-    broken = Scheme(
-        params=base.params,
-        blocks=base.blocks,
-        msg_symbols=base.msg_symbols,
-        declared_rate=base.declared_rate,
-        encode=base.encode,
-        decode=bad_decode,
-    )
-    report = verify_scheme(base.params, broken, 20, seed=17)
-    assert report.successes < 20
-    assert report.first_failure is not None
+    broken = _corrupt_decoder(base)
+    report = verify_scheme(base.params, broken, 20, seed=22)
+    msgs = np.random.default_rng(22).integers(0, 5, size=(20, 3, 5))
+    failing = np.flatnonzero(msgs[:, 1, 0] != 0)
+    assert failing[0] > 0  # trial 0 decodes, so the failure is not trial 0
+    assert report.successes == 20 - failing.size
     tr = report.first_failure
+    assert tr.messages_in.tolist() == msgs[failing[0]].tolist()
     assert (tr.messages_out != tr.messages_in).any()
+    assert report.first_trial.messages_in.tolist() == msgs[0].tolist()
+    assert verify_scheme(base.params, base, 20, seed=22).first_failure is None
+
+
+def _unit_message_replay_is_identity(scheme) -> bool:
+    """Replay the K*L unit message vectors as one batch.  Encoders, channel
+    and decoders are all linear over GF(p), so an identity map here proves
+    bit-exact decoding for all p^(K*L) messages."""
+    size = scheme.params.K * scheme.msg_symbols
+    units = np.eye(size, dtype=np.int64).reshape(size, scheme.params.K, scheme.msg_symbols)
+    out = run_feedback_session(scheme.params, scheme, units).messages_out
+    return bool((out.reshape(size, size) == np.eye(size, dtype=np.int64)).all())
+
+
+def test_every_message_decodes_exhaustive_proof():
+    for k_users in (2, 3, 4, 5):
+        for n in range(7):
+            for m in range(7):
+                if n + m:
+                    assert _unit_message_replay_is_identity(build_scheme(k_users, n, m))
+    for lam in list(all_sign_matrices_k3())[::3]:
+        for n, m in ((2, 1), (1, 2), (4, 2), (2, 4)):
+            assert _unit_message_replay_is_identity(build_scheme(3, n, m, signs=lam))
+    assert not _unit_message_replay_is_identity(_corrupt_decoder(build_scheme(3, 3, 1, p=5)))
+
+
+def test_primes_beyond_int64_are_rejected():
+    """K=3, n=3, m=1: the longest map row is the block-2 encoder's L + q = 8
+    columns, so int64 dot products are exact iff 8 (p - 1)^2 < 2^63, i.e.
+    p <= 2^30; 1073741789 and 1073741827 are the primes either side."""
+    scheme = build_scheme(3, 3, 1, p=1073741789)
+    report = verify_scheme(scheme.params, scheme, 50, seed=3)
+    assert report.successes == 50
+    assert _unit_message_replay_is_identity(scheme)
+    for p in (1073741827, 3037000493, 4294967291):
+        with pytest.raises(ValueError):
+            build_scheme(3, 3, 1, p=p)
+    with pytest.raises(ValueError):
+        build_scheme(3, 1, 1, p=3037000493)  # time sharing: rows of K q = 3
+    with pytest.raises(ValueError):
+        DetParams(K=3, n=1, m=1, p=4294967291)  # (p - 1)^2 alone reaches 2^63
 
 
 def test_verify_report_json_keys():
