@@ -177,6 +177,11 @@ def cmd_gauss_gap(args) -> int:
     for f in facts:
         if not f.gap_ok:
             violations += 1
+            print(
+                f"gap violated: snr={_fmt(f.params.snr)} inr={_fmt(f.params.inr)} "
+                f"k={f.params.k} violations={','.join(f.violations)}",
+                file=sys.stderr,
+            )
         print(
             f"{_fmt(f.params.snr)},{_fmt(f.params.inr)},{f.params.k},"
             f"{f.regime},{_fmt(f.achievable)},{_fmt(f.c_tilde)},"

@@ -264,10 +264,10 @@ class GapFact:
     violations: tuple[str, ...] = ()
 
 
-def _gap_checks(params: GaussParams, ach: Achievable) -> tuple[str, ...]:
+def _gap_checks(
+    params: GaussParams, ach: Achievable, tilde: float, upper: float
+) -> tuple[str, ...]:
     s, i, k = params.snr, params.inr, params.k
-    tilde = c_sym_tilde(params)
-    upper = gauss_upper(params)
     bad = []
     if ach.regime in ("weak", "strong"):
         if ach.rate < tilde - weak_gap_constant(k) - RATE_TOL:
@@ -313,7 +313,7 @@ def gap_report(points) -> list[GapFact]:
                 c_tilde=tilde, upper=upper, gap_ok=True,
             ))
             continue
-        bad = _gap_checks(params, ach)
+        bad = _gap_checks(params, ach, tilde, upper)
         facts.append(GapFact(
             params=params, regime=ach.regime, achievable=ach.rate,
             c_tilde=tilde, upper=upper, gap_ok=not bad, violations=bad,

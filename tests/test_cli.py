@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fcic import schemes
+from fcic import rates, schemes
 from fcic.cli import main
 
 
@@ -235,6 +235,22 @@ def test_gauss_gap_sweep(capsys):
     assert len(lines) == 1 + 8 * 8 * 2
     assert err.strip().splitlines()[-1] == "violations=0"
     assert any(",excluded," in line for line in lines[1:])
+
+
+def test_gauss_gap_reports_each_violation_on_stderr(capsys, monkeypatch):
+    """A forced violation names its point and inequality on stderr, before
+    the count; stdout keeps its CSV and only the gap_ok column changes."""
+    args = ("gauss-gap", "--snr-grid", "1,1e4", "--inr-grid", "10,1e6", "--k-list", "3")
+    _, clean, _ = run_cli(capsys, *args)
+    monkeypatch.setattr(rates, "weak_gap_constant", lambda k: -100.0)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    failing = [line.split(",") for line in out.splitlines()[1:] if line.endswith(",false")]
+    assert failing and out.replace(",false\n", ",true\n") == clean
+    assert err.splitlines() == [
+        f"gap violated: snr={snr} inr={inr} k={k} violations=gap"
+        for snr, inr, k, *_ in failing
+    ] + [f"violations={len(failing)}"]
 
 
 def test_gauss_gap_k1_rejected(capsys):
