@@ -23,10 +23,8 @@ from .gf import (
     GfMatrix,
     SingularSystem,
     is_prime,
-    mat_rank,
     nullspace,
     shift_matrix,
-    solve_linear,
 )
 from .rates import (
     Achievable,
@@ -56,9 +54,7 @@ from .schemes import (
     qsym_scheme,
     qsym_solve,
     select_prime,
-    strong_scheme,
     verify_scheme,
-    weak_scheme,
 )
 
 __version__ = "0.1.0"

@@ -217,12 +217,7 @@ def _apply_maps(maps: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     return np.einsum("krc,bkc->bkr", maps, v) % p
 
 
-def run_feedback_session(
-    params: DetParams,
-    scheme: Scheme,
-    messages,
-    blocks: int | None = None,
-) -> Transcript:
+def run_feedback_session(params: DetParams, scheme: Scheme, messages) -> Transcript:
     """Drive sessions under the one-step output feedback contract.
 
     `messages` is one session's (K, L) array, or a batch (B, K, L) of
@@ -235,8 +230,6 @@ def run_feedback_session(
     """
     if scheme.params != params:
         raise ValueError("scheme was built for different channel parameters")
-    if blocks is not None and blocks != scheme.blocks:
-        raise ValueError(f"scheme runs over {scheme.blocks} blocks, asked for {blocks}")
     K, L = params.K, scheme.msg_symbols
     msgs = np.asarray(messages, dtype=np.int64) % params.p
     single = msgs.ndim == 2

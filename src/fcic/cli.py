@@ -202,7 +202,10 @@ def cmd_mc_strong(args) -> int:
     )
     stats = gauss_sim.simulate_strong_two_block(cfg)
     print(json.dumps(stats.to_json_dict()))
-    return EXIT_OK if stats.gates_ok else 1
+    failures = stats.gate_failures()
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else EXIT_OK
 
 
 def cmd_lattice_demo(args) -> int:

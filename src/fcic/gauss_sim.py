@@ -76,6 +76,8 @@ class MCConfig:
     def __post_init__(self):
         if self.block_len < 1 or self.trials < 1:
             raise ValueError("block_len and trials must be >= 1")
+        if self.block_len * self.trials < 2:
+            raise ValueError("need block_len * trials >= 2 samples for the standard errors")
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,15 +105,34 @@ class EffectiveChannelStats:
     tx_power_hat: float
     tx_se: float
 
+    def gate_failures(self) -> list[str]:
+        """One line per failed three-sigma gate (noise power, signal power,
+        unit transmit power), with its estimate, bound and standard error."""
+        failures = []
+        if not abs(self.noise_power_hat - self.predicted_noise_power) <= 3 * self.noise_se:
+            failures.append(
+                f"gate failed: noise estimate={self.noise_power_hat!r} "
+                f"predicted={self.predicted_noise_power!r} se={self.noise_se!r} "
+                f"(needs |estimate - predicted| <= 3 se)"
+            )
+        if not self.signal_power_hat >= self.predicted_signal_lb - 3 * self.signal_se:
+            failures.append(
+                f"gate failed: signal estimate={self.signal_power_hat!r} "
+                f"lower_bound={self.predicted_signal_lb!r} se={self.signal_se!r} "
+                f"(needs estimate >= lower_bound - 3 se)"
+            )
+        if not self.tx_power_hat <= 1.0 + 3 * self.tx_se:
+            failures.append(
+                f"gate failed: tx estimate={self.tx_power_hat!r} "
+                f"bound=1.0 se={self.tx_se!r} (needs estimate <= bound + 3 se)"
+            )
+        return failures
+
     @property
     def gates_ok(self) -> bool:
         """Three-sigma agreement gates on noise power, signal power, and the
         unit transmit power constraint."""
-        return (
-            abs(self.noise_power_hat - self.predicted_noise_power) <= 3 * self.noise_se
-            and self.signal_power_hat >= self.predicted_signal_lb - 3 * self.signal_se
-            and self.tx_power_hat <= 1.0 + 3 * self.tx_se
-        )
+        return not self.gate_failures()
 
     def to_json_dict(self) -> dict:
         return {

@@ -17,8 +17,6 @@ __all__ = [
     "is_prime",
     "GfMatrix",
     "shift_matrix",
-    "mat_rank",
-    "solve_linear",
     "nullspace",
 ]
 
@@ -126,9 +124,6 @@ class GfMatrix:
         self._check_same_field(other)
         return GfMatrix(self.data - other.data, self.p)
 
-    def scale(self, c: int) -> "GfMatrix":
-        return GfMatrix(self.data * (int(c) % self.p), self.p)
-
     def __matmul__(self, other):
         check_dot_length(self.p, self.cols)
         if isinstance(other, GfMatrix):
@@ -145,15 +140,19 @@ class GfMatrix:
     def _echelon(self, rhs: np.ndarray | None = None):
         """Forward elimination with first-nonzero pivot per column.
 
-        Returns (reduced matrix, reduced rhs, pivot column list).  The result
-        is in *reduced* row echelon form (pivots normalised to 1, cleared
-        above and below), which keeps nullspace extraction trivial.
+        Returns (reduced matrix, reduced rhs, pivot column list, det).  The
+        result is in *reduced* row echelon form (pivots normalised to 1,
+        cleared above and below), which keeps nullspace extraction trivial.
+        det is the product of the pivots as found, before normalisation,
+        with the sign of the row swaps: for a square matrix with a pivot in
+        every column it is the determinant.
         """
         p = self.p
         a = self.data.copy()
         b = None if rhs is None else rhs.copy()
         n_rows, n_cols = a.shape
         pivots: list[int] = []
+        det = 1
         r = 0
         for c in range(n_cols):
             sel = -1
@@ -167,7 +166,10 @@ class GfMatrix:
                 a[[r, sel]] = a[[sel, r]]
                 if b is not None:
                     b[[r, sel]] = b[[sel, r]]
-            inv = pow(int(a[r, c]), p - 2, p)
+                det = -det % p
+            piv = int(a[r, c])
+            det = det * piv % p
+            inv = pow(piv, p - 2, p)
             a[r] = (a[r] * inv) % p
             if b is not None:
                 b[r] = (b[r] * inv) % p
@@ -181,43 +183,23 @@ class GfMatrix:
             r += 1
             if r == n_rows:
                 break
-        return a, b, pivots
+        return a, b, pivots, det
 
     def rank(self) -> int:
         return len(self._echelon()[2])
 
     def det(self) -> int:
-        """Determinant in [0, p) via elimination with swap-sign tracking."""
-        p = self.p
+        """Determinant in [0, p), from one elimination by `_echelon`."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        a = self.data.copy()
-        n = self.rows
-        det = 1
-        for c in range(n):
-            sel = -1
-            for i in range(c, n):
-                if a[i, c]:
-                    sel = i
-                    break
-            if sel < 0:
-                return 0
-            if sel != c:
-                a[[c, sel]] = a[[sel, c]]
-                det = (-det) % p
-            det = (det * int(a[c, c])) % p
-            inv = pow(int(a[c, c]), p - 2, p)
-            for i in range(c + 1, n):
-                if a[i, c]:
-                    f = int(a[i, c]) * inv % p
-                    a[i] = (a[i] - f * a[c]) % p
-        return det
+        _, _, pivots, det = self._echelon()
+        return det if len(pivots) == self.rows else 0
 
     def inverse(self) -> "GfMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         rhs = np.eye(self.rows, dtype=np.int64)
-        red, inv, pivots = self._echelon(rhs)
+        _, inv, pivots, _ = self._echelon(rhs)
         if len(pivots) != self.rows:
             raise SingularSystem(f"matrix of rank {len(pivots)} < {self.rows}")
         return GfMatrix(inv, self.p)
@@ -227,7 +209,7 @@ class GfMatrix:
         if self.rows != self.cols:
             raise ValueError("solve requires a square matrix")
         b = _as_vector(y, self.p, self.rows).reshape(-1, 1)
-        red, rhs, pivots = self._echelon(b)
+        _, rhs, pivots, _ = self._echelon(b)
         if len(pivots) != self.rows:
             raise SingularSystem(f"matrix of rank {len(pivots)} < {self.rows}")
         return rhs[:, 0] % self.p
@@ -249,23 +231,13 @@ def shift_matrix(q: int, k: int, p: int) -> GfMatrix:
     return GfMatrix(d, p)
 
 
-def mat_rank(m: GfMatrix) -> int:
-    """Rank over GF(p) by exact Gaussian elimination."""
-    return m.rank()
-
-
-def solve_linear(m: GfMatrix, y) -> np.ndarray:
-    """Solve the square system m @ x == y exactly over GF(p)."""
-    return m.solve(y)
-
-
 def nullspace(m: GfMatrix) -> list[np.ndarray]:
     """Basis of {x : m @ x == 0}, one vector per free column, ascending.
 
     Each basis vector has a 1 in its free coordinate and the negated reduced
     echelon entries in the pivot coordinates, so the output is deterministic.
     """
-    red, _, pivots = m._echelon()
+    red, _, pivots, _ = m._echelon()
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for f in free:

@@ -23,6 +23,7 @@ __all__ = [
     "SecrecyBound",
     "RATE_TOL",
     "det_converse",
+    "int_det",
     "qsym_converse",
     "gdof_fb",
     "gdof_nofb",
@@ -83,13 +84,29 @@ def det_converse(n: int, m: int, k: int) -> Fraction:
     return Fraction(n, k)
 
 
-def _det3_int(a: np.ndarray) -> int:
-    """Exact integer determinant of a 3x3 integer matrix."""
-    return int(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
+def int_det(mat) -> int:
+    """Exact determinant of a square integer matrix of any size.
+
+    Fraction-free (Bareiss) elimination in Python ints: every division is
+    exact, so there is no rounding and no overflow.
+    """
+    a = [[int(v) for v in row] for row in np.asarray(mat)]
+    size = len(a)
+    if any(len(row) != size for row in a):
+        raise ValueError("determinant of a non-square matrix")
+    sign, prev = 1, 1
+    for c in range(size - 1):
+        if a[c][c] == 0:
+            swap = next((i for i in range(c + 1, size) if a[i][c]), None)
+            if swap is None:
+                return 0
+            a[c], a[swap] = a[swap], a[c]
+            sign = -sign
+        for i in range(c + 1, size):
+            for j in range(c + 1, size):
+                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
+        prev = a[c][c]
+    return sign * a[-1][-1] if size else 1
 
 
 def qsym_converse(n: int, m: int, signs) -> Fraction:
@@ -108,7 +125,7 @@ def qsym_converse(n: int, m: int, signs) -> Fraction:
         return Fraction(2 * n - m, 2)
     if m > n:
         return Fraction(m, 2)
-    if _det3_int(lam + np.eye(3, dtype=np.int64)) != 0:
+    if int_det(lam + np.eye(3, dtype=np.int64)) != 0:
         return Fraction(n, 2)
     return Fraction(n, 3)
 

@@ -1,16 +1,22 @@
 """Two-block feedback coding schemes for the deterministic channel.
 
-Covers the three symmetric regimes (weak m < n, strong m > n, moderate
-m = n) and the quasi-symmetric signed channel, where block-2 transmissions
-are combined through per-user diagonal coefficients (A, B) chosen so that
-every receiver sees its block-1 interference again, only rescaled
-(the simultaneous-alignment identity  Lambda A + Lambda B Lambda = U + V Lambda).
+One construction, cooperative interference alignment, covers every m != n
+scheme.  In block 2 user k sends A_k (own symbols) + B_k I_k, where I_k is
+the interference its receiver heard in block 1, with per-user diagonal
+coefficients chosen so that every receiver sees its block-1 interference
+again, only rescaled: the simultaneous-alignment identity
+Lambda A + Lambda B Lambda = U + V Lambda.  The fully symmetric channel is
+the all-ones Lambda, which aligns at the closed-form point
+(A, B, U, V) = (0, 1, K-1, K-2) because Lambda^2 = (K-1) I + (K-2) Lambda;
+signed channels get their point from the solver `qsym_solve`.  At m = n the
+symmetric channel, and any signed one whose Lambda + I is singular, uses
+n/K time sharing instead.
 
 Every scheme is written out as explicit GF(p) encoder and decoder maps (see
-`Scheme`).  Each builder inverts its decode matrices once at build time, so
-an undecodable configuration fails fast as SingularSystem instead of
-silently corrupting messages.  `verify_scheme` replays all of its trials as
-one batch through `run_feedback_session`.
+`Scheme`).  The builder inverts each distinct decode matrix once at build
+time, so an undecodable configuration fails fast as SingularSystem instead
+of silently corrupting messages.  `verify_scheme` replays all of its trials
+as one batch through `run_feedback_session`.
 """
 
 from __future__ import annotations
@@ -23,18 +29,14 @@ import numpy as np
 
 from .channel import DetParams, Scheme, Transcript, _validate_signs, run_feedback_session
 from .gf import GfMatrix, SingularSystem, nullspace, shift_matrix
-from .rates import det_converse, qsym_converse
+from .rates import det_converse, int_det, qsym_converse
 
 __all__ = [
     "RegimeMismatch",
     "NoSolution",
     "AlignmentSolution",
     "VerifyReport",
-    "weak_scheme",
-    "strong_scheme",
     "moderate_scheme",
-    "weak_decode_matrix",
-    "strong_decode_matrix",
     "qsym_constraint_matrix",
     "qsym_solve",
     "qsym_scheme",
@@ -58,139 +60,8 @@ class NoSolution(Exception):
 
 
 # ---------------------------------------------------------------------------
-# symmetric schemes
+# time sharing
 # ---------------------------------------------------------------------------
-
-def weak_decode_matrix(K: int, n: int, m: int, p: int) -> GfMatrix:
-    """2n x 2n per-user system for the weak regime (m < n).
-
-    Unknown order: own symbols S_k(1 : 2n-m), then interference sums
-    S_~k(1 : m).  Rows are block-1 outputs then block-2 outputs.  The block-2
-    cross term uses  sum_{i != k} S_~i(j) = (K-1) S_k(j) + (K-2) S_~k(j).
-    """
-    mat = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for r in range(n):
-        mat[r, r] += 1
-        if r >= n - m:
-            mat[r, 2 * n - m + (r - (n - m))] += 1
-    for r in range(n):
-        row = n + r
-        if r < m:
-            mat[row, 2 * n - m + r] += 1
-        else:
-            mat[row, n + (r - m)] += 1
-        if r >= n - m:
-            j = r - (n - m)
-            mat[row, j] += K - 1
-            mat[row, 2 * n - m + j] += K - 2
-    return GfMatrix(mat, p)
-
-
-def _invert(dec: GfMatrix, what: str) -> GfMatrix:
-    """Inverse of a decode matrix; SingularSystem names the matrix if none."""
-    try:
-        return dec.inverse()
-    except SingularSystem:
-        raise SingularSystem(f"{what}:\n{dec.data}") from None
-
-
-def _two_block_scheme(params: DetParams, a, b, decoders, name: str) -> Scheme:
-    """The aligned two-block scheme, written out as encoder/decoder maps.
-
-    Block 1 sends the first q own symbols.  From its block-1 feedback user k
-    recovers the interference I_k its receiver heard (its output minus its
-    own contribution) and in block 2 sends A_k (first q own symbols) + B_k R,
-    where R carries I_k on the aligned levels and, when m < n, the n - m
-    remaining fresh symbols below it.  a and b are scalars shared by every
-    user or length-K vectors; decoders is one (L, 2q) map shared by every
-    user or K of them, the rows of each user's inverted decode matrix that
-    yield its own symbols.  Shared maps stay single broadcast arrays.
-    """
-    K, n, m, q, p = params.K, params.n, params.m, params.q, params.p
-    L = 2 * n - m if n > m else q  # message symbols
-    eye = np.eye(q, dtype=np.int64)
-    own = np.zeros((q, L + q), dtype=np.int64)  # the first q own symbols
-    own[:, :q] = eye
-    first = own[:, :L]
-    relay = np.zeros((q, L + q), dtype=np.int64)  # over [own message; block-1 outputs]
-    if n >= m:  # I_k is the bottom m output levels minus own symbols n-m..n-1
-        relay[:m, n - m:n] = -np.eye(m, dtype=np.int64)
-        relay[:m, L + n - m:] = np.eye(m, dtype=np.int64)
-        relay[m:, n:L] = np.eye(n - m, dtype=np.int64)
-    else:  # I_k = Y_k - D^(m-n) S_k
-        relay[:, :q] = -shift_matrix(m, m - n, p).data
-        relay[:, L:] = eye
-    a = np.asarray(a, dtype=np.int64).reshape(-1, 1, 1)
-    b = np.asarray(b, dtype=np.int64).reshape(-1, 1, 1)
-    second = (a * own + b * relay) % p
-    return Scheme(
-        params=params,
-        msg_symbols=L,
-        declared_rate=Fraction(L, 2),
-        encoders=(np.broadcast_to(first, (K, q, L)),
-                  np.broadcast_to(second, (K, q, L + q))),
-        decoders=np.broadcast_to(decoders, (K, L, 2 * q)),
-        name=name,
-    )
-
-
-def weak_scheme(params: DetParams) -> Scheme:
-    """Two-block weak-interference scheme at the converse rate n - m/2.
-
-    Block 1 sends n fresh symbols; feedback hands each transmitter the m
-    interference sums its receiver heard, which it relays on its top m
-    levels in block 2 above the remaining n - m fresh symbols.  Each
-    receiver then solves a 2n x 2n system in its own 2n - m symbols plus
-    the m interference sums.  This is the aligned scheme at A = 0, B = 1.
-    """
-    if params.signs is not None:
-        raise RegimeMismatch("weak_scheme is for the fully symmetric channel")
-    K, n, m, p = params.K, params.n, params.m, params.p
-    if m >= n:
-        raise RegimeMismatch(f"weak scheme needs m < n, got n={n}, m={m}")
-    inv = _invert(
-        weak_decode_matrix(K, n, m, p),
-        f"weak decode matrix rank-deficient for K={K}, n={n}, m={m}, p={p}",
-    )
-    # unknowns: own symbols S_k(1 : 2n-m), then interference sums
-    return _two_block_scheme(params, 0, 1, inv.data[:2 * n - m], "weak")
-
-
-def strong_decode_matrix(K: int, n: int, m: int, p: int) -> GfMatrix:
-    """2m x 2m per-user system  [[D^(m-n), I], [(K-1)I, D^(m-n) + (K-2)I]].
-
-    Unknowns: own symbols S_k(1:m), then interference sums S_~k(1:m).
-    Singular exactly when p divides K - 1 (the lower-left block vanishes and
-    the Schur complement's diagonal is -(K-1)), so the field must be chosen
-    with K != 1 (mod p).
-    """
-    d = shift_matrix(m, m - n, p).data
-    eye = np.eye(m, dtype=np.int64)
-    top = np.concatenate([d, eye], axis=1)
-    bot = np.concatenate([(K - 1) * eye, d + (K - 2) * eye], axis=1)
-    return GfMatrix(np.concatenate([top, bot], axis=0), p)
-
-
-def strong_scheme(params: DetParams) -> Scheme:
-    """Two-block strong-interference scheme at the converse rate m/2.
-
-    Block 1 broadcasts all m fresh symbols; each transmitter subtracts its
-    own contribution from the feedback and re-sends the residual
-    interference sums in block 2 (the aligned scheme at A = 0, B = 1).
-    """
-    if params.signs is not None:
-        raise RegimeMismatch("strong_scheme is for the fully symmetric channel")
-    K, n, m, p = params.K, params.n, params.m, params.p
-    if m <= n:
-        raise RegimeMismatch(f"strong scheme needs m > n, got n={n}, m={m}")
-    inv = _invert(
-        strong_decode_matrix(K, n, m, p),
-        f"strong decode matrix rank-deficient for K={K}, n={n}, m={m}, p={p}"
-        f" (K = 1 mod p)",
-    )
-    # unknowns: own symbols S_k(1:m), then interference sums
-    return _two_block_scheme(params, 0, 1, inv.data[:m], "strong")
-
 
 def moderate_scheme(params: DetParams) -> Scheme:
     """K-block time sharing for m = n: user k alone transmits in block k.
@@ -218,7 +89,7 @@ def moderate_scheme(params: DetParams) -> Scheme:
 
 
 # ---------------------------------------------------------------------------
-# quasi-symmetric alignment
+# cooperative alignment: every two-block scheme
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -295,8 +166,7 @@ def moderate_margin(a: int, b: int, u: int, v: int, p: int) -> int:
     is load-bearing: a +u condition would declare sign matrices with
     duplicated receiver outputs decodable at n/2, above their n/3 capacity.
     """
-    mat = GfMatrix([[1, 1], [(a + u) % p, (b + v) % p]], p)
-    return mat.det()
+    return int((b + v - a - u) % p)
 
 
 def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
@@ -360,10 +230,15 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     )
 
 
-def qsym_decode_matrix(params: DetParams, sol: AlignmentSolution, k: int) -> GfMatrix:
-    """Per-user two-block system for the quasi-symmetric scheme."""
+def qsym_decode_matrix(params: DetParams, a: int, b: int, u: int, v: int) -> GfMatrix:
+    """Per-user two-block system of the aligned scheme at one user's (A, B, U, V).
+
+    Rows are the user's block-1 outputs, then its block-2 outputs.  The
+    unknowns are its q block-1 symbols, then the q symbols of R (see
+    `_two_block_scheme`), whose aligned levels return as interference
+    rescaled by U and V.
+    """
     n, m, p = params.n, params.m, params.p
-    a, b, u, v = sol.a[k], sol.b[k], sol.u[k], sol.v[k]
     if n > m:
         d = shift_matrix(n, n - m, p).data
         eye = np.eye(n, dtype=np.int64)
@@ -381,6 +256,61 @@ def qsym_decode_matrix(params: DetParams, sol: AlignmentSolution, k: int) -> GfM
     return GfMatrix(np.concatenate([top, bot], axis=0), p)
 
 
+def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
+    """The aligned two-block scheme, written out as encoder/decoder maps.
+
+    Block 1 sends the first q own symbols.  From its block-1 feedback user k
+    recovers the interference I_k its receiver heard (its output minus its
+    own contribution) and in block 2 sends A_k (first q own symbols) + B_k R,
+    where R carries I_k on the aligned levels and, when m < n, the n - m
+    remaining fresh symbols below it.  coeffs holds each user's
+    (A, B, U, V).  Each distinct tuple's decode matrix is inverted once, and
+    its rows that yield the user's own symbols are the decoder; when every
+    user shares one tuple, the maps stay single broadcast arrays.
+    """
+    K, n, m, q, p = params.K, params.n, params.m, params.q, params.p
+    L = 2 * n - m if n > m else q  # message symbols
+    # own symbols: the first q unknowns, and for n > m the last n - m
+    keep = list(range(n)) + list(range(n + m, 2 * n)) if n > m else list(range(q))
+    inverses = {}
+    for k, c in enumerate(coeffs):
+        if c not in inverses:
+            dec = qsym_decode_matrix(params, *c)
+            try:
+                inverses[c] = dec.inverse().data[keep]
+            except SingularSystem:
+                raise SingularSystem(
+                    f"{name} decode matrix rank-deficient for user {k} at "
+                    f"(A, B, U, V) = {c}, K={K}, n={n}, m={m}, p={p}:\n{dec.data}"
+                ) from None
+    if len(inverses) == 1:
+        coeffs = coeffs[:1]
+    eye = np.eye(q, dtype=np.int64)
+    own = np.zeros((q, L + q), dtype=np.int64)  # the first q own symbols
+    own[:, :q] = eye
+    first = own[:, :L]
+    relay = np.zeros((q, L + q), dtype=np.int64)  # over [own message; block-1 outputs]
+    if n >= m:  # I_k is the bottom m output levels minus own symbols n-m..n-1
+        relay[:m, n - m:n] = -np.eye(m, dtype=np.int64)
+        relay[:m, L + n - m:] = np.eye(m, dtype=np.int64)
+        relay[m:, n:L] = np.eye(n - m, dtype=np.int64)
+    else:  # I_k = Y_k - D^(m-n) S_k
+        relay[:, :q] = -shift_matrix(m, m - n, p).data
+        relay[:, L:] = eye
+    a = np.array([c[0] for c in coeffs], dtype=np.int64).reshape(-1, 1, 1)
+    b = np.array([c[1] for c in coeffs], dtype=np.int64).reshape(-1, 1, 1)
+    second = (a * own + b * relay) % p
+    return Scheme(
+        params=params,
+        msg_symbols=L,
+        declared_rate=Fraction(L, 2),
+        encoders=(np.broadcast_to(first, (K, q, L)),
+                  np.broadcast_to(second, (K, q, L + q))),
+        decoders=np.broadcast_to(np.stack([inverses[c] for c in coeffs]), (K, L, 2 * q)),
+        name=name,
+    )
+
+
 def qsym_scheme(params: DetParams, sol: AlignmentSolution) -> Scheme:
     """Cooperative alignment scheme on the signed channel.
 
@@ -395,17 +325,9 @@ def qsym_scheme(params: DetParams, sol: AlignmentSolution) -> Scheme:
         raise RegimeMismatch("qsym_scheme needs an explicit sign matrix")
     if sol.p != params.p or sol.signs != params.signs:
         raise ValueError("alignment solution does not match channel parameters")
-    n, m = params.n, params.m
-    if min(n, m) < 1:
+    if min(params.n, params.m) < 1:
         raise RegimeMismatch("quasi-symmetric scheme needs n >= 1 and m >= 1")
-    # own symbols: the first q unknowns, and for n > m the last n - m
-    keep = list(range(n)) + list(range(n + m, 2 * n)) if n > m else list(range(params.q))
-    decoders = np.stack([
-        _invert(qsym_decode_matrix(params, sol, k),
-                f"quasi-symmetric decode matrix singular for user {k}").data[keep]
-        for k in range(params.K)
-    ])
-    return _two_block_scheme(params, sol.a, sol.b, decoders, "qsym")
+    return _two_block_scheme(params, list(zip(sol.a, sol.b, sol.u, sol.v)), "qsym")
 
 
 # ---------------------------------------------------------------------------
@@ -413,24 +335,19 @@ def qsym_scheme(params: DetParams, sol: AlignmentSolution) -> Scheme:
 # ---------------------------------------------------------------------------
 
 def _try_build(params: DetParams) -> Scheme:
-    n, m = params.n, params.m
-    if params.signs is None:
-        if m < n:
-            return weak_scheme(params)
-        if m > n:
-            return strong_scheme(params)
-        return moderate_scheme(params)
+    K, n, m = params.K, params.n, params.m
     if n == m:
-        lam = params.sign_matrix()
-        if round(np.linalg.det(lam + np.eye(params.K))) == 0:
-            # Lambda + I singular: alignment cannot reach n/2; n/K time
-            # sharing meets the converse for this channel.
+        lam_plus_i = params.sign_matrix() + np.eye(K, dtype=np.int64)
+        if params.signs is None or int_det(lam_plus_i) == 0:
+            # Lambda + I singular (always for the all-ones Lambda): alignment
+            # cannot reach n/2; n/K time sharing meets the converse.
             return moderate_scheme(params)
-        sol = qsym_solve(params.signs, "moderate", params.p)
-        return qsym_scheme(params, sol)
+        return qsym_scheme(params, qsym_solve(params.signs, "moderate", params.p))
     regime = "weak" if m < n else "strong"
-    sol = qsym_solve(params.signs, regime, params.p)
-    return qsym_scheme(params, sol)
+    if params.signs is None:
+        # the all-ones Lambda aligns at (A, B, U, V) = (0, 1, K-1, K-2)
+        return _two_block_scheme(params, [(0, 1, K - 1, K - 2)] * K, regime)
+    return qsym_scheme(params, qsym_solve(params.signs, regime, params.p))
 
 
 def select_prime(K: int, n: int, m: int, signs=None) -> int:

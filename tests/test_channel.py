@@ -145,12 +145,6 @@ def test_driver_rejects_short_messages():
         run_feedback_session(scheme.params, scheme, np.zeros((3, 4), dtype=int))
 
 
-def test_driver_rejects_wrong_block_count():
-    scheme = build_scheme(3, 3, 1, p=5)
-    with pytest.raises(ValueError):
-        run_feedback_session(scheme.params, scheme, np.zeros((3, 5), dtype=int), blocks=3)
-
-
 def test_encoders_receive_only_past_outputs():
     """Block t's encoder map has exactly L + t*q columns, its own message and
     its outputs of blocks < t, so no scheme can see current or future

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -152,19 +153,21 @@ def reference_mc(cfg: MCConfig) -> EffectiveChannelStats:
 
 
 def stats_bits(stats: EffectiveChannelStats) -> dict:
-    """Every field, floats as their IEEE bytes (exact, and NaN == NaN when a
-    single sample leaves std(ddof=1) undefined)."""
+    """Every field, floats as their IEEE bytes (exact, and NaN == NaN)."""
     return {
         f.name: np.float64(v).tobytes() if isinstance(v, float) else v
         for f in dataclasses.fields(stats) for v in [getattr(stats, f.name)]
     }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("k", [2, 3, 8])
 @pytest.mark.parametrize("trials", [1, 3, 7])
 @pytest.mark.parametrize("block", [1, 17, 1000])
 def test_mc_is_bit_identical_to_all_users_reference(k, trials, block):
+    if block * trials < 2:  # one sample has no standard error: rejected
+        with pytest.raises(ValueError):
+            strong_cfg(snr=2.0, inr=30.0, k=k, block=block, trials=trials)
+        return
     for seed in (0, 5, 2**40 + 3):
         cfg = strong_cfg(snr=2.0, inr=30.0, k=k, block=block, trials=trials, seed=seed)
         assert stats_bits(simulate_strong_two_block(cfg)) == stats_bits(reference_mc(cfg))
@@ -205,6 +208,28 @@ def test_mc_scaled_noise_exits_1_with_its_json(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["samples"] == 6000
     assert "Traceback" not in err
+    # doubled normals quadruple the noise and transmit powers; the signal
+    # lower bound still holds
+    failed = err.splitlines()
+    assert [line.split()[2] for line in failed] == ["noise", "tx"]
+    assert all(" se=" in line and "estimate=" in line for line in failed)
+
+
+def test_mc_one_sample_is_a_usage_error(capsys):
+    """One sample leaves every std(ddof=1) undefined: exit 2, not a NaN run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["mc-strong", "--snr", "1", "--inr", "10",
+                     "--block", "1", "--trials", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+        code = main(["mc-strong", "--snr", "1", "--inr", "10",
+                     "--block", "2", "--trials", "1"])
+        out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert json.loads(out)["samples"] == 2
+    assert "error" not in err
 
 
 def reference_sum_decode(k, lat, noise_sigma, trials, seed):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from fcic.rates import (
     gdof_fb,
     gdof_nofb,
     gdof_slope_estimate,
+    int_det,
     negligible_gap_constant,
     qsym_converse,
     secrecy_bound,
@@ -69,6 +71,41 @@ def test_qsym_converse_rank_dependent():
     lam_plus_i = np.array(lam) + np.eye(3)
     expected = Fraction(1) if round(np.linalg.det(lam_plus_i)) != 0 else Fraction(2, 3)
     assert qsym_converse(2, 2, lam) == expected
+
+
+def leibniz_det(mat) -> int:
+    """Permutation-sum determinant in Python ints, independent of elimination."""
+    size = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            term *= int(mat[r][c])
+        total += term
+    return total
+
+
+def test_int_det_matches_permutation_sum():
+    rng = np.random.default_rng(3)
+    for size in range(7):
+        for _ in range(30):
+            mat = rng.integers(-3, 4, size=(size, size))
+            if size > 1 and rng.random() < 0.5:
+                mat[0, 0] = 0  # force a row swap, or a zero column below
+                mat[1:, 0] *= rng.integers(0, 2)
+            assert int_det(mat) == leibniz_det(mat)
+    with pytest.raises(ValueError):
+        int_det([[1, 2, 3], [4, 5, 6]])
+
+
+def test_int_det_of_all_ones_lambda():
+    """Lambda + I = J is singular for the all-ones Lambda at any K, and
+    det(J - I) = (-1)^(K-1) (K-1)."""
+    for k in range(2, 25):
+        lam = np.ones((k, k), dtype=np.int64) - np.eye(k, dtype=np.int64)
+        assert int_det(lam + np.eye(k, dtype=np.int64)) == 0
+        assert int_det(lam) == (-1) ** (k - 1) * (k - 1)
 
 
 def test_qsym_converse_off_diagonal_regimes_ignore_signs():

@@ -1,13 +1,17 @@
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fcic.channel import DetParams, run_feedback_session
-from fcic.gf import SingularSystem, mat_rank
+from fcic.gf import SingularSystem
 from fcic.rates import det_converse
 from fcic.schemes import (
+    PRIME_SCAN,
     AlignmentSolution,
     NoSolution,
     RegimeMismatch,
@@ -18,11 +22,7 @@ from fcic.schemes import (
     qsym_scheme,
     qsym_solve,
     select_prime,
-    strong_decode_matrix,
-    strong_scheme,
     verify_scheme,
-    weak_decode_matrix,
-    weak_scheme,
 )
 
 from conftest import all_sign_matrices_k3, cofactor_det_mod
@@ -37,12 +37,33 @@ def all_ones_lambda(k=3):
     return tuple(tuple(int(v) for v in row) for row in lam)
 
 
+def symmetric_decode_matrix(k_users, n, m, p):
+    """The symmetric channel's decode matrix: the aligned one at the
+    all-ones point (A, B, U, V) = (0, 1, K-1, K-2)."""
+    params = DetParams(K=k_users, n=n, m=m, p=p)
+    return qsym_decode_matrix(params, 0, 1, k_users - 1, k_users - 2)
+
+
 # ---------------------------------------------------------------------------
 # symmetric regimes
 # ---------------------------------------------------------------------------
 
+def test_all_ones_alignment_point():
+    """Lambda^2 = (K-1) I + (K-2) Lambda for the all-ones Lambda, so
+    (0, 1, K-1, K-2) satisfies the alignment identity for every K and p;
+    AlignmentSolution re-checks the identity and rejects V = K-1."""
+    for k_users in range(2, 9):
+        for p in PRIME_SCAN:
+            point = dict(a=(0,) * k_users, b=(1,) * k_users, u=(k_users - 1,) * k_users,
+                         p=p, signs=all_ones_lambda(k_users))
+            AlignmentSolution(v=(k_users - 2,) * k_users, **point)
+            with pytest.raises(ValueError):
+                AlignmentSolution(v=(k_users - 1,) * k_users, **point)
+
+
 def test_weak_scheme_worked_example():
-    scheme = weak_scheme(DetParams(K=3, n=3, m=1, p=5))
+    scheme = build_scheme(3, 3, 1, p=5)
+    assert scheme.name == "weak"
     assert scheme.declared_rate == Fraction(5, 2)
     report = verify_scheme(scheme.params, scheme, 100, seed=7)
     assert report.successes == 100
@@ -50,25 +71,19 @@ def test_weak_scheme_worked_example():
 
 
 def test_weak_scheme_k2():
-    scheme = weak_scheme(DetParams(K=2, n=2, m=1, p=3))
+    scheme = build_scheme(2, 2, 1, p=3)
     assert scheme.declared_rate == Fraction(3, 2)
     assert scheme.declared_rate == det_converse(2, 1, 2)
 
 
-def test_weak_scheme_regime_mismatch():
-    with pytest.raises(RegimeMismatch):
-        weak_scheme(DetParams(K=3, n=1, m=2, p=5))
-    with pytest.raises(RegimeMismatch):
-        weak_scheme(DetParams(K=3, n=2, m=2, p=5))
-
-
 def test_strong_scheme_binary_field_singular():
     with pytest.raises(SingularSystem):
-        strong_scheme(DetParams(K=3, n=1, m=3, p=2))
+        build_scheme(3, 1, 3, p=2)
 
 
 def test_strong_scheme_worked_example():
-    scheme = strong_scheme(DetParams(K=3, n=1, m=3, p=5))
+    scheme = build_scheme(3, 1, 3, p=5)
+    assert scheme.name == "strong"
     assert scheme.declared_rate == Fraction(3, 2)
     report = verify_scheme(scheme.params, scheme, 100, seed=8)
     assert report.successes == 100
@@ -78,10 +93,10 @@ def test_strong_scheme_worked_example():
 def test_strong_scheme_k4_p3_singular():
     """K=4, p=3: the decode determinant is (+-(K-1))^m = 0 mod 3, checked
     against an independent cofactor-expansion determinant."""
-    mat = strong_decode_matrix(4, 1, 3, 3)
+    mat = symmetric_decode_matrix(4, 1, 3, 3)
     assert cofactor_det_mod(mat.data, 3) == 0
     with pytest.raises(SingularSystem):
-        strong_scheme(DetParams(K=4, n=1, m=3, p=3))
+        build_scheme(4, 1, 3, p=3)
 
 
 def test_strong_singularity_matches_field_congruence():
@@ -94,17 +109,12 @@ def test_strong_singularity_matches_field_congruence():
         for n in range(0, 3):
             for m in range(n + 1, 7):
                 for p in (2, 3, 5, 7, 11):
-                    singular = mat_rank(strong_decode_matrix(k_users, n, m, p)) < 2 * m
+                    singular = symmetric_decode_matrix(k_users, n, m, p).rank() < 2 * m
                     assert singular == (k_users % p == 1 % p)
                     q = max(m, n)
                     if singular != (k_users % q == 1 % q):
                         q_reading_wrong += 1
     assert q_reading_wrong > 0
-
-
-def test_strong_regime_mismatch():
-    with pytest.raises(RegimeMismatch):
-        strong_scheme(DetParams(K=3, n=3, m=1, p=5))
 
 
 def test_moderate_scheme_rates():
@@ -128,14 +138,14 @@ def test_weak_decode_matrix_always_full_rank():
         for n in range(1, 7):
             for m in range(0, n):
                 for p in (2, 3, 5, 7, 11):
-                    assert mat_rank(weak_decode_matrix(k_users, n, m, p)) == 2 * n
+                    assert symmetric_decode_matrix(k_users, n, m, p).rank() == 2 * n
 
 
 def test_edge_levels_m_zero_and_n_zero():
-    scheme = weak_scheme(DetParams(K=3, n=2, m=0, p=2))
+    scheme = build_scheme(3, 2, 0, p=2)
     assert scheme.declared_rate == Fraction(2)
     assert verify_scheme(scheme.params, scheme, 30, seed=1).successes == 30
-    scheme = strong_scheme(DetParams(K=3, n=0, m=2, p=3))
+    scheme = build_scheme(3, 0, 2, p=3)
     assert scheme.declared_rate == Fraction(1)
     assert verify_scheme(scheme.params, scheme, 30, seed=2).successes == 30
 
@@ -217,7 +227,7 @@ def test_qsym_all_ones_matches_weak_scheme_transcripts():
     """With A=0, B=1 the signed scheme on the all-ones matrix sends exactly
     what the symmetric weak scheme sends."""
     p = 5
-    sym = weak_scheme(DetParams(K=3, n=3, m=1, p=p))
+    sym = build_scheme(3, 3, 1, p=p)
     sol = AlignmentSolution(
         a=(0, 0, 0), b=(1, 1, 1), u=(2, 2, 2), v=(1, 1, 1),
         p=p, signs=all_ones_lambda(),
@@ -281,14 +291,14 @@ def test_qsym_decode_determinants():
         for n, m in ((2, 1), (4, 2)):
             params = DetParams(K=3, n=n, m=m, p=p, signs=lam)
             for k in range(3):
-                det = cofactor_det_mod(qsym_decode_matrix(params, sol, k).data, p)
-                assert det == pow(sol.b[k], n, p)
+                dec = qsym_decode_matrix(params, sol.a[k], sol.b[k], sol.u[k], sol.v[k])
+                assert cofactor_det_mod(dec.data, p) == pow(sol.b[k], n, p)
         sol = qsym_solve(lam, "strong", p)
         for n, m in ((1, 2), (2, 4)):
             params = DetParams(K=3, n=n, m=m, p=p, signs=lam)
             for k in range(3):
-                det = cofactor_det_mod(qsym_decode_matrix(params, sol, k).data, p)
-                assert det == (pow(-1, m, p) * pow(sol.u[k], m, p)) % p
+                dec = qsym_decode_matrix(params, sol.a[k], sol.b[k], sol.u[k], sol.v[k])
+                assert cofactor_det_mod(dec.data, p) == (pow(-1, m, p) * pow(sol.u[k], m, p)) % p
 
 
 def test_qsym_sweep_weak_and_strong_decode():
@@ -364,6 +374,50 @@ def test_every_message_decodes_exhaustive_proof():
         for n, m in ((2, 1), (1, 2), (4, 2), (2, 4)):
             assert _unit_message_replay_is_identity(build_scheme(3, n, m, signs=lam))
     assert not _unit_message_replay_is_identity(_corrupt_decoder(build_scheme(3, 3, 1, p=5)))
+
+
+# sha256 of every symmetric scheme's encoder and decoder maps over the
+# criterion-1 grid, recorded from the separate weak/strong builders that the
+# aligned builder at the all-ones point replaced.
+SYMMETRIC_MAPS_SHA256 = {
+    None: "5342793d2651a6503133dc6e3d85b6ba613f098b510816d3a99faa44c027299d",
+    2: "cd9c89dcd82404efdc98d7b51d28d85cd41cfb60595911c3cd8bb9d96e16f3e0",
+    3: "8a5f9e876379b05f3e19bdec888f562f69541b70b6e341c3d479b3da36325264",
+    5: "3212f2ad876ca21753fdcde7b1d3e78d1ec847fa31df13fbab081d9a0cbf42b3",
+    7: "5de56f8131ca7fefa14a05e9b84773817b39fdff6133e05755e58b0a22188605",
+}
+
+
+@pytest.mark.parametrize("p", list(SYMMETRIC_MAPS_SHA256))
+def test_symmetric_maps_match_pinned_sha256(p):
+    h = hashlib.sha256()
+    for k_users in (2, 3, 4, 5):
+        for n in range(7):
+            for m in range(7):
+                if n == m:
+                    continue
+                try:
+                    scheme = build_scheme(k_users, n, m, p=p)
+                except SingularSystem:
+                    h.update(f"{k_users},{n},{m}:singular;".encode())
+                    continue
+                h.update(f"{k_users},{n},{m},{scheme.params.p}:".encode())
+                for arr in (*scheme.encoders, scheme.decoders):
+                    h.update(f"{arr.shape}".encode())
+                    h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == SYMMETRIC_MAPS_SHA256[p]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(k_users=st.integers(2, 6), n=st.integers(0, 8), m=st.integers(0, 8),
+       p=st.sampled_from(PRIME_SCAN))
+def test_build_fails_typed_or_decodes_every_message(k_users, n, m, p):
+    assume(n + m >= 1)
+    try:
+        scheme = build_scheme(k_users, n, m, p=p)
+    except (SingularSystem, NoSolution):
+        return
+    assert _unit_message_replay_is_identity(scheme)
 
 
 def test_primes_beyond_int64_are_rejected():
