@@ -22,7 +22,11 @@ __all__ = [
 
 
 class SingularSystem(Exception):
-    """Raised when a square system has no unique solution over GF(p)."""
+    """Raised when a square system has no unique solution over GF(p).  Args
+    (text, matrix) print the matrix below the text, formatted only when read."""
+
+    def __str__(self) -> str:
+        return f"{self.args[0]}:\n{self.args[1]}" if len(self.args) == 2 else super().__str__()
 
 
 def is_prime(n: int) -> bool:

@@ -8,20 +8,21 @@ again, only rescaled: the simultaneous-alignment identity
 Lambda A + Lambda B Lambda = U + V Lambda.  The fully symmetric channel is
 the all-ones Lambda, which aligns at the closed-form point
 (A, B, U, V) = (0, 1, K-1, K-2) because Lambda^2 = (K-1) I + (K-2) Lambda;
-signed channels get their point from the solver `qsym_solve`.  At m = n the
-symmetric channel, and any signed one whose Lambda + I is singular, uses
-n/K time sharing instead.
+signed channels get their point from the solver `qsym_solve`, one linear
+map from nullspace coordinates to (A, B, U, V) checked in array slices.
+At m = n the symmetric channel, and any signed one whose Lambda + I is
+singular, uses n/K time sharing instead.
 
 Every scheme is written out as explicit GF(p) encoder and decoder maps (see
 `Scheme`).  The builder inverts each distinct decode matrix once at build
 time, so an undecodable configuration fails fast as SingularSystem instead
-of silently corrupting messages.  `verify_scheme` replays all of its trials
-as one batch through `run_feedback_session`.
+of silently corrupting messages; without p, `build_scheme` returns the
+first success of its `PRIME_SCAN` scan.  `verify_scheme` replays all of its
+trials as one batch through `run_feedback_session`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +50,7 @@ __all__ = [
 
 PRIME_SCAN = (2, 3, 5, 7, 11, 13)
 ENUM_CAP = 10**6
+_SLICE = 256  # solver candidates per array slice; small, so peak memory stays flat
 
 
 class RegimeMismatch(Exception):
@@ -151,13 +153,6 @@ def qsym_constraint_matrix(signs, p: int) -> GfMatrix:
     return GfMatrix(np.array(rows), p)
 
 
-def _derived_u(lam: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return np.array([
-        int(sum(lam[k, j] * b[j] * lam[j, k] for j in range(lam.shape[0]))) % p
-        for k in range(lam.shape[0])
-    ], dtype=np.int64)
-
-
 def moderate_margin(a: int, b: int, u: int, v: int, p: int) -> int:
     """Per-user decodability margin for the m = n quasi-symmetric scheme.
 
@@ -165,66 +160,55 @@ def moderate_margin(a: int, b: int, u: int, v: int, p: int) -> int:
     of the two-block system; decoding needs it nonzero.  The minus sign on u
     is load-bearing: a +u condition would declare sign matrices with
     duplicated receiver outputs decodable at n/2, above their n/3 capacity.
+    Works elementwise on arrays, as `qsym_solve` calls it on whole slices.
     """
-    return int((b + v - a - u) % p)
+    return (b + v - a - u) % p
 
 
 def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     """Find diagonal (A, B, U, V) over GF(p) satisfying the alignment
     identity together with the regime's non-degeneracy condition.
 
-    The off-diagonal constraints are linear in (A, B, V); candidates are
-    enumerated over the nullspace by assigning free coefficients the field
-    values 1, 2, ..., p-1, 0 in lexicographic order (biasing the search
-    toward non-degenerate points first), with U derived from B.  The first
-    candidate meeting the condition wins; the search is capped at 10^6
-    candidates and reports per-user failure counts on exhaustion.
+    The off-diagonal constraints are linear in (A, B, V) and U = (Lambda o
+    Lambda^T) B, so one (dim, 4K) map takes nullspace coordinates to
+    (A, B, U, V).  Coordinates take the field values 1, 2, ..., p-1, 0 in
+    lexicographic order (non-degenerate points first), `_SLICE` candidates
+    per array slice.  The first candidate meeting the condition wins; after
+    `ENUM_CAP` candidates the search stops and reports the number checked and
+    per-user failure counts.
     """
     if regime not in ("weak", "strong", "moderate"):
         raise ValueError(f"unknown regime {regime!r}")
     lam = np.asarray(signs, dtype=np.int64)
     k_users = lam.shape[0]
-    _validate_signs(lam, k_users)
+    signs = _validate_signs(lam, k_users)
     basis = nullspace(qsym_constraint_matrix(lam, p))
     dim = len(basis)
-
-    def condition_fails(a, b, u, v) -> int | None:
-        """Index of the first user violating the regime condition, else None."""
-        for k in range(k_users):
-            if regime == "weak" and b[k] == 0:
-                return k
-            if regime == "strong" and u[k] == 0:
-                return k
-            if regime == "moderate" and moderate_margin(a[k], b[k], u[k], v[k], p) == 0:
-                return k
-        return None
+    abv = np.array(basis, dtype=np.int64).reshape(dim, 3 * k_users)
+    u_rows = abv[:, k_users:2 * k_users] @ (lam * lam.T) % p
+    coords_map = np.concatenate([abv[:, :2 * k_users], u_rows, abv[:, 2 * k_users:]], axis=1)
 
     fail_counts = np.zeros(k_users, dtype=np.int64)
-    order = list(range(1, p)) + [0]
-    tried = 0
-    for combo in itertools.product(order, repeat=dim):
-        tried += 1
-        if tried > ENUM_CAP:
-            break
-        x = np.zeros(3 * k_users, dtype=np.int64)
-        for coeff, vec in zip(combo, basis):
-            x = (x + coeff * vec) % p
-        a, b, v = x[:k_users], x[k_users:2 * k_users], x[2 * k_users:]
-        u = _derived_u(lam, b, p)
-        bad = condition_fails(a, b, u, v)
-        if bad is None:
-            return AlignmentSolution(
-                a=tuple(int(t) for t in a),
-                b=tuple(int(t) for t in b),
-                u=tuple(int(t) for t in u),
-                v=tuple(int(t) for t in v),
-                p=p,
-                signs=tuple(tuple(int(s) for s in row) for row in lam),
-            )
-        fail_counts[bad] += 1
+    checked = min(p**dim, ENUM_CAP)
+    for start in range(0, checked, _SLICE):
+        idx = np.arange(start, min(start + _SLICE, checked), dtype=np.int64)
+        x = np.zeros((idx.size, 4 * k_users), dtype=np.int64)
+        for row in coords_map[::-1]:  # the last coordinate varies fastest
+            idx, digit = np.divmod(idx, p)
+            x = (x + ((digit + 1) % p)[:, None] * row) % p  # digit d -> value (d+1) mod p
+        a, b, u, v = np.split(x, 4, axis=1)
+        if regime == "moderate":
+            fails = moderate_margin(a, b, u, v, p) == 0
+        else:
+            fails = (b if regime == "weak" else u) == 0
+        passing = np.flatnonzero(~fails.any(axis=1))
+        if passing.size:
+            point = (tuple(int(t) for t in w[passing[0]]) for w in (a, b, u, v))
+            return AlignmentSolution(*point, p=p, signs=signs)
+        fail_counts += np.bincount(fails.argmax(axis=1), minlength=k_users)
     worst = int(np.argmax(fail_counts))
     raise NoSolution(
-        f"no {regime}-regime alignment point over GF({p}) after {tried} candidates; "
+        f"no {regime}-regime alignment point over GF({p}) after {checked} candidates; "
         f"the {regime} condition failed most often at user {worst} "
         f"({int(fail_counts[worst])} times)"
     )
@@ -281,7 +265,7 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
             except SingularSystem:
                 raise SingularSystem(
                     f"{name} decode matrix rank-deficient for user {k} at "
-                    f"(A, B, U, V) = {c}, K={K}, n={n}, m={m}, p={p}:\n{dec.data}"
+                    f"(A, B, U, V) = {c}, K={K}, n={n}, m={m}, p={p}", dec.data
                 ) from None
     if len(inverses) == 1:
         coeffs = coeffs[:1]
@@ -325,8 +309,6 @@ def qsym_scheme(params: DetParams, sol: AlignmentSolution) -> Scheme:
         raise RegimeMismatch("qsym_scheme needs an explicit sign matrix")
     if sol.p != params.p or sol.signs != params.signs:
         raise ValueError("alignment solution does not match channel parameters")
-    if min(params.n, params.m) < 1:
-        raise RegimeMismatch("quasi-symmetric scheme needs n >= 1 and m >= 1")
     return _two_block_scheme(params, list(zip(sol.a, sol.b, sol.u, sol.v)), "qsym")
 
 
@@ -350,26 +332,27 @@ def _try_build(params: DetParams) -> Scheme:
     return qsym_scheme(params, qsym_solve(params.signs, regime, params.p))
 
 
-def select_prime(K: int, n: int, m: int, signs=None) -> int:
-    """Smallest prime in the scan set for which construction succeeds."""
-    last = ""  # the message only: keeping the exception would keep its frames alive
+def build_scheme(K: int, n: int, m: int, p: int | None = None, signs=None) -> Scheme:
+    """Construct the regime-appropriate scheme.  Without p, it is built over
+    the smallest prime in `PRIME_SCAN` for which construction succeeds, and
+    the scan returns that build."""
+    if p is not None:
+        return _try_build(DetParams(K=K, n=n, m=m, p=p, signs=signs))
+    last = ("",)  # the args only: keeping the exception would keep its frames alive
     for p in PRIME_SCAN:
         try:
-            _try_build(DetParams(K=K, n=n, m=m, p=p, signs=signs))
-            return p
+            return _try_build(DetParams(K=K, n=n, m=m, p=p, signs=signs))
         except (SingularSystem, NoSolution) as exc:
-            last = str(exc)
+            last = exc.args
     raise SingularSystem(
         f"no prime in {PRIME_SCAN} yields a decodable scheme for "
-        f"K={K}, n={n}, m={m}: {last}"
+        f"K={K}, n={n}, m={m}: {last[0]}", *last[1:]
     )
 
 
-def build_scheme(K: int, n: int, m: int, p: int | None = None, signs=None) -> Scheme:
-    """Construct the regime-appropriate scheme, auto-selecting p if absent."""
-    if p is None:
-        p = select_prime(K, n, m, signs=signs)
-    return _try_build(DetParams(K=K, n=n, m=m, p=p, signs=signs))
+def select_prime(K: int, n: int, m: int, signs=None) -> int:
+    """Smallest prime in the scan set for which construction succeeds."""
+    return build_scheme(K, n, m, signs=signs).params.p
 
 
 @dataclass

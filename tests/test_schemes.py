@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import itertools
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fcic import schemes
 from fcic.channel import DetParams, run_feedback_session
-from fcic.gf import SingularSystem
-from fcic.rates import det_converse
+from fcic.gf import SingularSystem, nullspace
+from fcic.rates import det_converse, qsym_converse
 from fcic.schemes import (
     PRIME_SCAN,
     AlignmentSolution,
@@ -18,6 +21,7 @@ from fcic.schemes import (
     build_scheme,
     moderate_margin,
     moderate_scheme,
+    qsym_constraint_matrix,
     qsym_decode_matrix,
     qsym_scheme,
     qsym_solve,
@@ -210,6 +214,78 @@ def test_qsym_moderate_feasible_iff_margin_found():
     assert len(feasible_fr) > 0
 
 
+def _reference_qsym_solve(signs, regime, p, cap):
+    """The per-candidate search that `qsym_solve` replaced, in Python ints:
+    coordinates take 1, ..., p-1, 0 in lexicographic order, U is derived
+    from B per candidate, and the first user failing the regime condition
+    is counted.  Returns the (A, B, U, V) found, or the NoSolution text
+    with the number of candidates checked."""
+    k = len(signs)
+    basis = [vec.tolist() for vec in nullspace(qsym_constraint_matrix(signs, p))]
+    cols = list(zip(*basis)) or [()] * (3 * k)
+    cross = [[signs[i][j] * signs[j][i] for j in range(k)] for i in range(k)]
+    fail_counts = [0] * k
+    checked = 0
+    order = list(range(1, p)) + [0]
+    for combo in itertools.islice(itertools.product(order, repeat=len(cols[0])), cap):
+        checked += 1
+        x = [sum(map(operator.mul, combo, col)) % p for col in cols]
+        a, b, v = x[:k], x[k:2 * k], x[2 * k:]
+        u = [sum(map(operator.mul, row, b)) % p for row in cross]
+        if regime == "weak":
+            fails = [bi == 0 for bi in b]
+        elif regime == "strong":
+            fails = [ui == 0 for ui in u]
+        else:
+            fails = [(b[i] + v[i] - a[i] - u[i]) % p == 0 for i in range(k)]
+        if True not in fails:
+            return tuple(a), tuple(b), tuple(u), tuple(v)
+        fail_counts[fails.index(True)] += 1
+    worst = fail_counts.index(max(fail_counts))
+    return (f"no {regime}-regime alignment point over GF({p}) after {checked} candidates; "
+            f"the {regime} condition failed most often at user {worst} "
+            f"({fail_counts[worst]} times)")
+
+
+def _solve_outcome(signs, regime, p):
+    try:
+        sol = qsym_solve(signs, regime, p)
+    except NoSolution as exc:
+        return str(exc)
+    return sol.a, sol.b, sol.u, sol.v
+
+
+def test_qsym_solve_matches_reference_enumeration(monkeypatch):
+    """The sliced linear-map search finds the same first point, or fails
+    with the same text, as the per-candidate loop it replaced.  The cap is
+    lowered to 700 for both so the Python reference stays fast: every space
+    over GF(2), GF(3) and GF(5) is searched exhaustively, larger ones up to
+    the cap."""
+    monkeypatch.setattr(schemes, "ENUM_CAP", 700)
+    cases = [*all_sign_matrices_k3(), all_ones_lambda(2), all_ones_lambda(4)]
+    outcomes = set()
+    for lam in cases:
+        for regime in ("weak", "strong", "moderate"):
+            for p in PRIME_SCAN:
+                got = _solve_outcome(lam, regime, p)
+                assert got == _reference_qsym_solve(lam, regime, p, 700)
+                outcomes.add(type(got))
+    assert outcomes == {tuple, str}
+
+
+def test_qsym_solve_capped_search_matches_reference(monkeypatch):
+    """With the cap and the slice below the candidate count, the search
+    stops after exactly ENUM_CAP candidates, a partial last slice included,
+    and reports that count (not ENUM_CAP + 1)."""
+    monkeypatch.setattr(schemes, "ENUM_CAP", 100)
+    monkeypatch.setattr(schemes, "_SLICE", 16)
+    for lam in (all_ones_lambda(3), all_ones_lambda(5), SINGULAR_LAMBDA):
+        for p in (5, 13):
+            got = _solve_outcome(lam, "moderate", p)
+            assert got == _reference_qsym_solve(lam, "moderate", p, 100)
+            assert "after 100 candidates" in got
+
+
 def test_moderate_margin_is_two_block_determinant():
     # det [[1, 1], [a+u, b+v]] = (b + v) - (a + u); the +u variant would
     # accept sign matrices whose m = n channel has duplicated outputs
@@ -281,6 +357,16 @@ def test_qsym_moderate_full_rank_case_runs():
     assert verify_scheme(scheme.params, scheme, 50, seed=15).successes == 50
 
 
+def test_qsym_edge_levels_decode_at_the_converse():
+    """Signed channels with n = 0 or m = 0 go through the same aligned
+    builder as the symmetric ones and meet the K = 3 converse."""
+    for lam in all_sign_matrices_k3():
+        for n, m in ((2, 0), (1, 0), (0, 1), (0, 2)):
+            scheme = build_scheme(3, n, m, signs=lam)
+            assert scheme.declared_rate == qsym_converse(n, m, lam)
+            assert _unit_message_replay_is_identity(scheme)
+
+
 def test_qsym_decode_determinants():
     """The per-user decode determinant is B_k^n in the weak regime and
     (-1)^m U_k^m in the strong regime, verified by independent cofactor
@@ -320,6 +406,64 @@ def test_select_prime_skips_singular_fields():
     assert select_prime(2, 1, 3) == 2
     assert select_prime(4, 1, 2) == 2
     assert select_prime(5, 0, 3) == 3
+
+
+def test_auto_prime_build_tries_each_prime_once(monkeypatch):
+    """An auto-p build returns the scan's own build: _try_build runs once per
+    prime up to and including the chosen one, and once per scanned prime
+    when none works."""
+    calls = []
+    real = schemes._try_build
+
+    def counted(params):
+        calls.append(params.p)
+        return real(params)
+
+    monkeypatch.setattr(schemes, "_try_build", counted)
+    for k_users, n, m, signs in ((3, 3, 1, None), (3, 1, 3, None), (5, 0, 3, None),
+                                 (4, 2, 2, None), (3, 2, 2, SINGULAR_LAMBDA),
+                                 (3, 1, 2, SINGULAR_LAMBDA)):
+        calls.clear()
+        scheme = build_scheme(k_users, n, m, signs=signs)
+        assert calls == list(PRIME_SCAN[:PRIME_SCAN.index(scheme.params.p) + 1])
+    calls.clear()
+    with pytest.raises(SingularSystem, match="no prime in"):  # no moderate point anywhere
+        build_scheme(3, 2, 2, signs=((0, 1, -1), (-1, 0, 1), (1, 1, 0)))
+    assert calls == list(PRIME_SCAN)
+
+
+def test_select_prime_agrees_with_build_scheme():
+    for k_users in (2, 3, 4, 5):
+        for n in range(7):
+            for m in range(7):
+                if n + m:
+                    assert select_prime(k_users, n, m) == build_scheme(k_users, n, m).params.p
+
+
+def test_singular_build_formats_its_matrix_only_when_read(monkeypatch):
+    """A failed build carries its decode matrix unformatted; the scan drops
+    it without printing it, and the final error prints it once."""
+    printed = []
+
+    class Matrix:
+        def __str__(self):
+            printed.append(1)
+            return "[[0]]"
+
+        __repr__ = __str__
+
+    def singular(params):
+        raise SingularSystem(f"decode matrix rank-deficient at p={params.p}", Matrix())
+
+    monkeypatch.setattr(schemes, "_try_build", singular)
+    with pytest.raises(SingularSystem) as info:
+        build_scheme(3, 1, 3)
+    assert printed == []
+    assert str(info.value) == (
+        f"no prime in {PRIME_SCAN} yields a decodable scheme for K=3, n=1, m=3: "
+        "decode matrix rank-deficient at p=13:\n[[0]]"
+    )
+    assert len(printed) == 1
 
 
 def test_build_scheme_dispatch():
@@ -410,11 +554,15 @@ def test_symmetric_maps_match_pinned_sha256(p):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(k_users=st.integers(2, 6), n=st.integers(0, 8), m=st.integers(0, 8),
-       p=st.sampled_from(PRIME_SCAN))
-def test_build_fails_typed_or_decodes_every_message(k_users, n, m, p):
+       p=st.sampled_from(PRIME_SCAN),
+       signs=st.none() | st.sampled_from(list(all_sign_matrices_k3())))
+def test_build_fails_typed_or_decodes_every_message(k_users, n, m, p, signs):
+    """A sign matrix fixes K = 3."""
     assume(n + m >= 1)
+    if signs is not None:
+        k_users = 3
     try:
-        scheme = build_scheme(k_users, n, m, p=p)
+        scheme = build_scheme(k_users, n, m, p=p, signs=signs)
     except (SingularSystem, NoSolution):
         return
     assert _unit_message_replay_is_identity(scheme)
