@@ -4,7 +4,8 @@ stdout carries machine-readable data (CSV or JSON), stderr carries human
 diagnostics.  Exit codes are a stable contract:
 
     0  success
-    2  usage error (bad flags or malformed values)
+    2  usage error (bad flags, malformed values, or sizes too large to
+       allocate)
     3  singular or infeasible construction
     4  regime mismatch / excluded parameter band
 
@@ -35,9 +36,7 @@ EXIT_REGIME = 4
 
 def _fmt(x: float) -> str:
     """12-significant-digit CSV number; NaN spelled 'NaN'."""
-    if isinstance(x, float) and math.isnan(x):
-        return "NaN"
-    return f"{x:.12g}"
+    return f"{x:.12g}" if x == x else "NaN"
 
 
 def _die_usage(msg: str) -> int:
@@ -46,18 +45,18 @@ def _die_usage(msg: str) -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """Comma-separated positive reals, or logspace:lo:hi:n."""
+    """Comma-separated positive finite reals, or logspace:lo:hi:n."""
     if text.startswith("logspace:"):
         parts = text.split(":")
         if len(parts) != 4:
             raise ValueError(f"bad logspace grid {text!r}")
         lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
-        if lo <= 0 or hi <= lo or count < 2:
+        if not (0 < lo < hi < math.inf) or count < 2:
             raise ValueError(f"bad logspace range {text!r}")
         return np.geomspace(lo, hi, count)
     vals = np.array([float(v) for v in text.split(",")])
-    if vals.size == 0 or (vals <= 0).any():
-        raise ValueError(f"grid values must be positive, got {text!r}")
+    if vals.size == 0 or not ((vals > 0) & np.isfinite(vals)).all():
+        raise ValueError(f"grid values must be positive and finite, got {text!r}")
     return vals
 
 
@@ -84,8 +83,9 @@ def cmd_gdof(args) -> int:
         return _die_usage("need steps >= 2")
     if args.k < 2:
         return _die_usage("need k >= 2")
+    alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     print("alpha,d_fb,d_nofb")
-    for alpha in np.linspace(args.alpha_min, args.alpha_max, args.steps):
+    for alpha in alphas:
         a = float(alpha)
         print(f"{_fmt(a)},{_fmt(rates.gdof_fb(a))},{_fmt(rates.gdof_nofb(a, args.k))}")
     return EXIT_OK
@@ -162,33 +162,31 @@ def cmd_gauss_gap(args) -> int:
     try:
         snrs = _parse_grid(args.snr_grid)
         inrs = _parse_grid(args.inr_grid)
-        ks = [int(v) for v in args.k_list.split(",")]
+        ks = sorted(int(v) for v in args.k_list.split(","))
     except ValueError as exc:
         return _die_usage(str(exc))
     if any(k < 2 for k in ks):
         return _die_usage("every k must be >= 2")
-    points = [
-        rates.GaussParams(snr=float(s), inr=float(i), k=k)
-        for s in np.sort(snrs) for i in np.sort(inrs) for k in sorted(ks)
-    ]
+    snrs, inrs = np.sort(snrs).tolist(), np.sort(inrs).tolist()
+    text = {v: _fmt(v) for v in snrs + inrs}
+    points = [rates.GaussParams(s, i, k) for s in snrs for i in inrs for k in ks]
     facts = rates.gap_report(points)
-    print("snr,inr,k,regime,achievable,c_tilde,upper,gap_ok")
-    violations = 0
+    rows = ["snr,inr,k,regime,achievable,c_tilde,upper,gap_ok"]
+    violated = []
     for f in facts:
+        snr, inr, k = text[f.params.snr], text[f.params.inr], f.params.k
         if not f.gap_ok:
-            violations += 1
-            print(
-                f"gap violated: snr={_fmt(f.params.snr)} inr={_fmt(f.params.inr)} "
-                f"k={f.params.k} violations={','.join(f.violations)}",
-                file=sys.stderr,
+            violated.append(
+                f"gap violated: snr={snr} inr={inr} k={k} violations={','.join(f.violations)}"
             )
-        print(
-            f"{_fmt(f.params.snr)},{_fmt(f.params.inr)},{f.params.k},"
-            f"{f.regime},{_fmt(f.achievable)},{_fmt(f.c_tilde)},"
+        rows.append(
+            f"{snr},{inr},{k},{f.regime},{_fmt(f.achievable)},{_fmt(f.c_tilde)},"
             f"{_fmt(f.upper)},{'true' if f.gap_ok else 'false'}"
         )
-    print(f"violations={violations}", file=sys.stderr)
-    return EXIT_OK if violations == 0 else 1
+    rows.append("")  # the CSV ends with a newline
+    sys.stdout.write("\n".join(rows))
+    print("\n".join(violated + [f"violations={len(violated)}"]), file=sys.stderr)
+    return EXIT_OK if not violated else 1
 
 
 def cmd_mc_strong(args) -> int:
@@ -324,6 +322,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         return _die_usage(str(exc))
+    except MemoryError as exc:  # a size too large to allocate
+        return _die_usage(str(exc) or "out of memory")
     except (SingularSystem, schemes.NoSolution) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_SINGULAR

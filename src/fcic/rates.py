@@ -5,6 +5,18 @@ with output feedback.
 All logs are base 2 and all Gaussian-channel rates are bits per real channel
 use (hence the pervasive 1/2 and 1/4 factors).  Deterministic-model rates
 are exact `Fraction`s; Gaussian expressions are binary64.
+
+Every Gaussian closed form (regime split, achievable rate, c_sym_tilde,
+upper bound and the gap/simplification inequalities) lives once, in the
+array kernel `_closed_forms` over SNR and INR arrays at one K.  `gap_report`
+calls it once per distinct K; `gauss_achievable`, `c_sym_tilde` and
+`gauss_upper` read one element of it.  The kernel's output is bit-for-bit
+what the same formulas give in scalar Python floats: numpy runs only +, -,
+*, /, sqrt and comparisons, which IEEE 754 rounds correctly either way,
+while every log2 and every square goes through `math.log2` and Python's
+`** 2` (libm) one element at a time, because `np.log2` and numpy's `x ** 2`
+differ from them in the last bit on a few inputs in 10^4 and the CLI prints
+these values.
 """
 
 from __future__ import annotations
@@ -12,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,19 +185,6 @@ def gdof_nofb(alpha: float, k: int) -> float:
 # Gaussian-channel expressions
 # ---------------------------------------------------------------------------
 
-def c_sym_tilde(params: GaussParams) -> float:
-    """Approximate symmetric capacity
-    (1/4) log2(1 + SNR + INR) + (1/4) log2(1 + SNR / (1 + INR))."""
-    s, i = params.snr, params.inr
-    return 0.25 * math.log2(1 + s + i) + 0.25 * math.log2(1 + s / (1 + i))
-
-
-def gauss_upper(params: GaussParams) -> float:
-    """Capacity upper bound: c_sym_tilde + (K-1)/4 + (1/2) log2 K."""
-    k = params.k
-    return c_sym_tilde(params) + (k - 1) / 4 + 0.5 * math.log2(k)
-
-
 @dataclass(frozen=True)
 class Achievable:
     """Achievable symmetric rate with its regime tag.
@@ -199,18 +199,103 @@ class Achievable:
     constraints_ok: bool | None = None
 
 
-def _weak_constraints_ok(s: float, i: float, k: int) -> bool:
-    r0_star = 0.5 * math.log2((i - 1) / (8 * (k + 1)))
-    r12_star = 0.5 * math.log2(1 + s / (k * i))
-    r0_caps = (
-        0.5 * math.log2((i - 1) / (k + 1)),
-        0.5 * math.log2((i - 1) * (math.sqrt(s) + (k - 1) * math.sqrt(i)) ** 2 / (s + k * i)),
-        0.5 * math.log2((i - 1) * (math.sqrt(s) - math.sqrt(i)) ** 2 / (s + k * i)),
+_REGIMES = np.array(["negligible", "weak", "strong", "excluded"], dtype=object)
+_VIOLATIONS = ("gap", "upper", "weak-simplify", "constraints", "strong-simplify")
+
+
+class _ClosedForms(NamedTuple):
+    """Every Gaussian closed form over one K, one entry per (SNR, INR) pair."""
+
+    regime: np.ndarray  # regime names (object array)
+    rate: np.ndarray  # achievable rate, NaN where excluded
+    constraints_ok: np.ndarray  # weak-regime rate-split re-check, False elsewhere
+    c_tilde: np.ndarray
+    upper: np.ndarray
+    bad: np.ndarray  # (len(_VIOLATIONS), N) violated-inequality flags
+
+
+def _log2(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log2, x.tolist()), dtype=float, count=x.size)
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    return np.fromiter((v ** 2 for v in x.tolist()), dtype=float, count=x.size)
+
+
+def _closed_forms(s: np.ndarray, i: np.ndarray, k: int) -> _ClosedForms:
+    """Regimes (as in `gauss_achievable`), rates, bounds and the gap
+    inequalities of `gap_report` at SNR s and INR i, for one K.
+
+    K stays a Python int: each K-dependent factor is the Python float of
+    its exact integer value, as scalar arithmetic would convert it, so any
+    K the scalar formulas accept gives the same bits.
+    """
+    kf, km1, kp1 = float(k), float(k - 1), float(k + 1)
+    with np.errstate(all="ignore"):  # inf and NaN propagate as in Python floats
+        total = 1 + s + i
+        c_tilde = 0.25 * _log2(total) + 0.25 * _log2(1 + s / (1 + i))
+        upper = c_tilde + (k - 1) / 4 + 0.5 * math.log2(k)
+        neg = i < 2
+        weak = ~neg & (i <= s / 2)
+        strong = ~neg & ~weak & (i >= 2 * np.maximum(s, 1.0))
+        rate = np.full(s.shape, math.nan)
+        constraints_ok = np.zeros(s.shape, dtype=bool)
+        bad = np.zeros((len(_VIOLATIONS), s.size), dtype=bool)
+
+        rate[neg] = 0.5 * _log2(1 + s[neg] / (1 + km1 * i[neg]))
+
+        sw, iw = s[weak], i[weak]
+        r0_arg = (iw - 1) / float(8 * (k + 1))
+        r12_arg = 1 + sw / (kf * iw)
+        r0, r12 = 0.5 * _log2(r0_arg), 0.5 * _log2(r12_arg)
+        rate[weak] = 0.5 * (r0 + 2 * r12)
+        # re-check (R0*, R1*, R2*) against the five decodability constraints;
+        # R1* = R2* sit at their own cap, so that one fails only on NaN
+        root_s, root_i = np.sqrt(sw), np.sqrt(iw)
+        r0_caps = (
+            0.5 * _log2((iw - 1) / kp1),
+            0.5 * _log2((iw - 1) * _square(root_s + km1 * root_i) / (sw + kf * iw)),
+            0.5 * _log2((iw - 1) * _square(root_s - root_i) / (sw + kf * iw)),
+        )
+        split_ok = r12 <= r12 + RATE_TOL
+        for cap in r0_caps:
+            split_ok &= ~(r0 > cap + RATE_TOL)
+        constraints_ok[weak] = split_ok
+
+        ss, is_ = s[strong], i[strong]
+        strong_arg = 1 + _square(is_ - ss) / (kf * (kf * is_ + 1))
+        rate[strong] = 0.25 * _log2(strong_arg)
+
+        # the comparisons are False on the NaN rate of excluded points
+        gap_const = np.where(neg, negligible_gap_constant(k), weak_gap_constant(k))
+        bad[0] = rate < c_tilde - gap_const - RATE_TOL
+        bad[1] = rate > upper + RATE_TOL
+        # (INR-1)/(8(K+1)) (1 + SNR/(K INR)) >= (1 + SNR + INR)/(16 K (K+1))
+        bad[2, weak] = r0_arg * r12_arg < total[weak] / float(16 * k * (k + 1)) - RATE_TOL
+        bad[3, weak] = ~split_ok
+        # 1 + (INR-SNR)^2/(K (K INR + 1)) >= (1 + SNR + INR)/(8 K^2), for INR >= 2 SNR
+        bad[4, strong] = (is_ >= 2 * ss) & (
+            strong_arg < total[strong] / float(8 * k * k) - RATE_TOL
+        )
+    regime = _REGIMES[np.where(neg, 0, np.where(weak, 1, np.where(strong, 2, 3)))]
+    return _ClosedForms(regime, rate, constraints_ok, c_tilde, upper, bad)
+
+
+def _at(params: GaussParams) -> _ClosedForms:
+    return _closed_forms(
+        np.array([params.snr], dtype=float), np.array([params.inr], dtype=float), params.k
     )
-    if any(r0_star > cap + RATE_TOL for cap in r0_caps):
-        return False
-    r12_cap = 0.5 * math.log2(1 + s / (k * i))
-    return r12_star <= r12_cap + RATE_TOL
+
+
+def c_sym_tilde(params: GaussParams) -> float:
+    """Approximate symmetric capacity
+    (1/4) log2(1 + SNR + INR) + (1/4) log2(1 + SNR / (1 + INR))."""
+    return float(_at(params).c_tilde[0])
+
+
+def gauss_upper(params: GaussParams) -> float:
+    """Capacity upper bound: c_sym_tilde + (K-1)/4 + (1/2) log2 K."""
+    return float(_at(params).upper[0])
 
 
 def gauss_achievable(params: GaussParams) -> Achievable:
@@ -225,22 +310,17 @@ def gauss_achievable(params: GaussParams) -> Achievable:
     Regime boundaries are closed as written; ties take the first branch in
     the order negligible, weak, strong.
     """
-    s, i, k = params.snr, params.inr, params.k
-    if i < 2:
-        rate = 0.5 * math.log2(1 + s / (1 + (k - 1) * i))
-        return Achievable(rate=rate, regime="negligible")
-    if i <= s / 2:
-        r0 = 0.5 * math.log2((i - 1) / (8 * (k + 1)))
-        r12 = 0.5 * math.log2(1 + s / (k * i))
-        return Achievable(
-            rate=0.5 * (r0 + 2 * r12),
-            regime="weak",
-            constraints_ok=_weak_constraints_ok(s, i, k),
+    forms = _at(params)
+    regime = forms.regime[0]
+    if regime == "excluded":
+        raise ExcludedRegime(
+            f"INR/SNR = {params.inr / params.snr:.4g} lies in (1/2, 2) with INR >= 2"
         )
-    if i >= 2 * max(s, 1.0):
-        rate = 0.25 * math.log2(1 + (i - s) ** 2 / (k * (k * i + 1)))
-        return Achievable(rate=rate, regime="strong")
-    raise ExcludedRegime(f"INR/SNR = {i / s:.4g} lies in (1/2, 2) with INR >= 2")
+    return Achievable(
+        rate=float(forms.rate[0]),
+        regime=regime,
+        constraints_ok=bool(forms.constraints_ok[0]) if regime == "weak" else None,
+    )
 
 
 def alpha_one_upper(snr: float, k: int) -> float:
@@ -281,60 +361,36 @@ class GapFact:
     violations: tuple[str, ...] = ()
 
 
-def _gap_checks(
-    params: GaussParams, ach: Achievable, tilde: float, upper: float
-) -> tuple[str, ...]:
-    s, i, k = params.snr, params.inr, params.k
-    bad = []
-    if ach.regime in ("weak", "strong"):
-        if ach.rate < tilde - weak_gap_constant(k) - RATE_TOL:
-            bad.append("gap")
-    else:
-        if ach.rate < tilde - negligible_gap_constant(k) - RATE_TOL:
-            bad.append("gap")
-    if ach.rate > upper + RATE_TOL:
-        bad.append("upper")
-    if ach.regime == "weak":
-        # (INR-1)/(8(K+1)) (1 + SNR/(K INR)) >= (1 + SNR + INR)/(16 K (K+1))
-        lhs = (i - 1) / (8 * (k + 1)) * (1 + s / (k * i))
-        rhs = (1 + s + i) / (16 * k * (k + 1))
-        if lhs < rhs - RATE_TOL:
-            bad.append("weak-simplify")
-        if ach.constraints_ok is not True:
-            bad.append("constraints")
-    if i >= 2 * s and ach.regime == "strong":
-        # 1 + (INR-SNR)^2/(K (K INR + 1)) >= (1 + SNR + INR)/(8 K^2)
-        lhs = 1 + (i - s) ** 2 / (k * (k * i + 1))
-        rhs = (1 + s + i) / (8 * k * k)
-        if lhs < rhs - RATE_TOL:
-            bad.append("strong-simplify")
-    return tuple(bad)
-
-
 def gap_report(points) -> list[GapFact]:
     """Evaluate the gap and simplification inequalities on a parameter grid.
 
     Excluded-band points are tagged and carry no claim (gap_ok stays True
     there); every other point must satisfy its regime's inequalities at
-    tolerance RATE_TOL.
+    tolerance RATE_TOL.  The points are evaluated as arrays, one
+    `_closed_forms` call per distinct K; the facts keep the input order.
     """
-    facts = []
-    for params in points:
-        tilde = c_sym_tilde(params)
-        upper = gauss_upper(params)
-        try:
-            ach = gauss_achievable(params)
-        except ExcludedRegime:
-            facts.append(GapFact(
-                params=params, regime="excluded", achievable=math.nan,
-                c_tilde=tilde, upper=upper, gap_ok=True,
-            ))
-            continue
-        bad = _gap_checks(params, ach, tilde, upper)
-        facts.append(GapFact(
-            params=params, regime=ach.regime, achievable=ach.rate,
-            c_tilde=tilde, upper=upper, gap_ok=not bad, violations=bad,
-        ))
+    points = list(points)
+    by_k: dict[int, list[int]] = {}
+    for n, params in enumerate(points):
+        by_k.setdefault(params.k, []).append(n)
+    facts: list[GapFact] = [None] * len(points)
+    for k, where in by_k.items():
+        group = [points[n] for n in where]
+        forms = _closed_forms(
+            np.array([p.snr for p in group], dtype=float),
+            np.array([p.inr for p in group], dtype=float),
+            k,
+        )
+        flagged = forms.bad.any(axis=0)
+        violations = [()] * len(group)
+        for n in np.flatnonzero(flagged).tolist():
+            violations[n] = tuple(v for v, b in zip(_VIOLATIONS, forms.bad[:, n]) if b)
+        group_facts = map(
+            GapFact, group, forms.regime.tolist(), forms.rate.tolist(),
+            forms.c_tilde.tolist(), forms.upper.tolist(), (~flagged).tolist(), violations,
+        )
+        for n, fact in zip(where, group_facts):
+            facts[n] = fact
     return facts
 
 

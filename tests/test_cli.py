@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from fcic import rates, schemes
+from fcic import gauss_sim, rates, schemes
 from fcic.cli import main
 
 
@@ -253,6 +255,70 @@ def test_gauss_gap_reports_each_violation_on_stderr(capsys, monkeypatch):
     ] + [f"violations={len(failing)}"]
 
 
+# sha256 of the gauss-gap CSV, recorded from the scalar per-point closed forms
+# that the array kernel replaced: the criterion-4 grid and the benchmark's
+# full and tiny grids.
+GAP_CSV_SHA256 = [
+    ("logspace:1:1e8:15", "2,3,5,8",
+     "610f7d6d2a79dac2fc0975d3dfae63ab76fdaf79f086b26b4336c20fbce6b055"),
+    ("logspace:1:1e8:100", "2,3,5,8",
+     "ae3198472922beb1616db8845d6be46075a8ad6d6104b318e99f39365b0ea7ba"),
+    ("logspace:1:1e8:6", "2,3",
+     "58c0d78e0b0c278d453eab26926ae695afacf50993be76c266ed85291c041561"),
+]
+
+
+@pytest.mark.parametrize("grid,k_list,digest", GAP_CSV_SHA256)
+def test_gauss_gap_csv_matches_pinned_sha256(capsys, grid, k_list, digest):
+    code, out, err = run_cli(
+        capsys, "gauss-gap", "--snr-grid", grid, "--inr-grid", grid, "--k-list", k_list
+    )
+    assert (code, err) == (0, "violations=0\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# gauss-rates stdout (full-precision floats) at the regime ties INR = 2,
+# INR = SNR/2 and INR = 2 max(SNR, 1), at K = 2^53 and K = 10^20, and in each
+# regime; recorded from the scalar closed forms.
+GAUSS_RATES_SHA256 = [
+    (("4", "2", "3"), 0, "738aa01ce8e619d5a2463c9521c7c67f31232608445b42bc9c82f7e571c74811"),
+    (("10", "5", "3"), 0, "5c7d76bd6e97823f06d629c718370ecf7852cfd2f3cdde996501ac8838cbe83d"),
+    (("1", "2", "3"), 0, "19c250f0f2f83b373d958d826e0032044b67890f5eb3c6b9de07e77eef652c28"),
+    (("0.5", "2", "2"), 0, "7ecea1f9a1b62c78733ddfdae7f57b5f899356216015c01aeb6791eedc51b30e"),
+    (("3", "6", "5"), 0, "6c1ed8f641c5e50dea863b5ea9c273a9bdea02056d8eb88c50dd357bc96b0916"),
+    (("3", "1.999", "3"), 0, "09f3c5f21af00bdf6a5c1a845a0a8b1fb43fdf9d39caf503e58e864bca91a7a0"),
+    (("50", "1.5", "4"), 0, "a2058c6f19a04f9a626f160028cdcd7f25c96b54d7a37b9f873b9026dcaaa12e"),
+    (("1e4", "1e2", "3"), 0, "a9601f94fc0ebb282f2137f4eadc5b14f56356e953b61a1ab2f974b061ef9309"),
+    (("10", "1e3", "8"), 0, "0aad27cb4593a6dfdad5a47fd308ca9af918b64f98874fed7a8820fb7912dbba"),
+    (("4", "2", str(2**53)), 0,
+     "d3253468afce302f0a04509915f7ee5be2c45b7e38bc9af8340d91d4348bb256"),
+    (("1e4", "1e2", str(10**20)), 0,
+     "8c8a9ec812b6c0e9038cc2005cbf83ccabcd094ca07119b00e24f9e63a5e591b"),
+    (("10", "1e3", str(10**20)), 0,
+     "dc2159ac6fa1ad64a0f6bcafa6bd251dafd25a34ab9f2cc9303cbed5bae40c3c"),
+    (("50", "1.5", str(10**20)), 0,
+     "193582f1c676a2d838653f473ae793462e91718b20e3f278c8535f805db35dec"),
+    (("1e12", "1e-3", "2"), 0, "040d17737284e70a58c2ccfe5c7d269dd5f5cb4a7abe451ae7b772e55bbb7cee"),
+    (("1e-3", "1e12", "9"), 0, "79f48fd7d88a702fdcfee408b51a9ff5593403a9ccc1a977d93d47809ad849df"),
+    (("100", "100", "3"), 4, hashlib.sha256(b"").hexdigest()),
+    # numpy's x * x, then np.log2, would change the last bit of these rates
+    (("0.003701105530068967", "112742675.74947986", "2"), 0,
+     "74384742a014cb1c62cc92bdcb9ccbe621aeafaf9b00f5b1ef1a4de3e720b6f1"),
+    (("0.0399171227148778", "0.0010920512378056963", "2"), 0,
+     "d1b7afceda9dca71fbe8303ff801a3c93349775cbcdd107ec051804065c5b331"),
+    (("346.8254241337069", "47.3851486015336", "3"), 0,
+     "a66c55f48dc417211561c74f007a6e9f8a3c7e98052b0a599e985a0f27a3b91f"),
+]
+
+
+@pytest.mark.parametrize("point,exit_code,digest", GAUSS_RATES_SHA256)
+def test_gauss_rates_json_matches_pinned_sha256(capsys, point, exit_code, digest):
+    snr, inr, k = point
+    code, out, _ = run_cli(capsys, "gauss-rates", "--snr", snr, "--inr", inr, "--k", k)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_gauss_gap_k1_rejected(capsys):
     code, _, _ = run_cli(
         capsys, "gauss-gap", "--snr-grid", "1,10", "--inr-grid", "1,10", "--k-list", "1"
@@ -266,6 +332,45 @@ def test_gauss_gap_malformed_grid(capsys):
         "--inr-grid", "1,10", "--k-list", "2",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("grid", [
+    "logspace:1:1e400:5", "logspace:nan:10:5", "logspace:1:nan:5", "logspace:1:inf:5",
+    "1,nan", "inf", "1,1e400", "1,-inf",
+])
+def test_gauss_gap_rejects_non_finite_grids(capsys, grid):
+    """The grid parser itself rejects non-finite values and bounds: one
+    error line, exit 2, and no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "gauss-gap", "--snr-grid", grid, "--inr-grid", "1,10", "--k-list", "2"
+        )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(grid) in err
+
+
+# what numpy raises for `np.empty(10**11)` and friends
+OOM = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+
+
+@pytest.mark.parametrize("argv,module,name", [
+    (("gdof", "--steps", "100000000000"), np, "linspace"),
+    (("gauss-gap", "--snr-grid", "logspace:1:10:100000000000",
+      "--inr-grid", "1", "--k-list", "2"), np, "geomspace"),
+    (("mc-strong", "--snr", "1", "--inr", "10", "--block", "100000000000"), np, "empty"),
+    (("lattice-demo", "--trials", "100000000000"), gauss_sim, "sum_decode_check"),
+])
+def test_unallocatable_sizes_exit_2(capsys, monkeypatch, argv, module, name):
+    """A MemoryError from the allocating call is a usage error with one
+    error line, not a traceback.  The allocation is faked, never attempted."""
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(OOM)
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {OOM}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fcic.rates import (
     ExcludedRegime,
@@ -381,3 +383,130 @@ def test_secrecy_bound_monotone_to_zero():
 def test_secrecy_bound_two_users_rejected():
     with pytest.raises(ValueError):
         secrecy_bound(2)
+
+
+# ---------------------------------------------------------------------------
+# the array kernel against the scalar closed forms it replaced
+# ---------------------------------------------------------------------------
+
+def ref_c_sym_tilde(s, i):
+    return 0.25 * math.log2(1 + s + i) + 0.25 * math.log2(1 + s / (1 + i))
+
+
+def ref_gauss_upper(s, i, k):
+    return ref_c_sym_tilde(s, i) + (k - 1) / 4 + 0.5 * math.log2(k)
+
+
+def ref_weak_constraints_ok(s, i, k):
+    r0_star = 0.5 * math.log2((i - 1) / (8 * (k + 1)))
+    r12_star = 0.5 * math.log2(1 + s / (k * i))
+    r0_caps = (
+        0.5 * math.log2((i - 1) / (k + 1)),
+        0.5 * math.log2((i - 1) * (math.sqrt(s) + (k - 1) * math.sqrt(i)) ** 2 / (s + k * i)),
+        0.5 * math.log2((i - 1) * (math.sqrt(s) - math.sqrt(i)) ** 2 / (s + k * i)),
+    )
+    if any(r0_star > cap + RATE_TOL for cap in r0_caps):
+        return False
+    r12_cap = 0.5 * math.log2(1 + s / (k * i))
+    return r12_star <= r12_cap + RATE_TOL
+
+
+def ref_gauss_achievable(s, i, k):
+    """(rate, regime, constraints_ok), or None in the excluded band."""
+    if i < 2:
+        return 0.5 * math.log2(1 + s / (1 + (k - 1) * i)), "negligible", None
+    if i <= s / 2:
+        r0 = 0.5 * math.log2((i - 1) / (8 * (k + 1)))
+        r12 = 0.5 * math.log2(1 + s / (k * i))
+        return 0.5 * (r0 + 2 * r12), "weak", ref_weak_constraints_ok(s, i, k)
+    if i >= 2 * max(s, 1.0):
+        return 0.25 * math.log2(1 + (i - s) ** 2 / (k * (k * i + 1))), "strong", None
+    return None
+
+
+def ref_gap_checks(s, i, k, rate, regime, constraints_ok, tilde, upper):
+    bad = []
+    if regime in ("weak", "strong"):
+        if rate < tilde - weak_gap_constant(k) - RATE_TOL:
+            bad.append("gap")
+    else:
+        if rate < tilde - negligible_gap_constant(k) - RATE_TOL:
+            bad.append("gap")
+    if rate > upper + RATE_TOL:
+        bad.append("upper")
+    if regime == "weak":
+        lhs = (i - 1) / (8 * (k + 1)) * (1 + s / (k * i))
+        rhs = (1 + s + i) / (16 * k * (k + 1))
+        if lhs < rhs - RATE_TOL:
+            bad.append("weak-simplify")
+        if constraints_ok is not True:
+            bad.append("constraints")
+    if i >= 2 * s and regime == "strong":
+        lhs = 1 + (i - s) ** 2 / (k * (k * i + 1))
+        rhs = (1 + s + i) / (8 * k * k)
+        if lhs < rhs - RATE_TOL:
+            bad.append("strong-simplify")
+    return tuple(bad)
+
+
+# INR drawn on its own, or snapped onto a regime tie
+INR_TIES = {
+    "free": None,
+    "inr=2": lambda snr: 2.0,
+    "inr=snr/2": lambda snr: snr / 2,
+    "inr=2max(snr,1)": lambda snr: 2 * max(snr, 1.0),
+}
+
+
+def operating_point(draw):
+    snr_exp, inr_exp, tie, k = draw
+    snr = 10.0 ** snr_exp
+    inr = 10.0 ** inr_exp if INR_TIES[tie] is None else INR_TIES[tie](snr)
+    return GaussParams(snr=snr, inr=inr, k=k)
+
+
+# SNR and INR log-uniform on 1e-3..1e12, INR on a regime tie half of the
+# time; K in 2..10, 2^53 or 10^20
+OPERATING_POINTS = st.tuples(
+    st.floats(-3, 12), st.floats(-3, 12),
+    st.sampled_from(["free", "free", "free", "inr=2", "inr=snr/2", "inr=2max(snr,1)"]),
+    st.integers(2, 10) | st.sampled_from([2**53, 10**20]),
+).map(operating_point)
+
+
+def same_bits(x, y):
+    return float(x).hex() == float(y).hex()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(points=st.lists(OPERATING_POINTS, min_size=1, max_size=12))
+@example(points=[  # rates whose last bit numpy's x * x or np.log2 would change
+    GaussParams(snr=0.003701105530068967, inr=112742675.74947986, k=2),
+    GaussParams(snr=2.7676540652383075, inr=9126884.345404226, k=3),
+    GaussParams(snr=0.0399171227148778, inr=0.0010920512378056963, k=2),
+    GaussParams(snr=346.8254241337069, inr=47.3851486015336, k=3),
+])
+def test_kernel_matches_scalar_reference(points):
+    """gap_report (one kernel call per distinct K) and the one-point reads
+    give the scalar formulas' exact bits, regimes and violation tuples, in
+    input order."""
+    facts = gap_report(points)
+    assert [f.params for f in facts] == points
+    for params, fact in zip(points, facts):
+        s, i, k = params.snr, params.inr, params.k
+        tilde, upper = ref_c_sym_tilde(s, i), ref_gauss_upper(s, i, k)
+        assert same_bits(fact.c_tilde, tilde) and same_bits(c_sym_tilde(params), tilde)
+        assert same_bits(fact.upper, upper) and same_bits(gauss_upper(params), upper)
+        ref = ref_gauss_achievable(s, i, k)
+        if ref is None:
+            assert (fact.regime, fact.gap_ok, fact.violations) == ("excluded", True, ())
+            assert math.isnan(fact.achievable)
+            with pytest.raises(ExcludedRegime):
+                gauss_achievable(params)
+            continue
+        rate, regime, constraints_ok = ref
+        ach = gauss_achievable(params)
+        assert (ach.regime, ach.constraints_ok) == (regime, constraints_ok)
+        assert same_bits(ach.rate, rate) and same_bits(fact.achievable, rate)
+        bad = ref_gap_checks(s, i, k, rate, regime, constraints_ok, tilde, upper)
+        assert (fact.regime, fact.violations, fact.gap_ok) == (regime, bad, not bad)
