@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import check_dot_length, is_prime
+from .gf import _require_prime, check_dot_length
 
 __all__ = [
     "DetParams",
@@ -69,9 +69,7 @@ class DetParams:
             raise ValueError("level counts must be non-negative")
         if max(self.n, self.m) < 1:
             raise ValueError("need at least one signal level (max(n, m) >= 1)")
-        check_dot_length(self.p, 1)
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        _require_prime(self.p)
         if self.signs is not None:
             object.__setattr__(self, "signs", _validate_signs(self.signs, self.K))
 

@@ -4,8 +4,8 @@ stdout carries machine-readable data (CSV or JSON), stderr carries human
 diagnostics.  Exit codes are a stable contract:
 
     0  success
-    2  usage error (bad flags, malformed values, or sizes too large to
-       allocate)
+    2  usage error (bad flags, malformed values, sizes too large to
+       allocate, or values whose results overflow binary64)
     3  singular or infeasible construction
     4  regime mismatch / excluded parameter band
 
@@ -324,6 +324,8 @@ def main(argv=None) -> int:
         return _die_usage(str(exc))
     except MemoryError as exc:  # a size too large to allocate
         return _die_usage(str(exc) or "out of memory")
+    except OverflowError as exc:  # a float result beyond the binary64 range
+        return _die_usage(f"a value is too large for binary64 floating point: {exc}")
     except (SingularSystem, schemes.NoSolution) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_SINGULAR

@@ -4,7 +4,9 @@ Entries are canonical integers in [0, p).  Everything is carried in int64
 numpy arrays with reduction mod p after each arithmetic step, so all results
 are exact as long as no unreduced sum reaches 2^63; `check_dot_length`
 rejects the moduli for which one could.  Matrices in scope are small
-(<= ~64 per side) and dense.
+(<= ~64 per side) and dense.  One kernel, `GfMatrix._echelon`, eliminates
+[A | rhs] as one array; inverse, solve, rank, det and `nullspace` read its
+result.
 """
 
 from __future__ import annotations
@@ -63,17 +65,8 @@ def _require_prime(p: int) -> int:
     p = int(p)
     check_dot_length(p, 1)
     if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
+        raise ValueError(f"p must be prime, got {p}")
     return p
-
-
-def _as_vector(y, p: int, length: int | None = None) -> np.ndarray:
-    v = np.asarray(y, dtype=np.int64) % p
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if length is not None and v.shape[0] != length:
-        raise ValueError(f"vector length {v.shape[0]} != {length}")
-    return v
 
 
 class GfMatrix:
@@ -88,135 +81,77 @@ class GfMatrix:
             raise ValueError(f"matrix entries must be 2-D, got shape {data.shape}")
         self.data = data % self.p
 
-    @classmethod
-    def identity(cls, q: int, p: int) -> "GfMatrix":
-        return cls(np.eye(q, dtype=np.int64), p)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p: int) -> "GfMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), p)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GfMatrix):
-            return NotImplemented
-        return self.p == other.p and self.data.shape == other.data.shape \
-            and bool((self.data == other.data).all())
-
-    def __hash__(self):
-        return hash((self.p, self.data.shape, self.data.tobytes()))
-
     def __repr__(self) -> str:
         return f"GfMatrix(p={self.p},\n{self.data})"
 
-    def _check_same_field(self, other: "GfMatrix"):
-        if self.p != other.p:
-            raise ValueError(f"mixed moduli {self.p} and {other.p}")
-
-    def __add__(self, other: "GfMatrix") -> "GfMatrix":
-        self._check_same_field(other)
-        return GfMatrix(self.data + other.data, self.p)
-
-    def __sub__(self, other: "GfMatrix") -> "GfMatrix":
-        self._check_same_field(other)
-        return GfMatrix(self.data - other.data, self.p)
-
-    def __matmul__(self, other):
-        check_dot_length(self.p, self.cols)
-        if isinstance(other, GfMatrix):
-            self._check_same_field(other)
-            return GfMatrix(self.data @ other.data, self.p)
-        v = _as_vector(other, self.p, self.cols)
-        return (self.data @ v) % self.p
-
-    def transpose(self) -> "GfMatrix":
-        return GfMatrix(self.data.T, self.p)
-
-    # -- elimination kernel ------------------------------------------------
-
     def _echelon(self, rhs: np.ndarray | None = None):
-        """Forward elimination with first-nonzero pivot per column.
+        """Forward elimination of [data | rhs] over data's columns, with the
+        first nonzero entry of each column as its pivot.
 
-        Returns (reduced matrix, reduced rhs, pivot column list, det).  The
-        result is in *reduced* row echelon form (pivots normalised to 1,
-        cleared above and below), which keeps nullspace extraction trivial.
-        det is the product of the pivots as found, before normalisation,
-        with the sign of the row swaps: for a square matrix with a pivot in
-        every column it is the determinant.
+        Returns (aug, pivot column list, det): aug is [data | rhs] in
+        *reduced* row echelon form over data's columns (pivots normalised to
+        1, cleared above and below), which keeps nullspace extraction
+        trivial; its last columns are the reduced rhs.  rhs must be reduced
+        mod p.  det is the product of the pivots as found, before
+        normalisation, with the sign of the row swaps: for a square matrix
+        with a pivot in every column it is the determinant.
         """
         p = self.p
-        a = self.data.copy()
-        b = None if rhs is None else rhs.copy()
-        n_rows, n_cols = a.shape
+        n_rows, n_cols = self.data.shape
+        aug = self.data.copy() if rhs is None else np.concatenate([self.data, rhs], axis=1)
         pivots: list[int] = []
         det = 1
         r = 0
         for c in range(n_cols):
             sel = -1
             for i in range(r, n_rows):
-                if a[i, c]:
+                if aug[i, c]:
                     sel = i
                     break
             if sel < 0:
                 continue
             if sel != r:
-                a[[r, sel]] = a[[sel, r]]
-                if b is not None:
-                    b[[r, sel]] = b[[sel, r]]
+                aug[[r, sel]] = aug[[sel, r]]
                 det = -det % p
-            piv = int(a[r, c])
+            piv = int(aug[r, c])
             det = det * piv % p
-            inv = pow(piv, p - 2, p)
-            a[r] = (a[r] * inv) % p
-            if b is not None:
-                b[r] = (b[r] * inv) % p
+            aug[r] = (aug[r] * pow(piv, p - 2, p)) % p
             for i in range(n_rows):
-                f = a[i, c]
+                f = aug[i, c]
                 if i != r and f:
-                    a[i] = (a[i] - f * a[r]) % p
-                    if b is not None:
-                        b[i] = (b[i] - f * b[r]) % p
+                    aug[i] = (aug[i] - f * aug[r]) % p
             pivots.append(c)
             r += 1
             if r == n_rows:
                 break
-        return a, b, pivots, det
+        return aug, pivots, det
+
+    def _square_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The unique X with data @ X == rhs; raises SingularSystem otherwise."""
+        n_rows, n_cols = self.data.shape
+        if n_rows != n_cols:
+            raise ValueError(f"expected a square matrix, got shape {self.data.shape}")
+        aug, pivots, _ = self._echelon(rhs)
+        if len(pivots) != n_rows:
+            raise SingularSystem(f"matrix of rank {len(pivots)} < {n_rows}")
+        return aug[:, n_cols:]
 
     def rank(self) -> int:
-        return len(self._echelon()[2])
+        return len(self._echelon()[1])
 
     def det(self) -> int:
         """Determinant in [0, p), from one elimination by `_echelon`."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        _, _, pivots, det = self._echelon()
-        return det if len(pivots) == self.rows else 0
+        if self.data.shape[0] != self.data.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {self.data.shape}")
+        _, pivots, det = self._echelon()
+        return det if len(pivots) == self.data.shape[0] else 0
 
     def inverse(self) -> "GfMatrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        rhs = np.eye(self.rows, dtype=np.int64)
-        _, inv, pivots, _ = self._echelon(rhs)
-        if len(pivots) != self.rows:
-            raise SingularSystem(f"matrix of rank {len(pivots)} < {self.rows}")
-        return GfMatrix(inv, self.p)
+        return GfMatrix(self._square_solve(np.eye(self.data.shape[0], dtype=np.int64)), self.p)
 
     def solve(self, y) -> np.ndarray:
-        """Unique x with self @ x == y; raises SingularSystem otherwise."""
-        if self.rows != self.cols:
-            raise ValueError("solve requires a square matrix")
-        b = _as_vector(y, self.p, self.rows).reshape(-1, 1)
-        _, rhs, pivots, _ = self._echelon(b)
-        if len(pivots) != self.rows:
-            raise SingularSystem(f"matrix of rank {len(pivots)} < {self.rows}")
-        return rhs[:, 0] % self.p
+        """The unique x with data @ x == y for a vector y of length rows."""
+        return self._square_solve(np.asarray(y, dtype=np.int64).reshape(-1, 1) % self.p)[:, 0]
 
 
 def shift_matrix(q: int, k: int, p: int) -> GfMatrix:
@@ -225,29 +160,21 @@ def shift_matrix(q: int, k: int, p: int) -> GfMatrix:
     k = 0 gives the identity; k >= q gives the zero matrix (the shift is
     nilpotent).  Index 0 is the top (most significant) signal level.
     """
-    if q < 1:
-        raise ValueError(f"dimension must be >= 1, got {q}")
     if k < 0:
         raise ValueError(f"shift amount must be >= 0, got {k}")
-    d = np.zeros((q, q), dtype=np.int64)
-    for i in range(k, q):
-        d[i, i - k] = 1
-    return GfMatrix(d, p)
+    return GfMatrix(np.eye(q, k=-k, dtype=np.int64), p)
 
 
-def nullspace(m: GfMatrix) -> list[np.ndarray]:
-    """Basis of {x : m @ x == 0}, one vector per free column, ascending.
+def nullspace(m: GfMatrix) -> np.ndarray:
+    """Basis of {x : m.data @ x == 0} as the rows of a (dim, cols) array, one
+    row per free column, ascending.
 
     Each basis vector has a 1 in its free coordinate and the negated reduced
     echelon entries in the pivot coordinates, so the output is deterministic.
     """
-    red, _, pivots, _ = m._echelon()
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(m.cols, dtype=np.int64)
-        v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-red[i, f]) % m.p
-        basis.append(v)
+    red, pivots, _ = m._echelon()
+    cols = m.data.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.eye(cols, dtype=np.int64)[free]
+    basis[:, pivots] = -red[:len(pivots), free].T % m.p
     return basis

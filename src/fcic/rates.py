@@ -132,12 +132,10 @@ def qsym_converse(n: int, m: int, signs) -> Fraction:
     lam = np.asarray(signs, dtype=np.int64)
     if lam.shape != (3, 3):
         raise ValueError(f"sign matrix must be 3x3, got {lam.shape}")
-    if n < 0 or m < 0 or (n == 0 and m == 0):
+    if m != n:
+        return det_converse(n, m, 3)
+    if n <= 0:
         raise ValueError("need n, m >= 0 and not both zero")
-    if m < n:
-        return Fraction(2 * n - m, 2)
-    if m > n:
-        return Fraction(m, 2)
     if int_det(lam + np.eye(3, dtype=np.int64)) != 0:
         return Fraction(n, 2)
     return Fraction(n, 3)

@@ -182,9 +182,8 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     lam = np.asarray(signs, dtype=np.int64)
     k_users = lam.shape[0]
     signs = _validate_signs(lam, k_users)
-    basis = nullspace(qsym_constraint_matrix(lam, p))
-    dim = len(basis)
-    abv = np.array(basis, dtype=np.int64).reshape(dim, 3 * k_users)
+    abv = nullspace(qsym_constraint_matrix(lam, p))
+    dim = len(abv)
     u_rows = abv[:, k_users:2 * k_users] @ (lam * lam.T) % p
     coords_map = np.concatenate([abv[:, :2 * k_users], u_rows, abv[:, 2 * k_users:]], axis=1)
 
@@ -220,24 +219,17 @@ def qsym_decode_matrix(params: DetParams, a: int, b: int, u: int, v: int) -> GfM
     Rows are the user's block-1 outputs, then its block-2 outputs.  The
     unknowns are its q block-1 symbols, then the q symbols of R (see
     `_two_block_scheme`), whose aligned levels return as interference
-    rescaled by U and V.
+    rescaled by U and V.  `own` and `cross` map the two groups of unknowns
+    onto the output levels: the weaker of the direct and cross links is the
+    shift D^|n-m|, the stronger the identity.
     """
     n, m, p = params.n, params.m, params.p
-    if n > m:
-        d = shift_matrix(n, n - m, p).data
-        eye = np.eye(n, dtype=np.int64)
-        top = np.concatenate([eye, d], axis=1)
-        bot = np.concatenate([a * eye + u * d, b * eye + v * d], axis=1)
-    elif m > n:
-        d = shift_matrix(m, m - n, p).data
-        eye = np.eye(m, dtype=np.int64)
-        top = np.concatenate([d, eye], axis=1)
-        bot = np.concatenate([u * eye + a * d, v * eye + b * d], axis=1)
-    else:
-        eye = np.eye(n, dtype=np.int64)
-        top = np.concatenate([eye, eye], axis=1)
-        bot = np.concatenate([(a + u) * eye, (b + v) * eye], axis=1)
-    return GfMatrix(np.concatenate([top, bot], axis=0), p)
+    eye = np.eye(params.q, dtype=np.int64)
+    d = shift_matrix(params.q, abs(n - m), p).data
+    own, cross = (eye, d) if n >= m else (d, eye)
+    top = np.concatenate([own, cross], axis=1)
+    bot = np.concatenate([a * own + u * cross, b * own + v * cross], axis=1)
+    return GfMatrix(np.concatenate([top, bot]), p)
 
 
 def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:

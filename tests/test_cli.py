@@ -373,6 +373,19 @@ def test_unallocatable_sizes_exit_2(capsys, monkeypatch, argv, module, name):
     assert (code, out, err) == (2, "", f"error: {OOM}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("gauss-rates", "--snr", "1", "--inr", "1e200", "--k", "2"),
+    ("gauss-gap", "--snr-grid", "1,10", "--inr-grid", "100,1e200", "--k-list", "2,3"),
+    ("mc-strong", "--snr", "1", "--inr", "1e200", "--block", "2", "--trials", "1"),
+])
+def test_binary64_overflow_exits_2(capsys, argv):
+    """A strong-regime point with (INR - SNR)^2 beyond binary64 overflows in
+    the closed forms: one error line and exit 2, not a traceback."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a value is too large for binary64") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # mc-strong / lattice-demo
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fcic.gf import (
     GfMatrix,
@@ -47,20 +49,21 @@ def test_shift_matrix_single_step():
 
 
 def test_shift_matrix_zero_power_is_identity():
-    assert shift_matrix(4, 0, 3) == GfMatrix.identity(4, 3)
+    assert (shift_matrix(4, 0, 3).data == np.eye(4, dtype=np.int64)).all()
 
 
 def test_shift_matrix_nilpotent():
-    assert shift_matrix(3, 3, 5) == GfMatrix.zeros(3, 3, 5)
-    assert shift_matrix(3, 7, 5) == GfMatrix.zeros(3, 3, 5)
+    for k in (3, 7):
+        d = shift_matrix(3, k, 5)
+        assert d.p == 5 and d.data.shape == (3, 3) and not d.data.any()
 
 
 def test_shift_matrix_power_law():
     for q in (1, 2, 5, 8):
         for a in range(q):
             for b in range(q - a):
-                lhs = shift_matrix(q, a, 7) @ shift_matrix(q, b, 7)
-                assert lhs == shift_matrix(q, a + b, 7)
+                lhs = shift_matrix(q, a, 7).data @ shift_matrix(q, b, 7).data % 7
+                assert (lhs == shift_matrix(q, a + b, 7).data).all()
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +71,7 @@ def test_shift_matrix_power_law():
 # ---------------------------------------------------------------------------
 
 def test_rank_identity():
-    assert GfMatrix.identity(4, 2).rank() == 4
+    assert GfMatrix(np.eye(4), 2).rank() == 4
 
 
 def test_rank_signed_example():
@@ -87,7 +90,7 @@ def test_rank_transpose_invariant():
         for _ in range(20):
             rows, cols = rng.integers(1, 13, size=2)
             m = random_matrix(rng, rows, cols, p)
-            assert m.rank() == m.transpose().rank()
+            assert m.rank() == GfMatrix(m.data.T, p).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +99,7 @@ def test_rank_transpose_invariant():
 
 def test_solve_identity():
     y = np.array([3, 1, 4])
-    assert GfMatrix.identity(3, 5).solve(y).tolist() == [3, 1, 4]
+    assert GfMatrix(np.eye(3), 5).solve(y).tolist() == [3, 1, 4]
 
 
 def test_solve_roundtrip_random():
@@ -109,13 +112,17 @@ def test_solve_roundtrip_random():
                 continue
             y = rng.integers(0, p, size=n)
             x = m.solve(y)
-            assert ((m @ x) % p == y % p).all()
+            assert ((m.data @ x) % p == y % p).all()
 
 
 def test_solve_singular_raises():
     m = GfMatrix([[1, 2], [2, 4]], 5)
     with pytest.raises(SingularSystem):
         m.solve([1, 0])
+    with pytest.raises(ValueError):  # y must have one entry per row
+        GfMatrix(np.eye(2), 5).solve([1, 0, 0])
+    with pytest.raises(ValueError):
+        GfMatrix([[1, 2]], 5).solve([1])
 
 
 def test_solve_weak_two_block_system():
@@ -160,7 +167,8 @@ def test_solve_weak_two_block_system():
 # ---------------------------------------------------------------------------
 
 def test_nullspace_full_rank_empty():
-    assert nullspace(GfMatrix.identity(4, 3)) == []
+    basis = nullspace(GfMatrix(np.eye(4), 3))
+    assert basis.shape == (0, 4) and basis.dtype == np.int64
 
 
 def test_nullspace_single_relation():
@@ -177,9 +185,8 @@ def test_nullspace_vectors_annihilate():
             rows, cols = rng.integers(1, 10, size=2)
             m = random_matrix(rng, rows, cols, p)
             basis = nullspace(m)
-            assert len(basis) == cols - m.rank()
-            for v in basis:
-                assert ((m @ v) % p == 0).all()
+            assert basis.shape == (cols - m.rank(), cols)
+            assert not (m.data @ basis.T % p).any()
 
 
 def test_nullspace_alignment_constraints_all_ones():
@@ -194,9 +201,9 @@ def test_nullspace_alignment_constraints_all_ones():
     basis = nullspace(mat)
     target = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1], dtype=np.int64)  # (A, B, V)
     # target must lie in the span: the augmented system has no inconsistent row
-    span = GfMatrix(np.array(basis).T, p)
-    red, rhs, piv, _ = span._echelon(target.reshape(-1, 1))
-    assert all(int(rhs[i, 0]) == 0 for i in range(len(piv), rhs.shape[0]))
+    span = GfMatrix(basis.T, p)
+    aug, piv, _ = span._echelon(target.reshape(-1, 1))
+    assert not aug[len(piv):, -1].any()
     # direct check of the identity with U = 2I
     a, b, v, u = 0, 1, 1, 2
     lhs = (lam * a + lam @ (b * np.eye(3, dtype=np.int64)) @ lam) % p
@@ -225,4 +232,90 @@ def test_inverse_roundtrip():
             m = random_matrix(rng, n, n, p)
             if m.rank() < n:
                 continue
-            assert m @ m.inverse() == GfMatrix.identity(n, p)
+            assert (m.data @ m.inverse().data % p == np.eye(n, dtype=np.int64)).all()
+
+
+# ---------------------------------------------------------------------------
+# the kernel against its two-array predecessor
+# ---------------------------------------------------------------------------
+
+def _two_array_echelon(data, p, rhs=None):
+    """The elimination kernel as it was before [A | rhs] became one array:
+    A and rhs reduced side by side.  Returns (A, rhs, pivots, det)."""
+    a = data.copy()
+    b = None if rhs is None else rhs.copy()
+    n_rows, n_cols = a.shape
+    pivots = []
+    det = 1
+    r = 0
+    for c in range(n_cols):
+        sel = -1
+        for i in range(r, n_rows):
+            if a[i, c]:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        if sel != r:
+            a[[r, sel]] = a[[sel, r]]
+            if b is not None:
+                b[[r, sel]] = b[[sel, r]]
+            det = -det % p
+        piv = int(a[r, c])
+        det = det * piv % p
+        inv = pow(piv, p - 2, p)
+        a[r] = (a[r] * inv) % p
+        if b is not None:
+            b[r] = (b[r] * inv) % p
+        for i in range(n_rows):
+            f = a[i, c]
+            if i != r and f:
+                a[i] = (a[i] - f * a[r]) % p
+                if b is not None:
+                    b[i] = (b[i] - f * b[r]) % p
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return a, b, pivots, det
+
+
+@st.composite
+def _systems(draw):
+    """(p, A, rhs or None): A is rows x cols of rank at most `rank`, the
+    product of two random factors in exact integers, so shapes come square,
+    wide and tall, and rank-deficient ones are common."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13, 1073741789)))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rank = draw(st.integers(0, min(rows, cols)))
+    entry = st.integers(0, p - 1)
+    left = draw(st.lists(st.lists(entry, min_size=rank, max_size=rank),
+                         min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                          min_size=rank, max_size=rank))
+    a = [[sum(left[i][t] * right[t][j] for t in range(rank)) % p for j in range(cols)]
+         for i in range(rows)]
+    rhs_cols = draw(st.integers(0, 3))
+    rhs = None if rhs_cols == 0 else np.array(
+        draw(st.lists(st.lists(entry, min_size=rhs_cols, max_size=rhs_cols),
+                      min_size=rows, max_size=rows)), dtype=np.int64)
+    return p, np.array(a, dtype=np.int64).reshape(rows, cols), rhs
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(system=_systems())
+@example(system=(7, np.array([[0, 3], [2, 5]]), np.array([[1], [4]])))  # row swap
+@example(system=(2, np.ones((3, 3), dtype=np.int64), np.eye(3, dtype=np.int64)))
+@example(system=(13, np.zeros((2, 4), dtype=np.int64), None))
+def test_echelon_matches_two_array_kernel(system):
+    """One [A | rhs] elimination gives the same reduced A, reduced rhs,
+    pivots and det as eliminating A and rhs side by side."""
+    p, a, rhs = system
+    aug, pivots, det = GfMatrix(a, p)._echelon(rhs)
+    red, red_rhs, old_pivots, old_det = _two_array_echelon(a, p, rhs)
+    assert (pivots, det) == (old_pivots, old_det)
+    assert aug.dtype == np.int64
+    assert aug.shape == (a.shape[0], a.shape[1] + (0 if rhs is None else rhs.shape[1]))
+    assert (aug[:, :a.shape[1]] == red).all()
+    if rhs is not None:
+        assert (aug[:, a.shape[1]:] == red_rhs).all()
