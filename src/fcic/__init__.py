@@ -41,7 +41,6 @@ from .rates import (
     gdof_fb,
     gdof_nofb,
     gdof_slope_estimate,
-    qsym_converse,
     secrecy_bound,
 )
 from .schemes import (

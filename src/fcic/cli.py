@@ -77,8 +77,8 @@ def _read_signs(path: str) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 def cmd_gdof(args) -> int:
-    if not (0 <= args.alpha_min < args.alpha_max):
-        return _die_usage("need 0 <= alpha-min < alpha-max")
+    if not (0 <= args.alpha_min < args.alpha_max < math.inf):
+        return _die_usage("need 0 <= alpha-min < alpha-max < inf")
     if args.steps < 2:
         return _die_usage("need steps >= 2")
     if args.k < 2:
@@ -92,35 +92,27 @@ def cmd_gdof(args) -> int:
 
 
 def cmd_det_converse(args) -> int:
-    if args.k < 2 or args.n < 0 or args.m < 0 or args.n + args.m == 0:
-        return _die_usage("need k >= 2, n, m >= 0, n + m >= 1")
-    if args.signs is not None:
-        signs = _read_signs(args.signs)
-        rate = rates.qsym_converse(args.n, args.m, signs)
-    else:
-        rate = rates.det_converse(args.n, args.m, args.k)
+    signs = _read_signs(args.signs) if args.signs is not None else None
+    rate = rates.det_converse(args.n, args.m, args.k, signs)
+    if rate is None:
+        return _die_usage(f"no converse is established for a signed {args.k}-user channel")
     print(json.dumps({
         "n": args.n, "m": args.m, "k": args.k,
-        "rate": {"num": rate.numerator, "den": rate.denominator},
+        "rate": rates.rate_json(rate),
     }))
     return EXIT_OK
 
 
 def cmd_det_verify(args) -> int:
-    if args.k < 2 or args.n < 0 or args.m < 0 or args.n + args.m == 0:
-        return _die_usage("need k >= 2, n, m >= 0, n + m >= 1")
-    if args.trials < 1:
-        return _die_usage("need trials >= 1")
     signs = _read_signs(args.signs) if args.signs else None
     scheme = schemes.build_scheme(args.k, args.n, args.m, p=args.p, signs=signs)
     report = schemes.verify_scheme(scheme.params, scheme, args.trials, args.seed)
     if args.dump:
-        tr = report.first_failure if report.first_failure is not None else report.first_trial
         with open(args.dump, "w") as fh:
-            json.dump(tr.to_json_dict(), fh)
+            json.dump(report.transcript.to_json_dict(), fh)
         print(f"transcript written to {args.dump}", file=sys.stderr)
     print(json.dumps(report.to_json_dict()))
-    return EXIT_OK if report.all_passed and report.matches_converse else 1
+    return EXIT_OK if report.all_passed and report.matches_converse is not False else 1
 
 
 def cmd_qsym(args) -> int:
@@ -324,7 +316,7 @@ def main(argv=None) -> int:
         return _die_usage(str(exc))
     except MemoryError as exc:  # a size too large to allocate
         return _die_usage(str(exc) or "out of memory")
-    except OverflowError as exc:  # a float result beyond the binary64 range
+    except (OverflowError, FloatingPointError) as exc:  # beyond the binary64 range
         return _die_usage(f"a value is too large for binary64 floating point: {exc}")
     except (SingularSystem, schemes.NoSolution) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

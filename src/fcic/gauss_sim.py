@@ -260,8 +260,8 @@ class NestedLattice1D:
 
 def make_lattice(c: float, m: int) -> NestedLattice1D:
     """Build the 1-D nested pair c*Z inside (c/M)*Z with its M-point codebook."""
-    if c <= 0:
-        raise ValueError(f"coarse step must be positive, got {c}")
+    if not (c > 0 and math.isfinite(c)):
+        raise ValueError(f"coarse step must be positive and finite, got {c}")
     if m < 2:
         raise ValueError(f"refinement must be >= 2, got {m}")
     pts = (c / m) * np.arange(m)
@@ -288,6 +288,7 @@ def quantize_fine(x, lat: NestedLattice1D):
     return f * np.floor(x / f + 0.5)
 
 
+@np.errstate(over="raise", invalid="raise")
 def sum_decode_check(
     k: int, lat: NestedLattice1D, noise_sigma: float, trials: int, seed: int
 ) -> float:
@@ -299,12 +300,15 @@ def sum_decode_check(
     lattice.  With zero noise the dithers cancel identically, so success is
     certain; with small noise the decision fails when the noise leaves the
     fine cell (|z| > c/(2M), probability ~ 2 Q(c/(2 M sigma))); with huge
-    noise the decision is a uniform guess over the M cosets.
+    noise the decision is a uniform guess over the M cosets.  A sum or noise
+    draw beyond the binary64 range raises FloatingPointError.
     """
     if k < 2:
         raise ValueError(f"need k >= 2 users, got {k}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    if not (noise_sigma >= 0 and math.isfinite(noise_sigma)):
+        raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
     c = lat.coarse_step
     rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
     s = lat.codebook[rng.integers(0, lat.refinement, size=(trials, k))]

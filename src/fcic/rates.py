@@ -28,6 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import _validate_signs
+
 __all__ = [
     "ExcludedRegime",
     "GaussParams",
@@ -37,7 +39,8 @@ __all__ = [
     "RATE_TOL",
     "det_converse",
     "int_det",
-    "qsym_converse",
+    "lambda_plus_i_singular",
+    "rate_json",
     "gdof_fb",
     "gdof_nofb",
     "c_sym_tilde",
@@ -76,25 +79,46 @@ class GaussParams:
 
 
 # ---------------------------------------------------------------------------
-# deterministic-model converses
+# deterministic-model converse
 # ---------------------------------------------------------------------------
 
-def det_converse(n: int, m: int, k: int) -> Fraction:
-    """Symmetric feedback capacity of the deterministic channel.
+def det_converse(n: int, m: int, k: int, signs=None) -> Fraction | None:
+    """Symmetric feedback capacity of the deterministic channel, or None
+    where no converse is established.
 
     n - m/2 in the weak regime (m < n), m/2 in the strong regime (m > n),
     and n/K at the m = n discontinuity, where all receivers see identical
-    signals and must share one decoding budget.
+    signals and must share one decoding budget.  A k x k sign matrix
+    `signs` changes only that last value, and only for K = 3: n/2 when
+    Lambda + I is invertible over the rationals (else some receivers see
+    duplicated outputs).  Signed channels with K != 3 give None.
     """
     if n < 0 or m < 0 or (n == 0 and m == 0):
         raise ValueError("need n, m >= 0 and not both zero")
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
+    if signs is not None:
+        signs = _validate_signs(signs, k)
+        if k != 3:
+            return None
     if m < n:
         return Fraction(2 * n - m, 2)
     if m > n:
         return Fraction(m, 2)
-    return Fraction(n, k)
+    if signs is None or lambda_plus_i_singular(signs):
+        return Fraction(n, k)
+    return Fraction(n, 2)
+
+
+def lambda_plus_i_singular(signs) -> bool:
+    """Whether Lambda + I is singular over the rationals (always, for the
+    all-ones Lambda); at m = n alignment then cannot reach n/2."""
+    return int_det(np.asarray(signs) + np.eye(len(signs), dtype=np.int64)) == 0
+
+
+def rate_json(rate: Fraction | None) -> dict | None:
+    """A rate as {"num": ..., "den": ...}, or None."""
+    return None if rate is None else {"num": rate.numerator, "den": rate.denominator}
 
 
 def int_det(mat) -> int:
@@ -120,25 +144,6 @@ def int_det(mat) -> int:
                 a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
         prev = a[c][c]
     return sign * a[-1][-1] if size else 1
-
-
-def qsym_converse(n: int, m: int, signs) -> Fraction:
-    """Symmetric feedback capacity of the signed 3-user channel.
-
-    Away from m = n the signs do not matter.  At m = n the capacity is n/2
-    when Lambda + I is invertible over the rationals and collapses to n/3
-    when it is singular (some receivers then see duplicated outputs).
-    """
-    lam = np.asarray(signs, dtype=np.int64)
-    if lam.shape != (3, 3):
-        raise ValueError(f"sign matrix must be 3x3, got {lam.shape}")
-    if m != n:
-        return det_converse(n, m, 3)
-    if n <= 0:
-        raise ValueError("need n, m >= 0 and not both zero")
-    if int_det(lam + np.eye(3, dtype=np.int64)) != 0:
-        return Fraction(n, 2)
-    return Fraction(n, 3)
 
 
 # ---------------------------------------------------------------------------

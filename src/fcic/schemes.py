@@ -18,7 +18,8 @@ Every scheme is written out as explicit GF(p) encoder and decoder maps (see
 time, so an undecodable configuration fails fast as SingularSystem instead
 of silently corrupting messages; without p, `build_scheme` returns the
 first success of its `PRIME_SCAN` scan.  `verify_scheme` replays all of its
-trials as one batch through `run_feedback_session`.
+trials as one batch through `run_feedback_session` and judges the declared
+rate against `rates.det_converse`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .channel import DetParams, Scheme, Transcript, _validate_signs, run_feedback_session
 from .gf import GfMatrix, SingularSystem, nullspace, shift_matrix
-from .rates import det_converse, int_det, qsym_converse
+from .rates import det_converse, lambda_plus_i_singular, rate_json
 
 __all__ = [
     "RegimeMismatch",
@@ -311,11 +312,8 @@ def qsym_scheme(params: DetParams, sol: AlignmentSolution) -> Scheme:
 def _try_build(params: DetParams) -> Scheme:
     K, n, m = params.K, params.n, params.m
     if n == m:
-        lam_plus_i = params.sign_matrix() + np.eye(K, dtype=np.int64)
-        if params.signs is None or int_det(lam_plus_i) == 0:
-            # Lambda + I singular (always for the all-ones Lambda): alignment
-            # cannot reach n/2; n/K time sharing meets the converse.
-            return moderate_scheme(params)
+        if params.signs is None or lambda_plus_i_singular(params.signs):
+            return moderate_scheme(params)  # n/K time sharing meets the converse
         return qsym_scheme(params, qsym_solve(params.signs, "moderate", params.p))
     regime = "weak" if m < n else "strong"
     if params.signs is None:
@@ -349,34 +347,33 @@ def select_prime(K: int, n: int, m: int, signs=None) -> int:
 
 @dataclass
 class VerifyReport:
-    """Outcome of replaying a scheme against random messages."""
+    """Outcome of replaying a scheme against random messages.  `transcript`
+    is the first failing session, else session 0; `converse_rate` is None
+    where no converse is established (signed channels with K != 3)."""
 
     params: DetParams
     declared_rate: Fraction
     trials: int
     successes: int
-    converse_rate: Fraction
-    matches_converse: bool
-    first_failure: Transcript | None = None
-    first_trial: Transcript | None = None
+    converse_rate: Fraction | None
+    transcript: Transcript
 
     @property
     def all_passed(self) -> bool:
         return self.successes == self.trials
 
+    @property
+    def matches_converse(self) -> bool | None:
+        """None where no converse is established."""
+        return None if self.converse_rate is None else self.declared_rate == self.converse_rate
+
     def to_json_dict(self) -> dict:
         return {
             "params": self.params.to_json_dict(),
-            "declared_rate": {
-                "num": self.declared_rate.numerator,
-                "den": self.declared_rate.denominator,
-            },
+            "declared_rate": rate_json(self.declared_rate),
             "trials": self.trials,
             "successes": self.successes,
-            "converse_rate": {
-                "num": self.converse_rate.numerator,
-                "den": self.converse_rate.denominator,
-            },
+            "converse_rate": rate_json(self.converse_rate),
             "matches_converse": self.matches_converse,
         }
 
@@ -384,25 +381,21 @@ class VerifyReport:
 def verify_scheme(
     params: DetParams, scheme: Scheme, trials: int, seed: int
 ) -> VerifyReport:
-    """Replay `trials` sessions with seeded uniform messages as one batch;
-    bit-exactness of every user's decode counts as success, failures are
-    data (the first failing transcript is attached for inspection, and the
-    trial-0 transcript always is)."""
+    """Replay `trials` >= 1 sessions with seeded uniform messages as one
+    batch; bit-exactness of every user's decode counts as success, failures
+    are data (the first failing session's transcript, else session 0's, is
+    attached for inspection)."""
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     rng = np.random.default_rng(seed)
     msgs = rng.integers(0, params.p, size=(trials, params.K, scheme.msg_symbols))
     batch = run_feedback_session(params, scheme, msgs)
     failed = np.flatnonzero((batch.messages_out != batch.messages_in).any(axis=(1, 2)))
-    if params.signs is not None and params.K == 3:
-        converse = qsym_converse(params.n, params.m, params.signs)
-    else:
-        converse = det_converse(params.n, params.m, params.K)
     return VerifyReport(
         params=params,
         declared_rate=scheme.declared_rate,
         trials=trials,
         successes=trials - failed.size,
-        converse_rate=converse,
-        matches_converse=scheme.declared_rate == converse,
-        first_failure=batch.trial(failed[0]) if failed.size else None,
-        first_trial=batch.trial(0) if trials else None,
+        converse_rate=det_converse(params.n, params.m, params.K, params.signs),
+        transcript=batch.trial(failed[0] if failed.size else 0),
     )

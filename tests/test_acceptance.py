@@ -31,7 +31,6 @@ from fcic.rates import (
     gap_report,
     gdof_fb,
     gdof_slope_estimate,
-    qsym_converse,
     secrecy_bound,
 )
 from fcic.schemes import build_scheme, qsym_scheme, qsym_solve, verify_scheme
@@ -116,8 +115,8 @@ def test_criterion_3_qsym_feasibility():
             count += 1
     assert count == 128
     # the worked singular example collapses to n/3 at m = n
-    assert qsym_converse(2, 2, SINGULAR_LAMBDA) == Fraction(2, 3)
-    assert qsym_converse(3, 3, SINGULAR_LAMBDA) == Fraction(1)
+    assert det_converse(2, 2, 3, SINGULAR_LAMBDA) == Fraction(2, 3)
+    assert det_converse(3, 3, 3, SINGULAR_LAMBDA) == Fraction(1)
 
 
 @criterion("criterion 4 (Gaussian constant-gap sweep)")

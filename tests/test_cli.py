@@ -1,10 +1,16 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import pathlib
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcic import gauss_sim, rates, schemes
 from fcic.cli import main
@@ -61,6 +67,50 @@ def test_det_converse_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["rate"] == {"num": 5, "den": 2}
+
+
+SINGULAR_SIGNS = "0 -1 1\n1 0 -1\n1 -1 0\n"
+ALL_ONES_SIGNS = "0 1 1\n1 0 1\n1 1 0\n"
+# Lambda + I nonsingular; builds at p = 3 and decodes at rate n/2 = 1
+SIGNS_K4 = "0 -1 1 1\n1 0 -1 1\n-1 1 0 1\n1 1 1 0\n"
+
+
+@pytest.mark.parametrize("k,rows,rate", [
+    ("3", SINGULAR_SIGNS, {"num": 2, "den": 3}),
+    ("5", ALL_ONES_SIGNS, None),
+    ("3", SIGNS_K4, None),
+    ("4", SIGNS_K4, None),
+])
+def test_det_converse_signs_must_match_k(capsys, tmp_path, k, rows, rate):
+    """--signs must be k x k, and the signed converse exists only for K = 3:
+    anything else is one error line and exit 2."""
+    signs = tmp_path / "signs.txt"
+    signs.write_text(rows)
+    code, out, err = run_cli(
+        capsys, "det-converse", "--n", "2", "--m", "2", "--k", k, "--signs", str(signs)
+    )
+    if rate is None:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code == 0
+        assert json.loads(out) == {"n": 2, "m": 2, "k": 3, "rate": rate}
+
+
+def test_det_verify_signed_k4_has_no_converse(capsys, tmp_path):
+    """No converse is established for signed K != 3, so a scheme that decodes
+    every session exits 0 with a null converse_rate and matches_converse."""
+    signs = tmp_path / "signs.txt"
+    signs.write_text(SIGNS_K4)
+    code, out, _ = run_cli(
+        capsys, "det-verify", "--k", "4", "--n", "2", "--m", "2", "--signs", str(signs)
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["p"] == 3
+    assert doc["declared_rate"] == {"num": 1, "den": 1}
+    assert (doc["trials"], doc["successes"]) == (100, 100)
+    assert out.endswith('"converse_rate": null, "matches_converse": null}\n')
 
 
 def test_det_verify_weak_example(capsys):
@@ -377,13 +427,113 @@ def test_unallocatable_sizes_exit_2(capsys, monkeypatch, argv, module, name):
     ("gauss-rates", "--snr", "1", "--inr", "1e200", "--k", "2"),
     ("gauss-gap", "--snr-grid", "1,10", "--inr-grid", "100,1e200", "--k-list", "2,3"),
     ("mc-strong", "--snr", "1", "--inr", "1e200", "--block", "2", "--trials", "1"),
+    ("lattice-demo", "--coarse-step", "1e308", "--users", "5", "--trials", "100"),
+    ("lattice-demo", "--noise-sigma", "1e308", "--trials", "100"),
 ])
 def test_binary64_overflow_exits_2(capsys, argv):
     """A strong-regime point with (INR - SNR)^2 beyond binary64 overflows in
-    the closed forms: one error line and exit 2, not a traceback."""
-    code, out, err = run_cli(capsys, *argv)
+    the closed forms, and a lattice run's sums or noise leave the binary64
+    range: one error line and exit 2, not a traceback or a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: a value is too large for binary64") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,subject", [
+    (("lattice-demo", "--noise-sigma", "nan"), "noise_sigma"),
+    (("lattice-demo", "--noise-sigma", "inf"), "noise_sigma"),
+    (("lattice-demo", "--coarse-step", "nan"), "coarse step"),
+    (("lattice-demo", "--coarse-step", "inf"), "coarse step"),
+    (("lattice-demo", "--trials", "0"), "trials"),
+    (("gdof", "--alpha-max", "inf"), "alpha-max"),
+])
+def test_unusable_lattice_and_gdof_values_exit_2(capsys, argv, subject):
+    """Non-finite values (and an empty lattice run) are usage errors: one
+    error line naming the value, exit 2, and no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert subject in err
+
+
+# ---------------------------------------------------------------------------
+# every subcommand: exit-code totality
+# ---------------------------------------------------------------------------
+
+def _sign_text(index: int, k: int) -> str:
+    """Sign matrix number `index`: bit b set puts -1 at off-diagonal
+    position b (row-major), +1 otherwise."""
+    off = iter(range(k * k))
+    rows = [[0 if r == c else (-1 if index >> next(off) & 1 else 1) for c in range(k)]
+            for r in range(k)]
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+# finite, zero, negative, huge, tiny and non-finite values
+NUMBERS = st.sampled_from(["nan", "inf", "-inf"]) | st.sampled_from([
+    "0", "-0", "-1", "0.5", "1", "3", "100", "1e4", "1e300", "1e308", "-1e308", "5e-324",
+]) | st.floats(0.01, 1e6).map(repr)
+SMALL = st.integers(-1, 6)
+SIGN_FILES = st.none() | st.builds(_sign_text, st.integers(0, 63), st.just(3)) \
+    | st.builds(_sign_text, st.integers(0, 4095), st.just(4))
+# (flags always drawn, flags drawn or left at their default); the sizes are
+# always drawn, so that every run stays small
+FLAGS = {
+    "det-converse": (dict(n=SMALL, m=SMALL), dict(k=st.integers(-1, 5))),
+    "det-verify": (dict(k=st.integers(-1, 5), n=SMALL, m=SMALL, trials=st.integers(-1, 5)),
+                   dict(seed=st.integers(-1, 2**70), p=st.sampled_from([2, 4, 5, 1073741827]))),
+    "gauss-rates": (dict(snr=NUMBERS, inr=NUMBERS), dict(k=st.integers(-1, 5))),
+    "gdof": (dict(steps=st.integers(-1, 100)),
+             {"alpha-min": NUMBERS, "alpha-max": NUMBERS, "k": st.integers(-1, 5)}),
+    "lattice-demo": (dict(trials=st.integers(-1, 100)),
+                     {"coarse-step": NUMBERS, "refinement": st.integers(-1, 16),
+                      "users": st.integers(-1, 5), "noise-sigma": NUMBERS,
+                      "seed": st.integers(-1, 100)}),
+    "mc-strong": (dict(snr=NUMBERS, inr=NUMBERS, block=st.integers(-1, 100),
+                       trials=st.integers(-1, 5)),
+                  dict(k=st.integers(-1, 5), seed=st.integers(-1, 100))),
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(command=st.sampled_from(sorted(FLAGS)), data=st.data())
+def test_every_input_exits_with_a_contract_code(command, data):
+    """Whatever the flags, a run returns 0-4 and raises nothing, warns
+    nothing, and writes only standard JSON (no NaN or Infinity)."""
+    required, optional = FLAGS[command]
+    flags = {name: data.draw(strategy, label=name) for name, strategy in required.items()}
+    flags.update((name, data.draw(st.none() | strategy, label=name))
+                 for name, strategy in optional.items())
+    signs = data.draw(SIGN_FILES, label="signs") if command.startswith("det-") else None
+    dump = command == "det-verify" and data.draw(st.booleans(), label="dump")
+    with tempfile.TemporaryDirectory() as tmp:
+        # "--flag=value", so a value such as -inf is not read as a flag
+        argv = [command] + [f"--{name}={v}" for name, v in flags.items() if v is not None]
+        if signs is not None:
+            (pathlib.Path(tmp) / "signs.txt").write_text(signs)
+            argv.append(f"--signs={tmp}/signs.txt")
+        if dump:
+            argv.append(f"--dump={tmp}/dump.json")
+        out = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage failures
+                code = exc.code
+    assert code in (0, 1, 2, 3, 4), argv
+    assert [str(w.message) for w in caught] == [], argv
+    if command != "gdof" and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from fcic.rates import (
     gdof_slope_estimate,
     int_det,
     negligible_gap_constant,
-    qsym_converse,
     secrecy_bound,
     weak_gap_constant,
 )
@@ -64,15 +63,30 @@ def test_det_converse_validation():
         det_converse(2, 1, 1)
 
 
+def test_det_converse_signed_needs_k_by_k_and_k_3():
+    """A sign matrix must be k x k; no converse is established for signed
+    channels with K != 3, in any regime."""
+    lam4 = ((0, -1, 1, 1), (1, 0, -1, 1), (-1, 1, 0, 1), (1, 1, 1, 0))
+    for n, m in ((2, 2), (2, 1), (1, 2)):
+        assert det_converse(n, m, 4, lam4) is None
+        assert det_converse(n, m, 2, ((0, -1), (1, 0))) is None
+    with pytest.raises(ValueError, match="must be 5x5"):
+        det_converse(2, 2, 5, SINGULAR_LAMBDA)
+    with pytest.raises(ValueError, match="must be 3x3"):
+        det_converse(2, 2, 3, lam4)
+    with pytest.raises(ValueError):
+        det_converse(2, 2, 3, ((1, -1, 1), (1, 0, -1), (1, -1, 0)))  # nonzero diagonal
+
+
 def test_qsym_converse_singular_example():
-    assert qsym_converse(2, 2, SINGULAR_LAMBDA) == Fraction(2, 3)
+    assert det_converse(2, 2, 3, SINGULAR_LAMBDA) == Fraction(2, 3)
 
 
 def test_qsym_converse_rank_dependent():
     lam = ((0, 1, -1), (-1, 0, 1), (1, 1, 0))
     lam_plus_i = np.array(lam) + np.eye(3)
     expected = Fraction(1) if round(np.linalg.det(lam_plus_i)) != 0 else Fraction(2, 3)
-    assert qsym_converse(2, 2, lam) == expected
+    assert det_converse(2, 2, 3, lam) == expected
 
 
 def leibniz_det(mat) -> int:
@@ -112,8 +126,8 @@ def test_int_det_of_all_ones_lambda():
 
 def test_qsym_converse_off_diagonal_regimes_ignore_signs():
     for lam in (SINGULAR_LAMBDA, ((0, 1, 1), (1, 0, 1), (1, 1, 0))):
-        assert qsym_converse(3, 1, lam) == Fraction(5, 2)
-        assert qsym_converse(1, 4, lam) == Fraction(2)
+        assert det_converse(3, 1, 3, lam) == Fraction(5, 2)
+        assert det_converse(1, 4, 3, lam) == Fraction(2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 
 from fcic import schemes
 from fcic.channel import DetParams, run_feedback_session
-from fcic.gf import SingularSystem, nullspace
-from fcic.rates import det_converse, qsym_converse
+from fcic.gf import SingularSystem, is_prime, nullspace
+from fcic.rates import det_converse
 from fcic.schemes import (
     PRIME_SCAN,
     AlignmentSolution,
@@ -363,7 +365,7 @@ def test_qsym_edge_levels_decode_at_the_converse():
     for lam in all_sign_matrices_k3():
         for n, m in ((2, 0), (1, 0), (0, 1), (0, 2)):
             scheme = build_scheme(3, n, m, signs=lam)
-            assert scheme.declared_rate == qsym_converse(n, m, lam)
+            assert scheme.declared_rate == det_converse(n, m, 3, lam)
             assert _unit_message_replay_is_identity(scheme)
 
 
@@ -483,7 +485,7 @@ def _corrupt_decoder(scheme):
 
 def test_verify_scheme_reports_fault_injection():
     """A corrupted decoder map must be caught and the first failing trial's
-    transcript kept."""
+    transcript kept; a scheme that decodes keeps trial 0's."""
     base = build_scheme(3, 3, 1, p=5)
     broken = _corrupt_decoder(base)
     report = verify_scheme(base.params, broken, 20, seed=22)
@@ -491,11 +493,12 @@ def test_verify_scheme_reports_fault_injection():
     failing = np.flatnonzero(msgs[:, 1, 0] != 0)
     assert failing[0] > 0  # trial 0 decodes, so the failure is not trial 0
     assert report.successes == 20 - failing.size
-    tr = report.first_failure
+    tr = report.transcript
     assert tr.messages_in.tolist() == msgs[failing[0]].tolist()
     assert (tr.messages_out != tr.messages_in).any()
-    assert report.first_trial.messages_in.tolist() == msgs[0].tolist()
-    assert verify_scheme(base.params, base, 20, seed=22).first_failure is None
+    passing = verify_scheme(base.params, base, 20, seed=22)
+    assert passing.all_passed
+    assert passing.transcript.messages_in.tolist() == msgs[0].tolist()
 
 
 def _unit_message_replay_is_identity(scheme) -> bool:
@@ -583,6 +586,26 @@ def test_primes_beyond_int64_are_rejected():
         build_scheme(3, 1, 1, p=3037000493)  # time sharing: rows of K q = 3
     with pytest.raises(ValueError):
         DetParams(K=3, n=1, m=1, p=4294967291)  # (p - 1)^2 alone reaches 2^63
+
+
+def test_build_runs_the_primality_trial_division_once():
+    """DetParams, the shift matrix, the decode matrix and its inverse all
+    check p; the trial division, ~16 000 steps near 2^30, runs for the
+    first only."""
+    is_prime.cache_clear()
+    code = inspect.unwrap(is_prime).__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_locals["n"])
+
+    sys.setprofile(profile)
+    try:
+        build_scheme(3, 3, 1, p=1073741789)
+    finally:
+        sys.setprofile(None)
+    assert calls == [1073741789]
 
 
 def test_verify_report_json_keys():
