@@ -104,7 +104,7 @@ def cmd_det_converse(args) -> int:
 
 
 def cmd_det_verify(args) -> int:
-    signs = _read_signs(args.signs) if args.signs else None
+    signs = _read_signs(args.signs) if args.signs is not None else None
     scheme = schemes.build_scheme(args.k, args.n, args.m, p=args.p, signs=signs)
     report = schemes.verify_scheme(scheme.params, scheme, args.trials, args.seed)
     if args.dump:
@@ -203,8 +203,15 @@ def cmd_lattice_demo(args) -> int:
         return _die_usage("need users >= 2")
     lat = gauss_sim.make_lattice(args.coarse_step, args.refinement)
     book = lat.codebook
-    sums = book[:, None] + book[None, :]
-    closure_ok = bool(np.isin(gauss_sim.mod_lattice(sums, lat), book).all())
+    sums = gauss_sim.mod_lattice(book[:, None] + book[None, :], lat)
+
+    def cosets(x):  # fine-lattice coset index mod M, and distance to the fine lattice
+        idx = np.round(x / lat.fine_step)
+        return np.mod(idx, lat.refinement), np.abs(x - idx * lat.fine_step)
+
+    (book_idx, book_off), (sum_idx, sum_off) = cosets(book), cosets(sums)
+    closure_ok = bool(max(book_off.max(), sum_off.max()) <= 1e-6 * lat.fine_step
+                      and np.isin(sum_idx, book_idx).all())
     clean = gauss_sim.sum_decode_check(args.users, lat, 0.0, args.trials, args.seed)
     noisy = gauss_sim.sum_decode_check(
         args.users, lat, args.noise_sigma, args.trials, args.seed + 1

@@ -6,7 +6,9 @@ are exact as long as no unreduced sum reaches 2^63; `check_dot_length`
 rejects the moduli for which one could.  Matrices in scope are small
 (<= ~64 per side) and dense.  One kernel, `GfMatrix._echelon`, eliminates
 [A | rhs] as one array; inverse, solve, rank, det and `nullspace` read its
-result.
+result.  Scheme builds eliminate only in `nullspace`, for the alignment
+solver: they invert their decode matrices in closed form, so `inverse` and
+`solve` are off the build path and serve as the tests' reference.
 """
 
 from __future__ import annotations

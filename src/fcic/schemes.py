@@ -15,11 +15,13 @@ singular, uses n/K time sharing instead.
 
 Every scheme is written out as explicit GF(p) encoder and decoder maps (see
 `Scheme`).  The builder inverts each distinct decode matrix once at build
-time, so an undecodable configuration fails fast as SingularSystem instead
-of silently corrupting messages; without p, `build_scheme` returns the
-first success of its `PRIME_SCAN` scan.  `verify_scheme` replays all of its
-trials as one batch through `run_feedback_session` and judges the declared
-rate against `rates.det_converse`.
+time, in closed form: its blocks are polynomials in one shift, so
+`_decode_inverse` reads the inverse off a power series, with no
+elimination.  An undecodable configuration fails fast as SingularSystem
+instead of silently corrupting messages; without p, `build_scheme` returns
+the first success of its `PRIME_SCAN` scan.  `verify_scheme` replays all of
+its trials as one batch through `run_feedback_session` and judges the
+declared rate against `rates.det_converse`.
 """
 
 from __future__ import annotations
@@ -222,7 +224,8 @@ def qsym_decode_matrix(params: DetParams, a: int, b: int, u: int, v: int) -> GfM
     `_two_block_scheme`), whose aligned levels return as interference
     rescaled by U and V.  `own` and `cross` map the two groups of unknowns
     onto the output levels: the weaker of the direct and cross links is the
-    shift D^|n-m|, the stronger the identity.
+    shift D^|n-m|, the stronger the identity.  Builds invert it in closed
+    form (`_decode_inverse`) and form it only to report a singular one.
     """
     n, m, p = params.n, params.m, params.p
     eye = np.eye(params.q, dtype=np.int64)
@@ -233,6 +236,51 @@ def qsym_decode_matrix(params: DetParams, a: int, b: int, u: int, v: int) -> GfM
     return GfMatrix(np.concatenate([top, bot]), p)
 
 
+def _decode_inverse(params: DetParams, a: int, b: int, u: int, v: int) -> np.ndarray | None:
+    """Inverse of `qsym_decode_matrix(params, a, b, u, v)` in closed form, or
+    None when that matrix is singular.
+
+    Its blocks [[A, B], [C, E]] are polynomials in D = S^|n-m|, so they
+    commute and the inverse is [[E, -B], [-C, A]] Delta^-1 with
+    Delta = AE - BC.  D = I at m = n, and D^j = 0 once j |n-m| >= q
+    otherwise, so Delta^-1 is Delta's power series in D cut there; it exists
+    iff Delta's constant term is nonzero mod p.  Coefficients are Python ints
+    reduced mod p (exact for every p `DetParams` accepts); each block is the
+    lower-triangular Toeplitz matrix of its coefficients spaced |n-m| apart.
+    """
+    n, m, q, p = params.n, params.m, params.q, params.p
+    s = abs(n - m)
+    terms = -(-q // s) if s else 1  # powers of D below q (at s = 0 every power is I)
+
+    def mul(f, g):  # product of coefficient lists, reduced like D
+        out = [0] * terms
+        for i, fi in enumerate(f):
+            for j, gj in enumerate(g):
+                k = i + j if s else 0
+                if k < terms:
+                    out[k] += fi * gj
+        return [c % p for c in out]
+
+    # the blocks as coefficient lists in D, lowest power first
+    A, B, C, E = ([1], [0, 1], [a, u], [b, v]) if n >= m else ([0, 1], [1], [u, a], [v, b])
+    delta = [(x - y) % p for x, y in zip(mul(A, E), mul(B, C))]  # at most 3 nonzero terms
+    if delta[0] == 0:
+        return None
+    inv0 = pow(delta[0], p - 2, p)
+    series = [inv0]  # Delta^-1: sum_i delta_i series_(j-i) = 0 for every j >= 1
+    for j in range(1, terms):
+        acc = sum(delta[i] * series[j - i] for i in range(1, min(j, 2) + 1))
+        series.append(-inv0 * acc % p)
+    # first columns of E, -B, -C, A times Delta^-1; a negative lag (above
+    # the diagonal) reads the zero padding
+    cols = np.zeros((4, 2 * q), dtype=np.int64)
+    for row, (blk, sign) in enumerate(((E, 1), (B, -1), (C, -1), (A, 1))):
+        # D^j's coefficient sits j |n-m| rows down; at m = n only j = 0 exists
+        cols[row, :q:s or q] = [sign * c % p for c in mul(blk, series)]
+    blocks = cols.take(np.subtract.outer(np.arange(q), np.arange(q)), axis=1)
+    return blocks.reshape(2, 2, q, q).transpose(0, 2, 1, 3).reshape(2 * q, 2 * q)
+
+
 def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
     """The aligned two-block scheme, written out as encoder/decoder maps.
 
@@ -241,9 +289,10 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
     own contribution) and in block 2 sends A_k (first q own symbols) + B_k R,
     where R carries I_k on the aligned levels and, when m < n, the n - m
     remaining fresh symbols below it.  coeffs holds each user's
-    (A, B, U, V).  Each distinct tuple's decode matrix is inverted once, and
-    its rows that yield the user's own symbols are the decoder; when every
-    user shares one tuple, the maps stay single broadcast arrays.
+    (A, B, U, V).  Each distinct tuple's decode matrix is inverted once, in
+    closed form by `_decode_inverse`, and its rows that yield the user's own
+    symbols are the decoder; when every user shares one tuple, the maps stay
+    single broadcast arrays.
     """
     K, n, m, q, p = params.K, params.n, params.m, params.q, params.p
     L = 2 * n - m if n > m else q  # message symbols
@@ -252,14 +301,14 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
     inverses = {}
     for k, c in enumerate(coeffs):
         if c not in inverses:
-            dec = qsym_decode_matrix(params, *c)
-            try:
-                inverses[c] = dec.inverse().data[keep]
-            except SingularSystem:
+            inv = _decode_inverse(params, *c)
+            if inv is None:
                 raise SingularSystem(
                     f"{name} decode matrix rank-deficient for user {k} at "
-                    f"(A, B, U, V) = {c}, K={K}, n={n}, m={m}, p={p}", dec.data
-                ) from None
+                    f"(A, B, U, V) = {c}, K={K}, n={n}, m={m}, p={p}",
+                    qsym_decode_matrix(params, *c).data,
+                )
+            inverses[c] = inv[keep]
     if len(inverses) == 1:
         coeffs = coeffs[:1]
     eye = np.eye(q, dtype=np.int64)

@@ -219,6 +219,16 @@ def test_det_verify_stdout_is_deterministic(capsys):
     assert out1 == out2
 
 
+def test_det_verify_empty_signs_path_exits_2(capsys):
+    """An empty --signs path names no file; it must not fall back to the
+    symmetric channel."""
+    code, out, err = run_cli(capsys, "det-verify", "--k", "3", "--n", "2", "--m", "1",
+                             "--signs", "")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_det_verify_bad_input_exits_2(capsys):
     code, _, _ = run_cli(capsys, "det-verify", "--k", "1", "--n", "2", "--m", "1")
     assert code == 2
@@ -571,3 +581,40 @@ def test_lattice_demo(capsys):
     assert doc["closure_ok"] is True
     assert doc["noiseless_success_rate"] == 1.0
     assert len(doc["codebook"]) == 8
+
+
+def test_lattice_demo_default_stdout_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "lattice-demo")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ed7c13f7756a6a3fa3e28741d248bf260d426b9459aa3341ebb16de182f097ae"
+    )
+
+
+@pytest.mark.parametrize("flags", [("--refinement", "10"), ("--refinement", "3"),
+                                   ("--coarse-step", "0.3")])
+def test_lattice_demo_closure_on_non_dyadic_codebooks(capsys, flags):
+    """Codebook points that binary64 cannot hold exactly are still closed
+    under mod-c addition: closure compares fine-lattice coset indices."""
+    code, out, _ = run_cli(capsys, "lattice-demo", *flags, "--trials", "1000")
+    doc = json.loads(out)
+    assert doc["closure_ok"] is True
+    assert doc["noiseless_success_rate"] == 1.0
+    assert code == 0
+
+
+@pytest.mark.parametrize("edit", ["drop", "shift"])
+def test_lattice_demo_detects_an_unclosed_codebook(capsys, monkeypatch, edit):
+    """A codebook missing a coset, or off the fine lattice, fails closure."""
+    real = gauss_sim.make_lattice
+
+    def broken(c, m):
+        lat = real(c, m)
+        book = lat.codebook + lat.fine_step / 4 if edit == "shift" else \
+            np.concatenate([lat.codebook[:1], lat.codebook[:-1]])  # the last coset dropped
+        return dataclasses.replace(lat, codebook=book)
+
+    monkeypatch.setattr(gauss_sim, "make_lattice", broken)
+    code, out, _ = run_cli(capsys, "lattice-demo", "--refinement", "10", "--trials", "100")
+    assert json.loads(out)["closure_ok"] is False
+    assert code == 1

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from fcic import schemes
 from fcic.channel import DetParams, run_feedback_session
-from fcic.gf import SingularSystem, is_prime, nullspace
+from fcic.cli import main
+from fcic.gf import GfMatrix, SingularSystem, is_prime, nullspace
 from fcic.rates import det_converse
 from fcic.schemes import (
     PRIME_SCAN,
@@ -154,6 +155,77 @@ def test_edge_levels_m_zero_and_n_zero():
     scheme = build_scheme(3, 0, 2, p=3)
     assert scheme.declared_rate == Fraction(1)
     assert verify_scheme(scheme.params, scheme, 30, seed=2).successes == 30
+
+
+# ---------------------------------------------------------------------------
+# closed-form decoders
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7, 13, 1073741789)), n=st.integers(0, 12),
+       m=st.integers(0, 12), data=st.data())
+def test_closed_form_decoders_equal_the_elimination_inverse(p, n, m, data):
+    """The closed-form inverse is the elimination inverse bit for bit, so the
+    decoder rows a build keeps from it are too, and the two agree on which
+    decode matrices are singular: every (A, B, U, V) over GF(2) and GF(3),
+    one drawn point otherwise."""
+    assume(n + m >= 1)
+    params = DetParams(K=2, n=n, m=m, p=p)
+    if p <= 3:
+        points = itertools.product(range(p), repeat=4)
+    else:
+        points = [data.draw(st.tuples(*[st.integers(0, p - 1)] * 4), label="point")]
+    for point in points:
+        got = schemes._decode_inverse(params, *point)
+        try:
+            expect = qsym_decode_matrix(params, *point).inverse().data
+        except SingularSystem:
+            assert got is None, point
+            continue
+        assert got is not None, point
+        assert got.dtype == np.int64
+        assert (got == expect).all(), point
+
+
+def test_successful_builds_run_no_elimination(monkeypatch, capsys):
+    """Symmetric and signed two-block builds invert their decode matrices in
+    closed form: `GfMatrix._echelon` runs only inside qsym_solve's
+    nullspace.  The prime scan and the singular report are unchanged."""
+    calls = {"echelon": 0, "nullspace": 0}
+    real_echelon, real_nullspace = GfMatrix._echelon, schemes.nullspace
+
+    def echelon(self, *args):
+        calls["echelon"] += 1
+        return real_echelon(self, *args)
+
+    def counted_nullspace(mat):
+        calls["nullspace"] += 1
+        return real_nullspace(mat)
+
+    monkeypatch.setattr(GfMatrix, "_echelon", echelon)
+    monkeypatch.setattr(schemes, "nullspace", counted_nullspace)
+    for k_users, n, m, signs in ((3, 3, 1, None), (3, 1, 3, None), (8, 64, 32, None),
+                                 (7, 63, 64, None), (3, 2, 1, SINGULAR_LAMBDA),
+                                 (3, 1, 2, SINGULAR_LAMBDA), (3, 4, 0, SINGULAR_LAMBDA),
+                                 (3, 0, 3, SINGULAR_LAMBDA)):
+        calls.update(echelon=0, nullspace=0)
+        build_scheme(k_users, n, m, signs=signs)
+        assert calls["echelon"] == calls["nullspace"]
+        assert (calls["nullspace"] > 0) == (signs is not None)
+
+    assert build_scheme(7, 63, 64).params.p == 5
+    for p in (2, 3):  # K = 7 = 1 mod p
+        with pytest.raises(SingularSystem, match="rank-deficient for user 0"):
+            build_scheme(7, 63, 64, p=p)
+
+    assert main(["det-verify", "--k", "3", "--n", "1", "--m", "2", "--p", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "infeasible: strong decode matrix rank-deficient for user 0 at "
+        "(A, B, U, V) = (0, 1, 2, 1), K=3, n=1, m=2, p=2:\n"
+        "[[0 0 1 0]\n [1 0 0 1]\n [0 0 1 0]\n [0 0 1 1]]\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +661,10 @@ def test_primes_beyond_int64_are_rejected():
 
 
 def test_build_runs_the_primality_trial_division_once():
-    """DetParams, the shift matrix, the decode matrix and its inverse all
-    check p; the trial division, ~16 000 steps near 2^30, runs for the
-    first only."""
+    """Every GF(p) object a build makes checks p: DetParams, and for m > n
+    the relay's shift matrix (the decode matrix is inverted in closed form,
+    with no GfMatrix).  The trial division, ~16 000 steps near 2^30, runs
+    for the first check only."""
     is_prime.cache_clear()
     code = inspect.unwrap(is_prime).__code__
     calls = []
@@ -603,6 +676,7 @@ def test_build_runs_the_primality_trial_division_once():
     sys.setprofile(profile)
     try:
         build_scheme(3, 3, 1, p=1073741789)
+        build_scheme(3, 1, 2, p=1073741789)
     finally:
         sys.setprofile(None)
     assert calls == [1073741789]
