@@ -20,6 +20,15 @@ trials are order-independent, and results for a given seed are
 bit-reproducible.  The trials run concurrently on a thread pool sized to the
 usable CPUs; each writes only its own slice of preallocated buffers, so the
 estimates are the same bits for any CPU count.
+
+Both kernels work in place and keep the floating-point operations, and their
+association, of the plain out-of-place formulas, so their output bits are
+those formulas' bits.  A Monte Carlo trial overwrites its own draws (z1
+becomes x2) and allocates one block-length sum; each sample buffer's mean and
+standard error follow numpy's `mean`/`std` arithmetic on the buffer itself.
+The lattice check sums over users by adding columns left to right, which is
+numpy's own order for a row of fewer than 8 terms; from 8 terms numpy sums a
+row pairwise, so there the sum is `x.sum(axis=1)` itself.
 """
 
 from __future__ import annotations
@@ -169,13 +178,16 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
     (INR - SNR)^2 / (K INR + 1).  Statistics are gathered from user 0
     (users are exchangeable), one Philox stream per trial.
 
-    Only user 0's combiner path (y1, y2 and z2 of row 0) is computed; x2 is
-    computed for every user because its row-by-row sum feeds y2.  Each trial
-    squares its samples straight into its own slice of three preallocated
-    (trials * block_len,) buffers, and the trials run on a thread pool of
-    min(trials, usable CPUs) workers.  The estimates are bit-identical to an
-    all-users loop that concatenates per-trial arrays, for any CPU count.
-    The transmit-power gate is not enforced here: ``gates_ok`` reports it.
+    Only user 0's combiner path (y1, y2 and z2 of row 0) is computed, in
+    place on the trial's draws (`_two_block_trial`); x2 is computed for every
+    user because its row-by-row sum feeds y2.  Each trial writes its samples
+    into its own slice of three preallocated (trials * block_len,) buffers
+    and squares them there, and the trials run on a thread pool of
+    min(trials, usable CPUs) workers.  Each buffer's mean and standard error
+    are then taken in place (`_mean_and_se`).  The estimates are
+    bit-identical to an all-users loop that concatenates per-trial arrays,
+    for any CPU count.  The transmit-power gate is not enforced here:
+    ``gates_ok`` reports it.
     """
     # imported here so that `import fcic` does not pay for concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
@@ -186,10 +198,6 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
             f"strong regime needs INR >= 2 max(SNR, 1), got SNR={s}, INR={i}"
         )
     t_len = cfg.block_len
-    gamma = 1.0 / math.sqrt(k * i + 1.0)
-    comb = gamma * (math.sqrt(s) + (k - 1) * math.sqrt(i))
-    coef = zero_forcing_signal_coef(s, i, k)
-
     n = cfg.trials * t_len
     sig_sq = np.empty(n)
     noise_sq = np.empty(n)
@@ -201,35 +209,91 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
         z1 = rng.normal(size=(k, t_len))
         # the last draw on the stream: row 0 of a (k, t_len) draw
         z2 = rng.normal(size=t_len)
-        tot = c.sum(axis=0)
-        y1 = math.sqrt(s) * c[0] + math.sqrt(i) * (tot - c[0]) + z1[0]
-        # all K rows: tot2 sums x2 row by row, and that order fixes its bits
-        x2 = gamma * (math.sqrt(i) * tot + z1)
-        tot2 = x2.sum(axis=0)
-        y2 = math.sqrt(s) * x2[0] + math.sqrt(i) * (tot2 - x2[0]) + z2
-        y_tilde = y2 - comb * y1
-        sig = coef * c[0]
         part = slice(trial * t_len, (trial + 1) * t_len)
-        np.square(sig, out=sig_sq[part])
-        np.square(y_tilde - sig, out=noise_sq[part])
-        np.square(x2[0], out=tx_sq[part])
+        sig = sig_sq[part]
+        resid, tx = _two_block_trial(c, z1, z2, s, i, sig)
+        np.square(sig, out=sig)
+        np.square(resid, out=noise_sq[part])
+        np.square(tx, out=tx_sq[part])
 
     workers = min(cfg.trials, len(os.sched_getaffinity(0)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run_trial, range(cfg.trials)))
 
+    # the closed forms first: (INR - SNR)^2 beyond binary64 raises
+    # OverflowError before the statistics can warn
+    predicted_noise_power = (k * k * i + 1.0) / (k * i + 1.0)
+    predicted_signal_lb = (i - s) ** 2 / (k * i + 1.0)
+    signal_power_hat, signal_se = _mean_and_se(sig_sq)
+    noise_power_hat, noise_se = _mean_and_se(noise_sq)
+    tx_power_hat, tx_se = _mean_and_se(tx_sq)
     return EffectiveChannelStats(
         config=cfg,
-        signal_power_hat=float(sig_sq.mean()),
-        noise_power_hat=float(noise_sq.mean()),
-        predicted_noise_power=(k * k * i + 1.0) / (k * i + 1.0),
-        predicted_signal_lb=(i - s) ** 2 / (k * i + 1.0),
+        signal_power_hat=signal_power_hat,
+        noise_power_hat=noise_power_hat,
+        predicted_noise_power=predicted_noise_power,
+        predicted_signal_lb=predicted_signal_lb,
         samples=n,
-        signal_se=float(sig_sq.std(ddof=1) / math.sqrt(n)),
-        noise_se=float(noise_sq.std(ddof=1) / math.sqrt(n)),
-        tx_power_hat=float(tx_sq.mean()),
-        tx_se=float(tx_sq.std(ddof=1) / math.sqrt(n)),
+        signal_se=signal_se,
+        noise_se=noise_se,
+        tx_power_hat=tx_power_hat,
+        tx_se=tx_se,
     )
+
+
+def _two_block_trial(c, z1, z2, snr: float, inr: float, sig: np.ndarray):
+    """User 0's two-block combiner on one trial's draws, in place.
+
+    `c` and `z1` are the (K, T) codewords and block-1 noises, `z2` user 0's
+    (T,) block-2 noise.  Writes coef * c[0] into `sig` and returns
+    (y_tilde - sig, x2[0]): the residual noise and user 0's block-2 input.
+    Overwrites `c` (row 1 ends as y1) and `z1` (it becomes x2; the returned
+    x2[0] is its row 0), and allocates one (T,) array, `tot`, which ends as
+    the residual.  Each step performs the operations of the formula
+    in its comment with their association kept; only operands of + and *
+    trade places, which IEEE arithmetic allows.  The combiner is linear in the
+    draws, so unit-vector columns give its coefficients exactly.
+    """
+    k = c.shape[0]
+    root_s, root_i = math.sqrt(snr), math.sqrt(inr)
+    gamma = 1.0 / math.sqrt(k * inr + 1.0)
+    comb = gamma * (root_s + (k - 1) * root_i)
+    np.multiply(c[0], zero_forcing_signal_coef(snr, inr, k), out=sig)
+    tot = c.sum(axis=0)
+    # y1 = sqrt(SNR) c0 + sqrt(INR) (tot - c0) + z1[0], built in row 1
+    y1 = np.subtract(tot, c[0], out=c[1])
+    y1 *= root_i
+    c[0] *= root_s
+    y1 += c[0]
+    y1 += z1[0]
+    # x2 = gamma (sqrt(INR) tot + z1) for all K rows: tot2 sums x2 row by
+    # row, and that order fixes its bits
+    tot *= root_i
+    x2 = z1
+    x2 += tot
+    x2 *= gamma
+    # y2 = sqrt(SNR) x2[0] + sqrt(INR) (tot2 - x2[0]) + z2, built in tot
+    y2 = np.sum(x2, axis=0, out=tot)
+    y2 -= x2[0]
+    y2 *= root_i
+    y2 += np.multiply(x2[0], root_s, out=c[0])
+    y2 += z2
+    # y_tilde = y2 - comb y1, then the residual y_tilde - sig
+    y1 *= comb
+    y2 -= y1
+    y2 -= sig
+    return y2, x2[0]
+
+
+def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
+    """(x.mean(), x.std(ddof=1) / sqrt(n)) with numpy's own arithmetic
+    (`_mean`, `_var`: sum / n, subtract the mean, square, sum / (n - 1),
+    sqrt), one sum for both and no temporary.  Overwrites `x`."""
+    n = x.size
+    mean = float(x.sum() / n)
+    x -= mean
+    np.square(x, out=x)
+    return mean, math.sqrt(float(x.sum() / (n - 1))) / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +340,49 @@ def mod_lattice(x, lat: NestedLattice1D):
     """x minus its nearest coarse point, canonicalised into [-c/2, c/2).
 
     A point exactly on a cell boundary maps to the lower edge -c/2 (so the
-    canonical window is genuinely half-open).
+    canonical window is genuinely half-open).  An array input costs one new
+    array of its size.
     """
     c = lat.coarse_step
-    return x - c * np.floor(x / c + 0.5)
+    if np.ndim(x) == 0:
+        return x - c * np.floor(x / c + 0.5)
+    nearest = _round_to_step(x, c)
+    return np.subtract(x, nearest, out=nearest)
 
 
 def quantize_fine(x, lat: NestedLattice1D):
     """Nearest fine-lattice point, with the same boundary rule as mod_lattice."""
     f = lat.fine_step
-    return f * np.floor(x / f + 0.5)
+    if np.ndim(x) == 0:
+        return f * np.floor(x / f + 0.5)
+    return _round_to_step(x, f)
+
+
+def _round_to_step(x: np.ndarray, step: float) -> np.ndarray:
+    """step * floor(x / step + 0.5) for an array x, in one new array."""
+    out = x / step
+    out += 0.5
+    np.floor(out, out=out)
+    out *= step
+    return out
+
+
+def _sum_users(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=1) for a (trials, K) array, with numpy's bits.
+
+    Below 8 terms numpy adds a row left to right, starting from +0.0; adding
+    whole columns in that order is the same arithmetic and several times
+    faster at K = 3, where numpy makes one short reduction per row.  From 8
+    terms on numpy sums each row pairwise (8 accumulators), an order that
+    column adds would not reproduce, so x.sum(axis=1) runs there.
+    """
+    if x.shape[1] >= 8:
+        return x.sum(axis=1)
+    out = np.add(x[:, 0], x[:, 1])
+    for j in range(2, x.shape[1]):
+        out += x[:, j]
+    out += 0.0  # an all -0.0 row sums to +0.0, as numpy's does
+    return out
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -312,18 +409,21 @@ def sum_decode_check(
     c = lat.coarse_step
     rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
     s = lat.codebook[rng.integers(0, lat.refinement, size=(trials, k))]
+    truth = mod_lattice(_sum_users(s), lat)
     d = rng.uniform(-c / 2, c / 2, size=(trials, k))
-    dither_sum = d.sum(axis=1)
-    truth = mod_lattice(s.sum(axis=1), lat)
+    dither_sum = _sum_users(d)
     s -= d  # the transmitted points before reduction mod c
     del d
-    received = mod_lattice(s, lat).sum(axis=1)
+    s = mod_lattice(s, lat)
+    received = _sum_users(s)
     del s
     if noise_sigma > 0:
-        received = received + rng.normal(0.0, noise_sigma, size=trials)
-    folded = mod_lattice(received + dither_sum, lat)
+        received += rng.normal(0.0, noise_sigma, size=trials)
+    received += dither_sum
+    folded = mod_lattice(received, lat)
     decoded = mod_lattice(quantize_fine(folded, lat), lat)
     # same fine-lattice coset on the circle; exact for power-of-two M and
     # immune to last-ulp dust from the float dither cancellation otherwise
-    err = np.abs(mod_lattice(decoded - truth, lat))
+    decoded -= truth
+    err = np.abs(mod_lattice(decoded, lat))
     return float(np.mean(err < 0.5 * lat.fine_step))

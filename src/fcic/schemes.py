@@ -174,11 +174,13 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
 
     The off-diagonal constraints are linear in (A, B, V) and U = (Lambda o
     Lambda^T) B, so one (dim, 4K) map takes nullspace coordinates to
-    (A, B, U, V).  Coordinates take the field values 1, 2, ..., p-1, 0 in
-    lexicographic order (non-degenerate points first), `_SLICE` candidates
-    per array slice.  The first candidate meeting the condition wins; after
-    `ENUM_CAP` candidates the search stops and reports the number checked and
-    per-user failure counts.
+    (A, B, U, V).  Coordinates take the first r of the field values 1, 2,
+    ..., p-1, 0 in lexicographic order (non-degenerate points first),
+    `_SLICE` candidates per array slice, where r is the largest radix <= p
+    with r**dim <= `ENUM_CAP`: every coordinate varies within the cap, and
+    r = p (the whole space) whenever p**dim <= `ENUM_CAP`.  The first
+    candidate meeting the condition wins; otherwise the search reports the
+    r**dim candidates checked and per-user failure counts.
     """
     if regime not in ("weak", "strong", "moderate"):
         raise ValueError(f"unknown regime {regime!r}")
@@ -190,13 +192,17 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     u_rows = abv[:, k_users:2 * k_users] @ (lam * lam.T) % p
     coords_map = np.concatenate([abv[:, :2 * k_users], u_rows, abv[:, 2 * k_users:]], axis=1)
 
+    radix = p
+    if p**dim > ENUM_CAP:  # the largest r with r**dim <= ENUM_CAP
+        radix = round(ENUM_CAP ** (1.0 / dim))
+        radix -= radix**dim > ENUM_CAP
     fail_counts = np.zeros(k_users, dtype=np.int64)
-    checked = min(p**dim, ENUM_CAP)
+    checked = radix**dim
     for start in range(0, checked, _SLICE):
         idx = np.arange(start, min(start + _SLICE, checked), dtype=np.int64)
         x = np.zeros((idx.size, 4 * k_users), dtype=np.int64)
         for row in coords_map[::-1]:  # the last coordinate varies fastest
-            idx, digit = np.divmod(idx, p)
+            idx, digit = np.divmod(idx, radix)
             x = (x + ((digit + 1) % p)[:, None] * row) % p  # digit d -> value (d+1) mod p
         a, b, u, v = np.split(x, 4, axis=1)
         if regime == "moderate":

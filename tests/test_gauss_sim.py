@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -95,6 +96,63 @@ def test_noise_estimate_unbiased_across_seeds():
     assert hits >= runs - 1
 
 
+@pytest.mark.parametrize("snr,inr,k", [(1.0, 10.0, 2), (1.0, 10.0, 8), (100.0, 1e4, 5)])
+def test_trial_body_is_the_exact_effective_channel(snr, inr, k):
+    """The combiner is linear in (c, z1, z2), so a trial whose 2K+1 columns
+    are the unit vectors of those draws returns its coefficients: the
+    intended codeword's is the zero-forcing coefficient, every cross
+    codeword's is 0, the noise coefficients have power (K^2 INR + 1) /
+    (K INR + 1), and user 0's block-2 input has unit power."""
+    t_len = 2 * k + 1
+    c, z1, z2 = np.zeros((k, t_len)), np.zeros((k, t_len)), np.zeros(t_len)
+    for j in range(k):
+        c[j, j] = z1[j, k + j] = 1.0
+    z2[2 * k] = 1.0
+    sig = np.empty(t_len)
+    resid, tx = gauss_sim._two_block_trial(c, z1, z2, snr, inr, sig)
+    y_tilde = sig + resid
+    coef = zero_forcing_signal_coef(snr, inr, k)
+    assert sig.tolist() == [coef] + [0.0] * (2 * k)
+    assert abs(y_tilde[0] - coef) <= 1e-12
+    assert np.abs(y_tilde[1:k]).max() <= 1e-12
+    noise_power = float(np.sum(y_tilde[k:] ** 2))
+    assert abs(noise_power - (k * k * inr + 1) / (k * inr + 1)) <= 1e-12
+    assert abs(float(np.sum(tx**2)) - 1.0) <= 1e-12
+
+
+def _traced_peak_mib(fn) -> float:
+    fn()  # once untraced, so one-time imports and caches are not counted
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_allocates_only_draws_and_buffers():
+    """One trial of K = 8, T = 50 000 holds its draws c and z1 (K x T each),
+    z2 and one (T,) sum, next to the three (T,) sample buffers: (2K + 5) T
+    doubles, 8.01 MiB measured.  The bound allows 10% over that; a
+    (K, T) temporary (3.05 MiB) or a (T,) one per buffer in the statistics
+    (3 x 0.38 MiB) breaks it, and the out-of-place body peaked at 13.4 MiB."""
+    k, t_len = 8, 50_000
+    cfg = strong_cfg(k=k, block=t_len, trials=1, seed=4)
+    peak = _traced_peak_mib(lambda: simulate_strong_two_block(cfg))
+    assert peak <= 1.1 * (2 * k + 5) * t_len * 8 / 2**20
+
+
+def test_lattice_allocates_only_draws_and_sums():
+    """At K = 3 and 200 000 trials the check holds at most the codewords
+    and dithers (trials x K each) and two (trials,) sums: 8 * trials
+    doubles, 12.2 MiB measured.  The bound allows 10% over that; the
+    out-of-place helpers and sums peaked at 16.8 MiB."""
+    trials = 200_000
+    lat = make_lattice(1.0, 8)
+    peak = _traced_peak_mib(lambda: sum_decode_check(3, lat, 0.02, trials, 7))
+    assert peak <= 1.1 * 8 * trials * 8 / 2**20
+
+
 def test_stats_json_keys():
     stats = simulate_strong_two_block(strong_cfg(seed=5))
     doc = stats.to_json_dict()
@@ -160,7 +218,7 @@ def stats_bits(stats: EffectiveChannelStats) -> dict:
     }
 
 
-@pytest.mark.parametrize("k", [2, 3, 8])
+@pytest.mark.parametrize("k", [2, 3, 8, 9])
 @pytest.mark.parametrize("trials", [1, 3, 7])
 @pytest.mark.parametrize("block", [1, 17, 1000])
 def test_mc_is_bit_identical_to_all_users_reference(k, trials, block):
@@ -250,7 +308,7 @@ def reference_sum_decode(k, lat, noise_sigma, trials, seed):
     return float(np.mean(err < 0.5 * lat.fine_step))
 
 
-@pytest.mark.parametrize("k", [2, 3, 8])
+@pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 12])
 def test_sum_decode_is_bit_identical_to_reference(k):
     for c, m in ((1.0, 8), (3.0, 6)):
         lat = make_lattice(c, m)
@@ -258,6 +316,17 @@ def test_sum_decode_is_bit_identical_to_reference(k):
             for seed in (0, 11, 2**40 + 3):
                 got = sum_decode_check(k, lat, sigma, 5000, seed)
                 assert got == reference_sum_decode(k, lat, sigma, 5000, seed)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_sum_users_has_numpy_row_sum_bits(k):
+    """Column adds below 8 users, numpy's pairwise row sums from 8 on: the
+    bytes of x.sum(axis=1), signed zeros included, over magnitudes 1e-8 to
+    1e8 where the summation order shows in the last bits."""
+    rng = np.random.default_rng(k)
+    x = rng.standard_normal((20_000, k)) * 10.0 ** rng.integers(-8, 9, size=(20_000, k))
+    x[:4] = [[-0.0] * k, [0.0] * k, [-0.0] + [0.0] * (k - 1), [1e300] * k]
+    assert gauss_sim._sum_users(x).tobytes() == x.sum(axis=1).tobytes()
 
 
 # stdout sha256 recorded from the list-and-concatenate implementation

@@ -292,15 +292,19 @@ def _reference_qsym_solve(signs, regime, p, cap):
     """The per-candidate search that `qsym_solve` replaced, in Python ints:
     coordinates take 1, ..., p-1, 0 in lexicographic order, U is derived
     from B per candidate, and the first user failing the regime condition
-    is counted.  Returns the (A, B, U, V) found, or the NoSolution text
-    with the number of candidates checked."""
+    is counted.  Each coordinate walks the first `radix` of those values,
+    the largest radix with radix**dim <= cap.  Returns the (A, B, U, V)
+    found, or the NoSolution text with the number of candidates checked."""
     k = len(signs)
     basis = [vec.tolist() for vec in nullspace(qsym_constraint_matrix(signs, p))]
     cols = list(zip(*basis)) or [()] * (3 * k)
     cross = [[signs[i][j] * signs[j][i] for j in range(k)] for i in range(k)]
     fail_counts = [0] * k
     checked = 0
-    order = list(range(1, p)) + [0]
+    radix = p
+    while radix ** len(basis) > cap:
+        radix -= 1
+    order = (list(range(1, p)) + [0])[:radix]
     for combo in itertools.islice(itertools.product(order, repeat=len(cols[0])), cap):
         checked += 1
         x = [sum(map(operator.mul, combo, col)) % p for col in cols]
@@ -349,15 +353,35 @@ def test_qsym_solve_matches_reference_enumeration(monkeypatch):
 
 def test_qsym_solve_capped_search_matches_reference(monkeypatch):
     """With the cap and the slice below the candidate count, the search
-    stops after exactly ENUM_CAP candidates, a partial last slice included,
-    and reports that count (not ENUM_CAP + 1)."""
+    walks the largest radix r with r**dim <= ENUM_CAP, a partial last slice
+    included, and reports r**dim candidates: 3**4 = 81 = 5 * 16 + 1 at
+    dim 4, 4**3 and 2**6 = 64 at dims 3 and 6."""
     monkeypatch.setattr(schemes, "ENUM_CAP", 100)
     monkeypatch.setattr(schemes, "_SLICE", 16)
-    for lam in (all_ones_lambda(3), all_ones_lambda(5), SINGULAR_LAMBDA):
+    for lam, checked in ((all_ones_lambda(3), 81), (all_ones_lambda(5), 64),
+                         (SINGULAR_LAMBDA, 64)):
         for p in (5, 13):
             got = _solve_outcome(lam, "moderate", p)
             assert got == _reference_qsym_solve(lam, "moderate", p, 100)
-            assert "after 100 candidates" in got
+            assert f"after {checked} candidates" in got
+
+
+def test_qsym_walk_is_the_whole_space_for_k3():
+    """p**dim <= ENUM_CAP for every K = 3 sign matrix and prime in
+    PRIME_SCAN, so the radix is p there and no K = 3 search is capped."""
+    dims = {len(nullspace(qsym_constraint_matrix(lam, p)))
+            for lam in all_sign_matrices_k3() for p in PRIME_SCAN}
+    assert max(dims) == 4 and PRIME_SCAN[-1] ** 4 <= schemes.ENUM_CAP
+
+
+def test_qsym_solve_varies_every_coordinate_at_a_large_prime():
+    """At p = 1073741789 the walk varies all three coordinates over 1..100
+    within ENUM_CAP; varying only the last coordinate found nothing, yet
+    the same channel builds at p = 5."""
+    for p in (5, 1073741789):
+        scheme = build_scheme(3, 2, 1, p=p, signs=SINGULAR_LAMBDA)
+        assert scheme.params.p == p
+        assert verify_scheme(scheme.params, scheme, 20, seed=1).all_passed
 
 
 def test_moderate_margin_is_two_block_determinant():
