@@ -19,13 +19,7 @@ from .gauss_sim import (
     sum_decode_check,
     zero_forcing_signal_coef,
 )
-from .gf import (
-    GfMatrix,
-    SingularSystem,
-    is_prime,
-    nullspace,
-    shift_matrix,
-)
+from .gf import SingularSystem, is_prime
 from .rates import (
     Achievable,
     ExcludedRegime,

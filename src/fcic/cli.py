@@ -118,11 +118,8 @@ def cmd_det_verify(args) -> int:
 def cmd_qsym(args) -> int:
     signs = _read_signs(args.signs)
     sol = schemes.qsym_solve(signs, args.regime, args.p)
-    lam = np.asarray(signs)
-    margins = [
-        int(schemes.moderate_margin(sol.a[k], sol.b[k], sol.u[k], sol.v[k], args.p))
-        for k in range(lam.shape[0])
-    ]
+    margins = [schemes.moderate_margin(a, b, u, v, args.p)
+               for a, b, u, v in zip(sol.a, sol.b, sol.u, sol.v)]
     print(json.dumps({
         "signs": [list(r) for r in signs],
         "regime": args.regime,

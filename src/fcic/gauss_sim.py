@@ -328,6 +328,8 @@ def make_lattice(c: float, m: int) -> NestedLattice1D:
         raise ValueError(f"coarse step must be positive and finite, got {c}")
     if m < 2:
         raise ValueError(f"refinement must be >= 2, got {m}")
+    if not c / m > 0:
+        raise ValueError(f"coarse step {c} leaves no nonzero fine step c/{m} in binary64")
     pts = (c / m) * np.arange(m)
     pts = pts - c * np.floor(pts / c + 0.5)
     lat = NestedLattice1D(coarse_step=float(c), refinement=int(m),

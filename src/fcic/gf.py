@@ -4,11 +4,11 @@ Entries are canonical integers in [0, p).  Everything is carried in int64
 numpy arrays with reduction mod p after each arithmetic step, so all results
 are exact as long as no unreduced sum reaches 2^63; `check_dot_length`
 rejects the moduli for which one could.  Matrices in scope are small
-(<= ~64 per side) and dense.  One kernel, `GfMatrix._echelon`, eliminates
-[A | rhs] as one array; inverse, solve, rank, det and `nullspace` read its
-result.  Scheme builds eliminate only in `nullspace`, for the alignment
-solver: they invert their decode matrices in closed form, so `inverse` and
-`solve` are off the build path and serve as the tests' reference.
+(<= ~64 per side) and dense.  One kernel, `GfMatrix._echelon`, brings a
+matrix to reduced row echelon form; `nullspace` reads its result for the
+alignment solver, the only elimination a scheme build runs (decode matrices
+are inverted in closed form).  `det`, the determinant the tests check
+decode matrices with, reads the same elimination.
 """
 
 from __future__ import annotations
@@ -88,63 +88,46 @@ class GfMatrix:
             raise ValueError(f"matrix entries must be 2-D, got shape {data.shape}")
         self.data = data % self.p
 
-    def __repr__(self) -> str:
-        return f"GfMatrix(p={self.p},\n{self.data})"
+    def _echelon(self):
+        """Forward elimination of data, with the first nonzero entry of each
+        column as its pivot.
 
-    def _echelon(self, rhs: np.ndarray | None = None):
-        """Forward elimination of [data | rhs] over data's columns, with the
-        first nonzero entry of each column as its pivot.
-
-        Returns (aug, pivot column list, det): aug is [data | rhs] in
-        *reduced* row echelon form over data's columns (pivots normalised to
-        1, cleared above and below), which keeps nullspace extraction
-        trivial; its last columns are the reduced rhs.  rhs must be reduced
-        mod p.  det is the product of the pivots as found, before
-        normalisation, with the sign of the row swaps: for a square matrix
-        with a pivot in every column it is the determinant.
+        Returns (red, pivot column list, det): red is data in *reduced* row
+        echelon form (pivots normalised to 1, cleared above and below),
+        which keeps nullspace extraction trivial.  det is the product of the
+        pivots as found, before normalisation, with the sign of the row
+        swaps: for a square matrix with a pivot in every column it is the
+        determinant.
         """
         p = self.p
         n_rows, n_cols = self.data.shape
-        aug = self.data.copy() if rhs is None else np.concatenate([self.data, rhs], axis=1)
+        red = self.data.copy()
         pivots: list[int] = []
         det = 1
         r = 0
         for c in range(n_cols):
             sel = -1
             for i in range(r, n_rows):
-                if aug[i, c]:
+                if red[i, c]:
                     sel = i
                     break
             if sel < 0:
                 continue
             if sel != r:
-                aug[[r, sel]] = aug[[sel, r]]
+                red[[r, sel]] = red[[sel, r]]
                 det = -det % p
-            piv = int(aug[r, c])
+            piv = int(red[r, c])
             det = det * piv % p
-            aug[r] = (aug[r] * pow(piv, p - 2, p)) % p
+            red[r] = (red[r] * pow(piv, p - 2, p)) % p
             for i in range(n_rows):
-                f = aug[i, c]
+                f = red[i, c]
                 if i != r and f:
-                    aug[i] = (aug[i] - f * aug[r]) % p
+                    red[i] = (red[i] - f * red[r]) % p
             pivots.append(c)
             r += 1
             if r == n_rows:
                 break
-        return aug, pivots, det
-
-    def _square_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The unique X with data @ X == rhs; raises SingularSystem otherwise."""
-        n_rows, n_cols = self.data.shape
-        if n_rows != n_cols:
-            raise ValueError(f"expected a square matrix, got shape {self.data.shape}")
-        aug, pivots, _ = self._echelon(rhs)
-        if len(pivots) != n_rows:
-            raise SingularSystem(f"matrix of rank {len(pivots)} < {n_rows}")
-        return aug[:, n_cols:]
-
-    def rank(self) -> int:
-        return len(self._echelon()[1])
+        return red, pivots, det
 
     def det(self) -> int:
         """Determinant in [0, p), from one elimination by `_echelon`."""
@@ -153,23 +136,17 @@ class GfMatrix:
         _, pivots, det = self._echelon()
         return det if len(pivots) == self.data.shape[0] else 0
 
-    def inverse(self) -> "GfMatrix":
-        return GfMatrix(self._square_solve(np.eye(self.data.shape[0], dtype=np.int64)), self.p)
 
-    def solve(self, y) -> np.ndarray:
-        """The unique x with data @ x == y for a vector y of length rows."""
-        return self._square_solve(np.asarray(y, dtype=np.int64).reshape(-1, 1) % self.p)[:, 0]
-
-
-def shift_matrix(q: int, k: int, p: int) -> GfMatrix:
-    """q x q down-shift to the k-th power: entry (i, j) = 1 iff i = j + k.
+def shift_matrix(q: int, k: int) -> np.ndarray:
+    """q x q int64 down-shift to the k-th power: entry (i, j) = 1 iff
+    i = j + k, reduced over every GF(p).
 
     k = 0 gives the identity; k >= q gives the zero matrix (the shift is
     nilpotent).  Index 0 is the top (most significant) signal level.
     """
     if k < 0:
         raise ValueError(f"shift amount must be >= 0, got {k}")
-    return GfMatrix(np.eye(q, k=-k, dtype=np.int64), p)
+    return np.eye(q, k=-k, dtype=np.int64)
 
 
 def nullspace(m: GfMatrix) -> np.ndarray:

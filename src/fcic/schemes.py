@@ -11,17 +11,20 @@ the all-ones Lambda, which aligns at the closed-form point
 signed channels get their point from the solver `qsym_solve`, one linear
 map from nullspace coordinates to (A, B, U, V) checked in array slices.
 At m = n the symmetric channel, and any signed one whose Lambda + I is
-singular, uses n/K time sharing instead.
+singular, uses n/K time sharing instead; so does a signed channel with
+K != 3 that no scanned prime aligns.
 
 Every scheme is written out as explicit GF(p) encoder and decoder maps (see
 `Scheme`).  The builder inverts each distinct decode matrix once at build
 time, in closed form: its blocks are polynomials in one shift, so
 `_decode_inverse` reads the inverse off a power series, with no
-elimination.  An undecodable configuration fails fast as SingularSystem
-instead of silently corrupting messages; without p, `build_scheme` returns
-the first success of its `PRIME_SCAN` scan.  `verify_scheme` replays all of
-its trials as one batch through `run_feedback_session` and judges the
-declared rate against `rates.det_converse`.
+elimination; it and the solver test one condition, the constant term of
+`two_block_delta`.  An undecodable configuration fails fast as
+SingularSystem instead of silently corrupting messages; without p,
+`build_scheme` returns the first success of its `PRIME_SCAN` scan.
+`verify_scheme` replays all of its trials as one batch through
+`run_feedback_session` and judges the declared rate against
+`rates.det_converse`.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "qsym_scheme",
     "qsym_decode_matrix",
     "moderate_margin",
+    "two_block_delta",
     "select_prime",
     "build_scheme",
     "verify_scheme",
@@ -54,6 +58,7 @@ __all__ = [
 PRIME_SCAN = (2, 3, 5, 7, 11, 13)
 ENUM_CAP = 10**6
 _SLICE = 256  # solver candidates per array slice; small, so peak memory stays flat
+_REGIME_SIGN = {"weak": 1, "strong": -1, "moderate": 0}  # the sign of n - m
 
 
 class RegimeMismatch(Exception):
@@ -168,9 +173,23 @@ def moderate_margin(a: int, b: int, u: int, v: int, p: int) -> int:
     return (b + v - a - u) % p
 
 
+def two_block_delta(sign: int, a, b, u, v, p: int) -> tuple:
+    """Delta = AE - BC mod p of one user's decode matrix [[A, B], [C, E]]
+    (see `_decode_inverse`) as coefficients in D = S^|n-m|, lowest first,
+    given any int with the sign of n - m: (b, v-a, -u) for n > m, reversed
+    for m > n, and `moderate_margin` b+v-a-u at m = n, where D = I.  The
+    matrix is invertible iff the constant term (weak: B, strong: -U) is
+    nonzero.  Works elementwise on arrays."""
+    if sign == 0:
+        return (moderate_margin(a, b, u, v, p),)
+    coeffs = (b % p, (v - a) % p, -u % p)
+    return coeffs if sign > 0 else coeffs[::-1]
+
+
 def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     """Find diagonal (A, B, U, V) over GF(p) satisfying the alignment
-    identity together with the regime's non-degeneracy condition.
+    identity such that every user's decode matrix in the regime is
+    invertible: a nonzero constant term of its `two_block_delta`.
 
     The off-diagonal constraints are linear in (A, B, V) and U = (Lambda o
     Lambda^T) B, so one (dim, 4K) map takes nullspace coordinates to
@@ -182,10 +201,12 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     candidate meeting the condition wins; otherwise the search reports the
     r**dim candidates checked and per-user failure counts.
     """
-    if regime not in ("weak", "strong", "moderate"):
+    if regime not in _REGIME_SIGN:
         raise ValueError(f"unknown regime {regime!r}")
     lam = np.asarray(signs, dtype=np.int64)
     k_users = lam.shape[0]
+    if k_users < 2:
+        raise ValueError(f"need K >= 2 users, got {k_users}")
     signs = _validate_signs(lam, k_users)
     abv = nullspace(qsym_constraint_matrix(lam, p))
     dim = len(abv)
@@ -205,10 +226,7 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
             idx, digit = np.divmod(idx, radix)
             x = (x + ((digit + 1) % p)[:, None] * row) % p  # digit d -> value (d+1) mod p
         a, b, u, v = np.split(x, 4, axis=1)
-        if regime == "moderate":
-            fails = moderate_margin(a, b, u, v, p) == 0
-        else:
-            fails = (b if regime == "weak" else u) == 0
+        fails = two_block_delta(_REGIME_SIGN[regime], a, b, u, v, p)[0] == 0
         passing = np.flatnonzero(~fails.any(axis=1))
         if passing.size:
             point = (tuple(int(t) for t in w[passing[0]]) for w in (a, b, u, v))
@@ -222,8 +240,9 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     )
 
 
-def qsym_decode_matrix(params: DetParams, a: int, b: int, u: int, v: int) -> GfMatrix:
-    """Per-user two-block system of the aligned scheme at one user's (A, B, U, V).
+def qsym_decode_matrix(params: DetParams, a: int, b: int, u: int, v: int) -> np.ndarray:
+    """Per-user two-block system of the aligned scheme at one user's
+    (A, B, U, V), as a 2q x 2q int64 array reduced mod p.
 
     Rows are the user's block-1 outputs, then its block-2 outputs.  The
     unknowns are its q block-1 symbols, then the q symbols of R (see
@@ -233,13 +252,13 @@ def qsym_decode_matrix(params: DetParams, a: int, b: int, u: int, v: int) -> GfM
     shift D^|n-m|, the stronger the identity.  Builds invert it in closed
     form (`_decode_inverse`) and form it only to report a singular one.
     """
-    n, m, p = params.n, params.m, params.p
+    n, m = params.n, params.m
     eye = np.eye(params.q, dtype=np.int64)
-    d = shift_matrix(params.q, abs(n - m), p).data
+    d = shift_matrix(params.q, abs(n - m))
     own, cross = (eye, d) if n >= m else (d, eye)
     top = np.concatenate([own, cross], axis=1)
     bot = np.concatenate([a * own + u * cross, b * own + v * cross], axis=1)
-    return GfMatrix(np.concatenate([top, bot]), p)
+    return np.concatenate([top, bot]) % params.p
 
 
 def _decode_inverse(params: DetParams, a: int, b: int, u: int, v: int) -> np.ndarray | None:
@@ -248,9 +267,10 @@ def _decode_inverse(params: DetParams, a: int, b: int, u: int, v: int) -> np.nda
 
     Its blocks [[A, B], [C, E]] are polynomials in D = S^|n-m|, so they
     commute and the inverse is [[E, -B], [-C, A]] Delta^-1 with
-    Delta = AE - BC.  D = I at m = n, and D^j = 0 once j |n-m| >= q
-    otherwise, so Delta^-1 is Delta's power series in D cut there; it exists
-    iff Delta's constant term is nonzero mod p.  Coefficients are Python ints
+    Delta = AE - BC from `two_block_delta`.  D = I at m = n, and D^j = 0
+    once j |n-m| >= q otherwise, so Delta^-1 is Delta's power series in D
+    cut there; it exists iff Delta's constant term is nonzero mod p, the
+    condition `qsym_solve` enforces.  Coefficients are Python ints
     reduced mod p (exact for every p `DetParams` accepts); each block is the
     lower-triangular Toeplitz matrix of its coefficients spaced |n-m| apart.
     """
@@ -269,7 +289,7 @@ def _decode_inverse(params: DetParams, a: int, b: int, u: int, v: int) -> np.nda
 
     # the blocks as coefficient lists in D, lowest power first
     A, B, C, E = ([1], [0, 1], [a, u], [b, v]) if n >= m else ([0, 1], [1], [u, a], [v, b])
-    delta = [(x - y) % p for x, y in zip(mul(A, E), mul(B, C))]  # at most 3 nonzero terms
+    delta = two_block_delta(n - m, a, b, u, v, p)[:terms]
     if delta[0] == 0:
         return None
     inv0 = pow(delta[0], p - 2, p)
@@ -312,7 +332,7 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
                 raise SingularSystem(
                     f"{name} decode matrix rank-deficient for user {k} at "
                     f"(A, B, U, V) = {c}, K={K}, n={n}, m={m}, p={p}",
-                    qsym_decode_matrix(params, *c).data,
+                    qsym_decode_matrix(params, *c),
                 )
             inverses[c] = inv[keep]
     if len(inverses) == 1:
@@ -327,7 +347,7 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
         relay[:m, L + n - m:] = np.eye(m, dtype=np.int64)
         relay[m:, n:L] = np.eye(n - m, dtype=np.int64)
     else:  # I_k = Y_k - D^(m-n) S_k
-        relay[:, :q] = -shift_matrix(m, m - n, p).data
+        relay[:, :q] = -shift_matrix(m, m - n)
         relay[:, L:] = eye
     a = np.array([c[0] for c in coeffs], dtype=np.int64).reshape(-1, 1, 1)
     b = np.array([c[1] for c in coeffs], dtype=np.int64).reshape(-1, 1, 1)
@@ -380,7 +400,8 @@ def _try_build(params: DetParams) -> Scheme:
 def build_scheme(K: int, n: int, m: int, p: int | None = None, signs=None) -> Scheme:
     """Construct the regime-appropriate scheme.  Without p, it is built over
     the smallest prime in `PRIME_SCAN` for which construction succeeds, and
-    the scan returns that build."""
+    the scan returns that build, or n/K time sharing over the smallest prime
+    for a signed channel with K != 3 that no prime aligns at m = n."""
     if p is not None:
         return _try_build(DetParams(K=K, n=n, m=m, p=p, signs=signs))
     last = ("",)  # the args only: keeping the exception would keep its frames alive
@@ -389,6 +410,8 @@ def build_scheme(K: int, n: int, m: int, p: int | None = None, signs=None) -> Sc
             return _try_build(DetParams(K=K, n=n, m=m, p=p, signs=signs))
         except (SingularSystem, NoSolution) as exc:
             last = exc.args
+    if signs is not None and K != 3 and n == m:
+        return moderate_scheme(DetParams(K=K, n=n, m=m, p=PRIME_SCAN[0], signs=signs))
     raise SingularSystem(
         f"no prime in {PRIME_SCAN} yields a decodable scheme for "
         f"K={K}, n={n}, m={m}: {last[0]}", *last[1:]

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 
+from fcic.gf import GfMatrix
+
 
 def cofactor_det_mod(mat, p: int) -> int:
     """Brute-force determinant mod p by Laplace expansion along the rows.
@@ -29,6 +31,18 @@ def cofactor_det_mod(mat, p: int) -> int:
         return total % p
 
     return minor(0)
+
+
+def eliminate_augmented(mat, rhs, p: int):
+    """X with mat @ X == rhs over GF(p) for a square mat, or None when mat
+    is singular, from one elimination of [mat | rhs] by the package's kernel:
+    mat is invertible iff each of its columns holds a pivot, and the reduced
+    right half is then X."""
+    mat = np.asarray(mat, dtype=np.int64)
+    rhs = np.asarray(rhs, dtype=np.int64).reshape(len(mat), -1)
+    red, pivots, _ = GfMatrix(np.concatenate([mat, rhs], axis=1), p)._echelon()
+    n = mat.shape[1]
+    return red[:, n:] if pivots[:n] == list(range(n)) else None
 
 
 def all_sign_matrices_k3():

@@ -113,6 +113,37 @@ def test_det_verify_signed_k4_has_no_converse(capsys, tmp_path):
     assert out.endswith('"converse_rate": null, "matches_converse": null}\n')
 
 
+# Lambda + I nonsingular, yet no prime in PRIME_SCAN aligns it at m = n
+SIGNS_K4_UNALIGNED = "0 1 1 1\n1 0 1 -1\n1 -1 0 1\n1 -1 -1 0\n"
+# differs from it in one entry, and aligns at p = 3
+SIGNS_K4_ALIGNED = "0 1 1 1\n1 0 1 -1\n1 -1 0 1\n1 1 -1 0\n"
+
+
+@pytest.mark.parametrize("rows,p,rate", [
+    pytest.param(SIGNS_K4_UNALIGNED, 2, {"num": 1, "den": 2}, id="unaligned"),
+    pytest.param(SIGNS_K4_ALIGNED, 3, {"num": 1, "den": 1}, id="aligned"),
+])
+def test_det_verify_signed_k4_unaligned_falls_back_to_time_sharing(capsys, tmp_path,
+                                                                  rows, p, rate):
+    """A signed K != 3 channel that no scanned prime aligns at m = n gets
+    n/K time sharing over the smallest prime and exits 0; one that aligns
+    keeps its alignment scheme.  An explicit --p still exits 3."""
+    signs = tmp_path / "signs.txt"
+    signs.write_text(rows)
+    argv = ["det-verify", "--k", "4", "--n", "2", "--m", "2", "--signs", str(signs)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["params"]["p"] == p
+    assert doc["declared_rate"] == rate
+    assert (doc["trials"], doc["successes"]) == (100, 100)
+    assert out.endswith('"converse_rate": null, "matches_converse": null}\n')
+    if rows == SIGNS_K4_UNALIGNED:
+        code, out, err = run_cli(capsys, *argv, "--p", "5")
+        assert (code, out) == (3, "")
+        assert err.startswith("infeasible: no moderate-regime alignment point over GF(5)")
+
+
 def test_det_verify_weak_example(capsys):
     code, out, _ = run_cli(
         capsys, "det-verify", "--k", "3", "--n", "3", "--m", "1", "--p", "5",
@@ -252,6 +283,13 @@ def test_qsym_solver_output(capsys, tmp_path):
     doc = json.loads(out)
     assert all(b != 0 for b in doc["solution"]["b"])
     assert doc["identity_ok"] is True
+
+
+def test_qsym_rejects_a_single_user(capsys, tmp_path):
+    signs = tmp_path / "signs.txt"
+    signs.write_text("0\n")
+    assert run_cli(capsys, "qsym", "--signs", str(signs), "--regime", "weak") == \
+        (2, "", "error: need K >= 2 users, got 1\n")
 
 
 def test_qsym_infeasible_moderate_exits_3(capsys, tmp_path):
@@ -458,6 +496,7 @@ def test_binary64_overflow_exits_2(capsys, argv):
     (("lattice-demo", "--coarse-step", "inf"), "coarse step"),
     (("lattice-demo", "--trials", "0"), "trials"),
     (("gdof", "--alpha-max", "inf"), "alpha-max"),
+    (("lattice-demo", "--coarse-step", "5e-324", "--trials", "0"), "fine step"),
 ])
 def test_unusable_lattice_and_gdof_values_exit_2(capsys, argv, subject):
     """Non-finite values (and an empty lattice run) are usage errors: one
@@ -490,12 +529,16 @@ NUMBERS = st.sampled_from(["nan", "inf", "-inf"]) | st.sampled_from([
 SMALL = st.integers(-1, 6)
 SIGN_FILES = st.none() | st.builds(_sign_text, st.integers(0, 63), st.just(3)) \
     | st.builds(_sign_text, st.integers(0, 4095), st.just(4))
+# every sign file from 1 x 1 to 4 x 4
+QSYM_SIGN_FILES = st.integers(1, 4).flatmap(
+    lambda k: st.builds(_sign_text, st.integers(0, 2 ** (k * (k - 1)) - 1), st.just(k)))
+P_POOL = st.sampled_from([2, 4, 5, 1073741827])
 # (flags always drawn, flags drawn or left at their default); the sizes are
 # always drawn, so that every run stays small
 FLAGS = {
     "det-converse": (dict(n=SMALL, m=SMALL), dict(k=st.integers(-1, 5))),
     "det-verify": (dict(k=st.integers(-1, 5), n=SMALL, m=SMALL, trials=st.integers(-1, 5)),
-                   dict(seed=st.integers(-1, 2**70), p=st.sampled_from([2, 4, 5, 1073741827]))),
+                   dict(seed=st.integers(-1, 2**70), p=P_POOL)),
     "gauss-rates": (dict(snr=NUMBERS, inr=NUMBERS), dict(k=st.integers(-1, 5))),
     "gdof": (dict(steps=st.integers(-1, 100)),
              {"alpha-min": NUMBERS, "alpha-max": NUMBERS, "k": st.integers(-1, 5)}),
@@ -506,6 +549,7 @@ FLAGS = {
     "mc-strong": (dict(snr=NUMBERS, inr=NUMBERS, block=st.integers(-1, 100),
                        trials=st.integers(-1, 5)),
                   dict(k=st.integers(-1, 5), seed=st.integers(-1, 100))),
+    "qsym": (dict(regime=st.sampled_from(["weak", "strong", "moderate"])), dict(p=P_POOL)),
 }
 
 
@@ -513,7 +557,7 @@ def _reject_constant(name):
     raise ValueError(f"{name} in JSON output")
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=350, derandomize=True, deadline=None)
 @given(command=st.sampled_from(sorted(FLAGS)), data=st.data())
 def test_every_input_exits_with_a_contract_code(command, data):
     """Whatever the flags, a run returns 0-4 and raises nothing, warns
@@ -522,7 +566,8 @@ def test_every_input_exits_with_a_contract_code(command, data):
     flags = {name: data.draw(strategy, label=name) for name, strategy in required.items()}
     flags.update((name, data.draw(st.none() | strategy, label=name))
                  for name, strategy in optional.items())
-    signs = data.draw(SIGN_FILES, label="signs") if command.startswith("det-") else None
+    signs = (data.draw(SIGN_FILES, label="signs") if command.startswith("det-")
+             else data.draw(QSYM_SIGN_FILES, label="signs") if command == "qsym" else None)
     dump = command == "det-verify" and data.draw(st.booleans(), label="dump")
     with tempfile.TemporaryDirectory() as tmp:
         # "--flag=value", so a value such as -inf is not read as a flag

@@ -3,19 +3,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fcic.gf import (
-    GfMatrix,
-    SingularSystem,
-    is_prime,
-    nullspace,
-    shift_matrix,
-)
+from fcic.gf import GfMatrix, is_prime, nullspace, shift_matrix
 
-from conftest import cofactor_det_mod
+from conftest import cofactor_det_mod, eliminate_augmented
 
 
 def random_matrix(rng, rows, cols, p):
     return GfMatrix(rng.integers(0, p, size=(rows, cols)), p)
+
+
+def rank(m: GfMatrix) -> int:
+    """The pivot count of the elimination kernel."""
+    return len(m._echelon()[1])
 
 
 # ---------------------------------------------------------------------------
@@ -45,43 +44,43 @@ def test_entries_canonicalised():
 # ---------------------------------------------------------------------------
 
 def test_shift_matrix_single_step():
-    assert shift_matrix(3, 1, 5).data.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    assert shift_matrix(3, 1).tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
 
 
 def test_shift_matrix_zero_power_is_identity():
-    assert (shift_matrix(4, 0, 3).data == np.eye(4, dtype=np.int64)).all()
+    assert (shift_matrix(4, 0) == np.eye(4, dtype=np.int64)).all()
 
 
 def test_shift_matrix_nilpotent():
     for k in (3, 7):
-        d = shift_matrix(3, k, 5)
-        assert d.p == 5 and d.data.shape == (3, 3) and not d.data.any()
+        d = shift_matrix(3, k)
+        assert d.dtype == np.int64 and d.shape == (3, 3) and not d.any()
 
 
 def test_shift_matrix_power_law():
     for q in (1, 2, 5, 8):
         for a in range(q):
             for b in range(q - a):
-                lhs = shift_matrix(q, a, 7).data @ shift_matrix(q, b, 7).data % 7
-                assert (lhs == shift_matrix(q, a + b, 7).data).all()
+                lhs = shift_matrix(q, a) @ shift_matrix(q, b) % 7
+                assert (lhs == shift_matrix(q, a + b)).all()
 
 
 # ---------------------------------------------------------------------------
-# rank
+# rank: the kernel's pivot count
 # ---------------------------------------------------------------------------
 
 def test_rank_identity():
-    assert GfMatrix(np.eye(4), 2).rank() == 4
+    assert rank(GfMatrix(np.eye(4), 2)) == 4
 
 
 def test_rank_signed_example():
     # Lambda + I with two identical rows maps to rank 2 over GF(5)
     lam_plus_i = [[1, -1, 1], [1, 1, -1], [1, -1, 1]]
-    assert GfMatrix(lam_plus_i, 5).rank() == 2
+    assert rank(GfMatrix(lam_plus_i, 5)) == 2
 
 
 def test_rank_all_ones():
-    assert GfMatrix(np.ones((3, 3), dtype=int), 3).rank() == 1
+    assert rank(GfMatrix(np.ones((3, 3), dtype=int), 3)) == 1
 
 
 def test_rank_transpose_invariant():
@@ -90,16 +89,16 @@ def test_rank_transpose_invariant():
         for _ in range(20):
             rows, cols = rng.integers(1, 13, size=2)
             m = random_matrix(rng, rows, cols, p)
-            assert m.rank() == GfMatrix(m.data.T, p).rank()
+            assert rank(m) == rank(GfMatrix(m.data.T, p))
 
 
 # ---------------------------------------------------------------------------
-# solve
+# solve: one elimination of [M | y]
 # ---------------------------------------------------------------------------
 
 def test_solve_identity():
     y = np.array([3, 1, 4])
-    assert GfMatrix(np.eye(3), 5).solve(y).tolist() == [3, 1, 4]
+    assert eliminate_augmented(np.eye(3), y, 5)[:, 0].tolist() == [3, 1, 4]
 
 
 def test_solve_roundtrip_random():
@@ -108,21 +107,12 @@ def test_solve_roundtrip_random():
         for _ in range(25):
             n = int(rng.integers(1, 9))
             m = random_matrix(rng, n, n, p)
-            if m.rank() < n:
+            if rank(m) < n:
+                assert eliminate_augmented(m.data, np.zeros(n), p) is None
                 continue
             y = rng.integers(0, p, size=n)
-            x = m.solve(y)
+            x = eliminate_augmented(m.data, y, p)[:, 0]
             assert ((m.data @ x) % p == y % p).all()
-
-
-def test_solve_singular_raises():
-    m = GfMatrix([[1, 2], [2, 4]], 5)
-    with pytest.raises(SingularSystem):
-        m.solve([1, 0])
-    with pytest.raises(ValueError):  # y must have one entry per row
-        GfMatrix(np.eye(2), 5).solve([1, 0, 0])
-    with pytest.raises(ValueError):
-        GfMatrix([[1, 2]], 5).solve([1])
 
 
 def test_solve_weak_two_block_system():
@@ -145,18 +135,15 @@ def test_solve_weak_two_block_system():
     y2 = apply_channel(params, x2)
 
     # receiver 0: unknowns (a1..a5, b1+c1)
-    mat = GfMatrix(
-        [
-            [1, 0, 0, 0, 0, 0],
-            [0, 1, 0, 0, 0, 0],
-            [0, 0, 1, 0, 0, 1],
-            [0, 0, 0, 0, 0, 1],
-            [0, 0, 0, 1, 0, 0],
-            [2, 0, 0, 0, 1, 1],
-        ],
-        p,
-    )
-    sol = mat.solve(np.concatenate([y1[0], y2[0]]))
+    mat = [
+        [1, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 1],
+        [0, 0, 0, 0, 0, 1],
+        [0, 0, 0, 1, 0, 0],
+        [2, 0, 0, 0, 1, 1],
+    ]
+    sol = eliminate_augmented(mat, np.concatenate([y1[0], y2[0]]), p)[:, 0]
     expected_sum = int((msgs[1, 0] + msgs[2, 0]) % p)
     assert sol[:5].tolist() == msgs[0].tolist()
     assert int(sol[5]) == expected_sum
@@ -185,7 +172,7 @@ def test_nullspace_vectors_annihilate():
             rows, cols = rng.integers(1, 10, size=2)
             m = random_matrix(rng, rows, cols, p)
             basis = nullspace(m)
-            assert basis.shape == (cols - m.rank(), cols)
+            assert basis.shape == (cols - rank(m), cols)
             assert not (m.data @ basis.T % p).any()
 
 
@@ -200,10 +187,9 @@ def test_nullspace_alignment_constraints_all_ones():
     mat = qsym_constraint_matrix(lam, p)
     basis = nullspace(mat)
     target = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1], dtype=np.int64)  # (A, B, V)
-    # target must lie in the span: the augmented system has no inconsistent row
-    span = GfMatrix(basis.T, p)
-    aug, piv, _ = span._echelon(target.reshape(-1, 1))
-    assert not aug[len(piv):, -1].any()
+    # target lies in the span iff appending it as a column keeps the rank
+    span_rank = rank(GfMatrix(basis.T, p))
+    assert rank(GfMatrix(np.column_stack([basis.T, target]), p)) == span_rank
     # direct check of the identity with U = 2I
     a, b, v, u = 0, 1, 1, 2
     lhs = (lam * a + lam @ (b * np.eye(3, dtype=np.int64)) @ lam) % p
@@ -230,20 +216,21 @@ def test_inverse_roundtrip():
         for _ in range(15):
             n = int(rng.integers(1, 8))
             m = random_matrix(rng, n, n, p)
-            if m.rank() < n:
+            if rank(m) < n:
                 continue
-            assert (m.data @ m.inverse().data % p == np.eye(n, dtype=np.int64)).all()
+            inv = eliminate_augmented(m.data, np.eye(n), p)
+            assert (m.data @ inv % p == np.eye(n, dtype=np.int64)).all()
 
 
 # ---------------------------------------------------------------------------
 # the kernel against its two-array predecessor
 # ---------------------------------------------------------------------------
 
-def _two_array_echelon(data, p, rhs=None):
-    """The elimination kernel as it was before [A | rhs] became one array:
-    A and rhs reduced side by side.  Returns (A, rhs, pivots, det)."""
+def _two_array_echelon(data, p):
+    """The elimination kernel as it was before [A | rhs] became one array,
+    with its rhs array dropped now that the kernel takes none.  Returns
+    (A, pivots, det)."""
     a = data.copy()
-    b = None if rhs is None else rhs.copy()
     n_rows, n_cols = a.shape
     pivots = []
     det = 1
@@ -258,33 +245,27 @@ def _two_array_echelon(data, p, rhs=None):
             continue
         if sel != r:
             a[[r, sel]] = a[[sel, r]]
-            if b is not None:
-                b[[r, sel]] = b[[sel, r]]
             det = -det % p
         piv = int(a[r, c])
         det = det * piv % p
-        inv = pow(piv, p - 2, p)
-        a[r] = (a[r] * inv) % p
-        if b is not None:
-            b[r] = (b[r] * inv) % p
+        a[r] = (a[r] * pow(piv, p - 2, p)) % p
         for i in range(n_rows):
             f = a[i, c]
             if i != r and f:
                 a[i] = (a[i] - f * a[r]) % p
-                if b is not None:
-                    b[i] = (b[i] - f * b[r]) % p
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return a, b, pivots, det
+    return a, pivots, det
 
 
 @st.composite
 def _systems(draw):
-    """(p, A, rhs or None): A is rows x cols of rank at most `rank`, the
+    """(p, A): A is [B | rhs], B rows x cols of rank at most `rank`, the
     product of two random factors in exact integers, so shapes come square,
-    wide and tall, and rank-deficient ones are common."""
+    wide and tall, and rank-deficient ones are common; the 0-3 rhs columns
+    the kernel once took apart are now plain columns of A."""
     p = draw(st.sampled_from((2, 3, 5, 7, 13, 1073741789)))
     rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     rank = draw(st.integers(0, min(rows, cols)))
@@ -296,26 +277,23 @@ def _systems(draw):
     a = [[sum(left[i][t] * right[t][j] for t in range(rank)) % p for j in range(cols)]
          for i in range(rows)]
     rhs_cols = draw(st.integers(0, 3))
-    rhs = None if rhs_cols == 0 else np.array(
-        draw(st.lists(st.lists(entry, min_size=rhs_cols, max_size=rhs_cols),
-                      min_size=rows, max_size=rows)), dtype=np.int64)
-    return p, np.array(a, dtype=np.int64).reshape(rows, cols), rhs
+    rhs = draw(st.lists(st.lists(entry, min_size=rhs_cols, max_size=rhs_cols),
+                        min_size=rows, max_size=rows))
+    return p, np.array([row + extra for row, extra in zip(a, rhs)], dtype=np.int64)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(system=_systems())
-@example(system=(7, np.array([[0, 3], [2, 5]]), np.array([[1], [4]])))  # row swap
-@example(system=(2, np.ones((3, 3), dtype=np.int64), np.eye(3, dtype=np.int64)))
-@example(system=(13, np.zeros((2, 4), dtype=np.int64), None))
+@example(system=(7, np.array([[0, 3, 1], [2, 5, 4]])))  # row swap
+@example(system=(2, np.concatenate([np.ones((3, 3), dtype=np.int64),
+                                    np.eye(3, dtype=np.int64)], axis=1)))
+@example(system=(13, np.zeros((2, 4), dtype=np.int64)))
 def test_echelon_matches_two_array_kernel(system):
-    """One [A | rhs] elimination gives the same reduced A, reduced rhs,
-    pivots and det as eliminating A and rhs side by side."""
-    p, a, rhs = system
-    aug, pivots, det = GfMatrix(a, p)._echelon(rhs)
-    red, red_rhs, old_pivots, old_det = _two_array_echelon(a, p, rhs)
+    """The kernel gives the same reduced array, pivots and det as its
+    predecessor."""
+    p, a = system
+    red, pivots, det = GfMatrix(a, p)._echelon()
+    old_red, old_pivots, old_det = _two_array_echelon(a, p)
     assert (pivots, det) == (old_pivots, old_det)
-    assert aug.dtype == np.int64
-    assert aug.shape == (a.shape[0], a.shape[1] + (0 if rhs is None else rhs.shape[1]))
-    assert (aug[:, :a.shape[1]] == red).all()
-    if rhs is not None:
-        assert (aug[:, a.shape[1]:] == red_rhs).all()
+    assert red.dtype == np.int64 and red.shape == a.shape
+    assert (red == old_red).all()

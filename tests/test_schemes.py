@@ -29,10 +29,11 @@ from fcic.schemes import (
     qsym_scheme,
     qsym_solve,
     select_prime,
+    two_block_delta,
     verify_scheme,
 )
 
-from conftest import all_sign_matrices_k3, cofactor_det_mod
+from conftest import all_sign_matrices_k3, cofactor_det_mod, eliminate_augmented
 
 # sign matrix whose Lambda + I has identical first and third rows
 SINGULAR_LAMBDA = ((0, -1, 1), (1, 0, -1), (1, -1, 0))
@@ -101,7 +102,7 @@ def test_strong_scheme_k4_p3_singular():
     """K=4, p=3: the decode determinant is (+-(K-1))^m = 0 mod 3, checked
     against an independent cofactor-expansion determinant."""
     mat = symmetric_decode_matrix(4, 1, 3, 3)
-    assert cofactor_det_mod(mat.data, 3) == 0
+    assert cofactor_det_mod(mat, 3) == 0
     with pytest.raises(SingularSystem):
         build_scheme(4, 1, 3, p=3)
 
@@ -116,7 +117,7 @@ def test_strong_singularity_matches_field_congruence():
         for n in range(0, 3):
             for m in range(n + 1, 7):
                 for p in (2, 3, 5, 7, 11):
-                    singular = symmetric_decode_matrix(k_users, n, m, p).rank() < 2 * m
+                    singular = GfMatrix(symmetric_decode_matrix(k_users, n, m, p), p).det() == 0
                     assert singular == (k_users % p == 1 % p)
                     q = max(m, n)
                     if singular != (k_users % q == 1 % q):
@@ -145,7 +146,7 @@ def test_weak_decode_matrix_always_full_rank():
         for n in range(1, 7):
             for m in range(0, n):
                 for p in (2, 3, 5, 7, 11):
-                    assert symmetric_decode_matrix(k_users, n, m, p).rank() == 2 * n
+                    assert GfMatrix(symmetric_decode_matrix(k_users, n, m, p), p).det() != 0
 
 
 def test_edge_levels_m_zero_and_n_zero():
@@ -165,26 +166,29 @@ def test_edge_levels_m_zero_and_n_zero():
 @given(p=st.sampled_from((2, 3, 5, 7, 13, 1073741789)), n=st.integers(0, 12),
        m=st.integers(0, 12), data=st.data())
 def test_closed_form_decoders_equal_the_elimination_inverse(p, n, m, data):
-    """The closed-form inverse is the elimination inverse bit for bit, so the
-    decoder rows a build keeps from it are too, and the two agree on which
-    decode matrices are singular: every (A, B, U, V) over GF(2) and GF(3),
-    one drawn point otherwise."""
+    """The closed-form inverse is the right half of the eliminated
+    [M | I] bit for bit, so the decoder rows a build keeps from it are too,
+    and the two agree on which decode matrices M are singular (no pivot in
+    some column of M): every (A, B, U, V) over GF(2) and GF(3), one drawn
+    point otherwise."""
     assume(n + m >= 1)
     params = DetParams(K=2, n=n, m=m, p=p)
+    eye = np.eye(2 * params.q, dtype=np.int64)
     if p <= 3:
         points = itertools.product(range(p), repeat=4)
     else:
         points = [data.draw(st.tuples(*[st.integers(0, p - 1)] * 4), label="point")]
     for point in points:
         got = schemes._decode_inverse(params, *point)
-        try:
-            expect = qsym_decode_matrix(params, *point).inverse().data
-        except SingularSystem:
+        mat = qsym_decode_matrix(params, *point)
+        expect = eliminate_augmented(mat, eye, p)
+        if expect is None:
             assert got is None, point
             continue
         assert got is not None, point
         assert got.dtype == np.int64
         assert (got == expect).all(), point
+        assert (mat @ got % p == eye).all(), point
 
 
 def test_successful_builds_run_no_elimination(monkeypatch, capsys):
@@ -393,6 +397,59 @@ def test_moderate_margin_is_two_block_determinant():
             assert moderate_margin(a, b, u, v, p) == expect
 
 
+@st.composite
+def _regime_sizes(draw, regime):
+    """(n, m) with the sign of n - m that `regime` is for, q <= 4."""
+    if regime == "moderate":
+        n = draw(st.integers(1, 4))
+        return n, n
+    big = draw(st.integers(1, 4))
+    small = draw(st.integers(0, big - 1))
+    return (big, small) if regime == "weak" else (small, big)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(signs=st.sampled_from(list(all_sign_matrices_k3())),
+       regime=st.sampled_from(("weak", "strong", "moderate")),
+       p=st.sampled_from(PRIME_SCAN), data=st.data())
+def test_solver_points_build_invertible_decode_matrices(signs, regime, p, data):
+    """Every point qsym_solve returns gives each user a decode matrix with a
+    nonzero cofactor determinant at an (n, m) of the point's regime."""
+    try:
+        sol = qsym_solve(signs, regime, p)
+    except NoSolution:
+        return
+    n, m = data.draw(_regime_sizes(regime), label="n, m")
+    params = DetParams(K=3, n=n, m=m, p=p, signs=signs)
+    for point in zip(sol.a, sol.b, sol.u, sol.v):
+        assert cofactor_det_mod(qsym_decode_matrix(params, *point), p) != 0, point
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(p=st.sampled_from(PRIME_SCAN), n=st.integers(0, 4), m=st.integers(0, 4),
+       data=st.data())
+def test_delta_constant_term_decides_decodability(p, n, m, data):
+    """Delta's constant term is zero exactly when the decode matrix is
+    singular: the blocks commute, so the determinant is det(Delta(D)), and
+    Delta(D) is triangular with its constant term q times on the diagonal."""
+    assume(n + m >= 1)
+    point = data.draw(st.tuples(*[st.integers(0, p - 1)] * 4), label="point")
+    params = DetParams(K=2, n=n, m=m, p=p)
+    det = cofactor_det_mod(qsym_decode_matrix(params, *point), p)
+    delta0 = two_block_delta(n - m, *point, p)[0]
+    assert (delta0 == 0) == (det == 0)
+    assert det == pow(delta0, params.q, p)
+
+
+def test_delta_coefficients_by_regime():
+    """(b, v-a, -u) for n > m, reversed for m > n, b+v-a-u at m = n; the
+    solver's regime conditions B, U and the margin are its constant term."""
+    a, b, u, v, p = 1, 2, 3, 4, 7
+    assert two_block_delta(2, a, b, u, v, p) == (2, 3, 4)
+    assert two_block_delta(-1, a, b, u, v, p) == (4, 3, 2)
+    assert two_block_delta(0, a, b, u, v, p) == (moderate_margin(a, b, u, v, p),) == (2,)
+
+
 # ---------------------------------------------------------------------------
 # quasi-symmetric schemes
 # ---------------------------------------------------------------------------
@@ -476,13 +533,13 @@ def test_qsym_decode_determinants():
             params = DetParams(K=3, n=n, m=m, p=p, signs=lam)
             for k in range(3):
                 dec = qsym_decode_matrix(params, sol.a[k], sol.b[k], sol.u[k], sol.v[k])
-                assert cofactor_det_mod(dec.data, p) == pow(sol.b[k], n, p)
+                assert cofactor_det_mod(dec, p) == pow(sol.b[k], n, p)
         sol = qsym_solve(lam, "strong", p)
         for n, m in ((1, 2), (2, 4)):
             params = DetParams(K=3, n=n, m=m, p=p, signs=lam)
             for k in range(3):
                 dec = qsym_decode_matrix(params, sol.a[k], sol.b[k], sol.u[k], sol.v[k])
-                assert cofactor_det_mod(dec.data, p) == (pow(-1, m, p) * pow(sol.u[k], m, p)) % p
+                assert cofactor_det_mod(dec, p) == (pow(-1, m, p) * pow(sol.u[k], m, p)) % p
 
 
 def test_qsym_sweep_weak_and_strong_decode():
@@ -685,10 +742,10 @@ def test_primes_beyond_int64_are_rejected():
 
 
 def test_build_runs_the_primality_trial_division_once():
-    """Every GF(p) object a build makes checks p: DetParams, and for m > n
-    the relay's shift matrix (the decode matrix is inverted in closed form,
-    with no GfMatrix).  The trial division, ~16 000 steps near 2^30, runs
-    for the first check only."""
+    """Every GF(p) object a build makes checks p: a symmetric build makes
+    only DetParams (the relay's shift matrix is a plain array, and the
+    decode matrix is inverted in closed form).  The trial division, ~16 000
+    steps near 2^30, runs for the first check only."""
     is_prime.cache_clear()
     code = inspect.unwrap(is_prime).__code__
     calls = []

@@ -1,0 +1,46 @@
+"""The benchmark's trace mode (`perfbench/run.py --trace 1`) rebinds fcic
+functions and `GfMatrix` methods by name from `perfbench/tracing.py`; a
+package change that drops or bypasses one of those names breaks it."""
+
+import importlib.util
+import pathlib
+
+from fcic import gf, schemes
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_SPEC = importlib.util.spec_from_file_location("perfbench_tracing", _PATH)
+tracing = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracing)
+
+# Lambda + I singular: weak-regime alignment at m < n
+WEAK_SIGNS = ((0, -1, 1), (1, 0, -1), (1, -1, 0))
+# Lambda + I nonsingular: moderate-regime alignment at m = n, over GF(3)
+MODERATE_SIGNS = ((0, 1, 1), (1, 0, -1), (1, -1, 0))
+REBOUND = ("build_scheme", "verify_scheme", "qsym_solve", "moderate_margin",
+           "select_prime", "nullspace", "run_feedback_session")
+
+
+def test_trace_install_records_signed_builds_and_uninstall_restores():
+    originals = {name: getattr(schemes, name) for name in REBOUND}
+    methods = {name: gf.GfMatrix.__dict__[name] for name in ("_echelon", "det")}
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        assert schemes.nullspace is not originals["nullspace"]
+        assert schemes.build_scheme(3, 2, 1, p=5, signs=WEAK_SIGNS).name == "qsym"
+        assert schemes.build_scheme(3, 2, 2, p=3, signs=MODERATE_SIGNS).name == "qsym"
+    finally:
+        tracing.uninstall(undo)
+    names = [rec[0] for rec in tracer.spans]
+    assert names.count("schemes.build") == 2
+    assert names.count("qsym.solve") == 2
+    assert names.count("gf.nullspace") == 2
+    assert "gf.echelon" in names
+    # each nullspace span sits inside a solver span
+    assert all(tracer.spans[rec[3]][0] == "qsym.solve"
+               for rec in tracer.spans if rec[0] == "gf.nullspace")
+    assert tracer.counts["qsym.solve.found"] == 2
+    assert tracer.counts["qsym.nullspace_dim"] > 0
+    assert tracer.counts["qsym.margin_checks"] > 0  # only the m = n build checks margins
+    assert {name: getattr(schemes, name) for name in REBOUND} == originals
+    assert {name: gf.GfMatrix.__dict__[name] for name in methods} == methods
