@@ -13,7 +13,8 @@ Two independent pieces:
   claims, which rest on high-dimensional lattices that exist but are not
   constructed.
 
-Randomness comes from numpy's counter-based Philox generator; the strong-
+Randomness comes from numpy's counter-based Philox generator, keyed by
+64-bit words, so a seed outside [0, 2^64) raises ValueError; the strong-
 regime simulation derives one stream per trial, keyed by the two words
 (trial index, seed), so distinct (seed, trial) pairs draw distinct streams,
 trials are order-independent, and results for a given seed are
@@ -59,8 +60,13 @@ __all__ = [
 RNG_NAME = "philox"
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:  # a wider seed would alias the one it equals mod 2^64
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+
+
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    key = np.array([trial, seed & (2**64 - 1)], dtype=np.uint64)
+    key = np.array([trial, seed], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -87,6 +93,7 @@ class MCConfig:
             raise ValueError("block_len and trials must be >= 1")
         if self.block_len * self.trials < 2:
             raise ValueError("need block_len * trials >= 2 samples for the standard errors")
+        _check_seed(self.seed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -408,8 +415,9 @@ def sum_decode_check(
         raise ValueError(f"need trials >= 1, got {trials}")
     if not (noise_sigma >= 0 and math.isfinite(noise_sigma)):
         raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
+    _check_seed(seed)
     c = lat.coarse_step
-    rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     s = lat.codebook[rng.integers(0, lat.refinement, size=(trials, k))]
     truth = mod_lattice(_sum_users(s), lat)
     d = rng.uniform(-c / 2, c / 2, size=(trials, k))

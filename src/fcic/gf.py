@@ -28,11 +28,9 @@ __all__ = [
 
 
 class SingularSystem(Exception):
-    """Raised when a square system has no unique solution over GF(p).  Args
-    (text, matrix) print the matrix below the text, formatted only when read."""
-
-    def __str__(self) -> str:
-        return f"{self.args[0]}:\n{self.args[1]}" if len(self.args) == 2 else super().__str__()
+    """Raised when a square system has no unique solution over GF(p).  It
+    carries only its text, which says why (for a two-block decode matrix,
+    which term of Delta is 0 mod p)."""
 
 
 @functools.lru_cache

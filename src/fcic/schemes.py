@@ -19,8 +19,9 @@ Every scheme is written out as explicit GF(p) encoder and decoder maps (see
 time, in closed form: its blocks are polynomials in one shift, so
 `_decode_inverse` reads the inverse off a power series, with no
 elimination; it and the solver test one condition, the constant term of
-`two_block_delta`.  An undecodable configuration fails fast as
-SingularSystem instead of silently corrupting messages; without p,
+`two_block_delta`, the only evidence of infeasibility: SingularSystem and
+NoSolution name the user whose term is 0 mod p (for NoSolution, on the
+whole solution space, or else the candidates searched).  Without p,
 `build_scheme` returns the first success of its `PRIME_SCAN` scan.
 `verify_scheme` replays all of its trials as one batch through
 `run_feedback_session` and judges the declared rate against
@@ -47,7 +48,6 @@ __all__ = [
     "qsym_constraint_matrix",
     "qsym_solve",
     "qsym_scheme",
-    "qsym_decode_matrix",
     "moderate_margin",
     "two_block_delta",
     "select_prime",
@@ -59,6 +59,7 @@ PRIME_SCAN = (2, 3, 5, 7, 11, 13)
 ENUM_CAP = 10**6
 _SLICE = 256  # solver candidates per array slice; small, so peak memory stays flat
 _REGIME_SIGN = {"weak": 1, "strong": -1, "moderate": 0}  # the sign of n - m
+_DELTA_TERM = {1: "B", -1: "-U", 0: "B + V - A - U"}  # Delta's constant term by sign
 
 
 class RegimeMismatch(Exception):
@@ -193,13 +194,15 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
 
     The off-diagonal constraints are linear in (A, B, V) and U = (Lambda o
     Lambda^T) B, so one (dim, 4K) map takes nullspace coordinates to
-    (A, B, U, V).  Coordinates take the first r of the field values 1, 2,
-    ..., p-1, 0 in lexicographic order (non-degenerate points first),
-    `_SLICE` candidates per array slice, where r is the largest radix <= p
-    with r**dim <= `ENUM_CAP`: every coordinate varies within the cap, and
-    r = p (the whole space) whenever p**dim <= `ENUM_CAP`.  The first
-    candidate meeting the condition wins; otherwise the search reports the
-    r**dim candidates checked and per-user failure counts.
+    (A, B, U, V), and one (dim, K) map, Delta's constant term being linear,
+    to the users' conditions: a zero column fails everywhere and is
+    reported at once.  Otherwise coordinates take the first r of the field
+    values 1, ..., p-1, 0 in lexicographic order (non-degenerate points
+    first), `_SLICE` candidates per array slice, where r is the largest
+    radix <= p with r**dim <= `ENUM_CAP`: every coordinate varies within
+    the cap, and r = p (the whole space) whenever p**dim <= `ENUM_CAP`.
+    The first candidate meeting the condition wins; otherwise the search
+    reports the r**dim candidates checked and per-user failure counts.
     """
     if regime not in _REGIME_SIGN:
         raise ValueError(f"unknown regime {regime!r}")
@@ -212,7 +215,13 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     dim = len(abv)
     u_rows = abv[:, k_users:2 * k_users] @ (lam * lam.T) % p
     coords_map = np.concatenate([abv[:, :2 * k_users], u_rows, abv[:, 2 * k_users:]], axis=1)
-
+    sign = _REGIME_SIGN[regime]
+    forms = two_block_delta(sign, *np.split(coords_map, 4, axis=1), p)[0]  # (dim, K)
+    dead = np.flatnonzero(~forms.any(axis=0))  # users whose condition is 0 everywhere
+    if dead.size:
+        raise NoSolution(f"no {regime}-regime alignment point over GF({p}): user {dead[0]}'s "
+                         f"Delta constant term {_DELTA_TERM[sign]} is 0 on the whole "
+                         f"{dim}-dimensional solution space")
     radix = p
     if p**dim > ENUM_CAP:  # the largest r with r**dim <= ENUM_CAP
         radix = round(ENUM_CAP ** (1.0 / dim))
@@ -226,7 +235,7 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
             idx, digit = np.divmod(idx, radix)
             x = (x + ((digit + 1) % p)[:, None] * row) % p  # digit d -> value (d+1) mod p
         a, b, u, v = np.split(x, 4, axis=1)
-        fails = two_block_delta(_REGIME_SIGN[regime], a, b, u, v, p)[0] == 0
+        fails = two_block_delta(sign, a, b, u, v, p)[0] == 0
         passing = np.flatnonzero(~fails.any(axis=1))
         if passing.size:
             point = (tuple(int(t) for t in w[passing[0]]) for w in (a, b, u, v))
@@ -240,39 +249,22 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     )
 
 
-def qsym_decode_matrix(params: DetParams, a: int, b: int, u: int, v: int) -> np.ndarray:
-    """Per-user two-block system of the aligned scheme at one user's
-    (A, B, U, V), as a 2q x 2q int64 array reduced mod p.
-
-    Rows are the user's block-1 outputs, then its block-2 outputs.  The
-    unknowns are its q block-1 symbols, then the q symbols of R (see
-    `_two_block_scheme`), whose aligned levels return as interference
-    rescaled by U and V.  `own` and `cross` map the two groups of unknowns
-    onto the output levels: the weaker of the direct and cross links is the
-    shift D^|n-m|, the stronger the identity.  Builds invert it in closed
-    form (`_decode_inverse`) and form it only to report a singular one.
-    """
-    n, m = params.n, params.m
-    eye = np.eye(params.q, dtype=np.int64)
-    d = shift_matrix(params.q, abs(n - m))
-    own, cross = (eye, d) if n >= m else (d, eye)
-    top = np.concatenate([own, cross], axis=1)
-    bot = np.concatenate([a * own + u * cross, b * own + v * cross], axis=1)
-    return np.concatenate([top, bot]) % params.p
-
-
 def _decode_inverse(params: DetParams, a: int, b: int, u: int, v: int) -> np.ndarray | None:
-    """Inverse of `qsym_decode_matrix(params, a, b, u, v)` in closed form, or
-    None when that matrix is singular.
+    """Inverse of one user's 2q x 2q decode matrix at (A, B, U, V) in closed
+    form, or None when it is singular.
 
-    Its blocks [[A, B], [C, E]] are polynomials in D = S^|n-m|, so they
-    commute and the inverse is [[E, -B], [-C, A]] Delta^-1 with
-    Delta = AE - BC from `two_block_delta`.  D = I at m = n, and D^j = 0
-    once j |n-m| >= q otherwise, so Delta^-1 is Delta's power series in D
-    cut there; it exists iff Delta's constant term is nonzero mod p, the
-    condition `qsym_solve` enforces.  Coefficients are Python ints
-    reduced mod p (exact for every p `DetParams` accepts); each block is the
-    lower-triangular Toeplitz matrix of its coefficients spaced |n-m| apart.
+    Rows are the block-1 then block-2 outputs, unknowns the q block-1
+    symbols then the q of R (see `_two_block_scheme`): [[own, cross],
+    [a own + u cross, b own + v cross]] with (own, cross) = (I, D) for
+    n >= m, (D, I) otherwise, D = S^|n-m|.  Its blocks [[A, B], [C, E]] are
+    polynomials in D, so they commute and the inverse is [[E, -B], [-C, A]]
+    Delta^-1 with Delta = AE - BC from `two_block_delta`.  D = I at m = n,
+    and D^j = 0 once j |n-m| >= q otherwise, so Delta^-1 is Delta's power
+    series in D cut there; it exists iff Delta's constant term is nonzero
+    mod p, the condition `qsym_solve` enforces.  Coefficients are Python
+    ints reduced mod p (exact for every p `DetParams` accepts); each block
+    is the lower-triangular Toeplitz matrix of its coefficients spaced
+    |n-m| apart.
     """
     n, m, q, p = params.n, params.m, params.q, params.p
     s = abs(n - m)
@@ -331,8 +323,8 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
             if inv is None:
                 raise SingularSystem(
                     f"{name} decode matrix rank-deficient for user {k} at "
-                    f"(A, B, U, V) = {c}, K={K}, n={n}, m={m}, p={p}",
-                    qsym_decode_matrix(params, *c),
+                    f"(A, B, U, V) = {c}, K={K}, n={n}, m={m}, p={p}: "
+                    f"Delta's constant term {_DELTA_TERM[(n > m) - (n < m)]} is 0 mod {p}"
                 )
             inverses[c] = inv[keep]
     if len(inverses) == 1:
@@ -401,20 +393,21 @@ def build_scheme(K: int, n: int, m: int, p: int | None = None, signs=None) -> Sc
     """Construct the regime-appropriate scheme.  Without p, it is built over
     the smallest prime in `PRIME_SCAN` for which construction succeeds, and
     the scan returns that build, or n/K time sharing over the smallest prime
-    for a signed channel with K != 3 that no prime aligns at m = n."""
+    for a channel with no converse that no prime aligns at m = n.  A failed
+    scan lists every prime's reason, in scan order."""
     if p is not None:
         return _try_build(DetParams(K=K, n=n, m=m, p=p, signs=signs))
-    last = ("",)  # the args only: keeping the exception would keep its frames alive
+    reasons = []  # the messages only: keeping an exception would keep its frames alive
     for p in PRIME_SCAN:
         try:
             return _try_build(DetParams(K=K, n=n, m=m, p=p, signs=signs))
         except (SingularSystem, NoSolution) as exc:
-            last = exc.args
-    if signs is not None and K != 3 and n == m:
+            reasons.append(str(exc))
+    if n == m and det_converse(n, m, K, signs) is None:
         return moderate_scheme(DetParams(K=K, n=n, m=m, p=PRIME_SCAN[0], signs=signs))
     raise SingularSystem(
-        f"no prime in {PRIME_SCAN} yields a decodable scheme for "
-        f"K={K}, n={n}, m={m}: {last[0]}", *last[1:]
+        f"no prime in {PRIME_SCAN} yields a decodable scheme for K={K}, n={n}, m={m}:"
+        + "".join(f"\n  {reason}" for reason in reasons)
     )
 
 

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 
-from fcic.gf import GfMatrix
+from fcic.gf import GfMatrix, shift_matrix
 
 
 def cofactor_det_mod(mat, p: int) -> int:
@@ -43,6 +43,27 @@ def eliminate_augmented(mat, rhs, p: int):
     red, pivots, _ = GfMatrix(np.concatenate([mat, rhs], axis=1), p)._echelon()
     n = mat.shape[1]
     return red[:, n:] if pivots[:n] == list(range(n)) else None
+
+
+def qsym_decode_matrix(params, a: int, b: int, u: int, v: int) -> np.ndarray:
+    """One user's two-block decode matrix at its (A, B, U, V), as a 2q x 2q
+    int64 array reduced mod p: the oracle the closed-form inverse and the
+    Delta property are checked against.
+
+    Rows are the user's block-1 outputs, then its block-2 outputs.  The
+    unknowns are its q block-1 symbols, then the q symbols of R (see
+    `schemes._two_block_scheme`), whose aligned levels return as
+    interference rescaled by U and V.  `own` and `cross` map the two groups
+    of unknowns onto the output levels: the weaker of the direct and cross
+    links is the shift D^|n-m|, the stronger the identity.
+    """
+    n, m = params.n, params.m
+    eye = np.eye(params.q, dtype=np.int64)
+    d = shift_matrix(params.q, abs(n - m))
+    own, cross = (eye, d) if n >= m else (d, eye)
+    top = np.concatenate([own, cross], axis=1)
+    bot = np.concatenate([a * own + u * cross, b * own + v * cross], axis=1)
+    return np.concatenate([top, bot]) % params.p
 
 
 def all_sign_matrices_k3():

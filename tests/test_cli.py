@@ -161,8 +161,11 @@ def test_det_verify_singular_field_exits_3(capsys):
         capsys, "det-verify", "--k", "3", "--n", "1", "--m", "3", "--p", "2",
     )
     assert code == 3
-    assert "rank-deficient" in err
-    assert "[" in err  # the offending matrix is printed
+    assert err == (  # the user and the term of Delta that vanishes mod p
+        "infeasible: strong decode matrix rank-deficient for user 0 at "
+        "(A, B, U, V) = (0, 1, 2, 1), K=3, n=1, m=3, p=2: "
+        "Delta's constant term -U is 0 mod 2\n"
+    )
 
 
 def test_det_verify_time_sharing(capsys):
@@ -545,10 +548,10 @@ FLAGS = {
     "lattice-demo": (dict(trials=st.integers(-1, 100)),
                      {"coarse-step": NUMBERS, "refinement": st.integers(-1, 16),
                       "users": st.integers(-1, 5), "noise-sigma": NUMBERS,
-                      "seed": st.integers(-1, 100)}),
+                      "seed": st.integers(-1, 2**70)}),
     "mc-strong": (dict(snr=NUMBERS, inr=NUMBERS, block=st.integers(-1, 100),
                        trials=st.integers(-1, 5)),
-                  dict(k=st.integers(-1, 5), seed=st.integers(-1, 100))),
+                  dict(k=st.integers(-1, 5), seed=st.integers(-1, 2**70))),
     "qsym": (dict(regime=st.sampled_from(["weak", "strong", "moderate"])), dict(p=P_POOL)),
 }
 
@@ -634,6 +637,23 @@ def test_lattice_demo_default_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ed7c13f7756a6a3fa3e28741d248bf260d426b9459aa3341ebb16de182f097ae"
     )
+
+
+@pytest.mark.parametrize("command,seed,code", [
+    ("mc-strong", -5, 2), ("mc-strong", 2**64 - 1, 0), ("mc-strong", 2**64, 2),
+    # the noisy run draws with seed + 1, so the last seed lattice-demo takes is 2^64 - 2
+    ("lattice-demo", -1, 2), ("lattice-demo", 2**64 - 2, 0), ("lattice-demo", 2**64 - 1, 2),
+])
+def test_seeds_outside_the_philox_key_range_exit_2(capsys, command, seed, code):
+    """Philox keys are 64-bit words: a seed outside [0, 2^64) is one error
+    line and exit 2, not the stream of the seed it equals mod 2^64."""
+    flags = (("--snr", "1", "--inr", "10", "--block", "50", "--trials", "2")
+             if command == "mc-strong" else ("--noise-sigma", "0.05", "--trials", "100"))
+    got, out, err = run_cli(capsys, command, *flags, f"--seed={seed}")
+    assert got == code
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: seed must be in [0, 2^64), got ")
 
 
 @pytest.mark.parametrize("flags", [("--refinement", "10"), ("--refinement", "3"),

@@ -273,6 +273,19 @@ def test_mc_scaled_noise_exits_1_with_its_json(capsys, monkeypatch):
     assert all(" se=" in line and "estimate=" in line for line in failed)
 
 
+def test_seeds_outside_the_philox_key_range_are_rejected():
+    """Both generators key Philox with the seed as a 64-bit word, so a seed
+    outside [0, 2^64) would alias the seed it equals mod 2^64."""
+    lat = make_lattice(1.0, 8)
+    for seed in (-1, 2**64, 2**64 + 7):
+        with pytest.raises(ValueError, match="seed must be in"):
+            strong_cfg(seed=seed)
+        with pytest.raises(ValueError, match="seed must be in"):
+            sum_decode_check(3, lat, 0.0, 10, seed)
+    strong_cfg(seed=2**64 - 1)
+    assert sum_decode_check(3, lat, 0.0, 10, 2**64 - 1) == 1.0
+
+
 def test_mc_one_sample_is_a_usage_error(capsys):
     """One sample leaves every std(ddof=1) undefined: exit 2, not a NaN run."""
     with warnings.catch_warnings():

@@ -25,7 +25,6 @@ from fcic.schemes import (
     moderate_margin,
     moderate_scheme,
     qsym_constraint_matrix,
-    qsym_decode_matrix,
     qsym_scheme,
     qsym_solve,
     select_prime,
@@ -33,7 +32,12 @@ from fcic.schemes import (
     verify_scheme,
 )
 
-from conftest import all_sign_matrices_k3, cofactor_det_mod, eliminate_augmented
+from conftest import (
+    all_sign_matrices_k3,
+    cofactor_det_mod,
+    eliminate_augmented,
+    qsym_decode_matrix,
+)
 
 # sign matrix whose Lambda + I has identical first and third rows
 SINGULAR_LAMBDA = ((0, -1, 1), (1, 0, -1), (1, -1, 0))
@@ -194,7 +198,8 @@ def test_closed_form_decoders_equal_the_elimination_inverse(p, n, m, data):
 def test_successful_builds_run_no_elimination(monkeypatch, capsys):
     """Symmetric and signed two-block builds invert their decode matrices in
     closed form: `GfMatrix._echelon` runs only inside qsym_solve's
-    nullspace.  The prime scan and the singular report are unchanged."""
+    nullspace.  The prime scan is unchanged, and a singular build names the
+    user and the term of Delta that is 0 mod p."""
     calls = {"echelon": 0, "nullspace": 0}
     real_echelon, real_nullspace = GfMatrix._echelon, schemes.nullspace
 
@@ -219,7 +224,7 @@ def test_successful_builds_run_no_elimination(monkeypatch, capsys):
 
     assert build_scheme(7, 63, 64).params.p == 5
     for p in (2, 3):  # K = 7 = 1 mod p
-        with pytest.raises(SingularSystem, match="rank-deficient for user 0"):
+        with pytest.raises(SingularSystem, match=f"user 0 .* constant term -U is 0 mod {p}$"):
             build_scheme(7, 63, 64, p=p)
 
     assert main(["det-verify", "--k", "3", "--n", "1", "--m", "2", "--p", "2"]) == 3
@@ -227,8 +232,8 @@ def test_successful_builds_run_no_elimination(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == (
         "infeasible: strong decode matrix rank-deficient for user 0 at "
-        "(A, B, U, V) = (0, 1, 2, 1), K=3, n=1, m=2, p=2:\n"
-        "[[0 0 1 0]\n [1 0 0 1]\n [0 0 1 0]\n [0 0 1 1]]\n"
+        "(A, B, U, V) = (0, 1, 2, 1), K=3, n=1, m=2, p=2: "
+        "Delta's constant term -U is 0 mod 2\n"
     )
 
 
@@ -297,12 +302,31 @@ def _reference_qsym_solve(signs, regime, p, cap):
     coordinates take 1, ..., p-1, 0 in lexicographic order, U is derived
     from B per candidate, and the first user failing the regime condition
     is counted.  Each coordinate walks the first `radix` of those values,
-    the largest radix with radix**dim <= cap.  Returns the (A, B, U, V)
-    found, or the NoSolution text with the number of candidates checked."""
+    the largest radix with radix**dim <= cap.  Before the walk, the first
+    user whose condition is 0 at every basis vector (so on the whole space)
+    ends the search.  Returns the (A, B, U, V) found, or the NoSolution
+    text."""
     k = len(signs)
     basis = [vec.tolist() for vec in nullspace(qsym_constraint_matrix(signs, p))]
     cols = list(zip(*basis)) or [()] * (3 * k)
     cross = [[signs[i][j] * signs[j][i] for j in range(k)] for i in range(k)]
+    term = {"weak": "B", "strong": "-U", "moderate": "B + V - A - U"}[regime]
+
+    def conditions(x):  # each user's regime condition at (A, B, V) = x
+        a, b, v = x[:k], x[k:2 * k], x[2 * k:]
+        u = [sum(map(operator.mul, row, b)) % p for row in cross]
+        if regime == "weak":
+            return (a, b, u, v), b
+        if regime == "strong":
+            return (a, b, u, v), [-ui % p for ui in u]
+        return (a, b, u, v), [(b[i] + v[i] - a[i] - u[i]) % p for i in range(k)]
+
+    at_basis = [conditions(vec)[1] for vec in basis]
+    for user in range(k):
+        if all(c[user] == 0 for c in at_basis):
+            return (f"no {regime}-regime alignment point over GF({p}): user {user}'s Delta "
+                    f"constant term {term} is 0 on the whole {len(basis)}-dimensional "
+                    f"solution space")
     fail_counts = [0] * k
     checked = 0
     radix = p
@@ -311,17 +335,10 @@ def _reference_qsym_solve(signs, regime, p, cap):
     order = (list(range(1, p)) + [0])[:radix]
     for combo in itertools.islice(itertools.product(order, repeat=len(cols[0])), cap):
         checked += 1
-        x = [sum(map(operator.mul, combo, col)) % p for col in cols]
-        a, b, v = x[:k], x[k:2 * k], x[2 * k:]
-        u = [sum(map(operator.mul, row, b)) % p for row in cross]
-        if regime == "weak":
-            fails = [bi == 0 for bi in b]
-        elif regime == "strong":
-            fails = [ui == 0 for ui in u]
-        else:
-            fails = [(b[i] + v[i] - a[i] - u[i]) % p == 0 for i in range(k)]
+        point, conds = conditions([sum(map(operator.mul, combo, col)) % p for col in cols])
+        fails = [c == 0 for c in conds]
         if True not in fails:
-            return tuple(a), tuple(b), tuple(u), tuple(v)
+            return tuple(map(tuple, point))
         fail_counts[fails.index(True)] += 1
     worst = fail_counts.index(max(fail_counts))
     return (f"no {regime}-regime alignment point over GF({p}) after {checked} candidates; "
@@ -358,16 +375,18 @@ def test_qsym_solve_matches_reference_enumeration(monkeypatch):
 def test_qsym_solve_capped_search_matches_reference(monkeypatch):
     """With the cap and the slice below the candidate count, the search
     walks the largest radix r with r**dim <= ENUM_CAP, a partial last slice
-    included, and reports r**dim candidates: 3**4 = 81 = 5 * 16 + 1 at
-    dim 4, 4**3 and 2**6 = 64 at dims 3 and 6."""
-    monkeypatch.setattr(schemes, "ENUM_CAP", 100)
-    monkeypatch.setattr(schemes, "_SLICE", 16)
-    for lam, checked in ((all_ones_lambda(3), 81), (all_ones_lambda(5), 64),
-                         (SINGULAR_LAMBDA, 64)):
-        for p in (5, 13):
-            got = _solve_outcome(lam, "moderate", p)
-            assert got == _reference_qsym_solve(lam, "moderate", p, 100)
-            assert f"after {checked} candidates" in got
+    included, and reports r**dim candidates: at ENUM_CAP 10 over GF(3), the
+    32 K = 3 matrices with a 3-dimensional space, where no user's weak or
+    strong condition vanishes, walk 2**3 = 8 = 3 + 3 + 2 candidates."""
+    monkeypatch.setattr(schemes, "ENUM_CAP", 10)
+    monkeypatch.setattr(schemes, "_SLICE", 3)
+    for regime in ("weak", "strong"):
+        walked = 0
+        for lam in all_sign_matrices_k3():
+            got = _solve_outcome(lam, regime, 3)
+            assert got == _reference_qsym_solve(lam, regime, 3, 10)
+            walked += "after 8 candidates" in got
+        assert walked == 32
 
 
 def test_qsym_walk_is_the_whole_space_for_k3():
@@ -595,30 +614,18 @@ def test_select_prime_agrees_with_build_scheme():
                     assert select_prime(k_users, n, m) == build_scheme(k_users, n, m).params.p
 
 
-def test_singular_build_formats_its_matrix_only_when_read(monkeypatch):
-    """A failed build carries its decode matrix unformatted; the scan drops
-    it without printing it, and the final error prints it once."""
-    printed = []
-
-    class Matrix:
-        def __str__(self):
-            printed.append(1)
-            return "[[0]]"
-
-        __repr__ = __str__
-
-    def singular(params):
-        raise SingularSystem(f"decode matrix rank-deficient at p={params.p}", Matrix())
-
-    monkeypatch.setattr(schemes, "_try_build", singular)
+def test_failed_scan_lists_every_primes_reason():
+    """A scan that no prime passes reports each prime's own reason, in scan
+    order: here the moderate condition of user 0 vanishes over every field."""
     with pytest.raises(SingularSystem) as info:
-        build_scheme(3, 1, 3)
-    assert printed == []
-    assert str(info.value) == (
-        f"no prime in {PRIME_SCAN} yields a decodable scheme for K=3, n=1, m=3: "
-        "decode matrix rank-deficient at p=13:\n[[0]]"
-    )
-    assert len(printed) == 1
+        build_scheme(3, 2, 2, signs=((0, 1, -1), (-1, 0, 1), (1, 1, 0)))
+    head, *reasons = str(info.value).split("\n")
+    assert head == f"no prime in {PRIME_SCAN} yields a decodable scheme for K=3, n=2, m=2:"
+    assert reasons == [
+        f"  no moderate-regime alignment point over GF({p}): user 0's Delta constant "
+        f"term B + V - A - U is 0 on the whole 4-dimensional solution space"
+        for p in PRIME_SCAN
+    ]
 
 
 def test_build_scheme_dispatch():

@@ -44,3 +44,28 @@ def test_trace_install_records_signed_builds_and_uninstall_restores():
     assert tracer.counts["qsym.margin_checks"] > 0  # only the m = n build checks margins
     assert {name: getattr(schemes, name) for name in REBOUND} == originals
     assert {name: gf.GfMatrix.__dict__[name] for name in methods} == methods
+
+
+# K = 4, Lambda + I nonsingular: no prime of PRIME_SCAN aligns it at m = n
+UNALIGNED_K4 = ((0, 1, 1, 1), (1, 0, 1, -1), (1, -1, 0, 1), (1, -1, -1, 0))
+
+
+def test_trace_records_solves_that_end_without_a_search():
+    """A solve that a vanishing Delta term ends early still runs inside its
+    qsym.solve span, with its nullspace and its margin checks: the auto-p
+    scan of an unaligned K = 4 channel solves once per prime, finds nothing,
+    and falls back to time sharing."""
+    originals = {name: getattr(schemes, name) for name in REBOUND}
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        assert schemes.build_scheme(4, 2, 2, signs=UNALIGNED_K4).name == "moderate"
+    finally:
+        tracing.uninstall(undo)
+    solves = [i for i, rec in enumerate(tracer.spans) if rec[0] == "qsym.solve"]
+    assert len(solves) == len(schemes.PRIME_SCAN) == 6
+    parents = [rec[3] for rec in tracer.spans if rec[0] == "gf.nullspace"]
+    assert parents == solves
+    assert tracer.counts["qsym.solve.found"] == 0
+    assert tracer.counts["qsym.margin_checks"] > 0
+    assert {name: getattr(schemes, name) for name in REBOUND} == originals
