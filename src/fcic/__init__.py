@@ -29,6 +29,7 @@ from .rates import (
     alpha_one_upper,
     c_sym_tilde,
     det_converse,
+    gap_grid,
     gap_report,
     gauss_achievable,
     gauss_upper,

@@ -39,6 +39,14 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}" if x == x else "NaN"
 
 
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """`_fmt` of each element ('%.12g' is the same conversion as '{:.12g}')."""
+    text = list(map("%.12g".__mod__, values.tolist()))
+    for n in np.flatnonzero(np.isnan(values)).tolist():
+        text[n] = "NaN"
+    return text
+
+
 def _die_usage(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_USAGE
@@ -156,26 +164,33 @@ def cmd_gauss_gap(args) -> int:
         return _die_usage(str(exc))
     if any(k < 2 for k in ks):
         return _die_usage("every k must be >= 2")
-    snrs, inrs = np.sort(snrs).tolist(), np.sort(inrs).tolist()
-    text = {v: _fmt(v) for v in snrs + inrs}
-    points = [rates.GaussParams(s, i, k) for s in snrs for i in inrs for k in ks]
-    facts = rates.gap_report(points)
-    rows = ["snr,inr,k,regime,achievable,c_tilde,upper,gap_ok"]
-    violated = []
-    for f in facts:
-        snr, inr, k = text[f.params.snr], text[f.params.inr], f.params.k
-        if not f.gap_ok:
-            violated.append(
-                f"gap violated: snr={snr} inr={inr} k={k} violations={','.join(f.violations)}"
-            )
-        rows.append(
-            f"{snr},{inr},{k},{f.regime},{_fmt(f.achievable)},{_fmt(f.c_tilde)},"
-            f"{_fmt(f.upper)},{'true' if f.gap_ok else 'false'}"
-        )
-    rows.append("")  # the CSV ends with a newline
-    sys.stdout.write("\n".join(rows))
-    print("\n".join(violated + [f"violations={len(violated)}"]), file=sys.stderr)
-    return EXIT_OK if not violated else 1
+    snrs, inrs = np.sort(snrs), np.sort(inrs)
+    forms = {k: rates.gap_grid(snrs, inrs, k) for k in ks}
+    # rows run SNR, then INR, then K; regime and c_tilde do not depend on K
+    snr_text, inr_text = _fmt_column(snrs), _fmt_column(inrs)
+    heads = [f"{s},{i}" for s in snr_text for i in inr_text]
+    regimes, c_tilde = forms[ks[0]].regime.tolist(), _fmt_column(forms[ks[0]].c_tilde)
+    columns, violated = {}, []
+    for k, f in forms.items():
+        flagged = f.bad.any(axis=0)
+        ok = map(("true", "false").__getitem__, flagged.tolist())
+        columns[k] = list(map(",".join, zip(
+            heads, [str(k)] * len(heads), regimes, _fmt_column(f.rate), c_tilde,
+            _fmt_column(f.upper), ok,
+        )))
+        # one stderr line per CSV row, so a K listed twice flags its points twice
+        violated += [(n, k) for n in np.flatnonzero(flagged).tolist()] * ks.count(k)
+    rows = [""] * (len(heads) * len(ks))
+    for j, k in enumerate(ks):
+        rows[j::len(ks)] = columns[k]
+    sys.stdout.write("\n".join(["snr,inr,k,regime,achievable,c_tilde,upper,gap_ok", *rows, ""]))
+    lines = [
+        f"gap violated: snr={snr_text[n // inrs.size]} inr={inr_text[n % inrs.size]} "
+        f"k={k} violations={','.join(forms[k].violations(n))}"
+        for n, k in sorted(violated)
+    ]
+    print("\n".join(lines + [f"violations={len(lines)}"]), file=sys.stderr)
+    return EXIT_OK if not lines else 1
 
 
 def cmd_mc_strong(args) -> int:
@@ -198,6 +213,10 @@ def cmd_mc_strong(args) -> int:
 def cmd_lattice_demo(args) -> int:
     if args.users < 2:
         return _die_usage("need users >= 2")
+    if not 0 <= args.seed <= 2**64 - 2:  # checked before any draw
+        return _die_usage(
+            f"seed must be in [0, 2^64 - 2], got {args.seed} (the noisy run draws with seed + 1)"
+        )
     lat = gauss_sim.make_lattice(args.coarse_step, args.refinement)
     book = lat.codebook
     sums = gauss_sim.mod_lattice(book[:, None] + book[None, :], lat)

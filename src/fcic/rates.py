@@ -8,15 +8,15 @@ are exact `Fraction`s; Gaussian expressions are binary64.
 
 Every Gaussian closed form (regime split, achievable rate, c_sym_tilde,
 upper bound and the gap/simplification inequalities) lives once, in the
-array kernel `_closed_forms` over SNR and INR arrays at one K.  `gap_report`
-calls it once per distinct K; `gauss_achievable`, `c_sym_tilde` and
-`gauss_upper` read one element of it.  The kernel's output is bit-for-bit
-what the same formulas give in scalar Python floats: numpy runs only +, -,
-*, /, sqrt and comparisons, which IEEE 754 rounds correctly either way,
-while every log2 and every square goes through `math.log2` and Python's
-`** 2` (libm) one element at a time, because `np.log2` and numpy's `x ** 2`
-differ from them in the last bit on a few inputs in 10^4 and the CLI prints
-these values.
+array kernel `_closed_forms` over SNR and INR arrays at one K.  `gap_grid`
+runs it on an SNR x INR grid, `gap_report` once per distinct K of a point
+list, and `gauss_achievable`, `c_sym_tilde` and `gauss_upper` read one
+element of it.  The kernel's output is bit-for-bit what the same formulas
+give in scalar Python floats: numpy runs only +, -, *, /, sqrt and
+comparisons, which IEEE 754 rounds correctly either way, while every log2
+and every square goes through `math.log2` and Python's `** 2` (libm) one
+element at a time, because `np.log2` and numpy's `x ** 2` differ from them
+in the last bit on a few inputs in 10^4 and the CLI prints these values.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "ExcludedRegime",
     "GaussParams",
     "Achievable",
+    "ClosedForms",
     "GapFact",
     "SecrecyBound",
     "RATE_TOL",
@@ -49,6 +50,7 @@ __all__ = [
     "alpha_one_upper",
     "weak_gap_constant",
     "negligible_gap_constant",
+    "gap_grid",
     "gap_report",
     "gdof_slope_estimate",
     "secrecy_bound",
@@ -206,8 +208,11 @@ _REGIMES = np.array(["negligible", "weak", "strong", "excluded"], dtype=object)
 _VIOLATIONS = ("gap", "upper", "weak-simplify", "constraints", "strong-simplify")
 
 
-class _ClosedForms(NamedTuple):
-    """Every Gaussian closed form over one K, one entry per (SNR, INR) pair."""
+class ClosedForms(NamedTuple):
+    """Every Gaussian closed form over one K, one entry per (SNR, INR) pair.
+
+    `regime` and `c_tilde` do not depend on K.
+    """
 
     regime: np.ndarray  # regime names (object array)
     rate: np.ndarray  # achievable rate, NaN where excluded
@@ -215,6 +220,10 @@ class _ClosedForms(NamedTuple):
     c_tilde: np.ndarray
     upper: np.ndarray
     bad: np.ndarray  # (len(_VIOLATIONS), N) violated-inequality flags
+
+    def violations(self, n: int) -> tuple[str, ...]:
+        """Names of the inequalities that entry n violates, in a fixed order."""
+        return tuple(v for v, b in zip(_VIOLATIONS, self.bad[:, n].tolist()) if b)
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
@@ -225,7 +234,7 @@ def _square(x: np.ndarray) -> np.ndarray:
     return np.fromiter((v ** 2 for v in x.tolist()), dtype=float, count=x.size)
 
 
-def _closed_forms(s: np.ndarray, i: np.ndarray, k: int) -> _ClosedForms:
+def _closed_forms(s: np.ndarray, i: np.ndarray, k: int) -> ClosedForms:
     """Regimes (as in `gauss_achievable`), rates, bounds and the gap
     inequalities of `gap_report` at SNR s and INR i, for one K.
 
@@ -281,10 +290,10 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, k: int) -> _ClosedForms:
             strong_arg < total[strong] / float(8 * k * k) - RATE_TOL
         )
     regime = _REGIMES[np.where(neg, 0, np.where(weak, 1, np.where(strong, 2, 3)))]
-    return _ClosedForms(regime, rate, constraints_ok, c_tilde, upper, bad)
+    return ClosedForms(regime, rate, constraints_ok, c_tilde, upper, bad)
 
 
-def _at(params: GaussParams) -> _ClosedForms:
+def _at(params: GaussParams) -> ClosedForms:
     return _closed_forms(
         np.array([params.snr], dtype=float), np.array([params.inr], dtype=float), params.k
     )
@@ -364,6 +373,19 @@ class GapFact:
     violations: tuple[str, ...] = ()
 
 
+def gap_grid(snrs, inrs, k: int) -> ClosedForms:
+    """The closed forms and gap inequalities at every point of the grid
+    snrs x inrs, for one K, SNR-major: entry a * len(inrs) + b is
+    (snrs[a], inrs[b]).  Same values as `gap_report` on the same points.
+    """
+    s, i = np.asarray(snrs, dtype=float), np.asarray(inrs, dtype=float)
+    if not ((s > 0) & np.isfinite(s)).all() or not ((i >= 0) & np.isfinite(i)).all():
+        raise ValueError("need positive finite snrs and non-negative finite inrs")
+    if k < 2:
+        raise ValueError(f"need k >= 2 users, got {k}")
+    return _closed_forms(np.repeat(s, i.size), np.tile(i, s.size), k)
+
+
 def gap_report(points) -> list[GapFact]:
     """Evaluate the gap and simplification inequalities on a parameter grid.
 
@@ -387,7 +409,7 @@ def gap_report(points) -> list[GapFact]:
         flagged = forms.bad.any(axis=0)
         violations = [()] * len(group)
         for n in np.flatnonzero(flagged).tolist():
-            violations[n] = tuple(v for v, b in zip(_VIOLATIONS, forms.bad[:, n]) if b)
+            violations[n] = forms.violations(n)
         group_facts = map(
             GapFact, group, forms.regime.tolist(), forms.rate.tolist(),
             forms.c_tilde.tolist(), forms.upper.tolist(), (~flagged).tolist(), violations,

@@ -341,19 +341,93 @@ def test_gauss_gap_sweep(capsys):
 
 
 def test_gauss_gap_reports_each_violation_on_stderr(capsys, monkeypatch):
-    """A forced violation names its point and inequality on stderr, before
-    the count; stdout keeps its CSV and only the gap_ok column changes."""
-    args = ("gauss-gap", "--snr-grid", "1,1e4", "--inr-grid", "10,1e6", "--k-list", "3")
+    """Forced violations name their point and inequality on stderr, in row
+    order (SNR, then INR, then K), before the count; stdout keeps its CSV
+    and only the gap_ok column changes."""
+    args = ("gauss-gap", "--snr-grid", "1,1e4", "--inr-grid", "1,10,1e6", "--k-list", "2,3")
     _, clean, _ = run_cli(capsys, *args)
-    monkeypatch.setattr(rates, "weak_gap_constant", lambda k: -100.0)
+    # negligible points fail at K = 2, weak and strong points at K = 3
+    monkeypatch.setattr(rates, "negligible_gap_constant", lambda k: -100.0 if k == 2 else 100.0)
+    monkeypatch.setattr(rates, "weak_gap_constant", lambda k: -100.0 if k == 3 else 100.0)
     code, out, err = run_cli(capsys, *args)
     assert code == 1
     failing = [line.split(",") for line in out.splitlines()[1:] if line.endswith(",false")]
-    assert failing and out.replace(",false\n", ",true\n") == clean
+    assert [tuple(row[:3]) for row in failing] == [
+        ("1", "1", "2"), ("1", "10", "3"), ("1", "1000000", "3"),
+        ("10000", "1", "2"), ("10000", "10", "3"), ("10000", "1000000", "3"),
+    ]
+    assert out.replace(",false\n", ",true\n") == clean
     assert err.splitlines() == [
         f"gap violated: snr={snr} inr={inr} k={k} violations=gap"
         for snr, inr, k, *_ in failing
     ] + [f"violations={len(failing)}"]
+
+
+def _gap_oracle(snrs, inrs, ks):
+    """(exit code, CSV, stderr) of `gauss-gap` rendered row by row from the
+    per-point `gap_report`: SNR, then INR, then K, each sorted."""
+    points = [rates.GaussParams(s, i, k)
+              for s in sorted(snrs) for i in sorted(inrs) for k in sorted(ks)]
+    rows, violated = ["snr,inr,k,regime,achievable,c_tilde,upper,gap_ok"], []
+    for f in rates.gap_report(points):
+        snr, inr = f"{f.params.snr:.12g}", f"{f.params.inr:.12g}"
+        achievable = "NaN" if f.regime == "excluded" else f"{f.achievable:.12g}"
+        rows.append(f"{snr},{inr},{f.params.k},{f.regime},{achievable},{f.c_tilde:.12g},"
+                    f"{f.upper:.12g},{str(f.gap_ok).lower()}")
+        if not f.gap_ok:
+            violated.append(f"gap violated: snr={snr} inr={inr} k={f.params.k} "
+                            f"violations={','.join(f.violations)}")
+    err = "".join(line + "\n" for line in violated + [f"violations={len(violated)}"])
+    return (1 if violated else 0), "".join(row + "\n" for row in rows), err
+
+
+# monkeypatches that make some or all points violate their inequalities
+FORCED = {
+    "none": {},
+    "gap": {"weak_gap_constant": lambda k: -100.0 if k % 2 else 100.0,
+            "negligible_gap_constant": lambda k: -100.0},
+    "all": {"RATE_TOL": -1e9},  # flags every inequality a regime checks
+}
+
+
+def _run_gap_and_oracle(snrs, inrs, ks, force):
+    """((exit code, stdout, stderr) of `gauss-gap`, the oracle's), under `force`."""
+    grid = ",".join
+    argv = ["gauss-gap", "--snr-grid", grid(map(repr, snrs)),
+            "--inr-grid", grid(map(repr, inrs)), "--k-list", grid(map(str, ks))]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in FORCED[force].items():
+            mp.setattr(rates, name, value)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return (code, out.getvalue(), err.getvalue()), _gap_oracle(snrs, inrs, ks)
+
+
+@pytest.mark.parametrize("snrs,inrs,ks", [
+    ((1e4, 1.0, 1e4), (1e4, 1.0, 1e2), (2, 3)),  # unsorted, with duplicates
+    ((7.0,), (3.0,), (3,)),  # single values
+    ((1.0, 1e4), (10.0, 1e6, 1.5), (5, 2, 2)),
+    ((100.0, 10.0, 1.0), (100.0, 40.0, 2.0, 0.5), (3, 4)),  # excluded points
+])
+@pytest.mark.parametrize("force", ["none", "gap", "all"])
+def test_gauss_gap_matches_the_per_point_report(snrs, inrs, ks, force):
+    """The grid CSV and stderr equal rows rendered from per-point facts."""
+    got, want = _run_gap_and_oracle(snrs, inrs, ks, force)
+    assert got == want
+
+
+GRID_VALUES = st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0, 1e2, 1e4])
+                       | st.floats(1e-3, 1e9), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(snrs=GRID_VALUES, inrs=GRID_VALUES,
+       ks=st.lists(st.integers(2, 9) | st.just(10**20), min_size=1, max_size=3),
+       force=st.sampled_from(["none", "gap", "all"]))
+def test_gauss_gap_matches_the_per_point_report_on_random_grids(snrs, inrs, ks, force):
+    got, want = _run_gap_and_oracle(snrs, inrs, ks, force)
+    assert got == want
 
 
 # sha256 of the gauss-gap CSV, recorded from the scalar per-point closed forms
@@ -653,7 +727,22 @@ def test_seeds_outside_the_philox_key_range_exit_2(capsys, command, seed, code):
     assert got == code
     if code == 2:
         assert out == "" and err.count("\n") == 1
-        assert err.startswith("error: seed must be in [0, 2^64), got ")
+        limit = "2^64)" if command == "mc-strong" else "2^64 - 2]"
+        assert err.startswith(f"error: seed must be in [0, {limit}, got {seed}")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**64])
+def test_lattice_demo_checks_its_seed_before_any_draw(capsys, monkeypatch, seed):
+    """The error names the seed the user gave, not seed + 1, and no trial
+    is drawn first."""
+    def never(*args, **kwargs):
+        raise AssertionError("sum_decode_check ran")
+
+    monkeypatch.setattr(gauss_sim, "sum_decode_check", never)
+    code, out, err = run_cli(capsys, "lattice-demo", f"--seed={seed}")
+    assert (code, out) == (2, "")
+    assert err == (f"error: seed must be in [0, 2^64 - 2], got {seed} "
+                   "(the noisy run draws with seed + 1)\n")
 
 
 @pytest.mark.parametrize("flags", [("--refinement", "10"), ("--refinement", "3"),

@@ -14,6 +14,7 @@ from fcic.rates import (
     alpha_one_upper,
     c_sym_tilde,
     det_converse,
+    gap_grid,
     gap_report,
     gauss_achievable,
     gauss_upper,
@@ -331,6 +332,35 @@ def test_gap_small_grid_zero_violations():
     facts = gap_report(grid)
     assert all(f.gap_ok for f in facts)
     assert any(f.regime == "excluded" for f in facts)
+
+
+def test_gap_grid_is_gap_report_on_the_grid_points(monkeypatch):
+    """Entry a * len(inrs) + b of the grid is the fact at (snrs[a], inrs[b]),
+    forced violations included, with the same violation names."""
+    snrs, inrs = [1e4, 1.0, 100.0], [1.0, 100.0, 1e6, 10.0]
+    monkeypatch.setattr("fcic.rates.RATE_TOL", -1e9)  # every checked inequality fails
+    names = set()
+    for k in (2, 3, 10**20):
+        forms = gap_grid(snrs, inrs, k)
+        facts = gap_report([GaussParams(s, i, k) for s in snrs for i in inrs])
+        assert forms.regime.tolist() == [f.regime for f in facts]
+        for n, fact in enumerate(facts):
+            assert same_bits(forms.c_tilde[n], fact.c_tilde)
+            assert same_bits(forms.upper[n], fact.upper)
+            assert same_bits(forms.rate[n], fact.achievable)
+            assert forms.violations(n) == fact.violations
+            names.update(fact.violations)
+    assert names == {
+        "gap", "upper", "weak-simplify", "constraints", "strong-simplify"}
+
+
+@pytest.mark.parametrize("snrs,inrs,k", [
+    ([0.0], [1.0], 2), ([1.0], [-1.0], 2), ([math.inf], [1.0], 2),
+    ([1.0], [math.nan], 2), ([1.0], [1.0], 1),
+])
+def test_gap_grid_rejects_what_gauss_params_rejects(snrs, inrs, k):
+    with pytest.raises(ValueError):
+        gap_grid(snrs, inrs, k)
 
 
 def test_gap_constants():
