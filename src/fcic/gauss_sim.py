@@ -24,12 +24,19 @@ estimates are the same bits for any CPU count.
 
 Both kernels work in place and keep the floating-point operations, and their
 association, of the plain out-of-place formulas, so their output bits are
-those formulas' bits.  A Monte Carlo trial overwrites its own draws (z1
-becomes x2) and allocates one block-length sum; each sample buffer's mean and
-standard error follow numpy's `mean`/`std` arithmetic on the buffer itself.
-The lattice check sums over users by adding columns left to right, which is
-numpy's own order for a row of fewer than 8 terms; from 8 terms numpy sums a
-row pairwise, so there the sum is `x.sum(axis=1)` itself.
+those formulas' bits.  They draw into their own arrays with two identities
+that give the bytes of numpy's `normal` and `uniform`, signed zeros included:
+`standard_normal(out=b)` then `b += 0.0` is `normal()`'s 0.0 + 1.0 z, and
+`random()` times (high - low) plus low is `uniform(low, high)`.  The
+arithmetic after the draws runs on blocks of `_BLOCK` columns (Monte Carlo)
+or rows (lattice), so each block's working set stays in L2 instead of every
+pass streaming whole arrays from memory; no operation crosses a block.
+A Monte Carlo trial overwrites its own draws (z1 becomes x2) and allocates
+one block-length sum per block; each sample buffer's mean and standard error
+follow numpy's `mean`/`std` arithmetic on the buffer itself.  The lattice
+check sums over users by adding columns left to right, which is numpy's own
+order for a row of fewer than 8 terms; from 8 terms numpy sums a row
+pairwise, so there the sum is `x.sum(axis=1)` itself.
 """
 
 from __future__ import annotations
@@ -58,6 +65,10 @@ __all__ = [
 ]
 
 RNG_NAME = "philox"
+
+# columns (Monte Carlo) or rows (lattice) per block: a block's working set
+# stays in L2, where the whole arrays stream from memory once per pass
+_BLOCK = 16_384
 
 
 def _check_seed(seed: int) -> None:
@@ -187,11 +198,16 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
 
     Only user 0's combiner path (y1, y2 and z2 of row 0) is computed, in
     place on the trial's draws (`_two_block_trial`); x2 is computed for every
-    user because its row-by-row sum feeds y2.  Each trial writes its samples
-    into its own slice of three preallocated (trials * block_len,) buffers
-    and squares them there, and the trials run on a thread pool of
-    min(trials, usable CPUs) workers.  Each buffer's mean and standard error
-    are then taken in place (`_mean_and_se`).  The estimates are
+    user because its row-by-row sum feeds y2.  The trials run on a thread
+    pool of W = min(trials, usable CPUs) workers; worker w allocates its draw
+    buffers c, z1 (K, T) and z2 (T,) once and runs trials w, w + W, ...,
+    filling them with `standard_normal(out=...)` and `+= 0.0`, the bytes of
+    the `normal()` draws.  The trial body and the squares run on column
+    blocks of `_BLOCK`; the sums over users add whole rows in order, the same
+    on a block as on the whole array.  Each trial writes its squared samples
+    into its own slice of three preallocated (trials * block_len,) buffers,
+    and the pool then takes each buffer's mean and standard error in place
+    (`_mean_and_se`), the three concurrently.  The estimates are
     bit-identical to an all-users loop that concatenates per-trial arrays,
     for any CPU count.  The transmit-power gate is not enforced here:
     ``gates_ok`` reports it.
@@ -209,31 +225,36 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
     sig_sq = np.empty(n)
     noise_sq = np.empty(n)
     tx_sq = np.empty(n)
-
-    def run_trial(trial: int) -> None:
-        rng = _trial_rng(cfg.seed, trial)
-        c = rng.normal(size=(k, t_len))
-        z1 = rng.normal(size=(k, t_len))
-        # the last draw on the stream: row 0 of a (k, t_len) draw
-        z2 = rng.normal(size=t_len)
-        part = slice(trial * t_len, (trial + 1) * t_len)
-        sig = sig_sq[part]
-        resid, tx = _two_block_trial(c, z1, z2, s, i, sig)
-        np.square(sig, out=sig)
-        np.square(resid, out=noise_sq[part])
-        np.square(tx, out=tx_sq[part])
-
     workers = min(cfg.trials, len(os.sched_getaffinity(0)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_trial, range(cfg.trials)))
 
-    # the closed forms first: (INR - SNR)^2 beyond binary64 raises
-    # OverflowError before the statistics can warn
-    predicted_noise_power = (k * k * i + 1.0) / (k * i + 1.0)
-    predicted_signal_lb = (i - s) ** 2 / (k * i + 1.0)
-    signal_power_hat, signal_se = _mean_and_se(sig_sq)
-    noise_power_hat, noise_se = _mean_and_se(noise_sq)
-    tx_power_hat, tx_se = _mean_and_se(tx_sq)
+    def run_worker(first: int) -> None:
+        c, z1, z2 = np.empty((k, t_len)), np.empty((k, t_len)), np.empty(t_len)
+        for trial in range(first, cfg.trials, workers):
+            rng = _trial_rng(cfg.seed, trial)
+            # normal() draws in this order (z2 is row 0 of a (k, t_len) draw)
+            # and returns 0.0 + 1.0 z: the += 0.0 turns -0.0 into +0.0 as it does
+            for buf in (c, z1, z2):
+                rng.standard_normal(out=buf)
+                buf += 0.0
+            base = trial * t_len
+            for a in range(0, t_len, _BLOCK):
+                b = min(a + _BLOCK, t_len)
+                part = slice(base + a, base + b)
+                sig = sig_sq[part]
+                resid, tx = _two_block_trial(c[:, a:b], z1[:, a:b], z2[a:b], s, i, sig)
+                np.square(sig, out=sig)
+                np.square(resid, out=noise_sq[part])
+                np.square(tx, out=tx_sq[part])
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run_worker, range(workers)))
+        # the closed forms first: (INR - SNR)^2 beyond binary64 raises
+        # OverflowError before the statistics can warn
+        predicted_noise_power = (k * k * i + 1.0) / (k * i + 1.0)
+        predicted_signal_lb = (i - s) ** 2 / (k * i + 1.0)
+        (signal_power_hat, signal_se), (noise_power_hat, noise_se), (tx_power_hat, tx_se) = (
+            pool.map(_mean_and_se, (sig_sq, noise_sq, tx_sq))
+        )
     return EffectiveChannelStats(
         config=cfg,
         signal_power_hat=signal_power_hat,
@@ -408,6 +429,14 @@ def sum_decode_check(
     fine cell (|z| > c/(2M), probability ~ 2 Q(c/(2 M sigma))); with huge
     noise the decision is a uniform guess over the M cosets.  A sum or noise
     draw beyond the binary64 range raises FloatingPointError.
+
+    All draws come first, in stream order: the codeword indices, the
+    dithers (`random()` scaled to [-c/2, c/2), the bytes of `uniform`) and
+    the noise.  The decoding then runs on blocks of `_BLOCK` trials and the
+    successes are counted as an int, divided once: the value of `np.mean`
+    over all trials.  It stays in the calling thread, because the
+    `np.errstate` that turns overflow into FloatingPointError does not carry
+    into pool threads.
     """
     if k < 2:
         raise ValueError(f"need k >= 2 users, got {k}")
@@ -418,22 +447,30 @@ def sum_decode_check(
     _check_seed(seed)
     c = lat.coarse_step
     rng = np.random.Generator(np.random.Philox(key=seed))
-    s = lat.codebook[rng.integers(0, lat.refinement, size=(trials, k))]
-    truth = mod_lattice(_sum_users(s), lat)
-    d = rng.uniform(-c / 2, c / 2, size=(trials, k))
-    dither_sum = _sum_users(d)
-    s -= d  # the transmitted points before reduction mod c
-    del d
-    s = mod_lattice(s, lat)
-    received = _sum_users(s)
-    del s
-    if noise_sigma > 0:
-        received += rng.normal(0.0, noise_sigma, size=trials)
-    received += dither_sum
-    folded = mod_lattice(received, lat)
-    decoded = mod_lattice(quantize_fine(folded, lat), lat)
-    # same fine-lattice coset on the circle; exact for power-of-two M and
-    # immune to last-ulp dust from the float dither cancellation otherwise
-    decoded -= truth
-    err = np.abs(mod_lattice(decoded, lat))
-    return float(np.mean(err < 0.5 * lat.fine_step))
+    idx = rng.integers(0, lat.refinement, size=(trials, k))
+    # uniform(low, high) is low + (high - low) u with u = random()
+    low, high = -c / 2, c / 2
+    d = rng.random(size=(trials, k))
+    d *= high - low
+    d += low
+    noise = rng.normal(0.0, noise_sigma, size=trials) if noise_sigma > 0 else None
+    successes = 0
+    for a in range(0, trials, _BLOCK):
+        rows = slice(a, a + _BLOCK)
+        s = lat.codebook[idx[rows]]
+        truth = mod_lattice(_sum_users(s), lat)
+        dither_sum = _sum_users(d[rows])
+        s -= d[rows]  # the transmitted points before reduction mod c
+        s = mod_lattice(s, lat)
+        received = _sum_users(s)
+        if noise is not None:
+            received += noise[rows]
+        received += dither_sum
+        folded = mod_lattice(received, lat)
+        decoded = mod_lattice(quantize_fine(folded, lat), lat)
+        # same fine-lattice coset on the circle; exact for power-of-two M and
+        # immune to last-ulp dust from the float dither cancellation otherwise
+        decoded -= truth
+        err = np.abs(mod_lattice(decoded, lat))
+        successes += int(np.count_nonzero(err < 0.5 * lat.fine_step))
+    return successes / trials

@@ -220,7 +220,7 @@ def stats_bits(stats: EffectiveChannelStats) -> dict:
 
 @pytest.mark.parametrize("k", [2, 3, 8, 9])
 @pytest.mark.parametrize("trials", [1, 3, 7])
-@pytest.mark.parametrize("block", [1, 17, 1000])
+@pytest.mark.parametrize("block", [1, 17, 1000, 2 * gauss_sim._BLOCK + 17])
 def test_mc_is_bit_identical_to_all_users_reference(k, trials, block):
     if block * trials < 2:  # one sample has no standard error: rejected
         with pytest.raises(ValueError):
@@ -231,11 +231,12 @@ def test_mc_is_bit_identical_to_all_users_reference(k, trials, block):
         assert stats_bits(simulate_strong_two_block(cfg)) == stats_bits(reference_mc(cfg))
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
 def test_mc_bits_do_not_depend_on_cpu_count(monkeypatch, cpus):
-    """The pool is sized from the usable CPUs; with more workers than cores
-    and a short switch interval the trials interleave, and each must still
-    land in its own slice of the shared buffers."""
+    """The pool is sized from the usable CPUs and each worker runs every
+    W-th trial (3 workers do not divide 40 trials); with more workers than
+    cores and a short switch interval the trials interleave, and each must
+    still land in its own slice of the shared buffers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     cfg = strong_cfg(k=3, block=257, trials=40, seed=9)
     interval = sys.getswitchinterval()
@@ -256,8 +257,10 @@ def test_mc_scaled_noise_exits_1_with_its_json(capsys, monkeypatch):
         def __init__(self, rng):
             self.rng = rng
 
-        def normal(self, *args, **kwargs):
-            return 2.0 * self.rng.normal(*args, **kwargs)
+        def standard_normal(self, *, out):
+            self.rng.standard_normal(out=out)
+            out *= 2.0
+            return out
 
     monkeypatch.setattr(gauss_sim, "_trial_rng", lambda seed, trial: Doubled(real(seed, trial)))
     code = main(["mc-strong", "--snr", "1", "--inr", "10", "--k", "2",
@@ -323,12 +326,36 @@ def reference_sum_decode(k, lat, noise_sigma, trials, seed):
 
 @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 12])
 def test_sum_decode_is_bit_identical_to_reference(k):
-    for c, m in ((1.0, 8), (3.0, 6)):
-        lat = make_lattice(c, m)
-        for sigma in (0.0, 0.02, 0.3):
-            for seed in (0, 11, 2**40 + 3):
-                got = sum_decode_check(k, lat, sigma, 5000, seed)
-                assert got == reference_sum_decode(k, lat, sigma, 5000, seed)
+    """Also across row blocks: at 2 _BLOCK + 1 trials and odd K the
+    32-bit-buffered `integers` draw ends mid-word, before the dithers."""
+    for trials in (5000, 2 * gauss_sim._BLOCK + 1):
+        for c, m in ((1.0, 8), (3.0, 6)):
+            lat = make_lattice(c, m)
+            for sigma in (0.0, 0.02, 0.3):
+                for seed in (0, 11, 2**40 + 3):
+                    got = sum_decode_check(k, lat, sigma, trials, seed)
+                    assert got == reference_sum_decode(k, lat, sigma, trials, seed)
+
+
+@pytest.mark.parametrize("shape", [(2, 1000), (8, 257), (1000,), (5001, 3)])
+def test_in_place_draws_give_the_bytes_of_normal_and_uniform(shape):
+    """The kernels draw with standard_normal(out=b) then b += 0.0, and with
+    random() * (high - low) + low; on one Philox key these are the bytes of
+    normal(size=...) and uniform(low, high), which the pinned outputs were
+    recorded with, compared byte for byte so a sign bit shows.  A numpy that
+    changes either method fails here first."""
+    def rng():
+        return np.random.Generator(np.random.Philox(key=np.array([3, 7], dtype=np.uint64)))
+
+    buf = np.empty(shape)
+    rng().standard_normal(out=buf)
+    buf += 0.0
+    assert buf.tobytes() == rng().normal(size=shape).tobytes()
+    low, high = -1.5, 1.5
+    u = rng().random(size=shape)
+    u *= high - low
+    u += low
+    assert u.tobytes() == rng().uniform(low, high, size=shape).tobytes()
 
 
 @pytest.mark.parametrize("k", range(2, 13))
