@@ -165,7 +165,7 @@ def cmd_gauss_gap(args) -> int:
     if any(k < 2 for k in ks):
         return _die_usage("every k must be >= 2")
     snrs, inrs = np.sort(snrs), np.sort(inrs)
-    forms = rates.gap_grid(snrs, inrs, ks)
+    forms = {k: rates.gap_grid(snrs, inrs, k) for k in ks}
     # rows run SNR, then INR, then K; regime and c_tilde do not depend on K
     snr_text, inr_text = _fmt_column(snrs), _fmt_column(inrs)
     heads = [f"{s},{i}" for s in snr_text for i in inr_text]

@@ -204,10 +204,13 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
     filling them with `standard_normal(out=...)` and `+= 0.0`, the bytes of
     the `normal()` draws.  The trial body and the squares run on column
     blocks of `_BLOCK`; the sums over users add whole rows in order, the same
-    on a block as on the whole array.  Each trial writes its squared samples
-    into its own slice of three preallocated (trials * block_len,) buffers,
-    and the pool then takes each buffer's mean and standard error in place
-    (`_mean_and_se`), the three concurrently.  The estimates are
+    on a block as on the whole array.  No block is one column wide unless
+    the whole array is: numpy sums a (K, 1) view pairwise from K = 8 on, so
+    a one-column tail joins the block before it.  Each trial writes its
+    squared samples into its own slice of three preallocated
+    (trials * block_len,) buffers, and the pool then takes each buffer's
+    mean and standard error in place (`_mean_and_se`), the three
+    concurrently.  The estimates are
     bit-identical to an all-users loop that concatenates per-trial arrays,
     for any CPU count.  The transmit-power gate is not enforced here:
     ``gates_ok`` reports it.
@@ -226,6 +229,9 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
     noise_sq = np.empty(n)
     tx_sq = np.empty(n)
     workers = min(cfg.trials, len(os.sched_getaffinity(0)))
+    # column blocks [a, b), with no one-column tail (see the docstring)
+    ends = [*range(_BLOCK, t_len - 1, _BLOCK), t_len]
+    blocks = list(zip([0, *ends], ends))
 
     def run_worker(first: int) -> None:
         c, z1, z2 = np.empty((k, t_len)), np.empty((k, t_len)), np.empty(t_len)
@@ -237,8 +243,7 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
                 rng.standard_normal(out=buf)
                 buf += 0.0
             base = trial * t_len
-            for a in range(0, t_len, _BLOCK):
-                b = min(a + _BLOCK, t_len)
+            for a, b in blocks:
                 part = slice(base + a, base + b)
                 sig = sig_sq[part]
                 resid, tx = _two_block_trial(c[:, a:b], z1[:, a:b], z2[a:b], s, i, sig)

@@ -8,17 +8,15 @@ are exact `Fraction`s; Gaussian expressions are binary64.
 
 Every Gaussian closed form (regime split, achievable rate, c_sym_tilde,
 upper bound and the gap/simplification inequalities) lives once, in the
-array kernel `_closed_forms` over SNR and INR arrays at one K, which takes
-the K-free c_sym_tilde from `_c_tilde`.  `gap_grid` runs it on an SNR x INR
-grid once per distinct K, with one c_sym_tilde for the grid, `gap_report`
-once per distinct K of a point list, and `gauss_achievable`, `c_sym_tilde`
-and `gauss_upper` read one element of it.  The kernel's output is
-bit-for-bit what the same formulas give in scalar Python floats: numpy runs
-only +, -, *, /, sqrt and comparisons, which IEEE 754 rounds correctly
-either way, while every log2 and every square goes through `math.log2` and
-Python's `** 2` (libm) one element at a time, because `np.log2` and numpy's
-`x ** 2` differ from them in the last bit on a few inputs in 10^4 and the
-CLI prints these values.
+array kernel `_closed_forms` over SNR and INR arrays at one K.  `gap_grid`
+runs it on an SNR x INR grid, `gap_report` once per distinct K of a point
+list, and `gauss_achievable`, `c_sym_tilde` and `gauss_upper` read one
+element of it.  The kernel's output is bit-for-bit what the same formulas
+give in scalar Python floats: numpy runs only +, -, *, /, sqrt and
+comparisons, which IEEE 754 rounds correctly either way, while every log2
+and every square goes through `math.log2` and Python's `** 2` (libm) one
+element at a time, because `np.log2` and numpy's `x ** 2` differ from them
+in the last bit on a few inputs in 10^4 and the CLI prints these values.
 """
 
 from __future__ import annotations
@@ -236,16 +234,9 @@ def _square(x: np.ndarray) -> np.ndarray:
     return np.fromiter((v ** 2 for v in x.tolist()), dtype=float, count=x.size)
 
 
-def _c_tilde(s: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """c_sym_tilde at SNR s and INR i; it does not depend on K."""
-    with np.errstate(all="ignore"):  # inf and NaN propagate as in Python floats
-        return 0.25 * _log2(1 + s + i) + 0.25 * _log2(1 + s / (1 + i))
-
-
-def _closed_forms(s: np.ndarray, i: np.ndarray, k: int, c_tilde: np.ndarray) -> ClosedForms:
+def _closed_forms(s: np.ndarray, i: np.ndarray, k: int) -> ClosedForms:
     """Regimes (as in `gauss_achievable`), rates, bounds and the gap
-    inequalities of `gap_report` at SNR s and INR i, for one K, given
-    `_c_tilde(s, i)`.
+    inequalities of `gap_report` at SNR s and INR i, for one K.
 
     K stays a Python int: each K-dependent factor is the Python float of
     its exact integer value, as scalar arithmetic would convert it, so any
@@ -254,6 +245,7 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, k: int, c_tilde: np.ndarray) -> 
     kf, km1, kp1 = float(k), float(k - 1), float(k + 1)
     with np.errstate(all="ignore"):  # inf and NaN propagate as in Python floats
         total = 1 + s + i
+        c_tilde = 0.25 * _log2(total) + 0.25 * _log2(1 + s / (1 + i))
         upper = c_tilde + (k - 1) / 4 + 0.5 * math.log2(k)
         neg = i < 2
         weak = ~neg & (i <= s / 2)
@@ -302,8 +294,9 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, k: int, c_tilde: np.ndarray) -> 
 
 
 def _at(params: GaussParams) -> ClosedForms:
-    s, i = np.array([params.snr], dtype=float), np.array([params.inr], dtype=float)
-    return _closed_forms(s, i, params.k, _c_tilde(s, i))
+    return _closed_forms(
+        np.array([params.snr], dtype=float), np.array([params.inr], dtype=float), params.k
+    )
 
 
 def c_sym_tilde(params: GaussParams) -> float:
@@ -380,22 +373,17 @@ class GapFact:
     violations: tuple[str, ...] = ()
 
 
-def gap_grid(snrs, inrs, ks) -> dict[int, ClosedForms]:
+def gap_grid(snrs, inrs, k: int) -> ClosedForms:
     """The closed forms and gap inequalities at every point of the grid
-    snrs x inrs, SNR-major (entry a * len(inrs) + b is (snrs[a], inrs[b])),
-    for each distinct K in ks, in the order of ks.  Same values as
-    `gap_report` on the same points.  c_tilde does not depend on K, so it is
-    computed once and every K's forms share that array.
+    snrs x inrs, for one K, SNR-major: entry a * len(inrs) + b is
+    (snrs[a], inrs[b]).  Same values as `gap_report` on the same points.
     """
     s, i = np.asarray(snrs, dtype=float), np.asarray(inrs, dtype=float)
     if not ((s > 0) & np.isfinite(s)).all() or not ((i >= 0) & np.isfinite(i)).all():
         raise ValueError("need positive finite snrs and non-negative finite inrs")
-    for k in ks:
-        if k < 2:
-            raise ValueError(f"need k >= 2 users, got {k}")
-    s, i = np.repeat(s, i.size), np.tile(i, s.size)
-    c_tilde = _c_tilde(s, i)
-    return {k: _closed_forms(s, i, k, c_tilde) for k in ks}
+    if k < 2:
+        raise ValueError(f"need k >= 2 users, got {k}")
+    return _closed_forms(np.repeat(s, i.size), np.tile(i, s.size), k)
 
 
 def gap_report(points) -> list[GapFact]:
@@ -413,9 +401,11 @@ def gap_report(points) -> list[GapFact]:
     facts: list[GapFact] = [None] * len(points)
     for k, where in by_k.items():
         group = [points[n] for n in where]
-        s = np.array([p.snr for p in group], dtype=float)
-        i = np.array([p.inr for p in group], dtype=float)
-        forms = _closed_forms(s, i, k, _c_tilde(s, i))
+        forms = _closed_forms(
+            np.array([p.snr for p in group], dtype=float),
+            np.array([p.inr for p in group], dtype=float),
+            k,
+        )
         flagged = forms.bad.any(axis=0)
         violations = [()] * len(group)
         for n in np.flatnonzero(flagged).tolist():

@@ -231,6 +231,19 @@ def test_mc_is_bit_identical_to_all_users_reference(k, trials, block):
         assert stats_bits(simulate_strong_two_block(cfg)) == stats_bits(reference_mc(cfg))
 
 
+@pytest.mark.parametrize("k", [8, 9])
+@pytest.mark.parametrize("block", [gauss_sim._BLOCK + 1, gauss_sim._BLOCK + 2,
+                                   2 * gauss_sim._BLOCK + 1])
+def test_mc_block_tails_keep_the_users_sum_order(k, block):
+    """From 8 users numpy sums a one-column (K, 1) view pairwise and a wider
+    block row by row, as it sums the whole array; a one-column last block
+    would change its column's sums in the last bit.  At INR = 10^12 the
+    combiner's cancellation carries that bit into the noise estimate."""
+    for seed in (0, 5, 2**40 + 3):
+        cfg = strong_cfg(snr=2.0, inr=1e12, k=k, block=block, trials=2, seed=seed)
+        assert stats_bits(simulate_strong_two_block(cfg)) == stats_bits(reference_mc(cfg))
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
 def test_mc_bits_do_not_depend_on_cpu_count(monkeypatch, cpus):
     """The pool is sized from the usable CPUs and each worker runs every

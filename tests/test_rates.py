@@ -340,10 +340,8 @@ def test_gap_grid_is_gap_report_on_the_grid_points(monkeypatch):
     snrs, inrs = [1e4, 1.0, 100.0], [1.0, 100.0, 1e6, 10.0]
     monkeypatch.setattr("fcic.rates.RATE_TOL", -1e9)  # every checked inequality fails
     names = set()
-    grid = gap_grid(snrs, inrs, (2, 3, 10**20))
-    assert list(grid) == [2, 3, 10**20]
-    assert grid[2].c_tilde is grid[3].c_tilde is grid[10**20].c_tilde  # one c_tilde per grid
-    for k, forms in grid.items():
+    for k in (2, 3, 10**20):
+        forms = gap_grid(snrs, inrs, k)
         facts = gap_report([GaussParams(s, i, k) for s in snrs for i in inrs])
         assert forms.regime.tolist() == [f.regime for f in facts]
         for n, fact in enumerate(facts):
@@ -362,7 +360,7 @@ def test_gap_grid_is_gap_report_on_the_grid_points(monkeypatch):
 ])
 def test_gap_grid_rejects_what_gauss_params_rejects(snrs, inrs, k):
     with pytest.raises(ValueError):
-        gap_grid(snrs, inrs, [2, k])
+        gap_grid(snrs, inrs, k)
 
 
 def test_gap_constants():
