@@ -21,18 +21,15 @@ from .gauss_sim import (
 )
 from .gf import SingularSystem, is_prime
 from .rates import (
-    Achievable,
     ExcludedRegime,
     GapFact,
     GaussParams,
     SecrecyBound,
     alpha_one_upper,
-    c_sym_tilde,
     det_converse,
     gap_grid,
     gap_report,
     gauss_achievable,
-    gauss_upper,
     gdof_fb,
     gdof_nofb,
     gdof_slope_estimate,

@@ -6,17 +6,18 @@ All logs are base 2 and all Gaussian-channel rates are bits per real channel
 use (hence the pervasive 1/2 and 1/4 factors).  Deterministic-model rates
 are exact `Fraction`s; Gaussian expressions are binary64.
 
-Every Gaussian closed form (regime split, achievable rate, c_sym_tilde,
-upper bound and the gap/simplification inequalities) lives once, in the
-array kernel `_closed_forms` over SNR and INR arrays at one K.  `gap_grid`
-runs it on an SNR x INR grid, `gap_report` once per distinct K of a point
-list, and `gauss_achievable`, `c_sym_tilde` and `gauss_upper` read one
-element of it.  The kernel's output is bit-for-bit what the same formulas
-give in scalar Python floats: numpy runs only +, -, *, /, sqrt and
-comparisons, which IEEE 754 rounds correctly either way, while every log2
-and every square goes through `math.log2` and Python's `** 2` (libm) one
-element at a time, because `np.log2` and numpy's `x ** 2` differ from them
-in the last bit on a few inputs in 10^4 and the CLI prints these values.
+Every Gaussian closed form (regime split, achievable rate, c_tilde, upper
+bound and the gap/simplification inequalities) lives once, in the array
+kernel `_closed_forms` over SNR and INR arrays at one K.  Two readers run
+it: `gap_grid` gives its arrays on an SNR x INR grid, and `gap_report`
+gives one `GapFact` per point of a point list (one kernel call per
+distinct K); `gauss_achievable` is `gap_report` on one point.  The
+kernel's output is bit-for-bit what the same formulas give in scalar
+Python floats: numpy runs only +, -, *, /, sqrt and comparisons, which
+IEEE 754 rounds correctly either way, while every log2 and every square
+goes through `math.log2` and Python's `** 2` (libm) one element at a time,
+because `np.log2` and numpy's `x ** 2` differ from them in the last bit on
+a few inputs in 10^4 and the CLI prints these values.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .channel import _validate_signs
 __all__ = [
     "ExcludedRegime",
     "GaussParams",
-    "Achievable",
     "ClosedForms",
     "GapFact",
     "SecrecyBound",
@@ -44,9 +44,7 @@ __all__ = [
     "rate_json",
     "gdof_fb",
     "gdof_nofb",
-    "c_sym_tilde",
     "gauss_achievable",
-    "gauss_upper",
     "alpha_one_upper",
     "weak_gap_constant",
     "negligible_gap_constant",
@@ -190,20 +188,6 @@ def gdof_nofb(alpha: float, k: int) -> float:
 # Gaussian-channel expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Achievable:
-    """Achievable symmetric rate with its regime tag.
-
-    `constraints_ok` is set only in the weak regime, where the chosen rate
-    split (R0*, R1*, R2*) is re-checked against all five decodability
-    constraints of the lattice scheme.
-    """
-
-    rate: float
-    regime: str
-    constraints_ok: bool | None = None
-
-
 _REGIMES = np.array(["negligible", "weak", "strong", "excluded"], dtype=object)
 _VIOLATIONS = ("gap", "upper", "weak-simplify", "constraints", "strong-simplify")
 
@@ -293,48 +277,6 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, k: int) -> ClosedForms:
     return ClosedForms(regime, rate, constraints_ok, c_tilde, upper, bad)
 
 
-def _at(params: GaussParams) -> ClosedForms:
-    return _closed_forms(
-        np.array([params.snr], dtype=float), np.array([params.inr], dtype=float), params.k
-    )
-
-
-def c_sym_tilde(params: GaussParams) -> float:
-    """Approximate symmetric capacity
-    (1/4) log2(1 + SNR + INR) + (1/4) log2(1 + SNR / (1 + INR))."""
-    return float(_at(params).c_tilde[0])
-
-
-def gauss_upper(params: GaussParams) -> float:
-    """Capacity upper bound: c_sym_tilde + (K-1)/4 + (1/2) log2 K."""
-    return float(_at(params).upper[0])
-
-
-def gauss_achievable(params: GaussParams) -> Achievable:
-    """Best analysed scheme rate for the operating point.
-
-    negligible (INR < 2): treat interference as noise, one block.
-    weak (2 <= INR <= SNR/2): common-lattice sum decoding plus two private
-        Gaussian streams over two blocks, rate (R0* + R1* + R2*)/2.
-    strong (INR >= 2 max(SNR, 1)): two-block zero-forcing of the aligned
-        interference, rate (1/4) log2(1 + (INR-SNR)^2 / (K (K INR + 1))).
-    Anything else (INR/SNR in (1/2, 2) with INR >= 2) is excluded.
-    Regime boundaries are closed as written; ties take the first branch in
-    the order negligible, weak, strong.
-    """
-    forms = _at(params)
-    regime = forms.regime[0]
-    if regime == "excluded":
-        raise ExcludedRegime(
-            f"INR/SNR = {params.inr / params.snr:.4g} lies in (1/2, 2) with INR >= 2"
-        )
-    return Achievable(
-        rate=float(forms.rate[0]),
-        regime=regime,
-        constraints_ok=bool(forms.constraints_ok[0]) if regime == "weak" else None,
-    )
-
-
 def alpha_one_upper(snr: float, k: int) -> float:
     """Symmetric-rate upper bound on the INR = SNR line:
     (1/(2K)) log2(1 + K^2 SNR) + (K-1)/(2K).
@@ -351,22 +293,32 @@ def alpha_one_upper(snr: float, k: int) -> float:
 
 
 def weak_gap_constant(k: int) -> float:
-    """Gap of the weak/strong schemes below c_sym_tilde: (1/4) log2 16 K^2 (K+1)."""
+    """Gap of the weak/strong schemes below c_tilde: (1/4) log2 16 K^2 (K+1)."""
     return 0.25 * math.log2(16 * k * k * (k + 1))
 
 
 def negligible_gap_constant(k: int) -> float:
-    """Gap of treat-interference-as-noise below c_sym_tilde: (1/4) log2 3 (K-1)^2."""
+    """Gap of treat-interference-as-noise below c_tilde: (1/4) log2 3 (K-1)^2."""
     return 0.25 * math.log2(3 * (k - 1) ** 2)
 
 
 @dataclass(frozen=True)
 class GapFact:
-    """Per-point outcome of the constant-gap verification sweep."""
+    """Everything the closed forms say about one operating point.
+
+    `c_tilde` is the approximate symmetric capacity
+    (1/4) log2(1 + SNR + INR) + (1/4) log2(1 + SNR / (1 + INR)), and
+    `upper` the capacity upper bound c_tilde + (K-1)/4 + (1/2) log2 K.
+    `achievable` is NaN in the excluded band.  `constraints_ok` is set only
+    in the weak regime, where the chosen rate split (R0*, R1*, R2*) is
+    re-checked against all five decodability constraints of the lattice
+    scheme; it is None elsewhere.
+    """
 
     params: GaussParams
     regime: str
     achievable: float
+    constraints_ok: bool | None
     c_tilde: float
     upper: float
     gap_ok: bool
@@ -387,7 +339,7 @@ def gap_grid(snrs, inrs, k: int) -> ClosedForms:
 
 
 def gap_report(points) -> list[GapFact]:
-    """Evaluate the gap and simplification inequalities on a parameter grid.
+    """Evaluate the gap and simplification inequalities on a point list.
 
     Excluded-band points are tagged and carry no claim (gap_ok stays True
     there); every other point must satisfy its regime's inequalities at
@@ -410,13 +362,38 @@ def gap_report(points) -> list[GapFact]:
         violations = [()] * len(group)
         for n in np.flatnonzero(flagged).tolist():
             violations[n] = forms.violations(n)
+        regimes = forms.regime.tolist()
+        constraints_ok = [
+            ok if regime == "weak" else None
+            for regime, ok in zip(regimes, forms.constraints_ok.tolist())
+        ]
         group_facts = map(
-            GapFact, group, forms.regime.tolist(), forms.rate.tolist(),
+            GapFact, group, regimes, forms.rate.tolist(), constraints_ok,
             forms.c_tilde.tolist(), forms.upper.tolist(), (~flagged).tolist(), violations,
         )
         for n, fact in zip(where, group_facts):
             facts[n] = fact
     return facts
+
+
+def gauss_achievable(params: GaussParams) -> GapFact:
+    """Best analysed scheme rate for the operating point: its `GapFact`.
+
+    negligible (INR < 2): treat interference as noise, one block.
+    weak (2 <= INR <= SNR/2): common-lattice sum decoding plus two private
+        Gaussian streams over two blocks, rate (R0* + R1* + R2*)/2.
+    strong (INR >= 2 max(SNR, 1)): two-block zero-forcing of the aligned
+        interference, rate (1/4) log2(1 + (INR-SNR)^2 / (K (K INR + 1))).
+    Anything else (INR/SNR in (1/2, 2) with INR >= 2) is excluded and
+    raises `ExcludedRegime`.  Regime boundaries are closed as written; ties
+    take the first branch in the order negligible, weak, strong.
+    """
+    fact = gap_report([params])[0]
+    if fact.regime == "excluded":
+        raise ExcludedRegime(
+            f"INR/SNR = {params.inr / params.snr:.4g} lies in (1/2, 2) with INR >= 2"
+        )
+    return fact
 
 
 def gdof_slope_estimate(alpha: float, k: int, snr_grid=(1e6, 1e8, 1e10)) -> float:
@@ -428,8 +405,8 @@ def gdof_slope_estimate(alpha: float, k: int, snr_grid=(1e6, 1e8, 1e10)) -> floa
     the plain rate / ((1/2) log2 SNR) ratio does.
     """
     lo, hi = snr_grid[-2], snr_grid[-1]
-    r_lo = gauss_achievable(GaussParams(snr=lo, inr=lo ** alpha, k=k)).rate
-    r_hi = gauss_achievable(GaussParams(snr=hi, inr=hi ** alpha, k=k)).rate
+    r_lo = gauss_achievable(GaussParams(snr=lo, inr=lo ** alpha, k=k)).achievable
+    r_hi = gauss_achievable(GaussParams(snr=hi, inr=hi ** alpha, k=k)).achievable
     return (r_hi - r_lo) / (0.5 * math.log2(hi) - 0.5 * math.log2(lo))
 
 

@@ -325,6 +325,21 @@ def test_gauss_rates_excluded_exits_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("snr,inr,exit_code", [("1e4", "1e2", 0), ("100", "100", 4)])
+def test_gauss_rates_runs_the_kernel_once(capsys, monkeypatch, snr, inr, exit_code):
+    """Every field of one gauss-rates point comes from one `_closed_forms` pass."""
+    calls = []
+    kernel = rates._closed_forms
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(rates, "_closed_forms", counted)
+    code, _, _ = run_cli(capsys, "gauss-rates", "--snr", snr, "--inr", inr)
+    assert (code, len(calls)) == (exit_code, 1)
+
+
 def test_gauss_gap_sweep(capsys):
     code, out, err = run_cli(
         capsys, "gauss-gap",
@@ -524,6 +539,21 @@ def test_gauss_gap_rejects_non_finite_grids(capsys, grid):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert repr(grid) in err
+
+
+@pytest.mark.parametrize("argv,k", [
+    (("gdof", "--k", "1"), 1),
+    (("gauss-rates", "--snr", "1e4", "--inr", "1e2", "--k", "0"), 0),
+    (("gauss-gap", "--snr-grid", "1,10", "--inr-grid", "1,10", "--k-list", "3,-1"), -1),
+    (("mc-strong", "--snr", "1", "--inr", "10", "--k", "1", "--block", "2"), 1),
+])
+def test_fewer_than_two_users_exit_2(capsys, argv, k):
+    """The constructor that needs k >= 2 rejects a smaller k before any
+    output: exit 2 and one error line naming the k given."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip("\n").endswith(f"got {k}")
 
 
 # what numpy raises for `np.empty(10**11)` and friends

@@ -12,12 +12,10 @@ from fcic.rates import (
     GaussParams,
     RATE_TOL,
     alpha_one_upper,
-    c_sym_tilde,
     det_converse,
     gap_grid,
     gap_report,
     gauss_achievable,
-    gauss_upper,
     gdof_fb,
     gdof_nofb,
     gdof_slope_estimate,
@@ -174,19 +172,20 @@ def test_feedback_never_hurts():
 
 def test_c_sym_tilde_interference_free_reduction():
     for snr in (0.5, 10, 1e6):
-        params = GaussParams(snr=snr, inr=0, k=3)
-        assert c_sym_tilde(params) == pytest.approx(0.5 * math.log2(1 + snr), abs=1e-12)
+        fact = gap_report([GaussParams(snr=snr, inr=0, k=3)])[0]
+        assert fact.c_tilde == pytest.approx(0.5 * math.log2(1 + snr), abs=1e-12)
 
 
 def test_c_sym_tilde_regression_point():
-    val = c_sym_tilde(GaussParams(snr=15, inr=3, k=2))
+    val = gap_report([GaussParams(snr=15, inr=3, k=2)])[0].c_tilde
     expect = 0.25 * math.log2(19) + 0.25 * math.log2(1 + 15 / 4)
     assert val == pytest.approx(expect, abs=1e-15)
     assert val == pytest.approx(1.6239637567217926, abs=1e-12)
 
 
 def test_c_sym_tilde_vanishes_at_zero_power():
-    assert c_sym_tilde(GaussParams(snr=1e-15, inr=0, k=2)) == pytest.approx(0, abs=1e-12)
+    fact = gap_report([GaussParams(snr=1e-15, inr=0, k=2)])[0]
+    assert fact.c_tilde == pytest.approx(0, abs=1e-12)
 
 
 def test_achievable_weak_point():
@@ -196,7 +195,7 @@ def test_achievable_weak_point():
         0.5 * math.log2(99 / 32)
         + 2 * 0.5 * math.log2(1 + 1e4 / (3 * 1e2))
     )
-    assert ach.rate == pytest.approx(expect, abs=1e-12)
+    assert ach.achievable == pytest.approx(expect, abs=1e-12)
     assert ach.constraints_ok is True
 
 
@@ -204,14 +203,15 @@ def test_achievable_strong_point():
     ach = gauss_achievable(GaussParams(snr=10, inr=1e3, k=3))
     assert ach.regime == "strong"
     expect = 0.25 * math.log2(1 + 990**2 / (3 * 3001))
-    assert ach.rate == pytest.approx(expect, abs=1e-12)
+    assert ach.achievable == pytest.approx(expect, abs=1e-12)
     assert ach.constraints_ok is None
 
 
 def test_achievable_negligible_point():
     ach = gauss_achievable(GaussParams(snr=50, inr=1.5, k=4))
     assert ach.regime == "negligible"
-    assert ach.rate == pytest.approx(0.5 * math.log2(1 + 50 / (1 + 3 * 1.5)), abs=1e-12)
+    assert ach.constraints_ok is None
+    assert ach.achievable == pytest.approx(0.5 * math.log2(1 + 50 / (1 + 3 * 1.5)), abs=1e-12)
 
 
 def test_weak_rate_split_satisfies_all_constraints():
@@ -239,7 +239,7 @@ def test_weak_rate_split_satisfies_all_constraints():
                 ach = gauss_achievable(GaussParams(snr=s_, inr=i_, k=k))
                 assert ach.regime == "weak"
                 assert ach.constraints_ok is True
-                assert ach.rate == pytest.approx(
+                assert ach.achievable == pytest.approx(
                     0.5 * (r0_star + 2 * r12_star), abs=1e-12
                 )
 
@@ -258,16 +258,14 @@ def test_achievable_regime_boundaries():
 
 
 def test_gauss_upper_limit_form():
-    val = gauss_upper(GaussParams(snr=1e-15, inr=0, k=2))
+    val = gap_report([GaussParams(snr=1e-15, inr=0, k=2)])[0].upper
     assert val == pytest.approx(0.25 + 0.5, abs=1e-9)  # (K-1)/4 + log2(K)/2 = 3/4
-    point = GaussParams(snr=1e4, inr=1e2, k=3)
-    assert gauss_upper(point) == pytest.approx(
-        c_sym_tilde(point) + 0.5 + 0.5 * math.log2(3), abs=1e-12
-    )
+    fact = gap_report([GaussParams(snr=1e4, inr=1e2, k=3)])[0]
+    assert fact.upper == pytest.approx(fact.c_tilde + 0.5 + 0.5 * math.log2(3), abs=1e-12)
 
 
 def test_monotone_in_snr():
-    """c_sym_tilde and gauss_upper increase with SNR everywhere; the
+    """c_tilde and the upper bound increase with SNR everywhere; the
     achievable rate increases within the negligible and weak regimes (the
     strong-regime formula is decreasing in SNR since zero-forcing loses
     signal power as SNR approaches INR)."""
@@ -278,14 +276,15 @@ def test_monotone_in_snr():
         s1 = float(rng.uniform(0.1, 1e6))
         s2 = s1 * float(rng.uniform(1.0, 10.0))
         p1, p2 = GaussParams(s1, inr, k), GaussParams(s2, inr, k)
-        assert c_sym_tilde(p2) >= c_sym_tilde(p1) - 1e-12
-        assert gauss_upper(p2) >= gauss_upper(p1) - 1e-12
+        f1, f2 = gap_report([p1, p2])
+        assert f2.c_tilde >= f1.c_tilde - 1e-12
+        assert f2.upper >= f1.upper - 1e-12
         try:
             a1, a2 = gauss_achievable(p1), gauss_achievable(p2)
         except ExcludedRegime:
             continue
         if a1.regime == a2.regime and a1.regime in ("negligible", "weak"):
-            assert a2.rate >= a1.rate - 1e-12
+            assert a2.achievable >= a1.achievable - 1e-12
 
 
 def test_alpha_one_upper_values():
@@ -376,8 +375,7 @@ def test_achievable_below_upper_on_grid():
                     ach = gauss_achievable(GaussParams(float(s), float(i), k))
                 except ExcludedRegime:
                     continue
-                up = gauss_upper(GaussParams(float(s), float(i), k))
-                assert ach.rate <= up + RATE_TOL
+                assert ach.achievable <= ach.upper + RATE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +393,7 @@ def test_c_tilde_ratio_recovers_feedback_curve():
     its ratio against (1/2) log2 SNR converges to the feedback GDoF."""
     for alpha in (0.25, 0.5, 1.5, 2.0):
         snr = 1e10
-        ratio = c_sym_tilde(GaussParams(snr=snr, inr=snr**alpha, k=3)) / (
+        ratio = gap_report([GaussParams(snr=snr, inr=snr**alpha, k=3)])[0].c_tilde / (
             0.5 * math.log2(snr)
         )
         assert abs(ratio - gdof_fb(alpha)) < 0.05
@@ -531,19 +529,19 @@ def same_bits(x, y):
     GaussParams(snr=346.8254241337069, inr=47.3851486015336, k=3),
 ])
 def test_kernel_matches_scalar_reference(points):
-    """gap_report (one kernel call per distinct K) and the one-point reads
-    give the scalar formulas' exact bits, regimes and violation tuples, in
-    input order."""
+    """gap_report (one kernel call per distinct K) and its one-point form
+    gauss_achievable give the scalar formulas' exact bits, regimes,
+    rate-split re-checks and violation tuples, in input order."""
     facts = gap_report(points)
     assert [f.params for f in facts] == points
     for params, fact in zip(points, facts):
         s, i, k = params.snr, params.inr, params.k
         tilde, upper = ref_c_sym_tilde(s, i), ref_gauss_upper(s, i, k)
-        assert same_bits(fact.c_tilde, tilde) and same_bits(c_sym_tilde(params), tilde)
-        assert same_bits(fact.upper, upper) and same_bits(gauss_upper(params), upper)
+        assert same_bits(fact.c_tilde, tilde) and same_bits(fact.upper, upper)
         ref = ref_gauss_achievable(s, i, k)
         if ref is None:
             assert (fact.regime, fact.gap_ok, fact.violations) == ("excluded", True, ())
+            assert fact.constraints_ok is None
             assert math.isnan(fact.achievable)
             with pytest.raises(ExcludedRegime):
                 gauss_achievable(params)
@@ -551,6 +549,8 @@ def test_kernel_matches_scalar_reference(points):
         rate, regime, constraints_ok = ref
         ach = gauss_achievable(params)
         assert (ach.regime, ach.constraints_ok) == (regime, constraints_ok)
-        assert same_bits(ach.rate, rate) and same_bits(fact.achievable, rate)
+        assert fact.constraints_ok is constraints_ok
+        assert same_bits(ach.c_tilde, tilde) and same_bits(ach.upper, upper)
+        assert same_bits(ach.achievable, rate) and same_bits(fact.achievable, rate)
         bad = ref_gap_checks(s, i, k, rate, regime, constraints_ok, tilde, upper)
         assert (fact.regime, fact.violations, fact.gap_ok) == (regime, bad, not bad)
