@@ -21,9 +21,9 @@ from .gauss_sim import (
 )
 from .gf import SingularSystem, is_prime
 from .rates import (
-    ExcludedRegime,
     GapFact,
     GaussParams,
+    RegimeMismatch,
     SecrecyBound,
     alpha_one_upper,
     det_converse,
@@ -38,11 +38,9 @@ from .rates import (
 from .schemes import (
     AlignmentSolution,
     NoSolution,
-    RegimeMismatch,
     VerifyReport,
     build_scheme,
     moderate_scheme,
-    qsym_scheme,
     qsym_solve,
     select_prime,
     verify_scheme,

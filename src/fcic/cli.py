@@ -328,10 +328,10 @@ def main(argv=None) -> int:
         return _die_usage(str(exc) or "out of memory")
     except (OverflowError, FloatingPointError) as exc:  # beyond the binary64 range
         return _die_usage(f"a value is too large for binary64 floating point: {exc}")
-    except (SingularSystem, schemes.NoSolution) as exc:
+    except SingularSystem as exc:  # schemes.NoSolution included
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (schemes.RegimeMismatch, rates.ExcludedRegime) as exc:
+    except rates.RegimeMismatch as exc:
         print(f"regime mismatch: {exc}", file=sys.stderr)
         return EXIT_REGIME
 

@@ -47,8 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import GaussParams
-from .schemes import RegimeMismatch
+from .rates import GaussParams, RegimeMismatch
 
 __all__ = [
     "MCConfig",
@@ -338,8 +337,7 @@ class NestedLattice1D:
     """Nested pair (coarse step c, fine step c/M) with its codebook.
 
     The codebook is the M fine-lattice points inside the coarse Voronoi cell
-    [-c/2, c/2), so it is closed under mod-c addition.  The second moment of
-    the coarse cell is c^2/12.
+    [-c/2, c/2), so it is closed under mod-c addition.
     """
 
     coarse_step: float
@@ -349,10 +347,6 @@ class NestedLattice1D:
     @property
     def fine_step(self) -> float:
         return self.coarse_step / self.refinement
-
-    @property
-    def second_moment(self) -> float:
-        return self.coarse_step**2 / 12.0
 
 
 def make_lattice(c: float, m: int) -> NestedLattice1D:
@@ -371,31 +365,27 @@ def make_lattice(c: float, m: int) -> NestedLattice1D:
     return lat
 
 
-def mod_lattice(x, lat: NestedLattice1D):
-    """x minus its nearest coarse point, canonicalised into [-c/2, c/2).
+def mod_lattice(x, lat: NestedLattice1D) -> np.ndarray:
+    """x - c floor(x/c + 0.5): x minus its nearest coarse point, canonicalised
+    into [-c/2, c/2), as one new float64 array of x's shape (0-d for a
+    float, with the bits of the same formula in Python floats).
 
     A point exactly on a cell boundary maps to the lower edge -c/2 (so the
-    canonical window is genuinely half-open).  An array input costs one new
-    array of its size.
+    canonical window is genuinely half-open).
     """
-    c = lat.coarse_step
-    if np.ndim(x) == 0:
-        return x - c * np.floor(x / c + 0.5)
-    nearest = _round_to_step(x, c)
+    nearest = _round_to_step(x, lat.coarse_step)
     return np.subtract(x, nearest, out=nearest)
 
 
-def quantize_fine(x, lat: NestedLattice1D):
-    """Nearest fine-lattice point, with the same boundary rule as mod_lattice."""
-    f = lat.fine_step
-    if np.ndim(x) == 0:
-        return f * np.floor(x / f + 0.5)
-    return _round_to_step(x, f)
+def quantize_fine(x, lat: NestedLattice1D) -> np.ndarray:
+    """Nearest fine-lattice point, with the same boundary rule and return
+    type as mod_lattice."""
+    return _round_to_step(x, lat.fine_step)
 
 
-def _round_to_step(x: np.ndarray, step: float) -> np.ndarray:
-    """step * floor(x / step + 0.5) for an array x, in one new array."""
-    out = x / step
+def _round_to_step(x, step: float) -> np.ndarray:
+    """step * floor(x / step + 0.5), in one new float64 array of x's shape."""
+    out = np.divide(x, step, out=np.empty(np.shape(x)))
     out += 0.5
     np.floor(out, out=out)
     out *= step

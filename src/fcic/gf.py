@@ -22,15 +22,16 @@ __all__ = [
     "check_dot_length",
     "is_prime",
     "GfMatrix",
-    "shift_matrix",
     "nullspace",
 ]
 
 
 class SingularSystem(Exception):
-    """Raised when a square system has no unique solution over GF(p).  It
-    carries only its text, which says why (for a two-block decode matrix,
-    which term of Delta is 0 mod p)."""
+    """No decodable scheme over GF(p): a decode matrix is singular, or (the
+    subclass `schemes.NoSolution`) the alignment solver finds no point whose
+    decode matrices all invert.  gf raises none itself: `schemes` does, and
+    the CLI maps it to exit code 3.  It carries only its text, which says
+    why (which user's term of Delta is 0 mod p)."""
 
 
 @functools.lru_cache
@@ -133,18 +134,6 @@ class GfMatrix:
             raise ValueError(f"expected a square matrix, got shape {self.data.shape}")
         _, pivots, det = self._echelon()
         return det if len(pivots) == self.data.shape[0] else 0
-
-
-def shift_matrix(q: int, k: int) -> np.ndarray:
-    """q x q int64 down-shift to the k-th power: entry (i, j) = 1 iff
-    i = j + k, reduced over every GF(p).
-
-    k = 0 gives the identity; k >= q gives the zero matrix (the shift is
-    nilpotent).  Index 0 is the top (most significant) signal level.
-    """
-    if k < 0:
-        raise ValueError(f"shift amount must be >= 0, got {k}")
-    return np.eye(q, k=-k, dtype=np.int64)
 
 
 def nullspace(m: GfMatrix) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 from .channel import _validate_signs
 
 __all__ = [
-    "ExcludedRegime",
+    "RegimeMismatch",
     "GaussParams",
     "ClosedForms",
     "GapFact",
@@ -57,8 +57,11 @@ __all__ = [
 RATE_TOL = 1e-9  # absolute tolerance on all floating-point rate comparisons
 
 
-class ExcludedRegime(Exception):
-    """Parameters fall in the uncharacterised band INR/SNR in (1/2, 2), INR >= 2."""
+class RegimeMismatch(Exception):
+    """Parameters lie outside the regime a result is for: a Gaussian point in
+    the uncharacterised band INR/SNR in (1/2, 2) with INR >= 2, a strong-
+    regime simulation outside INR >= 2 max(SNR, 1), or time sharing at
+    m != n.  The CLI's exit code 4."""
 
 
 @dataclass(frozen=True)
@@ -385,26 +388,26 @@ def gauss_achievable(params: GaussParams) -> GapFact:
     strong (INR >= 2 max(SNR, 1)): two-block zero-forcing of the aligned
         interference, rate (1/4) log2(1 + (INR-SNR)^2 / (K (K INR + 1))).
     Anything else (INR/SNR in (1/2, 2) with INR >= 2) is excluded and
-    raises `ExcludedRegime`.  Regime boundaries are closed as written; ties
+    raises `RegimeMismatch`.  Regime boundaries are closed as written; ties
     take the first branch in the order negligible, weak, strong.
     """
     fact = gap_report([params])[0]
     if fact.regime == "excluded":
-        raise ExcludedRegime(
+        raise RegimeMismatch(
             f"INR/SNR = {params.inr / params.snr:.4g} lies in (1/2, 2) with INR >= 2"
         )
     return fact
 
 
-def gdof_slope_estimate(alpha: float, k: int, snr_grid=(1e6, 1e8, 1e10)) -> float:
+def gdof_slope_estimate(alpha: float, k: int) -> float:
     """Finite-difference GDoF estimate from the achievable-rate curve.
 
     Slope of gauss_achievable(SNR, SNR^alpha, k) against (1/2) log2 SNR
-    across the top of the grid; the additive constants in the rate formulas
-    cancel, so this converges to the GDoF orders of magnitude sooner than
-    the plain rate / ((1/2) log2 SNR) ratio does.
+    between SNR = 10^8 and 10^10; the additive constants in the rate
+    formulas cancel, so this converges to the GDoF orders of magnitude
+    sooner than the plain rate / ((1/2) log2 SNR) ratio does.
     """
-    lo, hi = snr_grid[-2], snr_grid[-1]
+    lo, hi = 1e8, 1e10
     r_lo = gauss_achievable(GaussParams(snr=lo, inr=lo ** alpha, k=k)).achievable
     r_hi = gauss_achievable(GaussParams(snr=hi, inr=hi ** alpha, k=k)).achievable
     return (r_hi - r_lo) / (0.5 * math.log2(hi) - 0.5 * math.log2(lo))

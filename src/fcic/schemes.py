@@ -20,10 +20,10 @@ time, in closed form: its blocks are polynomials in one shift, so
 `_decode_inverse` reads the inverse off a power series, with no
 elimination; it and the solver test one condition, the constant term of
 `two_block_delta`, the only evidence of infeasibility: SingularSystem and
-NoSolution name the user whose term is 0 mod p (for NoSolution, on the
-whole solution space, or else the candidates searched).  Without p,
-`build_scheme` returns the first success of its `PRIME_SCAN` scan.
-`verify_scheme` replays all of its trials as one batch through
+its subclass NoSolution name the user whose term is 0 mod p (for
+NoSolution, on the whole solution space, or else the candidates searched).
+Without p, `build_scheme` returns the first success of its `PRIME_SCAN`
+scan.  `verify_scheme` replays all of its trials as one batch through
 `run_feedback_session` and judges the declared rate against
 `rates.det_converse`.
 """
@@ -36,18 +36,16 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import DetParams, Scheme, Transcript, _validate_signs, run_feedback_session
-from .gf import GfMatrix, SingularSystem, nullspace, shift_matrix
-from .rates import det_converse, lambda_plus_i_singular, rate_json
+from .gf import GfMatrix, SingularSystem, nullspace
+from .rates import RegimeMismatch, det_converse, lambda_plus_i_singular, rate_json
 
 __all__ = [
-    "RegimeMismatch",
     "NoSolution",
     "AlignmentSolution",
     "VerifyReport",
     "moderate_scheme",
     "qsym_constraint_matrix",
     "qsym_solve",
-    "qsym_scheme",
     "moderate_margin",
     "two_block_delta",
     "select_prime",
@@ -62,12 +60,9 @@ _REGIME_SIGN = {"weak": 1, "strong": -1, "moderate": 0}  # the sign of n - m
 _DELTA_TERM = {1: "B", -1: "-U", 0: "B + V - A - U"}  # Delta's constant term by sign
 
 
-class RegimeMismatch(Exception):
-    """Channel parameters are outside the regime a construction is for."""
-
-
-class NoSolution(Exception):
-    """Alignment coefficient search exhausted without a valid point."""
+class NoSolution(SingularSystem):
+    """Alignment coefficient search exhausted without a valid point: a
+    `SingularSystem`, as no scheme of the regime decodes at that p."""
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +334,7 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
         relay[:m, L + n - m:] = np.eye(m, dtype=np.int64)
         relay[m:, n:L] = np.eye(n - m, dtype=np.int64)
     else:  # I_k = Y_k - D^(m-n) S_k
-        relay[:, :q] = -shift_matrix(m, m - n)
+        relay[:, :q] = -np.eye(m, k=n - m, dtype=np.int64)
         relay[:, L:] = eye
     a = np.array([c[0] for c in coeffs], dtype=np.int64).reshape(-1, 1, 1)
     b = np.array([c[1] for c in coeffs], dtype=np.int64).reshape(-1, 1, 1)
@@ -355,38 +350,20 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
     )
 
 
-def qsym_scheme(params: DetParams, sol: AlignmentSolution) -> Scheme:
-    """Cooperative alignment scheme on the signed channel.
-
-    Block 1 sends fresh symbols (n of them for m <= n, m for m > n).  Each
-    transmitter recovers its receiver's interference symbols I_k from the
-    feedback by subtracting its own contribution, then sends
-    A_k (own symbols) + B_k I_k on the aligned levels in block 2, so every
-    receiver sees its block-1 interference again scaled by (U_k, V_k) and
-    solves a per-user square system.
-    """
-    if params.signs is None:
-        raise RegimeMismatch("qsym_scheme needs an explicit sign matrix")
-    if sol.p != params.p or sol.signs != params.signs:
-        raise ValueError("alignment solution does not match channel parameters")
-    return _two_block_scheme(params, list(zip(sol.a, sol.b, sol.u, sol.v)), "qsym")
-
-
 # ---------------------------------------------------------------------------
 # construction dispatch and verification
 # ---------------------------------------------------------------------------
 
 def _try_build(params: DetParams) -> Scheme:
-    K, n, m = params.K, params.n, params.m
-    if n == m:
-        if params.signs is None or lambda_plus_i_singular(params.signs):
-            return moderate_scheme(params)  # n/K time sharing meets the converse
-        return qsym_scheme(params, qsym_solve(params.signs, "moderate", params.p))
-    regime = "weak" if m < n else "strong"
-    if params.signs is None:
+    K, n, m, signs = params.K, params.n, params.m, params.signs
+    if n == m and (signs is None or lambda_plus_i_singular(signs)):
+        return moderate_scheme(params)  # n/K time sharing meets the converse
+    regime = "weak" if m < n else "strong" if m > n else "moderate"
+    if signs is None:
         # the all-ones Lambda aligns at (A, B, U, V) = (0, 1, K-1, K-2)
         return _two_block_scheme(params, [(0, 1, K - 1, K - 2)] * K, regime)
-    return qsym_scheme(params, qsym_solve(params.signs, regime, params.p))
+    sol = qsym_solve(signs, regime, params.p)
+    return _two_block_scheme(params, list(zip(sol.a, sol.b, sol.u, sol.v)), "qsym")
 
 
 def build_scheme(K: int, n: int, m: int, p: int | None = None, signs=None) -> Scheme:
@@ -401,7 +378,7 @@ def build_scheme(K: int, n: int, m: int, p: int | None = None, signs=None) -> Sc
     for p in PRIME_SCAN:
         try:
             return _try_build(DetParams(K=K, n=n, m=m, p=p, signs=signs))
-        except (SingularSystem, NoSolution) as exc:
+        except SingularSystem as exc:  # NoSolution included
             reasons.append(str(exc))
     if n == m and det_converse(n, m, K, signs) is None:
         return moderate_scheme(DetParams(K=K, n=n, m=m, p=PRIME_SCAN[0], signs=signs))

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 
-from fcic.gf import GfMatrix, shift_matrix
+from fcic.gf import GfMatrix
 
 
 def cofactor_det_mod(mat, p: int) -> int:
@@ -59,7 +59,7 @@ def qsym_decode_matrix(params, a: int, b: int, u: int, v: int) -> np.ndarray:
     """
     n, m = params.n, params.m
     eye = np.eye(params.q, dtype=np.int64)
-    d = shift_matrix(params.q, abs(n - m))
+    d = np.eye(params.q, k=-abs(n - m), dtype=np.int64)
     own, cross = (eye, d) if n >= m else (d, eye)
     top = np.concatenate([own, cross], axis=1)
     bot = np.concatenate([a * own + u * cross, b * own + v * cross], axis=1)

@@ -33,7 +33,7 @@ from fcic.rates import (
     gdof_slope_estimate,
     secrecy_bound,
 )
-from fcic.schemes import build_scheme, qsym_scheme, qsym_solve, verify_scheme
+from fcic.schemes import build_scheme, qsym_solve, verify_scheme
 
 from conftest import all_sign_matrices_k3
 
@@ -108,7 +108,7 @@ def test_criterion_3_qsym_feasibility():
             rhs = (np.diag(sol.u) + np.diag(sol.v) @ lam_np) % p
             assert (lhs == rhs).all()
             params = DetParams(K=3, n=n, m=m, p=p, signs=lam)
-            scheme = qsym_scheme(params, sol)
+            scheme = build_scheme(3, n, m, p=p, signs=lam)  # from this same (deterministic) solve
             assert scheme.declared_rate == det_converse(n, m, 3)
             report = verify_scheme(params, scheme, 100, seed=3000 + count)
             assert report.successes == 100, (lam, regime)
@@ -142,7 +142,7 @@ def test_criterion_4_gauss_gap_sweep():
 @criterion("criterion 5 (GDoF convergence and the alpha = 1 row)")
 def test_criterion_5_gdof_convergence(capsys):
     for alpha in (0.25, 0.5, 1.5, 2.0):
-        est = gdof_slope_estimate(alpha, 3, snr_grid=(1e6, 1e8, 1e10))
+        est = gdof_slope_estimate(alpha, 3)
         assert abs(est - gdof_fb(alpha)) < 0.05, alpha
     code = cli_main(["gdof", "--alpha-min", "0", "--alpha-max", "2",
                      "--steps", "9", "--k", "3"])

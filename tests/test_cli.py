@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcic import gauss_sim, rates, schemes
+import fcic
+from fcic import gauss_sim, gf, rates, schemes
 from fcic.cli import main
 
 
@@ -802,3 +803,26 @@ def test_lattice_demo_detects_an_unclosed_codebook(capsys, monkeypatch, edit):
     code, out, _ = run_cli(capsys, "lattice-demo", "--refinement", "10", "--trials", "100")
     assert json.loads(out)["closure_ok"] is False
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# the exit contract: one exception type per failure code
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,code,prefix", [
+    # K = 1 mod 2: the strong decode matrix is singular over GF(2)
+    (("det-verify", "--k", "3", "--n", "1", "--m", "2", "--p", "2"), 3, "infeasible: "),
+    # Delta's constant term B + V - A - U vanishes on the whole solution space
+    (("qsym", "--signs", "{signs}", "--regime", "moderate", "--p", "3"), 3, "infeasible: "),
+    (("gauss-rates", "--snr", "10", "--inr", "10"), 4, "regime mismatch: "),  # excluded band
+    (("mc-strong", "--snr", "10", "--inr", "3"), 4, "regime mismatch: "),  # not strong
+])
+def test_each_failure_exit_code_has_one_exception_type(capsys, tmp_path, argv, code, prefix):
+    signs = tmp_path / "signs.txt"
+    signs.write_text("0 -1 1\n1 0 -1\n1 -1 0\n")
+    got, out, err = run_cli(capsys, *(a.format(signs=signs) for a in argv))
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+    assert issubclass(schemes.NoSolution, gf.SingularSystem)
+    assert fcic.RegimeMismatch is rates.RegimeMismatch
+    assert not hasattr(rates, "ExcludedRegime")

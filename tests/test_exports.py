@@ -30,3 +30,13 @@ def test_package_reexports_resolve():
         for alias in node.names:
             assert hasattr(module, alias.name), f"fcic.{node.module}.{alias.name}"
             assert getattr(fcic, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_names_are_defined_where_listed(name):
+    """A class or function in a module's __all__ is that module's own, so a
+    moved name cannot linger as a re-export from its old module."""
+    module = importlib.import_module(f"fcic.{name}")
+    public = [getattr(module, n) for n in module.__all__]
+    assert [obj.__qualname__ for obj in public
+            if callable(obj) and obj.__module__ != module.__name__] == []

@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcic import gauss_sim
 from fcic.cli import main
@@ -25,8 +27,7 @@ from fcic.gauss_sim import (
     sum_decode_check,
     zero_forcing_signal_coef,
 )
-from fcic.rates import GaussParams
-from fcic.schemes import RegimeMismatch
+from fcic.rates import GaussParams, RegimeMismatch
 
 
 def strong_cfg(snr=1.0, inr=10.0, k=2, block=10_000, trials=10, seed=1):
@@ -420,7 +421,6 @@ def test_make_lattice_codebook():
     lat = make_lattice(1.0, 4)
     assert lat.codebook.tolist() == [-0.5, -0.25, 0.0, 0.25]
     assert np.diff(lat.codebook).tolist() == [0.25, 0.25, 0.25]
-    assert lat.second_moment == pytest.approx(1 / 12)
 
 
 def test_make_lattice_validation():
@@ -468,6 +468,38 @@ def test_quantize_fine_rounds_to_grid():
     assert quantize_fine(0.13, lat) == 0.25
     assert quantize_fine(-0.13, lat) == -0.25
     assert quantize_fine(0.12, lat) == 0.0
+
+
+@st.composite
+def _lattice_points(draw):
+    """(c, M, x): a finite |x| <= 1e6, a coarse cell edge +-c/2, -0.0, or a
+    multiple j s/2 of half a step s in {c, c/M}, where rounding x/s is a tie
+    or a last-bit call."""
+    c = draw(st.sampled_from((1.0, 0.3)))
+    m = draw(st.sampled_from((2, 8, 10)))
+    x = draw(st.floats(-1e6, 1e6) | st.sampled_from((c / 2, -c / 2, -0.0))
+             | st.builds(lambda j, s: j * s / 2, st.integers(-10**5, 10**5),
+                         st.sampled_from((c, c / m))))
+    return c, m, x
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_lattice_points())
+def test_lattice_maps_of_a_float_keep_the_scalar_bits(point):
+    """mod_lattice and quantize_fine take one array path: on a float they
+    return a 0-d array whose bytes are those of the scalar formulas
+    x - c floor(x/c + 0.5) and f floor(x/f + 0.5), and of that entry of a
+    call on an array."""
+    c, m, x = point
+    lat = make_lattice(c, m)
+    f = lat.fine_step
+    row = np.array([0.25, x, -x])
+    for got, scalar, entry in (
+        (mod_lattice(x, lat), x - c * np.floor(x / c + 0.5), mod_lattice(row, lat)[1]),
+        (quantize_fine(x, lat), f * np.floor(x / f + 0.5), quantize_fine(row, lat)[1]),
+    ):
+        assert got.shape == ()
+        assert got.tobytes() == np.float64(scalar).tobytes() == entry.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fcic.gf import GfMatrix, is_prime, nullspace, shift_matrix
+from fcic.gf import GfMatrix, is_prime, nullspace
 
 from conftest import cofactor_det_mod, eliminate_augmented
 
@@ -37,32 +37,6 @@ def test_matrix_requires_prime_modulus():
 def test_entries_canonicalised():
     m = GfMatrix([[7, -1], [5, 12]], 5)
     assert m.data.tolist() == [[2, 4], [0, 2]]
-
-
-# ---------------------------------------------------------------------------
-# shift matrix
-# ---------------------------------------------------------------------------
-
-def test_shift_matrix_single_step():
-    assert shift_matrix(3, 1).tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
-
-
-def test_shift_matrix_zero_power_is_identity():
-    assert (shift_matrix(4, 0) == np.eye(4, dtype=np.int64)).all()
-
-
-def test_shift_matrix_nilpotent():
-    for k in (3, 7):
-        d = shift_matrix(3, k)
-        assert d.dtype == np.int64 and d.shape == (3, 3) and not d.any()
-
-
-def test_shift_matrix_power_law():
-    for q in (1, 2, 5, 8):
-        for a in range(q):
-            for b in range(q - a):
-                lhs = shift_matrix(q, a) @ shift_matrix(q, b) % 7
-                assert (lhs == shift_matrix(q, a + b)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fcic.rates import (
-    ExcludedRegime,
     GaussParams,
     RATE_TOL,
+    RegimeMismatch,
     alpha_one_upper,
     det_converse,
     gap_grid,
@@ -245,9 +245,9 @@ def test_weak_rate_split_satisfies_all_constraints():
 
 
 def test_achievable_excluded_band():
-    with pytest.raises(ExcludedRegime):
+    with pytest.raises(RegimeMismatch):
         gauss_achievable(GaussParams(snr=100, inr=100, k=3))
-    with pytest.raises(ExcludedRegime):
+    with pytest.raises(RegimeMismatch):
         gauss_achievable(GaussParams(snr=10, inr=15, k=2))
 
 
@@ -281,7 +281,7 @@ def test_monotone_in_snr():
         assert f2.upper >= f1.upper - 1e-12
         try:
             a1, a2 = gauss_achievable(p1), gauss_achievable(p2)
-        except ExcludedRegime:
+        except RegimeMismatch:
             continue
         if a1.regime == a2.regime and a1.regime in ("negligible", "weak"):
             assert a2.achievable >= a1.achievable - 1e-12
@@ -373,7 +373,7 @@ def test_achievable_below_upper_on_grid():
             for k in (2, 3, 5):
                 try:
                     ach = gauss_achievable(GaussParams(float(s), float(i), k))
-                except ExcludedRegime:
+                except RegimeMismatch:
                     continue
                 assert ach.achievable <= ach.upper + RATE_TOL
 
@@ -543,7 +543,7 @@ def test_kernel_matches_scalar_reference(points):
             assert (fact.regime, fact.gap_ok, fact.violations) == ("excluded", True, ())
             assert fact.constraints_ok is None
             assert math.isnan(fact.achievable)
-            with pytest.raises(ExcludedRegime):
+            with pytest.raises(RegimeMismatch):
                 gauss_achievable(params)
             continue
         rate, regime, constraints_ok = ref

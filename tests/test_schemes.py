@@ -15,17 +15,15 @@ from fcic import schemes
 from fcic.channel import DetParams, run_feedback_session
 from fcic.cli import main
 from fcic.gf import GfMatrix, SingularSystem, is_prime, nullspace
-from fcic.rates import det_converse
+from fcic.rates import RegimeMismatch, det_converse
 from fcic.schemes import (
     PRIME_SCAN,
     AlignmentSolution,
     NoSolution,
-    RegimeMismatch,
     build_scheme,
     moderate_margin,
     moderate_scheme,
     qsym_constraint_matrix,
-    qsym_scheme,
     qsym_solve,
     select_prime,
     two_block_delta,
@@ -483,7 +481,8 @@ def test_qsym_all_ones_matches_weak_scheme_transcripts():
         p=p, signs=all_ones_lambda(),
     )
     signed_params = DetParams(K=3, n=3, m=1, p=p, signs=all_ones_lambda())
-    signed = qsym_scheme(signed_params, sol)
+    signed = schemes._two_block_scheme(signed_params, list(zip(sol.a, sol.b, sol.u, sol.v)),
+                                       "qsym")
     assert signed.declared_rate == Fraction(5, 2)
     rng = np.random.default_rng(12)
     for _ in range(5):
