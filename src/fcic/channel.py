@@ -15,6 +15,14 @@ blocks], one decoder per user over all of its outputs.  A block-t encoder
 has no columns for block-t or later outputs, so the one-step feedback
 causality contract holds by construction.  `run_feedback_session` replays
 one session or a batch of sessions through those maps and `apply_channel`.
+
+The replay is one matrix product per user and block.  Every entry is a
+residue in [0, p), so with d the longest dot product a scheme forms
+(`Scheme.dot_length`), every partial sum is an integer of magnitude at most
+max(d, K) (p - 1)^2.  Below 2^53 that is exact in binary64 whatever the
+summation order, so the replay runs in float64 and BLAS; above it, the same
+code runs in int64, which `check_dot_length` keeps below 2^63.  Transcripts
+are int64 either way.
 """
 
 from __future__ import annotations
@@ -39,13 +47,13 @@ def _validate_signs(signs, k: int) -> tuple[tuple[int, ...], ...]:
     arr = np.asarray(signs, dtype=np.int64)
     if arr.shape != (k, k):
         raise ValueError(f"sign matrix must be {k}x{k}, got {arr.shape}")
-    for i in range(k):
-        if arr[i, i] != 0:
+    rows = arr.tolist()  # checked as Python ints: numpy scalar indexing tripled the cost
+    for i, row in enumerate(rows):
+        if row[i] != 0:
             raise ValueError("sign matrix diagonal must be 0")
-        for j in range(k):
-            if i != j and arr[i, j] not in (-1, 1):
-                raise ValueError("off-diagonal signs must be -1 or +1")
-    return tuple(tuple(int(v) for v in row) for row in arr)
+        if any(v not in (-1, 1) for j, v in enumerate(row) if j != i):
+            raise ValueError("off-diagonal signs must be -1 or +1")
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -95,32 +103,52 @@ class DetParams:
         }
 
 
-def _shift_levels(x: np.ndarray, s: int) -> np.ndarray:
-    """Down-shift every signal (last axis) of x by s levels, zero-filling the top."""
-    q = x.shape[-1]
-    out = np.zeros_like(x)
-    if s < q:
-        out[..., s:] = x[..., : q - s]
-    return out
+def _reduce(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p in place, as a - p floor(a / p); returns a.
+
+    An int64 array floor-divides.  A float64 array divides and floors, which
+    is exact for integers |a| < 2^53: floor(fl(a / p)) = floor(a / p) there.
+    """
+    p = a.dtype.type(p)  # one conversion, not one per step
+    if a.dtype == np.int64:
+        quot = a // p
+    else:
+        quot = a / p
+        np.floor(quot, out=quot)
+    quot *= p
+    a -= quot
+    return a
 
 
 def apply_channel(params: DetParams, x: np.ndarray) -> np.ndarray:
     """One channel use: (K, q) inputs -> (K, q) outputs over GF(p).
 
     A leading batch axis, (B, K, q) -> (B, K, q), runs B independent
-    sessions' channel uses at once.
+    sessions' channel uses at once.  Integer input is reduced mod p and
+    gives int64 output.  A float64 block of integers, as the replay passes,
+    gives float64 output, exact while K times its largest magnitude stays
+    below 2^53 (an output level sums K inputs).
     """
-    q, p = params.q, params.p
-    x = np.asarray(x, dtype=np.int64) % p
-    if x.ndim not in (2, 3) or x.shape[-2:] != (params.K, q):
+    K, n, m, q, p = params.K, params.n, params.m, params.q, params.p
+    x = np.asarray(x)
+    if x.dtype != np.float64:
+        x = np.asarray(x, dtype=np.int64) % p
+    if x.ndim not in (2, 3) or x.shape[-2:] != (K, q):
         raise ValueError(
-            f"block signal must have shape {(params.K, q)} or (B, {params.K}, {q}), "
-            f"got {x.shape}"
+            f"block signal must have shape {(K, q)} or (B, {K}, {q}), got {x.shape}"
         )
-    y = params.sign_matrix() @ _shift_levels(x, q - params.m)
-    y += _shift_levels(x, q - params.n)
-    y %= p
-    return y
+    users = x.swapaxes(0, -2)  # (K, [B,] q): Lambda acts on the user axis
+    lam = params.sign_matrix().astype(x.dtype, copy=False)
+    cross = (lam @ users.reshape(K, -1)).reshape(users.shape)
+    # q = max(n, m), so the stronger link is not shifted: the weaker link's
+    # signal is added into it, shifted down
+    if m == q:
+        y = cross
+        y[..., q - n:] += users[..., :n]
+    else:
+        y = users.copy()
+        y[..., q - m:] += cross[..., :m]
+    return _reduce(y, p).swapaxes(0, -2)
 
 
 def _residues(maps, p: int) -> np.ndarray:
@@ -167,7 +195,7 @@ class Scheme:
             raise ValueError(
                 f"decoder must have shape {(K, L, T * q)}, got {self.decoders.shape}"
             )
-        check_dot_length(p, max(L + (T - 1) * q, T * q))
+        check_dot_length(p, self.dot_length)
         if self.declared_rate * T != L:
             raise ValueError(
                 f"rate {self.declared_rate} x {T} blocks != {L} message symbols"
@@ -176,6 +204,13 @@ class Scheme:
     @property
     def blocks(self) -> int:
         return len(self.encoders)
+
+    @property
+    def dot_length(self) -> int:
+        """The longest dot product a replay forms: a last-block encoder row
+        or a decoder row."""
+        q, L, T = self.params.q, self.msg_symbols, self.blocks
+        return max(L + (T - 1) * q, T * q)
 
 
 @dataclass
@@ -210,9 +245,20 @@ class Transcript:
         }
 
 
-def _apply_maps(maps: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """Per-user maps (K, r, c) applied to a batch of per-user vectors (B, K, c)."""
-    return np.einsum("krc,bkc->bkr", maps, v) % p
+def _user_products(maps: np.ndarray, seen: np.ndarray, p: int, out=None) -> np.ndarray:
+    """Per-user maps (K, r, c) applied to per-user vectors (K, B, c) in the
+    vectors' dtype: one matrix product per user, reduced mod p, as (K, B, r)
+    (into `out` when given).  A map broadcast over the users converts its
+    (r, c) base once, not K copies."""
+    if maps.strides[0] == 0:
+        maps = maps[0]
+    maps = maps.astype(seen.dtype, copy=False)
+    return _reduce(np.matmul(seen, maps.swapaxes(-1, -2), out=out), p)
+
+
+def _record(a: np.ndarray) -> np.ndarray:
+    """User-major (..., K, B, r) blocks as the transcript's int64 (..., B, K, r)."""
+    return np.ascontiguousarray(a.swapaxes(-3, -2), dtype=np.int64)
 
 
 def run_feedback_session(params: DetParams, scheme: Scheme, messages) -> Transcript:
@@ -225,11 +271,13 @@ def run_feedback_session(params: DetParams, scheme: Scheme, messages) -> Transcr
     each decoder is applied to the user's own outputs from every block.
     Messages must match the scheme's declared size exactly; short messages
     are rejected rather than padded so rate accounting stays honest.
+    The arithmetic is float64 when it is exact there (see the module
+    docstring), else int64.
     """
     if scheme.params != params:
         raise ValueError("scheme was built for different channel parameters")
-    K, L = params.K, scheme.msg_symbols
-    msgs = np.asarray(messages, dtype=np.int64) % params.p
+    K, L, q, p, T = params.K, scheme.msg_symbols, params.q, params.p, scheme.blocks
+    msgs = np.asarray(messages, dtype=np.int64) % p
     single = msgs.ndim == 2
     batch = msgs[None] if single else msgs
     if batch.ndim != 3 or batch.shape[1:] != (K, L):
@@ -237,13 +285,19 @@ def run_feedback_session(params: DetParams, scheme: Scheme, messages) -> Transcr
             f"messages must have shape {(K, L)} or (B, {K}, {L}), got {msgs.shape}"
         )
 
-    seen = batch  # (B, K, L + t*q): each user's message, then its outputs so far
-    record = []
-    for enc in scheme.encoders:
-        x = _apply_maps(enc, seen, params.p)
-        y = apply_channel(params, x)
-        record.append((x, y))
-        seen = np.concatenate([seen, y], axis=2)
-    out = _apply_maps(scheme.decoders, seen[:, :, L:], params.p)
-    transcript = Transcript(params=params, blocks=record, messages_in=batch, messages_out=out)
-    return transcript.trial(0) if single else transcript
+    exact = max(scheme.dot_length, K) * (p - 1) ** 2 < 2**53  # in binary64
+    dtype = np.float64 if exact else np.int64
+    # per user and session: the message, then each block's outputs
+    seen = np.empty((K, batch.shape[0], L + T * q), dtype)
+    seen[:, :, :L] = batch.swapaxes(0, 1)
+    sent = np.empty((T, K, batch.shape[0], q), dtype)  # each block's inputs
+    for t, enc in enumerate(scheme.encoders):
+        x = _user_products(enc, seen[:, :, :L + t * q], p, out=sent[t])
+        y = apply_channel(params, x.swapaxes(0, 1))
+        seen[:, :, L + t * q:L + (t + 1) * q] = y.swapaxes(0, 1)
+    out = _record(_user_products(scheme.decoders, seen[:, :, L:], p))
+    inputs, outputs = _record(sent), _record(seen[:, :, L:])
+    if single:  # one session's arrays, as views of its own buffers
+        inputs, outputs, out = inputs[:, 0], outputs[0], out[0]
+    blocks = [(inputs[t], outputs[..., t * q:(t + 1) * q]) for t in range(T)]
+    return Transcript(params=params, blocks=blocks, messages_in=msgs, messages_out=out)

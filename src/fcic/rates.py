@@ -95,6 +95,11 @@ def det_converse(n: int, m: int, k: int, signs=None) -> Fraction | None:
     `signs` changes only that last value, and only for K = 3: n/2 when
     Lambda + I is invertible over the rationals (else some receivers see
     duplicated outputs).  Signed channels with K != 3 give None.
+
+    For the 20 K = 3 sign matrices with det(Lambda + I) = 4, n/2 at m = n
+    is a converse bound that no scheme here reaches (no prime of the scan
+    aligns them, and `build_scheme` raises SingularSystem), not a shown
+    capacity.
     """
     if n < 0 or m < 0 or (n == 0 and m == 0):
         raise ValueError("need n, m >= 0 and not both zero")

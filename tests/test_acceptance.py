@@ -31,6 +31,7 @@ from fcic.rates import (
     gap_report,
     gdof_fb,
     gdof_slope_estimate,
+    int_det,
     secrecy_bound,
 )
 from fcic.schemes import build_scheme, qsym_solve, verify_scheme
@@ -117,6 +118,38 @@ def test_criterion_3_qsym_feasibility():
     # the worked singular example collapses to n/3 at m = n
     assert det_converse(2, 2, 3, SINGULAR_LAMBDA) == Fraction(2, 3)
     assert det_converse(3, 3, 3, SINGULAR_LAMBDA) == Fraction(1)
+
+
+@criterion("signed K = 3 census (64 sign matrices x 48 (n, m), auto p)")
+def test_signed_k3_census_proves_each_build_and_lists_each_failure():
+    """Every (Lambda, n, m) with n, m <= 6 either builds at `det_converse`'s
+    rate and replays its K*L unit messages to the identity, which proves
+    decoding for every message, or is one of the 120 known failures: the 20
+    matrices with det(Lambda + I) = 4 at n = m = 1..6, where n/2 is a
+    converse bound that no prime of the scan reaches."""
+    built, failed = 0, set()
+    for lam in all_sign_matrices_k3():
+        for n in range(7):
+            for m in range(7):
+                if n + m == 0:
+                    continue
+                try:
+                    scheme = build_scheme(3, n, m, signs=lam)
+                except SingularSystem as exc:
+                    assert str(exc).startswith("no prime in (2, 3, 5, 7, 11, 13)"), exc
+                    failed.add((lam, n, m))
+                    continue
+                assert scheme.declared_rate == det_converse(n, m, 3, lam), (lam, n, m)
+                size = 3 * scheme.msg_symbols
+                units = np.eye(size, dtype=np.int64).reshape(size, 3, scheme.msg_symbols)
+                out = run_feedback_session(scheme.params, scheme, units).messages_out
+                assert np.array_equal(out, units), (lam, n, m)
+                built += 1
+    det4 = [lam for lam in all_sign_matrices_k3()
+            if int_det(np.asarray(lam) + np.eye(3, dtype=np.int64)) == 4]
+    assert len(det4) == 20
+    assert failed == {(lam, n, n) for lam in det4 for n in range(1, 7)}
+    assert built == 64 * 48 - 120 == 2952
 
 
 @criterion("criterion 4 (Gaussian constant-gap sweep)")

@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from fcic.channel import DetParams, apply_channel, run_feedback_session
+from fcic.gf import is_prime
 from fcic.schemes import NoSolution, build_scheme
 
 from conftest import all_sign_matrices_k3
@@ -189,41 +192,77 @@ def test_apply_channel_batch_matches_single_uses():
         apply_channel(params, x[:, :2])
 
 
+def _shift_model_use(params, x):
+    """One channel use from the shift-model definition, in Python ints:
+    receiver k's level l is user k's level l - (q - n) plus the sum over
+    j != k of lambda_kj times user j's level l - (q - m), mod p, where a
+    level above the top (a negative index) reads 0."""
+    K, n, m, q, p = params.K, params.n, params.m, params.q, params.p
+    lam = [[1] * K for _ in range(K)] if params.signs is None else params.signs
+
+    def level(k, i):
+        return x[k][i] if i >= 0 else 0
+
+    return [[(level(k, l - (q - n))
+              + sum(lam[k][j] * level(j, l - (q - m)) for j in range(K) if j != k)) % p
+             for l in range(q)] for k in range(K)]
+
+
 def _loop_session(scheme, msgs):
-    """Reference replay: one user and one block at a time, matrix-vector."""
-    p = scheme.params.p
-    seen = [list(row) for row in msgs]
+    """Reference replay in Python ints, one user and one block at a time,
+    sharing no arithmetic with the package: each channel use comes from
+    `_shift_model_use`."""
+    params, L = scheme.params, scheme.msg_symbols
+    K, p = params.K, params.p
+
+    def apply(rows, vec):
+        return [sum(a * b for a, b in zip(row, vec)) % p for row in rows]
+
+    seen = [[int(v) % p for v in row] for row in msgs]
     blocks = []
     for enc in scheme.encoders:
-        x = np.array([enc[k] @ np.array(seen[k]) % p for k in range(len(msgs))])
-        y = apply_channel(scheme.params, x)
+        enc = enc.tolist()
+        x = [apply(enc[k], seen[k]) for k in range(K)]
+        y = _shift_model_use(params, x)
         blocks.append((x, y))
-        for k, row in enumerate(y):
-            seen[k].extend(row)
-    out = [scheme.decoders[k] @ np.array(seen[k][scheme.msg_symbols:]) % p
-           for k in range(len(msgs))]
-    return blocks, np.array(out)
+        for k in range(K):
+            seen[k].extend(y[k])
+    dec = scheme.decoders.tolist()
+    return blocks, [apply(dec[k], seen[k][L:]) for k in range(K)]
+
+
+def _same_bits(arr, ref):
+    return arr.dtype == np.int64 and np.array_equal(arr, np.array(ref, dtype=np.int64))
+
+
+def _assert_replays_match_reference(scheme, msgs):
+    """Every array of the batched transcript equals the Python-int reference
+    session by session, bit for bit, and so does each B = 1 replay."""
+    params = scheme.params
+    batch = run_feedback_session(params, scheme, msgs)
+    assert batch.messages_out.shape == msgs.shape
+    for b in range(len(msgs)):
+        single = run_feedback_session(params, scheme, msgs[b])
+        ref_blocks, ref_out = _loop_session(scheme, msgs[b])
+        for tr in (batch.trial(b), single):
+            assert len(tr.blocks) == len(ref_blocks)
+            assert all(_same_bits(x, rx) and _same_bits(y, ry)
+                       for (x, y), (rx, ry) in zip(tr.blocks, ref_blocks))
+            assert _same_bits(tr.messages_in, msgs[b] % params.p)
+            assert _same_bits(tr.messages_out, ref_out)
+            assert tr.to_json_dict() == single.to_json_dict()
 
 
 def _assert_batch_matches_single(scheme, rng, sessions=4):
     params = scheme.params
     msgs = rng.integers(0, params.p, size=(sessions, params.K, scheme.msg_symbols))
-    batch = run_feedback_session(params, scheme, msgs)
-    assert batch.messages_out.shape == msgs.shape
-    for b in range(sessions):
-        single = run_feedback_session(params, scheme, msgs[b])
-        ref_blocks, ref_out = _loop_session(scheme, msgs[b])
-        for tr in (batch.trial(b), single):
-            assert tr.to_json_dict() == single.to_json_dict()
-            assert all((x == rx).all() and (y == ry).all()
-                       for (x, y), (rx, ry) in zip(tr.blocks, ref_blocks))
-            assert (tr.messages_out == ref_out).all()
-            assert (tr.messages_out == msgs[b]).all()
+    _assert_replays_match_reference(scheme, msgs)
+    assert (run_feedback_session(params, scheme, msgs).messages_out == msgs).all()
 
 
 def test_batched_replay_matches_single_sessions_on_the_sweep():
     """Every criterion-1 configuration (auto prime): a batched replay equals
-    the B = 1 replay and a per-user loop, session by session."""
+    the B = 1 replay and the Python-int reference, session by session."""
     rng = np.random.default_rng(10)
     for k_users in (2, 3, 4, 5):
         for n in range(7):
@@ -244,6 +283,53 @@ def test_batched_replay_matches_single_sessions_signed():
             _assert_batch_matches_single(scheme, rng)
             names.append(scheme.name)
     assert {"qsym", "moderate"} <= set(names) and len(names) >= 40
+
+
+def _binary64_bound_primes(scheme):
+    """The largest prime p whose replay of `scheme` is exact in binary64,
+    max(dot length, K) (p - 1)^2 < 2^53, and the next prime above it."""
+    reach = max(scheme.dot_length, scheme.params.K)
+    top = math.isqrt((2**53 - 1) // reach) + 1  # the largest p with reach (p - 1)^2 < 2^53
+    below = next(p for p in range(top, 2, -1) if is_prime(p))
+    above = next(p for p in itertools.count(top + 1) if is_prime(p))
+    assert reach * (below - 1) ** 2 < 2**53 <= reach * (above - 1) ** 2
+    return below, above
+
+
+def test_replay_is_exact_on_both_sides_of_the_binary64_bound():
+    """K = 3, n = 3, m = 1 (longest dot product 8) at the largest prime below
+    its binary64 bound, at the next prime, where the replay runs in int64,
+    and at 1073741789, the largest prime its int64 bound admits.  Messages
+    of all p - 1 put the encoder sums at their largest."""
+    rng = np.random.default_rng(12)
+    base = build_scheme(3, 3, 1, p=5)
+    primes = _binary64_bound_primes(base) + (1073741789,)
+    assert primes[:2] == (33554393, 33554467)
+    for p in primes:
+        scheme = build_scheme(3, 3, 1, p=p)
+        msgs = rng.integers(0, p, size=(4, 3, scheme.msg_symbols))
+        msgs[0] = p - 1
+        msgs[1] = -1  # reduced to p - 1 on entry
+        _assert_replays_match_reference(scheme, msgs)
+        assert (run_feedback_session(scheme.params, scheme, msgs).messages_out
+                == msgs % p).all()
+
+
+def test_apply_channel_float_block_equals_its_int64_result():
+    """A float64 block of integers, as the replay passes, comes back float64
+    with the values of the int64 channel use, inputs outside [0, p) too."""
+    rng = np.random.default_rng(13)
+    signs = ((0, -1, 1), (1, 0, -1), (1, -1, 0))
+    for params in (DetParams(K=3, n=2, m=4, p=7), DetParams(K=4, n=5, m=0, p=3),
+                   DetParams(K=3, n=3, m=1, p=33554393, signs=signs)):
+        p = params.p
+        for shape in ((params.K, params.q), (5, params.K, params.q)):
+            x = rng.integers(-3 * p, 3 * p, size=shape)
+            ints = apply_channel(params, x)
+            floats = apply_channel(params, x.astype(np.float64))
+            assert ints.dtype == np.int64 and floats.dtype == np.float64
+            assert np.array_equal(floats, ints)
+            assert ((ints >= 0) & (ints < p)).all()
 
 
 def test_transcript_json_shape():

@@ -41,6 +41,24 @@ def test_det_converse_values():
     assert det_converse(0, 4, 5) == Fraction(2)
 
 
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 12), st.integers(0, 24))
+@example(3, 4, 4)
+@example(2, 12, 24)
+@example(8, 1, 0)
+def test_det_converse_per_level_is_the_gdof_curve(k, n, m):
+    """The paper's theorem in the deterministic model: per direct level, the
+    exact converse is the feedback GDoF curve at alpha = m/n, and at m = n,
+    where feedback does not help, the no-feedback value 1/K."""
+    per_level = det_converse(n, m, k) / n
+    if m != n:
+        assert per_level == gdof_fb(Fraction(m, n))
+        assert float(per_level) == pytest.approx(gdof_fb(m / n), rel=1e-15)
+    else:
+        assert per_level == Fraction(1, k)
+        assert float(per_level) == gdof_nofb(1, k) == 1 / k
+
 def test_det_converse_discontinuity_at_equal_levels():
     """Approaching m = n from either side gives ~n/2-ish rates, but the
     diagonal itself collapses to n/K for K >= 3."""

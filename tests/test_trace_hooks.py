@@ -69,3 +69,26 @@ def test_trace_records_solves_that_end_without_a_search():
     assert tracer.counts["qsym.solve.found"] == 0
     assert tracer.counts["qsym.margin_checks"] > 0
     assert {name: getattr(schemes, name) for name in REBOUND} == originals
+
+
+def test_traced_verify_holds_one_session_with_one_channel_use_per_block():
+    """The replay looks `apply_channel` up through the module global once
+    per block, so a traced `verify_scheme` records one channel.session span
+    holding `scheme.blocks` channel.apply spans, for a two-block aligned
+    scheme and for K-block time sharing."""
+    for scheme in (schemes.build_scheme(3, 3, 1, p=5), schemes.build_scheme(4, 2, 2, p=5)):
+        tracer = tracing.Tracer()
+        undo = tracing.install(tracer)
+        try:
+            report = schemes.verify_scheme(scheme.params, scheme, 7, 1)
+        finally:
+            tracing.uninstall(undo)
+        assert report.all_passed
+        names = [rec[0] for rec in tracer.spans]
+        assert names.count("schemes.verify") == 1
+        sessions = [i for i, name in enumerate(names) if name == "channel.session"]
+        assert len(sessions) == 1
+        assert tracer.spans[sessions[0]][3] == names.index("schemes.verify")
+        applies = [rec for rec in tracer.spans if rec[0] == "channel.apply"]
+        assert len(applies) == scheme.blocks
+        assert all(rec[3] == sessions[0] for rec in applies)
