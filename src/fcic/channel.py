@@ -151,9 +151,15 @@ def apply_channel(params: DetParams, x: np.ndarray) -> np.ndarray:
     return _reduce(y, p).swapaxes(0, -2)
 
 
+def _distinct(maps: np.ndarray) -> np.ndarray:
+    """A map broadcast over the users (zero stride on that axis) as its base."""
+    return maps[0] if maps.ndim and len(maps) and maps.strides[0] == 0 else maps
+
+
 def _residues(maps, p: int) -> np.ndarray:
     maps = np.asarray(maps)
-    if maps.dtype != np.int64 or maps.min(initial=0) < 0 or maps.max(initial=0) >= p:
+    entries = _distinct(maps)  # a broadcast map is checked as its base, not K copies
+    if maps.dtype != np.int64 or entries.min(initial=0) < 0 or entries.max(initial=0) >= p:
         raise ValueError(f"scheme maps must be int64 residues in [0, {p})")
     return maps
 
@@ -250,9 +256,7 @@ def _user_products(maps: np.ndarray, seen: np.ndarray, p: int, out=None) -> np.n
     vectors' dtype: one matrix product per user, reduced mod p, as (K, B, r)
     (into `out` when given).  A map broadcast over the users converts its
     (r, c) base once, not K copies."""
-    if maps.strides[0] == 0:
-        maps = maps[0]
-    maps = maps.astype(seen.dtype, copy=False)
+    maps = _distinct(maps).astype(seen.dtype, copy=False)
     return _reduce(np.matmul(seen, maps.swapaxes(-1, -2), out=out), p)
 
 

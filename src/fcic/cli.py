@@ -198,8 +198,6 @@ def cmd_mc_strong(args) -> int:
 
 
 def cmd_lattice_demo(args) -> int:
-    if args.users < 2:
-        return _die_usage("need users >= 2")
     if not 0 <= args.seed <= 2**64 - 2:  # checked before any draw
         return _die_usage(
             f"seed must be in [0, 2^64 - 2], got {args.seed} (the noisy run draws with seed + 1)"

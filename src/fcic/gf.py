@@ -1,14 +1,14 @@
 """Exact dense linear algebra over the prime field GF(p).
 
-Entries are canonical integers in [0, p).  Everything is carried in int64
-numpy arrays with reduction mod p after each arithmetic step, so all results
-are exact as long as no unreduced sum reaches 2^63; `check_dot_length`
-rejects the moduli for which one could.  Matrices in scope are small
-(<= ~64 per side) and dense.  One kernel, `GfMatrix._echelon`, brings a
-matrix to reduced row echelon form; `nullspace` reads its result for the
-alignment solver, the only elimination a scheme build runs (decode matrices
-are inverted in closed form).  `det`, the determinant the tests check
-decode matrices with, reads the same elimination.
+Entries are canonical integers in [0, p), held in int64 numpy arrays.  One
+kernel, `GfMatrix._echelon`, brings a matrix to reduced row echelon form in
+Python ints, exact for any p; `check_dot_length` still rejects the moduli
+whose int64 dot products in the feedback replay could reach 2^63.  Matrices
+in scope are small (<= ~64 per side) and dense.  `nullspace` reads the
+kernel's result for the alignment solver, the only elimination a scheme
+build runs (decode matrices are inverted in closed form).  `det`, the
+determinant the tests check decode matrices with, reads the same
+elimination.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class GfMatrix:
         self.data = data % self.p
 
     def _echelon(self):
-        """Forward elimination of data, with the first nonzero entry of each
-        column as its pivot.
+        """Forward elimination of data in Python ints (exact for any p), with
+        the first nonzero entry of each column as its pivot.
 
         Returns (red, pivot column list, det): red is data in *reduced* row
         echelon form (pivots normalised to 1, cleared above and below),
@@ -100,33 +100,30 @@ class GfMatrix:
         """
         p = self.p
         n_rows, n_cols = self.data.shape
-        red = self.data.copy()
+        red = self.data.tolist()
         pivots: list[int] = []
         det = 1
         r = 0
         for c in range(n_cols):
-            sel = -1
-            for i in range(r, n_rows):
-                if red[i, c]:
-                    sel = i
-                    break
+            sel = next((i for i in range(r, n_rows) if red[i][c]), -1)
             if sel < 0:
                 continue
             if sel != r:
-                red[[r, sel]] = red[[sel, r]]
+                red[r], red[sel] = red[sel], red[r]
                 det = -det % p
-            piv = int(red[r, c])
+            piv = red[r][c]
             det = det * piv % p
-            red[r] = (red[r] * pow(piv, p - 2, p)) % p
-            for i in range(n_rows):
-                f = red[i, c]
+            inv = pow(piv, p - 2, p)
+            # the pivot row is 0 left of c, so only columns c onwards change
+            row = [v * inv % p for v in red[r][c:]]
+            red[r][c:] = row
+            for i, other in enumerate(red):
+                f = other[c]
                 if i != r and f:
-                    red[i] = (red[i] - f * red[r]) % p
+                    other[c:] = [(v - f * w) % p for v, w in zip(other[c:], row)]
             pivots.append(c)
             r += 1
-            if r == n_rows:
-                break
-        return red, pivots, det
+        return np.array(red, dtype=np.int64).reshape(n_rows, n_cols), pivots, det
 
     def det(self) -> int:
         """Determinant in [0, p), from one elimination by `_echelon`."""

@@ -121,7 +121,8 @@ def det_converse(n: int, m: int, k: int, signs=None) -> Fraction | None:
 def lambda_plus_i_singular(signs) -> bool:
     """Whether Lambda + I is singular over the rationals (always, for the
     all-ones Lambda); at m = n alignment then cannot reach n/2."""
-    return int_det(np.asarray(signs) + np.eye(len(signs), dtype=np.int64)) == 0
+    rows = np.asarray(signs).tolist()
+    return int_det([[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]) == 0
 
 
 def rate_json(rate: Fraction | None) -> dict | None:
@@ -135,7 +136,7 @@ def int_det(mat) -> int:
     Fraction-free (Bareiss) elimination in Python ints: every division is
     exact, so there is no rounding and no overflow.
     """
-    a = [[int(v) for v in row] for row in np.asarray(mat)]
+    a = [[int(v) for v in row] for row in np.asarray(mat).tolist()]
     size = len(a)
     if any(len(row) != size for row in a):
         raise ValueError("determinant of a non-square matrix")

@@ -8,11 +8,11 @@ again, only rescaled: the simultaneous-alignment identity
 Lambda A + Lambda B Lambda = U + V Lambda.  The fully symmetric channel is
 the all-ones Lambda, which aligns at the closed-form point
 (A, B, U, V) = (0, 1, K-1, K-2) because Lambda^2 = (K-1) I + (K-2) Lambda;
-signed channels get their point from the solver `qsym_solve`, one linear
-map from nullspace coordinates to (A, B, U, V) checked in array slices.
-At m = n the symmetric channel, and any signed one whose Lambda + I is
-singular, uses n/K time sharing instead; so does a signed channel with
-K != 3 that no scanned prime aligns.
+signed channels get their point from the solver `qsym_solve`, which walks
+nullspace coordinates in array slices against the K linear forms of
+Delta's constant term.  At m = n the symmetric channel, and any signed one
+whose Lambda + I is singular, uses n/K time sharing instead; so does a
+signed channel with K != 3 that no scanned prime aligns.
 
 Every scheme is written out as explicit GF(p) encoder and decoder maps (see
 `Scheme`).  The builder inverts each distinct decode matrix once at build
@@ -30,6 +30,7 @@ scan.  `verify_scheme` replays all of its trials as one batch through
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,25 +137,20 @@ def qsym_constraint_matrix(signs, p: int) -> GfMatrix:
     """Off-diagonal alignment constraints as K(K-1) rows over the 3K
     unknowns (A_1..A_K, B_1..B_K, V_1..V_K).
 
-    Row (k, i):  lambda_ki A_i + sum_{j not in {k,i}} lambda_kj lambda_ji B_j
-    - lambda_ki V_k = 0.  The diagonal entries of the identity do not
-    constrain (A, B, V); they define U_k = sum_j lambda_kj B_j lambda_jk.
+    Row (k, i), k != i, k-major:  lambda_ki A_i + sum_j lambda_kj lambda_ji
+    B_j - lambda_ki V_k = 0, where Lambda's zero diagonal drops j in {k, i}.
+    The diagonal entries of the identity do not constrain (A, B, V); they
+    define U_k = sum_j lambda_kj B_j lambda_jk.
     """
     lam = np.asarray(signs, dtype=np.int64)
     k_users = lam.shape[0]
-    rows = []
-    for k in range(k_users):
-        for i in range(k_users):
-            if i == k:
-                continue
-            row = np.zeros(3 * k_users, dtype=np.int64)
-            row[i] += lam[k, i]
-            for j in range(k_users):
-                if j != k and j != i:
-                    row[k_users + j] += lam[k, j] * lam[j, i]
-            row[2 * k_users + k] -= lam[k, i]
-            rows.append(row)
-    return GfMatrix(np.array(rows), p)
+    ks, cs = np.nonzero(~np.eye(k_users, dtype=bool))  # row (k, i), k-major
+    rows = np.arange(ks.size)
+    mat = np.zeros((ks.size, 3 * k_users), dtype=np.int64)
+    mat[rows, cs] = lam[ks, cs]
+    mat[:, k_users:2 * k_users] = lam[ks] * lam.T[cs]
+    mat[rows, 2 * k_users + ks] = -lam[ks, cs]
+    return GfMatrix(mat, p)
 
 
 def moderate_margin(a: int, b: int, u: int, v: int, p: int) -> int:
@@ -164,7 +160,7 @@ def moderate_margin(a: int, b: int, u: int, v: int, p: int) -> int:
     of the two-block system; decoding needs it nonzero.  The minus sign on u
     is load-bearing: a +u condition would declare sign matrices with
     duplicated receiver outputs decodable at n/2, above their n/3 capacity.
-    Works elementwise on arrays, as `qsym_solve` calls it on whole slices.
+    Works elementwise on arrays, as `qsym_solve` calls it on its forms.
     """
     return (b + v - a - u) % p
 
@@ -188,16 +184,16 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     invertible: a nonzero constant term of its `two_block_delta`.
 
     The off-diagonal constraints are linear in (A, B, V) and U = (Lambda o
-    Lambda^T) B, so one (dim, 4K) map takes nullspace coordinates to
-    (A, B, U, V), and one (dim, K) map, Delta's constant term being linear,
-    to the users' conditions: a zero column fails everywhere and is
-    reported at once.  Otherwise coordinates take the first r of the field
-    values 1, ..., p-1, 0 in lexicographic order (non-degenerate points
-    first), `_SLICE` candidates per array slice, where r is the largest
-    radix <= p with r**dim <= `ENUM_CAP`: every coordinate varies within
-    the cap, and r = p (the whole space) whenever p**dim <= `ENUM_CAP`.
-    The first candidate meeting the condition wins; otherwise the search
-    reports the r**dim candidates checked and per-user failure counts.
+    Lambda^T) B, so one (dim, 4K) map `coords_map` takes nullspace
+    coordinates to (A, B, U, V), and one (dim, K) matrix `forms` to the K
+    users' conditions, Delta's constant term being linear: a zero column
+    fails everywhere and is reported at once.  Otherwise the search reads
+    only `forms`, `_SLICE` candidates per array slice, over an r**dim grid:
+    coordinates take the first r of 1, ..., p-1, 0 (non-degenerate points
+    first) in lexicographic order, r the largest radix <= p with r**dim <=
+    `ENUM_CAP` (r = p whenever p**dim <= `ENUM_CAP`).  The first candidate
+    meeting the condition wins, mapped through `coords_map` in Python ints;
+    else the search reports the r**dim candidates and per-user failures.
     """
     if regime not in _REGIME_SIGN:
         raise ValueError(f"unknown regime {regime!r}")
@@ -225,15 +221,17 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     checked = radix**dim
     for start in range(0, checked, _SLICE):
         idx = np.arange(start, min(start + _SLICE, checked), dtype=np.int64)
-        x = np.zeros((idx.size, 4 * k_users), dtype=np.int64)
-        for row in coords_map[::-1]:  # the last coordinate varies fastest
+        conds = np.zeros((idx.size, k_users), dtype=np.int64)
+        for form in forms[::-1]:  # the last coordinate varies fastest
             idx, digit = np.divmod(idx, radix)
-            x = (x + ((digit + 1) % p)[:, None] * row) % p  # digit d -> value (d+1) mod p
-        a, b, u, v = np.split(x, 4, axis=1)
-        fails = two_block_delta(sign, a, b, u, v, p)[0] == 0
+            conds = (conds + ((digit + 1) % p)[:, None] * form) % p  # digit d -> value (d+1) mod p
+        fails = conds == 0
         passing = np.flatnonzero(~fails.any(axis=1))
-        if passing.size:
-            point = (tuple(int(t) for t in w[passing[0]]) for w in (a, b, u, v))
+        if passing.size:  # the winner's coordinates, mapped in Python ints
+            digits = np.unravel_index(start + int(passing[0]), (radix,) * dim)
+            coords = [(int(d) + 1) % p for d in digits]
+            x = [sum(map(operator.mul, coords, col)) % p for col in zip(*coords_map.tolist())]
+            point = (tuple(x[j:j + k_users]) for j in range(0, 4 * k_users, k_users))
             return AlignmentSolution(*point, p=p, signs=signs)
         fail_counts += np.bincount(fails.argmax(axis=1), minlength=k_users)
     worst = int(np.argmax(fail_counts))

@@ -165,6 +165,43 @@ def test_encoders_receive_only_past_outputs():
         dataclasses.replace(scheme, encoders=tuple(leaky))
 
 
+def _non_residue(maps, bad, p):
+    """A copy of maps that is not int64 residues in [0, p): its last entry
+    set to p or to -1, or the whole copy int32."""
+    maps = np.array(maps)
+    if bad == "int32":
+        return maps.astype(np.int32)
+    maps[(-1,) * maps.ndim] = p if bad == "p" else -1
+    return maps
+
+
+@pytest.mark.parametrize("bad", ["p", "-1", "int32"])
+@pytest.mark.parametrize("layout", ["per-user", "broadcast"])
+@pytest.mark.parametrize("block", [1, None])  # the block-1 encoder, or the decoder
+def test_scheme_rejects_maps_that_are_not_residues(bad, layout, block):
+    """A per-user map is checked at every user (the bad entry sits at the
+    last one), and a broadcast map as its base, which carries the bad
+    entry; the same maps as residues are accepted in both layouts."""
+    scheme = build_scheme(3, 3, 1, p=5)
+    good = scheme.decoders if block is None else scheme.encoders[block]
+    assert good.strides[0] == 0  # the symmetric build shares one map
+    if layout == "per-user":
+        maps, ok = _non_residue(good, bad, 5), np.array(good)
+    else:
+        maps = np.broadcast_to(_non_residue(good[0], bad, 5), good.shape)
+        ok = np.broadcast_to(np.array(good[0]), good.shape)
+    assert (maps.strides[0] == 0) == (ok.strides[0] == 0) == (layout == "broadcast")
+
+    def rebuilt(m):
+        if block is None:
+            return dataclasses.replace(scheme, decoders=m)
+        return dataclasses.replace(scheme, encoders=(scheme.encoders[0], m))
+
+    with pytest.raises(ValueError, match=r"int64 residues in \[0, 5\)"):
+        rebuilt(maps)
+    rebuilt(ok)
+
+
 def test_truncated_history_replay_reproduces_inputs():
     """Re-applying every block's encoder map to the message and the recorded
     past outputs must reproduce the recorded inputs exactly (regression

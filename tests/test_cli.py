@@ -547,6 +547,7 @@ def test_gauss_gap_rejects_non_finite_grids(capsys, grid):
     (("gauss-rates", "--snr", "1e4", "--inr", "1e2", "--k", "0"), 0),
     (("gauss-gap", "--snr-grid", "1,10", "--inr-grid", "1,10", "--k-list", "3,-1"), -1),
     (("mc-strong", "--snr", "1", "--inr", "10", "--k", "1", "--block", "2"), 1),
+    (("lattice-demo", "--users", "1"), 1),
 ])
 def test_fewer_than_two_users_exit_2(capsys, argv, k):
     """The constructor that needs k >= 2 rejects a smaller k before any

@@ -405,6 +405,121 @@ def test_qsym_solve_varies_every_coordinate_at_a_large_prime():
         assert verify_scheme(scheme.params, scheme, 20, seed=1).all_passed
 
 
+# sha256 of `fcic qsym`'s exit code, stdout and stderr over the 64 K = 3 sign
+# matrices x 3 regimes x PRIME_SCAN at the real ENUM_CAP, recorded from the
+# search that mapped every candidate to (A, B, U, V)
+QSYM_CLI_SHA256 = "9eb1fc8e60cfff69cfa745d2be6f2bb68cd28c4aecdaecb59ee16466fa48d62f"
+
+
+def test_qsym_cli_at_the_real_cap_matches_pinned_sha256(tmp_path, capsys):
+    """The reference comparison lowers ENUM_CAP to 700; this pins every
+    K = 3 solve, points and NoSolution texts, at the real cap, where the
+    spaces over GF(7), GF(11) and GF(13) with more than 700 candidates are
+    searched whole."""
+    h = hashlib.sha256()
+    for i, lam in enumerate(all_sign_matrices_k3()):
+        path = tmp_path / f"signs{i}.txt"
+        path.write_text("".join(" ".join(map(str, row)) + "\n" for row in lam))
+        for regime in ("weak", "strong", "moderate"):
+            for p in PRIME_SCAN:
+                code = main(["qsym", "--signs", str(path), "--regime", regime, "--p", str(p)])
+                captured = capsys.readouterr()
+                h.update(f"{code}\n{captured.out}{captured.err}".encode())
+    assert h.hexdigest() == QSYM_CLI_SHA256
+
+
+# qsym_solve at p = 3037000493, the largest prime `check_dot_length` admits,
+# recorded from the search that mapped every candidate to (A, B, U, V): the
+# K = 4 winners lie past the first candidate, with entries near p/2 and p
+P_MAX = 3037000493
+_K4_HALF = ((2, 2, 1, 2), (1518500246,) * 4, (1518500245, 1518500245, 1518500246, 1518500246),
+            (1, 1, 1, 2))
+_K4_WIDE = ((1518500248, 1518500248, 1518500248, 1518500247),
+            (2277750370, 2277750370, 2277750369, 2277750370),
+            (759250124, 759250124, 759250123, 759250122), (1, 1, 1, 2))
+LARGEST_PRIME_OUTCOMES = [
+    (((0, 1, 1), (1, 0, -1), (1, -1, 0)), {
+        regime: ((2, 2, 2), (1, 1, 1), (2, 2, 2), (1, 1, 1))
+        for regime in ("weak", "strong", "moderate")}),
+    (((0, 1, 1), (1, 0, -1), (-1, 1, 0)), {
+        "weak": ((0, 0, 0), (P_MAX - 1, P_MAX - 1, 1), (P_MAX - 2, P_MAX - 2, 2), (1, 1, 1)),
+        "strong": ((0, 0, 0), (P_MAX - 1, P_MAX - 1, 1), (P_MAX - 2, P_MAX - 2, 2), (1, 1, 1)),
+        "moderate": f"no moderate-regime alignment point over GF({P_MAX}): user 2's Delta "
+                    "constant term B + V - A - U is 0 on the whole 4-dimensional solution "
+                    "space"}),
+    (((0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, -1, 0)), {
+        "weak": _K4_HALF, "strong": _K4_HALF,
+        "moderate": f"no moderate-regime alignment point over GF({P_MAX}): user 0's Delta "
+                    "constant term B + V - A - U is 0 on the whole 4-dimensional solution "
+                    "space"}),
+    (((0, 1, 1, 1), (1, 0, -1, -1), (-1, 1, 0, -1), (-1, 1, -1, 0)), {
+        regime: _K4_WIDE for regime in ("weak", "strong", "moderate")}),
+]
+
+
+@pytest.mark.parametrize("signs,outcomes", LARGEST_PRIME_OUTCOMES)
+def test_qsym_solve_at_the_largest_prime_matches_pinned_outcomes(signs, outcomes):
+    """A winner's coordinates go through the (A, B, U, V) map in Python
+    ints, so nothing wraps where dim (p - 1)^2 is beyond 2^63."""
+    for regime, expected in outcomes.items():
+        assert _solve_outcome(signs, regime, P_MAX) == expected
+
+
+def _constraint_rows_by_definition(lam, p):
+    """Row (k, i), k != i in row-major order, of lambda_ki A_i
+    + sum_{j not in {k,i}} lambda_kj lambda_ji B_j - lambda_ki V_k, over the
+    unknowns (A, B, V), in Python ints reduced mod p."""
+    k_users = len(lam)
+    rows = []
+    for k in range(k_users):
+        for i in range(k_users):
+            if i == k:
+                continue
+            row = [0] * (3 * k_users)
+            row[i] += lam[k][i]
+            for j in range(k_users):
+                if j != k and j != i:
+                    row[k_users + j] += lam[k][j] * lam[j][i]
+            row[2 * k_users + k] -= lam[k][i]
+            rows.append([v % p for v in row])
+    return rows
+
+
+def _random_sign_matrices(k_users, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lam = rng.choice((-1, 1), size=(k_users, k_users))
+        np.fill_diagonal(lam, 0)
+        yield tuple(map(tuple, lam.tolist()))
+
+
+def test_constraint_rows_follow_the_alignment_identity():
+    """The constraint matrix is the identity's off-diagonal rows as defined,
+    and every nullspace vector, with U = (Lambda o Lambda^T) B, satisfies
+    Lambda A + Lambda B Lambda = U + V Lambda mod p entrywise: over the 64
+    K = 3 matrices and a seeded sample at K = 4, 5 and 6."""
+    cases = list(all_sign_matrices_k3())
+    for k_users in (4, 5, 6):
+        cases += _random_sign_matrices(k_users, 20, seed=k_users)
+    checked = 0
+    for lam in cases:
+        k_users = len(lam)
+        for p in PRIME_SCAN:
+            mat = qsym_constraint_matrix(lam, p)
+            assert mat.data.tolist() == _constraint_rows_by_definition(lam, p)
+            for vec in nullspace(mat).tolist():
+                a, b, v = vec[:k_users], vec[k_users:2 * k_users], vec[2 * k_users:]
+                u = [sum(lam[k][j] * b[j] * lam[j][k] for j in range(k_users))
+                     for k in range(k_users)]
+                for k, i in itertools.product(range(k_users), repeat=2):
+                    lhs = lam[k][i] * a[i] + sum(lam[k][j] * b[j] * lam[j][i]
+                                                 for j in range(k_users))
+                    rhs = (u[k] if k == i else 0) + v[k] * lam[k][i]
+                    assert (lhs - rhs) % p == 0, (lam, p, vec)
+                checked += 1
+    assert checked > len(cases) * len(PRIME_SCAN)
+
+
 def test_moderate_margin_is_two_block_determinant():
     # det [[1, 1], [a+u, b+v]] = (b + v) - (a + u); the +u variant would
     # accept sign matrices whose m = n channel has duplicated outputs
