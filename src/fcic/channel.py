@@ -22,7 +22,8 @@ residue in [0, p), so with d the longest dot product a scheme forms
 max(d, K) (p - 1)^2.  Below 2^53 that is exact in binary64 whatever the
 summation order, so the replay runs in float64 and BLAS; above it, the same
 code runs in int64, which `check_dot_length` keeps below 2^63.  Transcripts
-are int64 either way.
+are int64 either way.  Messages and products are reduced by floor division
+(`_reduce`), as numpy's int64 `%` by a scalar divides once per element.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ def run_feedback_session(params: DetParams, scheme: Scheme, messages) -> Transcr
     if scheme.params != params:
         raise ValueError("scheme was built for different channel parameters")
     K, L, q, p, T = params.K, scheme.msg_symbols, params.q, params.p, scheme.blocks
-    msgs = np.asarray(messages, dtype=np.int64) % p
+    msgs = _reduce(np.array(messages, dtype=np.int64), p)  # a copy: the caller's stays
     single = msgs.ndim == 2
     batch = msgs[None] if single else msgs
     if batch.ndim != 3 or batch.shape[1:] != (K, L):

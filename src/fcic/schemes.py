@@ -31,7 +31,7 @@ scan.  `verify_scheme` replays all of its trials as one batch through
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -250,44 +250,34 @@ def _decode_inverse(params: DetParams, a: int, b: int, u: int, v: int) -> np.nda
     symbols then the q of R (see `_two_block_scheme`): [[own, cross],
     [a own + u cross, b own + v cross]] with (own, cross) = (I, D) for
     n >= m, (D, I) otherwise, D = S^|n-m|.  Its blocks [[A, B], [C, E]] are
-    polynomials in D, so they commute and the inverse is [[E, -B], [-C, A]]
-    Delta^-1 with Delta = AE - BC from `two_block_delta`.  D = I at m = n,
-    and D^j = 0 once j |n-m| >= q otherwise, so Delta^-1 is Delta's power
-    series in D cut there; it exists iff Delta's constant term is nonzero
-    mod p, the condition `qsym_solve` enforces.  Coefficients are Python
-    ints reduced mod p (exact for every p `DetParams` accepts); each block
-    is the lower-triangular Toeplitz matrix of its coefficients spaced
-    |n-m| apart.
+    polynomials c0 + c1 D, so they commute and the inverse is [[E, -B],
+    [-C, A]] Delta^-1 with Delta = AE - BC = d0 + d1 D + d2 D^2 from
+    `two_block_delta`.  D^j = 0 once j |n-m| >= q (D = I at m = n), so
+    Delta^-1 is the series s_0 = 1/d0, s_j = -(d1 s_(j-1) + d2 s_(j-2))/d0
+    cut there; it exists iff d0 != 0 mod p, the condition `qsym_solve`
+    enforces.  A block's first column is c0 s + c1 D s, in Python ints
+    reduced mod p (exact for every p `DetParams` accepts), and the block is
+    the lower-triangular Toeplitz matrix of it, spaced |n-m| apart.
     """
     n, m, q, p = params.n, params.m, params.q, params.p
     s = abs(n - m)
     terms = -(-q // s) if s else 1  # powers of D below q (at s = 0 every power is I)
-
-    def mul(f, g):  # product of coefficient lists, reduced like D
-        out = [0] * terms
-        for i, fi in enumerate(f):
-            for j, gj in enumerate(g):
-                k = i + j if s else 0
-                if k < terms:
-                    out[k] += fi * gj
-        return [c % p for c in out]
-
-    # the blocks as coefficient lists in D, lowest power first
-    A, B, C, E = ([1], [0, 1], [a, u], [b, v]) if n >= m else ([0, 1], [1], [u, a], [v, b])
-    delta = two_block_delta(n - m, a, b, u, v, p)[:terms]
-    if delta[0] == 0:
+    d0, d1, d2 = (*two_block_delta(n - m, a, b, u, v, p), 0, 0)[:3]  # one term at m = n
+    if d0 == 0:
         return None
-    inv0 = pow(delta[0], p - 2, p)
-    series = [inv0]  # Delta^-1: sum_i delta_i series_(j-i) = 0 for every j >= 1
-    for j in range(1, terms):
-        acc = sum(delta[i] * series[j - i] for i in range(1, min(j, 2) + 1))
-        series.append(-inv0 * acc % p)
-    # first columns of E, -B, -C, A times Delta^-1; a negative lag (above
-    # the diagonal) reads the zero padding
+    inv0 = pow(d0, p - 2, p)
+    e1, e2 = -inv0 * d1 % p, -inv0 * d2 % p
+    series = [inv0, e1 * inv0 % p][:terms]  # Delta^-1, lowest power first
+    for _ in range(2, terms):
+        series.append((e1 * series[-1] + e2 * series[-2]) % p)
+    shifted = [0, *series[:-1]] if s else series  # D Delta^-1
+    # E, -B, -C, A as (c0, c1) in D; a negative lag (above the diagonal)
+    # reads the zero padding of their first columns
+    blks = ((b, v), (0, -1), (-a, -u), (1, 0)) if n >= m else ((v, b), (-1, 0), (-u, -a), (0, 1))
     cols = np.zeros((4, 2 * q), dtype=np.int64)
-    for row, (blk, sign) in enumerate(((E, 1), (B, -1), (C, -1), (A, 1))):
+    for row, (c0, c1) in enumerate(blks):
         # D^j's coefficient sits j |n-m| rows down; at m = n only j = 0 exists
-        cols[row, :q:s or q] = [sign * c % p for c in mul(blk, series)]
+        cols[row, :q:s or q] = [(c0 * x + c1 * y) % p for x, y in zip(series, shifted)]
     blocks = cols.take(np.subtract.outer(np.arange(q), np.arange(q)), axis=1)
     return blocks.reshape(2, 2, q, q).transpose(0, 2, 1, 3).reshape(2 * q, 2 * q)
 
@@ -300,15 +290,15 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
     own contribution) and in block 2 sends A_k (first q own symbols) + B_k R,
     where R carries I_k on the aligned levels and, when m < n, the n - m
     remaining fresh symbols below it.  coeffs holds each user's
-    (A, B, U, V).  Each distinct tuple's decode matrix is inverted once, in
-    closed form by `_decode_inverse`, and its rows that yield the user's own
-    symbols are the decoder; when every user shares one tuple, the maps stay
-    single broadcast arrays.
+    (A, B, U, V).  The maps are written by index as residues: A_k on the
+    own diagonal, B_k where R adds and -B_k mod p where it subtracts.  Each
+    distinct tuple's decode matrix is inverted once, in closed form by
+    `_decode_inverse`, and its rows that yield the user's own symbols are
+    the decoder; when every user shares one tuple, the maps stay single
+    broadcast arrays.
     """
     K, n, m, q, p = params.K, params.n, params.m, params.q, params.p
     L = 2 * n - m if n > m else q  # message symbols
-    # own symbols: the first q unknowns, and for n > m the last n - m
-    keep = list(range(n)) + list(range(n + m, 2 * n)) if n > m else list(range(q))
     inverses = {}
     for k, c in enumerate(coeffs):
         if c not in inverses:
@@ -319,24 +309,26 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
                     f"(A, B, U, V) = {c}, K={K}, n={n}, m={m}, p={p}: "
                     f"Delta's constant term {_DELTA_TERM[(n > m) - (n < m)]} is 0 mod {p}"
                 )
-            inverses[c] = inv[keep]
+            # own symbols: the first q unknowns, and for n > m the last n - m
+            inverses[c] = np.concatenate((inv[:q], inv[q + m:])) if n > m else inv[:q]
     if len(inverses) == 1:
         coeffs = coeffs[:1]
-    eye = np.eye(q, dtype=np.int64)
-    own = np.zeros((q, L + q), dtype=np.int64)  # the first q own symbols
-    own[:, :q] = eye
-    first = own[:, :L]
-    relay = np.zeros((q, L + q), dtype=np.int64)  # over [own message; block-1 outputs]
+    lvl = np.arange(q)
+    first = np.zeros((q, L), dtype=np.int64)  # the first q own symbols
+    first[lvl, lvl] = 1
+    # over [own message; block-1 outputs]; each user's (A, B, -B) as residues
+    a, b, minus_b = np.array([(c[0] % p, c[1] % p, -c[1] % p) for c in coeffs],
+                             dtype=np.int64).T[..., None]
+    second = np.zeros((len(coeffs), q, L + q), dtype=np.int64)
+    second[:, lvl, lvl] = a
     if n >= m:  # I_k is the bottom m output levels minus own symbols n-m..n-1
-        relay[:m, n - m:n] = -np.eye(m, dtype=np.int64)
-        relay[:m, L + n - m:] = np.eye(m, dtype=np.int64)
-        relay[m:, n:L] = np.eye(n - m, dtype=np.int64)
+        top = lvl[:m]
+        second[:, top, L + n - m + top] = b
+        second[:, top, n - m + top] = minus_b if n > m else (a + minus_b) % p  # m = n: diagonal
+        second[:, lvl[m:], lvl[m:] + n - m] = b  # the fresh symbols n..L-1
     else:  # I_k = Y_k - D^(m-n) S_k
-        relay[:, :q] = -np.eye(m, k=n - m, dtype=np.int64)
-        relay[:, L:] = eye
-    a = np.array([c[0] for c in coeffs], dtype=np.int64).reshape(-1, 1, 1)
-    b = np.array([c[1] for c in coeffs], dtype=np.int64).reshape(-1, 1, 1)
-    second = (a * own + b * relay) % p
+        second[:, lvl, L + lvl] = b
+        second[:, lvl[m - n:], lvl[:n]] = minus_b
     return Scheme(
         params=params,
         msg_symbols=L,
@@ -352,10 +344,10 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
 # construction dispatch and verification
 # ---------------------------------------------------------------------------
 
-def _try_build(params: DetParams) -> Scheme:
-    K, n, m, signs = params.K, params.n, params.m, params.signs
-    if n == m and (signs is None or lambda_plus_i_singular(signs)):
+def _try_build(params: DetParams, time_share: bool) -> Scheme:
+    if time_share:
         return moderate_scheme(params)  # n/K time sharing meets the converse
+    K, n, m, signs = params.K, params.n, params.m, params.signs
     regime = "weak" if m < n else "strong" if m > n else "moderate"
     if signs is None:
         # the all-ones Lambda aligns at (A, B, U, V) = (0, 1, K-1, K-2)
@@ -370,16 +362,21 @@ def build_scheme(K: int, n: int, m: int, p: int | None = None, signs=None) -> Sc
     the scan returns that build, or n/K time sharing over the smallest prime
     for a channel with no converse that no prime aligns at m = n.  A failed
     scan lists every prime's reason, in scan order."""
+    params = DetParams(K=K, n=n, m=m, p=PRIME_SCAN[0] if p is None else p, signs=signs)
+    # whatever the prime, m = n time shares unless Lambda + I is invertible
+    time_share = n == m and (params.signs is None or lambda_plus_i_singular(params.signs))
     if p is not None:
-        return _try_build(DetParams(K=K, n=n, m=m, p=p, signs=signs))
+        return _try_build(params, time_share)
     reasons = []  # the messages only: keeping an exception would keep its frames alive
     for p in PRIME_SCAN:
+        if p != params.p:
+            params = replace(params, p=p)
         try:
-            return _try_build(DetParams(K=K, n=n, m=m, p=p, signs=signs))
+            return _try_build(params, time_share)
         except SingularSystem as exc:  # NoSolution included
             reasons.append(str(exc))
-    if n == m and det_converse(n, m, K, signs) is None:
-        return moderate_scheme(DetParams(K=K, n=n, m=m, p=PRIME_SCAN[0], signs=signs))
+    if n == m and K != 3:  # signed, so `det_converse` establishes no rate here
+        return moderate_scheme(replace(params, p=PRIME_SCAN[0]))
     raise SingularSystem(
         f"no prime in {PRIME_SCAN} yields a decodable scheme for K={K}, n={n}, m={m}:"
         + "".join(f"\n  {reason}" for reason in reasons)

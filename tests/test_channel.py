@@ -352,6 +352,26 @@ def test_replay_is_exact_on_both_sides_of_the_binary64_bound():
                 == msgs % p).all()
 
 
+@pytest.mark.parametrize("p", (2, 13, 1073741789))
+def test_messages_in_are_python_residues_of_any_int64(p):
+    """Messages are reduced on entry to Python's a % p for every int64,
+    both int64 extremes included, in a single session and in a batch, and
+    the caller's array is left as it was."""
+    scheme = build_scheme(3, 3, 1, p=p)
+    extremes = [-2**63, -(2**63 - 1), -1, p, 2 * p - 1, 2**63 - 1]
+    size = 2 * 3 * scheme.msg_symbols
+    values = [extremes[i % len(extremes)] for i in range(size)]
+    batch = np.array(values, dtype=np.int64).reshape(2, 3, scheme.msg_symbols)
+    want = [v % p for v in values]
+    for msgs, expect in ((batch, want), (batch[1], want[size // 2:])):
+        before = msgs.copy()
+        tr = run_feedback_session(scheme.params, scheme, msgs)
+        assert tr.messages_in.dtype == np.int64
+        assert tr.messages_in.ravel().tolist() == expect
+        assert (tr.messages_out == tr.messages_in).all()
+        assert np.array_equal(msgs, before)
+
+
 def test_apply_channel_float_block_equals_its_int64_result():
     """A float64 block of integers, as the replay passes, comes back float64
     with the values of the int64 channel use, inputs outside [0, p) too."""

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import inspect
 import itertools
@@ -191,6 +192,25 @@ def test_closed_form_decoders_equal_the_elimination_inverse(p, n, m, data):
         assert got.dtype == np.int64
         assert (got == expect).all(), point
         assert (mat @ got % p == eye).all(), point
+
+
+@pytest.mark.parametrize("p", (2, 3, 13, 1073741789))
+@pytest.mark.parametrize("n, m", [(16, 15), (48, 47), (64, 63), (63, 64), (64, 32), (16, 64)])
+def test_closed_form_decoders_equal_the_elimination_inverse_at_large_q(n, m, p):
+    """At q up to 64, where Delta^-1's series runs q terms for |n - m| = 1:
+    the symmetric K = 8 point and one seeded random point."""
+    params = DetParams(K=8, n=n, m=m, p=p)
+    rng = np.random.default_rng([n, m, p])
+    drawn = tuple(int(c) for c in rng.integers(0, p, size=4))
+    eye = np.eye(2 * params.q, dtype=np.int64)
+    for point in ((0, 1, 7, 6), drawn):
+        got = schemes._decode_inverse(params, *point)
+        expect = eliminate_augmented(qsym_decode_matrix(params, *point), eye, p)
+        if expect is None:
+            assert got is None, point
+            continue
+        assert got is not None and got.dtype == np.int64, point
+        assert (got == expect).all(), point
 
 
 def test_successful_builds_run_no_elimination(monkeypatch, capsys):
@@ -703,9 +723,9 @@ def test_auto_prime_build_tries_each_prime_once(monkeypatch):
     calls = []
     real = schemes._try_build
 
-    def counted(params):
+    def counted(params, *rest):
         calls.append(params.p)
-        return real(params)
+        return real(params, *rest)
 
     monkeypatch.setattr(schemes, "_try_build", counted)
     for k_users, n, m, signs in ((3, 3, 1, None), (3, 1, 3, None), (5, 0, 3, None),
@@ -718,6 +738,34 @@ def test_auto_prime_build_tries_each_prime_once(monkeypatch):
     with pytest.raises(SingularSystem, match="no prime in"):  # no moderate point anywhere
         build_scheme(3, 2, 2, signs=((0, 1, -1), (-1, 0, 1), (1, 1, 0)))
     assert calls == list(PRIME_SCAN)
+
+
+def test_auto_prime_build_decides_time_sharing_once(monkeypatch):
+    """det(Lambda + I) is taken once per build, before the prime scan, even
+    when every prime fails."""
+    calls = []
+    real = schemes.lambda_plus_i_singular
+
+    def counted(signs):
+        calls.append(signs)
+        return real(signs)
+
+    monkeypatch.setattr(schemes, "lambda_plus_i_singular", counted)
+    unaligned = ((0, 1, -1), (-1, 0, 1), (1, 1, 0))
+    for k_users, n, m, signs, name in ((3, 2, 2, SINGULAR_LAMBDA, "moderate"),
+                                       (3, 2, 2, ((0, 1, 1), (1, 0, -1), (1, -1, 0)), "qsym"),
+                                       (4, 2, 2, ((0, 1, 1, 1), (1, 0, 1, -1), (1, -1, 0, 1),
+                                                  (1, -1, -1, 0)), "moderate")):
+        calls.clear()
+        assert build_scheme(k_users, n, m, signs=signs).name == name
+        assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(SingularSystem, match="no prime in"):
+        build_scheme(3, 2, 2, signs=unaligned)
+    assert calls == [unaligned]
+    calls.clear()
+    assert build_scheme(3, 3, 1, signs=unaligned).name == "qsym"
+    assert calls == []  # only m = n asks
 
 
 def test_select_prime_agrees_with_build_scheme():
@@ -827,6 +875,123 @@ def test_symmetric_maps_match_pinned_sha256(p):
                     h.update(f"{arr.shape}".encode())
                     h.update(np.ascontiguousarray(arr).tobytes())
     assert h.hexdigest() == SYMMETRIC_MAPS_SHA256[p]
+
+
+def _build_digest(builds) -> str:
+    """sha256 over each build's name, p, message size and maps (shape and
+    bytes), or its failure type; `builds` yields (label, build thunk)."""
+    h = hashlib.sha256()
+    for label, build in builds:
+        try:
+            scheme = build()
+        except SingularSystem as exc:  # NoSolution included
+            h.update(f"{label}:{type(exc).__name__};".encode())
+            continue
+        h.update(f"{label}:{scheme.name},{scheme.params.p},{scheme.msg_symbols}:".encode())
+        for arr in (*scheme.encoders, scheme.decoders):
+            h.update(f"{arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def _criterion_grid_builds():
+    for k_users in (2, 3, 4, 5):
+        for n in range(7):
+            for m in range(7):
+                if n + m:
+                    yield (k_users, n, m), functools.partial(build_scheme, k_users, n, m)
+
+
+def _large_grid_builds():
+    """The 48 large-q configurations: K 3, 7, 8; n 16..64; m in {16, 32,
+    48, 64, n - 1}, m != n."""
+    for k_users in (3, 7, 8):
+        for n in (16, 32, 48, 64):
+            for m in sorted({16, 32, 48, 64, n - 1} - {n}):
+                yield (k_users, n, m), functools.partial(build_scheme, k_users, n, m)
+
+
+def _signed_builds():
+    for i, lam in enumerate(all_sign_matrices_k3()):
+        for n, m, p in ((2, 1, None), (1, 2, None), (2, 2, 5), (2, 2, 7)):
+            yield (i, n, m, p), functools.partial(build_scheme, 3, n, m, p=p, signs=lam)
+
+
+# sha256 of `_build_digest` over three sets of builds, recorded before the
+# two-block builder wrote its maps by index and inverted Delta by its
+# recurrence: the maps those rewrites produce are the same bytes.
+BUILD_MAPS_SHA256 = {
+    "criterion": (_criterion_grid_builds,
+        "977cdba17518935b4dd310606704c7a73b2fe286a9e0dd84b0f4e0c38990fbce"),
+    "large": (_large_grid_builds,
+        "3971959e25b8b25e4b884e4d6b0de25f52a310b318ef5dccdd5bc78bb7722af9"),
+    "signed": (_signed_builds,
+        "2fe653a8db916c2306fad9f2e3e86c9746c2154cbaa08004c8c4d97042a1d459"),
+}
+
+
+@pytest.mark.parametrize("grid", list(BUILD_MAPS_SHA256))
+def test_build_maps_match_pinned_sha256(grid):
+    builds, digest = BUILD_MAPS_SHA256[grid]
+    assert _build_digest(builds()) == digest
+
+
+@pytest.mark.parametrize("k_users, n, m", [(3, 3, 1), (8, 64, 32), (7, 16, 64), (3, 48, 47)])
+def test_symmetric_maps_are_user_broadcasts(k_users, n, m):
+    """A symmetric scheme's three maps are one base each, broadcast over
+    the users with a zero stride, not K copies."""
+    scheme = build_scheme(k_users, n, m)
+    for arr in (*scheme.encoders, scheme.decoders):
+        assert arr.strides[0] == 0
+
+
+def _second_by_definition(params, a: int, b: int):
+    """(A own + B relay) mod p over [own message; block-1 outputs], in
+    Python ints: own picks the first q own symbols; relay is R, the
+    interference I_k its receiver heard in block 1 (output minus own
+    contribution) on the aligned levels and, for n > m, the fresh symbols
+    q..L-1 below it."""
+    n, m, q, p = params.n, params.m, params.q, params.p
+    L = 2 * n - m if n > m else q
+    own = [[int(j == i) for j in range(L + q)] for i in range(q)]
+    relay = [[0] * (L + q) for _ in range(q)]
+    if n >= m:  # cross signal on output levels n-m..n-1, over own symbols there
+        for i in range(m):
+            relay[i][L + n - m + i] += 1
+            relay[i][n - m + i] -= 1
+        for i in range(n - m):
+            relay[m + i][n + i] += 1
+    else:  # own signal shifted down by m - n under the cross signal
+        for i in range(q):
+            relay[i][L + i] += 1
+            if i >= m - n:
+                relay[i][i - (m - n)] -= 1
+    return [[(a * o + b * r) % p for o, r in zip(orow, rrow)] for orow, rrow in zip(own, relay)]
+
+
+def test_second_encoder_follows_its_definition():
+    """Every user's block-2 encoder is (A_k own + B_k relay) mod p, for
+    symmetric and signed builds on both sides of m = n."""
+    for k_users, n, m, p in itertools.product((2, 3, 4), range(5), range(5), (2, 3, 5, 13)):
+        if n == m:
+            continue
+        try:
+            scheme = build_scheme(k_users, n, m, p=p)
+        except SingularSystem:
+            continue
+        want = _second_by_definition(scheme.params, 0, 1)  # the all-ones point's (A, B)
+        for k in range(k_users):
+            assert scheme.encoders[1][k].tolist() == want, (k_users, n, m, p, k)
+    for lam in list(all_sign_matrices_k3())[::5]:
+        for n, m in ((2, 1), (1, 2), (3, 1), (1, 3), (4, 3)):
+            try:
+                sol = qsym_solve(lam, "weak" if m < n else "strong", 5)
+                scheme = build_scheme(3, n, m, p=5, signs=lam)
+            except SingularSystem:
+                continue
+            for k in range(3):
+                want = _second_by_definition(scheme.params, sol.a[k], sol.b[k])
+                assert scheme.encoders[1][k].tolist() == want, (lam, n, m, k)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
