@@ -22,8 +22,9 @@ residue in [0, p), so with d the longest dot product a scheme forms
 max(d, K) (p - 1)^2.  Below 2^53 that is exact in binary64 whatever the
 summation order, so the replay runs in float64 and BLAS; above it, the same
 code runs in int64, which `check_dot_length` keeps below 2^63.  Transcripts
-are int64 either way.  Messages and products are reduced by floor division
-(`_reduce`), as numpy's int64 `%` by a scalar divides once per element.
+are int64 either way.  Messages, integer channel inputs and products are
+reduced by floor division (`_reduce`), as numpy's int64 `%` by a scalar
+divides once per element.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def apply_channel(params: DetParams, x: np.ndarray) -> np.ndarray:
     K, n, m, q, p = params.K, params.n, params.m, params.q, params.p
     x = np.asarray(x)
     if x.dtype != np.float64:
-        x = np.asarray(x, dtype=np.int64) % p
+        x = _reduce(np.array(x, dtype=np.int64), p)  # a copy: the caller's stays
     if x.ndim not in (2, 3) or x.shape[-2:] != (K, q):
         raise ValueError(
             f"block signal must have shape {(K, q)} or (B, {K}, {q}), got {x.shape}"
@@ -160,8 +161,9 @@ def _distinct(maps: np.ndarray) -> np.ndarray:
 def _residues(maps, p: int) -> np.ndarray:
     maps = np.asarray(maps)
     entries = _distinct(maps)  # a broadcast map is checked as its base, not K copies
-    if maps.dtype != np.int64 or entries.min(initial=0) < 0 or entries.max(initial=0) >= p:
-        raise ValueError(f"scheme maps must be int64 residues in [0, {p})")
+    if (maps.ndim != 3 or maps.dtype != np.int64
+            or entries.min(initial=0) < 0 or entries.max(initial=0) >= p):
+        raise ValueError(f"scheme maps must be (K, rows, columns) int64 residues in [0, {p})")
     return maps
 
 
@@ -169,30 +171,33 @@ def _residues(maps, p: int) -> np.ndarray:
 class Scheme:
     """A linear feedback coding scheme over GF(p), as explicit integer maps.
 
-    With K users, q = max(n, m) levels, L message symbols and T blocks:
+    With K users, q = max(n, m) levels, L message symbols and T >= 1 blocks:
 
     * ``encoders[t]`` has shape (K, q, L + t*q); row block k maps user k's
       [own message; own outputs of blocks 0..t-1] to its block-t input;
     * ``decoders`` has shape (K, L, T*q); row block k maps user k's outputs
       of every block to its recovered message.
 
-    Maps must be int64 residues in [0, p) and are not copied, so a map
-    shared by every user can be one broadcast array.  Their shapes are
-    checked, so an encoder cannot see an output it does not causally have.
+    L and T are read off the maps (block 0's columns, the number of
+    blocks), and so is the rate L/T: a scheme cannot declare a rate its
+    maps do not carry.  Maps must be int64 residues in [0, p) and are not
+    copied, so a map shared by every user can be one broadcast array.
+    Their shapes are checked, so an encoder cannot see an output it does
+    not causally have.
     """
 
     params: DetParams
-    msg_symbols: int
-    declared_rate: Fraction
     encoders: tuple[np.ndarray, ...]
     decoders: np.ndarray
     name: str = ""
 
     def __post_init__(self):
-        K, q, p, L = self.params.K, self.params.q, self.params.p, self.msg_symbols
+        K, q, p = self.params.K, self.params.q, self.params.p
         self.encoders = tuple(_residues(e, p) for e in self.encoders)
         self.decoders = _residues(self.decoders, p)
-        T = self.blocks
+        if not self.encoders:
+            raise ValueError("a scheme needs at least one block")
+        L, T = self.msg_symbols, self.blocks
         for t, enc in enumerate(self.encoders):
             if enc.shape != (K, q, L + t * q):
                 raise ValueError(
@@ -203,14 +208,19 @@ class Scheme:
                 f"decoder must have shape {(K, L, T * q)}, got {self.decoders.shape}"
             )
         check_dot_length(p, self.dot_length)
-        if self.declared_rate * T != L:
-            raise ValueError(
-                f"rate {self.declared_rate} x {T} blocks != {L} message symbols"
-            )
 
     @property
     def blocks(self) -> int:
         return len(self.encoders)
+
+    @property
+    def msg_symbols(self) -> int:
+        return self.encoders[0].shape[-1]
+
+    @property
+    def declared_rate(self) -> Fraction:
+        """Message symbols per block."""
+        return Fraction(self.msg_symbols, self.blocks)
 
     @property
     def dot_length(self) -> int:

@@ -118,18 +118,25 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class EffectiveChannelStats:
-    """Empirical vs. predicted powers of the zero-forced effective channel."""
+    """Empirical vs. predicted powers of the zero-forced effective channel.
+
+    `samples`, the number of user-0 samples behind each estimate, is read
+    off the configuration: block_len * trials.
+    """
 
     config: MCConfig
     signal_power_hat: float
     noise_power_hat: float
     predicted_noise_power: float
     predicted_signal_lb: float
-    samples: int
     signal_se: float
     noise_se: float
     tx_power_hat: float
     tx_se: float
+
+    @property
+    def samples(self) -> int:
+        return self.config.block_len * self.config.trials
 
     def gate_failures(self) -> list[str]:
         """One line per failed three-sigma gate (noise power, signal power,
@@ -265,7 +272,6 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
         noise_power_hat=noise_power_hat,
         predicted_noise_power=predicted_noise_power,
         predicted_signal_lb=predicted_signal_lb,
-        samples=n,
         signal_se=signal_se,
         noise_se=noise_se,
         tx_power_hat=tx_power_hat,
@@ -358,7 +364,7 @@ def make_lattice(c: float, m: int) -> NestedLattice1D:
     if not c / m > 0:
         raise ValueError(f"coarse step {c} leaves no nonzero fine step c/{m} in binary64")
     pts = (c / m) * np.arange(m)
-    pts = pts - c * np.floor(pts / c + 0.5)
+    pts = pts - _round_to_step(pts, c)
     lat = NestedLattice1D(coarse_step=float(c), refinement=int(m),
                           codebook=np.sort(pts))
     lat.codebook.setflags(write=False)

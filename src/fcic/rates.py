@@ -204,12 +204,14 @@ _VIOLATIONS = ("gap", "upper", "weak-simplify", "constraints", "strong-simplify"
 class ClosedForms(NamedTuple):
     """Every Gaussian closed form over one K, one entry per (SNR, INR) pair.
 
-    `regime` and `c_tilde` do not depend on K.
+    `regime` and `c_tilde` do not depend on K.  The verdicts are read off
+    `bad`: an entry meets the gap inequalities where its column is all
+    False, and a weak entry's rate split passes its re-check where the
+    "constraints" row is False.
     """
 
     regime: np.ndarray  # regime names (object array)
     rate: np.ndarray  # achievable rate, NaN where excluded
-    constraints_ok: np.ndarray  # weak-regime rate-split re-check, False elsewhere
     c_tilde: np.ndarray
     upper: np.ndarray
     bad: np.ndarray  # (len(_VIOLATIONS), N) violated-inequality flags
@@ -244,7 +246,6 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, k: int) -> ClosedForms:
         weak = ~neg & (i <= s / 2)
         strong = ~neg & ~weak & (i >= 2 * np.maximum(s, 1.0))
         rate = np.full(s.shape, math.nan)
-        constraints_ok = np.zeros(s.shape, dtype=bool)
         bad = np.zeros((len(_VIOLATIONS), s.size), dtype=bool)
 
         rate[neg] = 0.5 * _log2(1 + s[neg] / (1 + km1 * i[neg]))
@@ -265,7 +266,6 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, k: int) -> ClosedForms:
         split_ok = r12 <= r12 + RATE_TOL
         for cap in r0_caps:
             split_ok &= ~(r0 > cap + RATE_TOL)
-        constraints_ok[weak] = split_ok
 
         ss, is_ = s[strong], i[strong]
         strong_arg = 1 + _square(is_ - ss) / (kf * (kf * is_ + 1))
@@ -283,7 +283,7 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, k: int) -> ClosedForms:
             strong_arg < total[strong] / float(8 * k * k) - RATE_TOL
         )
     regime = _REGIMES[np.where(neg, 0, np.where(weak, 1, np.where(strong, 2, 3)))]
-    return ClosedForms(regime, rate, constraints_ok, c_tilde, upper, bad)
+    return ClosedForms(regime, rate, c_tilde, upper, bad)
 
 
 def alpha_one_upper(snr: float, k: int) -> float:
@@ -318,20 +318,28 @@ class GapFact:
     `c_tilde` is the approximate symmetric capacity
     (1/4) log2(1 + SNR + INR) + (1/4) log2(1 + SNR / (1 + INR)), and
     `upper` the capacity upper bound c_tilde + (K-1)/4 + (1/2) log2 K.
-    `achievable` is NaN in the excluded band.  `constraints_ok` is set only
-    in the weak regime, where the chosen rate split (R0*, R1*, R2*) is
-    re-checked against all five decodability constraints of the lattice
-    scheme; it is None elsewhere.
+    `achievable` is NaN in the excluded band.  `violations` names the
+    inequalities the point violates, and both verdicts are read off it:
+    `gap_ok` holds when it is empty, and `constraints_ok`, set only in the
+    weak regime, holds when the chosen rate split (R0*, R1*, R2*) passes
+    its re-check against all five decodability constraints of the lattice
+    scheme ("constraints" is not among them); it is None elsewhere.
     """
 
     params: GaussParams
     regime: str
     achievable: float
-    constraints_ok: bool | None
     c_tilde: float
     upper: float
-    gap_ok: bool
     violations: tuple[str, ...] = ()
+
+    @property
+    def gap_ok(self) -> bool:
+        return not self.violations
+
+    @property
+    def constraints_ok(self) -> bool | None:
+        return "constraints" not in self.violations if self.regime == "weak" else None
 
 
 def gap_grid(snrs, inrs, k: int) -> ClosedForms:
@@ -367,18 +375,12 @@ def gap_report(points) -> list[GapFact]:
             np.array([p.inr for p in group], dtype=float),
             k,
         )
-        flagged = forms.bad.any(axis=0)
         violations = [()] * len(group)
-        for n in np.flatnonzero(flagged).tolist():
+        for n in np.flatnonzero(forms.bad.any(axis=0)).tolist():
             violations[n] = forms.violations(n)
-        regimes = forms.regime.tolist()
-        constraints_ok = [
-            ok if regime == "weak" else None
-            for regime, ok in zip(regimes, forms.constraints_ok.tolist())
-        ]
         group_facts = map(
-            GapFact, group, regimes, forms.rate.tolist(), constraints_ok,
-            forms.c_tilde.tolist(), forms.upper.tolist(), (~flagged).tolist(), violations,
+            GapFact, group, forms.regime.tolist(), forms.rate.tolist(),
+            forms.c_tilde.tolist(), forms.upper.tolist(), violations,
         )
         for n, fact in zip(where, group_facts):
             facts[n] = fact

@@ -87,8 +87,6 @@ def moderate_scheme(params: DetParams) -> Scheme:
         encoders.append(enc)
     return Scheme(
         params=params,
-        msg_symbols=n,
-        declared_rate=Fraction(n, K),
         encoders=tuple(encoders),
         decoders=np.eye(K * n, dtype=np.int64).reshape(K, n, K * n),  # user k reads block k
         name="moderate",
@@ -331,8 +329,6 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
         second[:, lvl[m - n:], lvl[:n]] = minus_b
     return Scheme(
         params=params,
-        msg_symbols=L,
-        declared_rate=Fraction(L, 2),
         encoders=(np.broadcast_to(first, (K, q, L)),
                   np.broadcast_to(second, (K, q, L + q))),
         decoders=np.broadcast_to(np.stack([inverses[c] for c in coeffs]), (K, L, 2 * q)),
@@ -391,15 +387,19 @@ def select_prime(K: int, n: int, m: int, signs=None) -> int:
 @dataclass
 class VerifyReport:
     """Outcome of replaying a scheme against random messages.  `transcript`
-    is the first failing session, else session 0; `converse_rate` is None
-    where no converse is established (signed channels with K != 3)."""
+    is the first failing session, else session 0, and its `params` are the
+    report's; `converse_rate` is None where no converse is established
+    (signed channels with K != 3)."""
 
-    params: DetParams
     declared_rate: Fraction
     trials: int
     successes: int
     converse_rate: Fraction | None
     transcript: Transcript
+
+    @property
+    def params(self) -> DetParams:
+        return self.transcript.params
 
     @property
     def all_passed(self) -> bool:
@@ -435,7 +435,6 @@ def verify_scheme(
     batch = run_feedback_session(params, scheme, msgs)
     failed = np.flatnonzero((batch.messages_out != batch.messages_in).any(axis=(1, 2)))
     return VerifyReport(
-        params=params,
         declared_rate=scheme.declared_rate,
         trials=trials,
         successes=trials - failed.size,

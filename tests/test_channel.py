@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,6 +164,26 @@ def test_encoders_receive_only_past_outputs():
     leaky[0] = np.concatenate([leaky[0], np.zeros((3, 3, 1), dtype=np.int64)], axis=2)
     with pytest.raises(ValueError):
         dataclasses.replace(scheme, encoders=tuple(leaky))
+
+
+@pytest.mark.parametrize("k_users, n, m, size, rate", [
+    (3, 3, 1, 5, Fraction(5, 2)), (3, 1, 3, 3, Fraction(3, 2)), (4, 2, 2, 2, Fraction(1, 2)),
+])
+def test_scheme_size_and_rate_are_read_off_its_maps(k_users, n, m, size, rate):
+    """L is block 0's column count and the rate is L over the block count:
+    neither can be set apart from the maps, and a scheme needs a block."""
+    scheme = build_scheme(k_users, n, m, p=5)
+    assert (scheme.msg_symbols, scheme.declared_rate) == (size, rate)
+    assert scheme.declared_rate == Fraction(scheme.encoders[0].shape[-1], len(scheme.encoders))
+    for name in ("msg_symbols", "declared_rate"):
+        with pytest.raises(AttributeError):
+            setattr(scheme, name, 1)
+    with pytest.raises(ValueError, match="a scheme needs at least one block"):
+        dataclasses.replace(scheme, encoders=())
+    with pytest.raises(ValueError, match=r"\(K, rows, columns\) int64 residues"):
+        dataclasses.replace(scheme, encoders=(np.int64(0), *scheme.encoders[1:]))
+    with pytest.raises(ValueError, match="decoder must have shape"):  # one block too few
+        dataclasses.replace(scheme, encoders=scheme.encoders[:-1])
 
 
 def _non_residue(maps, bad, p):
@@ -370,6 +391,27 @@ def test_messages_in_are_python_residues_of_any_int64(p):
         assert tr.messages_in.ravel().tolist() == expect
         assert (tr.messages_out == tr.messages_in).all()
         assert np.array_equal(msgs, before)
+
+
+@pytest.mark.parametrize("p", (2, 13, 1073741789))
+def test_apply_channel_reduces_any_int64_input_to_python_residues(p):
+    """Integer inputs, both int64 extremes included, give the shift model's
+    outputs under Python's % on every level, in one channel use and in a
+    batch, and the caller's array is left as it was."""
+    extremes = [-2**63, -1, p, 2 * p - 1, 2**63 - 1]
+    signs = ((0, -1, 1), (1, 0, -1), (1, -1, 0))
+    for params in (DetParams(K=3, n=2, m=4, p=p), DetParams(K=3, n=3, m=1, p=p, signs=signs)):
+        size = 2 * params.K * params.q
+        values = [extremes[i % len(extremes)] for i in range(size)]
+        batch = np.array(values, dtype=np.int64).reshape(2, params.K, params.q)
+        for x in (batch, batch[1]):
+            before = x.copy()
+            y = apply_channel(params, x)
+            assert y.dtype == np.int64
+            uses = x.tolist() if x.ndim == 3 else [x.tolist()]
+            assert y.reshape(-1, params.K, params.q).tolist() == [
+                _shift_model_use(params, use) for use in uses]
+            assert np.array_equal(x, before)
 
 
 def test_apply_channel_float_block_equals_its_int64_result():

@@ -273,6 +273,50 @@ def test_det_verify_bad_input_exits_2(capsys):
     assert code == 2
 
 
+def _criterion_grid_runs(_signs_dir):
+    for k_users in (2, 3, 4, 5):
+        for n in range(7):
+            for m in range(7):
+                if n + m:
+                    yield ("--k", str(k_users), "--n", str(n), "--m", str(m))
+
+
+def _signed_runs(signs_dir):
+    for index in range(64):
+        signs = signs_dir / f"signs{index}.txt"
+        signs.write_text(_sign_text(index, 3))
+        for n, m, p in ((2, 1, None), (1, 2, None), (2, 2, 5), (2, 2, 7)):
+            flags = ("--k", "3", "--n", str(n), "--m", str(m), "--signs", str(signs))
+            yield flags + (() if p is None else ("--p", str(p)))
+
+
+# sha256 over every run's flags, exit code, stdout, stderr and --dump file,
+# with the temporary directory's path replaced by a placeholder; recorded
+# from the parent tree of the change that made a scheme's size and rate
+# properties of its maps.
+DET_VERIFY_SHA256 = {
+    "criterion": (_criterion_grid_runs,
+        "2aa2b4eae28ec2105787514a70c25486cdad1cb78d9652f3d06b0df09e2b5635"),
+    "signed": (_signed_runs,
+        "0a6b5ee62c60a7508981ffbe5891d6e341d93b671894b102029f1ee45a382371"),
+}
+
+
+@pytest.mark.parametrize("runs", list(DET_VERIFY_SHA256))
+def test_det_verify_output_matches_pinned_sha256(capsys, tmp_path, runs):
+    make_runs, digest = DET_VERIFY_SHA256[runs]
+    dump = tmp_path / "transcript.json"
+    h = hashlib.sha256()
+    for flags in make_runs(tmp_path):
+        dump.unlink(missing_ok=True)
+        code, out, err = run_cli(capsys, "det-verify", *flags, "--trials", "20",
+                                 "--dump", str(dump))
+        dumped = dump.read_text() if dump.exists() else "<no dump>"
+        text = f"{flags}:{code}\n{out}\n{err}\n{dumped}\n"
+        h.update(text.replace(str(tmp_path), "<tmp>").encode())
+    assert h.hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # qsym
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -40,3 +41,14 @@ def test_public_names_are_defined_where_listed(name):
     public = [getattr(module, n) for n in module.__all__]
     assert [obj.__qualname__ for obj in public
             if callable(obj) and obj.__module__ != module.__name__] == []
+
+
+def test_readme_python_blocks_run():
+    """Every ```python block of README.md runs, in order, in one namespace,
+    so the documented API cannot drift from the package."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for n, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {n}", "exec"), namespace)

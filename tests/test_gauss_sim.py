@@ -203,7 +203,6 @@ def reference_mc(cfg: MCConfig) -> EffectiveChannelStats:
         noise_power_hat=float(noise_sq.mean()),
         predicted_noise_power=(k * k * i + 1.0) / (k * i + 1.0),
         predicted_signal_lb=(i - s) ** 2 / (k * i + 1.0),
-        samples=n,
         signal_se=float(sig_sq.std(ddof=1) / math.sqrt(n)),
         noise_se=float(noise_sq.std(ddof=1) / math.sqrt(n)),
         tx_power_hat=float(tx_sq.mean()),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -7,7 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fcic.channel import Scheme
+from fcic.gauss_sim import EffectiveChannelStats
 from fcic.rates import (
+    ClosedForms,
+    GapFact,
     GaussParams,
     RATE_TOL,
     RegimeMismatch,
@@ -24,6 +29,7 @@ from fcic.rates import (
     secrecy_bound,
     weak_gap_constant,
 )
+from fcic.schemes import VerifyReport
 
 # sign matrix whose Lambda + I has identical first and third rows
 SINGULAR_LAMBDA = ((0, -1, 1), (1, 0, -1), (1, -1, 0))
@@ -369,6 +375,48 @@ def test_gap_grid_is_gap_report_on_the_grid_points(monkeypatch):
             names.update(fact.violations)
     assert names == {
         "gap", "upper", "weak-simplify", "constraints", "strong-simplify"}
+
+
+def test_verdicts_read_off_forced_violations(monkeypatch):
+    """Under RATE_TOL = -1e9 every weak point's rate split fails its re-check
+    and every point outside the excluded band violates an inequality: the
+    verdicts read off `violations` say so, as the scalar reference does."""
+    monkeypatch.setattr("fcic.rates.RATE_TOL", -1e9)
+    monkeypatch.setitem(globals(), "RATE_TOL", -1e9)  # the reference's tolerance
+    grid = np.geomspace(1e-2, 1e8, 9).tolist()
+    points = [GaussParams(s, i, k) for s in grid for i in grid for k in (2, 3, 8)]
+    facts = gap_report(points)
+    assert {f.regime for f in facts} == {"negligible", "weak", "strong", "excluded"}
+    for params, fact in zip(points, facts):
+        s, i, k = params.snr, params.inr, params.k
+        ref = ref_gauss_achievable(s, i, k)
+        if ref is None:
+            assert (fact.gap_ok, fact.constraints_ok, fact.violations) == (True, None, ())
+            continue
+        rate, regime, constraints_ok = ref
+        assert constraints_ok is (False if regime == "weak" else None)
+        assert fact.constraints_ok is constraints_ok
+        tilde, upper = ref_c_sym_tilde(s, i), ref_gauss_upper(s, i, k)
+        bad = ref_gap_checks(s, i, k, rate, regime, constraints_ok, tilde, upper)
+        assert fact.violations == bad
+        assert fact.gap_ok is False
+
+
+def test_results_store_only_what_they_cannot_derive():
+    """A scheme's size and rate, a report's parameters, a point's verdicts
+    and a Monte Carlo run's sample count are read off other fields, not
+    stored beside them."""
+    stored = {
+        Scheme: ["params", "encoders", "decoders", "name"],
+        VerifyReport: ["declared_rate", "trials", "successes", "converse_rate", "transcript"],
+        GapFact: ["params", "regime", "achievable", "c_tilde", "upper", "violations"],
+        EffectiveChannelStats: [
+            "config", "signal_power_hat", "noise_power_hat", "predicted_noise_power",
+            "predicted_signal_lb", "signal_se", "noise_se", "tx_power_hat", "tx_se"],
+    }
+    for cls, names in stored.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names
+    assert ClosedForms._fields == ("regime", "rate", "c_tilde", "upper", "bad")
 
 
 @pytest.mark.parametrize("snrs,inrs,k", [
