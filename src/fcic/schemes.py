@@ -23,8 +23,10 @@ elimination; it and the solver test one condition, the constant term of
 its subclass NoSolution name the user whose term is 0 mod p (for
 NoSolution, on the whole solution space, or else the candidates searched).
 Without p, `build_scheme` returns the first success of its `PRIME_SCAN`
-scan.  `verify_scheme` replays all of its trials as one batch through
-`run_feedback_session` and judges the declared rate against
+scan, which tries GF(2) last at odd K in the strong regime: there U_k =
+S - B_k mod 2 (S the sum of the B_j), and no B makes every U_k nonzero
+when K is odd.  `verify_scheme` replays all of its trials as one batch
+through `run_feedback_session` and judges the declared rate against
 `rates.det_converse`.
 """
 
@@ -357,25 +359,38 @@ def build_scheme(K: int, n: int, m: int, p: int | None = None, signs=None) -> Sc
     the smallest prime in `PRIME_SCAN` for which construction succeeds, and
     the scan returns that build, or n/K time sharing over the smallest prime
     for a channel with no converse that no prime aligns at m = n.  A failed
-    scan lists every prime's reason, in scan order."""
-    params = DetParams(K=K, n=n, m=m, p=PRIME_SCAN[0] if p is None else p, signs=signs)
+    scan lists every prime's reason, in `PRIME_SCAN` order.
+
+    The scan tries the primes in order, except that an odd-K strong (m > n)
+    scan tries GF(2) last, only for its reason: mod 2 every lambda_kj
+    lambda_jk is 1, so U_k = S - B_k with S = sum_j B_j, and U_k != 0 for
+    every k forces B_k = S + 1, whence S = K (S + 1) = S + 1 at odd K.  No
+    sign matrix and no (n, m) escape this (the all-ones Lambda's -U =
+    -(K-1) is 0 mod 2), so the chosen prime is the same.  It is the same
+    for every (n, m) of a regime anyway: a signed build fails or succeeds
+    with `qsym_solve`, which reads only (Lambda, regime, p), and a
+    symmetric one with Delta's constant term, 1 (weak) or -(K-1) (strong).
+    """
+    # GF(2) has no strong point at odd K (see above); a stable sort moves only 2
+    scan = sorted(PRIME_SCAN, key=lambda p: p == 2 and m > n and K % 2 == 1)
+    params = DetParams(K=K, n=n, m=m, p=scan[0] if p is None else p, signs=signs)
     # whatever the prime, m = n time shares unless Lambda + I is invertible
     time_share = n == m and (params.signs is None or lambda_plus_i_singular(params.signs))
     if p is not None:
         return _try_build(params, time_share)
-    reasons = []  # the messages only: keeping an exception would keep its frames alive
-    for p in PRIME_SCAN:
+    reasons = {}  # the messages only: keeping an exception would keep its frames alive
+    for p in scan:
         if p != params.p:
             params = replace(params, p=p)
         try:
             return _try_build(params, time_share)
         except SingularSystem as exc:  # NoSolution included
-            reasons.append(str(exc))
+            reasons[p] = str(exc)
     if n == m and K != 3:  # signed, so `det_converse` establishes no rate here
         return moderate_scheme(replace(params, p=PRIME_SCAN[0]))
     raise SingularSystem(
         f"no prime in {PRIME_SCAN} yields a decodable scheme for K={K}, n={n}, m={m}:"
-        + "".join(f"\n  {reason}" for reason in reasons)
+        + "".join(f"\n  {reasons[p]}" for p in PRIME_SCAN)
     )
 
 

@@ -145,6 +145,31 @@ def test_det_verify_signed_k4_unaligned_falls_back_to_time_sharing(capsys, tmp_p
         assert err.startswith("infeasible: no moderate-regime alignment point over GF(5)")
 
 
+# no prime in PRIME_SCAN aligns this K = 5 matrix in the strong regime
+SIGNS_K5_UNALIGNED = "0 1 1 -1 -1\n-1 0 -1 -1 1\n1 1 0 1 1\n1 1 1 0 1\n-1 1 1 -1 0\n"
+
+
+def test_det_verify_failed_odd_k_strong_scan_lists_primes_in_scan_order(capsys, tmp_path):
+    """An odd-K strong scan tries GF(2) last, yet its exit-3 text still
+    lists every prime's reason in PRIME_SCAN order, GF(2) first: the text
+    is recorded from the tree that scanned GF(2) first."""
+    signs = tmp_path / "signs.txt"
+    signs.write_text(SIGNS_K5_UNALIGNED)
+    code, out, err = run_cli(
+        capsys, "det-verify", "--k", "5", "--n", "1", "--m", "2", "--signs", str(signs)
+    )
+    assert (code, out) == (3, "")
+    dead = ("no strong-regime alignment point over GF({}): user 3's Delta constant term "
+            "-U is 0 on the whole 2-dimensional solution space")
+    assert err == "".join([
+        "infeasible: no prime in (2, 3, 5, 7, 11, 13) yields a decodable scheme for "
+        "K=5, n=1, m=2:\n",
+        "  no strong-regime alignment point over GF(2) after 64 candidates; the strong "
+        "condition failed most often at user 0 (32 times)\n",
+        *(f"  {dead.format(p)}\n" for p in (3, 5, 7, 11, 13)),
+    ])
+
+
 def test_det_verify_weak_example(capsys):
     code, out, _ = run_cli(
         capsys, "det-verify", "--k", "3", "--n", "3", "--m", "1", "--p", "5",

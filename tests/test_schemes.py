@@ -40,6 +40,9 @@ from conftest import (
 
 # sign matrix whose Lambda + I has identical first and third rows
 SINGULAR_LAMBDA = ((0, -1, 1), (1, 0, -1), (1, -1, 0))
+# no prime in PRIME_SCAN aligns this K = 5 matrix in the strong regime
+K5_UNALIGNED = ((0, 1, 1, -1, -1), (-1, 0, -1, -1, 1), (1, 1, 0, 1, 1), (1, 1, 1, 0, 1),
+                (-1, 1, 1, -1, 0))
 
 
 def all_ones_lambda(k=3):
@@ -716,10 +719,57 @@ def test_select_prime_skips_singular_fields():
     assert select_prime(5, 0, 3) == 3
 
 
+def test_gf2_has_a_strong_point_exactly_at_even_k():
+    """Why an odd-K strong scan tries GF(2) last.  Mod 2, -1 = 1, so every
+    lambda_kj lambda_jk = 1 and U_k = S - B_k, with S = sum_j B_j.  The
+    strong condition U_k != 0 for every k forces B_k = S + 1 for every k.
+    Summing, S = K (S + 1), which is S + 1 when K is odd: a contradiction,
+    whatever the signs and whatever (n, m)."""
+    odd = [*all_sign_matrices_k3(), *(all_ones_lambda(k) for k in (3, 5, 7)),
+           *_random_sign_matrices(5, 12, seed=21), *_random_sign_matrices(7, 6, seed=21)]
+    for lam in odd:
+        with pytest.raises(NoSolution, match=r"strong-regime alignment point over GF\(2\)"):
+            qsym_solve(lam, "strong", 2)
+    even = [*_random_sign_matrices(4, 12, seed=21), *_random_sign_matrices(6, 6, seed=21)]
+    for lam in even:
+        assert all(qsym_solve(lam, "strong", 2).u)  # every U_k = 1
+    for k_users in (3, 5, 7):  # the all-ones point's -U = -(K-1) = 0 mod 2
+        for n, m in ((0, 1), (1, 2), (1, 3), (2, 5)):
+            with pytest.raises(SingularSystem, match="Delta's constant term -U is 0 mod 2"):
+                build_scheme(k_users, n, m, p=2)
+
+
+def _auto_build_outcome(k_users, n, m, signs):
+    """The auto-p build's prime, or its failure's per-prime reasons (the
+    headline names n and m)."""
+    try:
+        return build_scheme(k_users, n, m, signs=signs).params.p
+    except SingularSystem as exc:
+        return str(exc).split("\n")[1:]
+
+
+def test_auto_build_outcome_depends_only_on_lambda_and_regime():
+    """A signed build fails or succeeds with `qsym_solve`, which reads only
+    (Lambda, regime, p), so the auto-p scan picks one prime, or fails for
+    the same reasons, at every (n, m) of a regime.  The GF(2) rule relies
+    on this: it looks at K and the regime alone."""
+    sizes = {"strong": ((1, 2), (1, 3), (2, 3), (0, 3)),
+             "weak": ((2, 1), (3, 1), (3, 2), (2, 0))}
+    outcomes = set()
+    for k_users in (3, 5):
+        for lam in _random_sign_matrices(k_users, 10, seed=2121):
+            for regime, pairs in sizes.items():
+                seen = [_auto_build_outcome(k_users, n, m, lam) for n, m in pairs]
+                assert all(outcome == seen[0] for outcome in seen), (lam, regime, seen)
+                outcomes.add(seen[0] if isinstance(seen[0], int) else "failed")
+    assert {2, 3, "failed"} <= outcomes  # the sample reaches both primes and failures
+
+
 def test_auto_prime_build_tries_each_prime_once(monkeypatch):
     """An auto-p build returns the scan's own build: _try_build runs once per
     prime up to and including the chosen one, and once per scanned prime
-    when none works."""
+    when none works.  An odd-K strong scan tries GF(2) last, as no sign
+    matrix has a strong point there."""
     calls = []
     real = schemes._try_build
 
@@ -728,16 +778,21 @@ def test_auto_prime_build_tries_each_prime_once(monkeypatch):
         return real(params, *rest)
 
     monkeypatch.setattr(schemes, "_try_build", counted)
-    for k_users, n, m, signs in ((3, 3, 1, None), (3, 1, 3, None), (5, 0, 3, None),
-                                 (4, 2, 2, None), (3, 2, 2, SINGULAR_LAMBDA),
-                                 (3, 1, 2, SINGULAR_LAMBDA)):
+    for k_users, n, m, signs, tried in ((3, 3, 1, None, [2]), (3, 1, 3, None, [3]),
+                                        (5, 0, 3, None, [3]), (4, 1, 2, None, [2]),
+                                        (4, 2, 2, None, [2]), (3, 2, 2, SINGULAR_LAMBDA, [2]),
+                                        (3, 1, 2, SINGULAR_LAMBDA, [3])):
         calls.clear()
-        scheme = build_scheme(k_users, n, m, signs=signs)
-        assert calls == list(PRIME_SCAN[:PRIME_SCAN.index(scheme.params.p) + 1])
-    calls.clear()
-    with pytest.raises(SingularSystem, match="no prime in"):  # no moderate point anywhere
-        build_scheme(3, 2, 2, signs=((0, 1, -1), (-1, 0, 1), (1, 1, 0)))
-    assert calls == list(PRIME_SCAN)
+        assert build_scheme(k_users, n, m, signs=signs).params.p == tried[-1]
+        assert calls == tried
+    for k_users, n, m, signs, tried in (  # no moderate point anywhere; no strong point anywhere
+            (3, 2, 2, ((0, 1, -1), (-1, 0, 1), (1, 1, 0)), list(PRIME_SCAN)),
+            (5, 1, 2, K5_UNALIGNED, [*PRIME_SCAN[1:], 2])):
+        calls.clear()
+        with pytest.raises(SingularSystem, match="no prime in"):
+            build_scheme(k_users, n, m, signs=signs)
+        assert calls == tried
+        assert sorted(calls) == list(PRIME_SCAN)  # every prime once, none twice
 
 
 def test_auto_prime_build_decides_time_sharing_once(monkeypatch):
