@@ -29,7 +29,7 @@ divides once per element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -189,7 +189,7 @@ class Scheme:
     params: DetParams
     encoders: tuple[np.ndarray, ...]
     decoders: np.ndarray
-    name: str = ""
+    name: str
 
     def __post_init__(self):
         K, q, p = self.params.K, self.params.q, self.params.p
@@ -236,9 +236,9 @@ class Transcript:
     every array carries a leading batch axis."""
 
     params: DetParams
-    blocks: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    messages_in: np.ndarray | None = None
-    messages_out: np.ndarray | None = None
+    blocks: list[tuple[np.ndarray, np.ndarray]]
+    messages_in: np.ndarray
+    messages_out: np.ndarray
 
     def trial(self, i: int) -> "Transcript":
         """Session i of a batched transcript, as copies that do not keep the

@@ -113,14 +113,17 @@ def det_converse(n: int, m: int, k: int, signs=None) -> Fraction | None:
         return Fraction(2 * n - m, 2)
     if m > n:
         return Fraction(m, 2)
-    if signs is None or lambda_plus_i_singular(signs):
+    if lambda_plus_i_singular(signs):
         return Fraction(n, k)
     return Fraction(n, 2)
 
 
 def lambda_plus_i_singular(signs) -> bool:
-    """Whether Lambda + I is singular over the rationals (always, for the
-    all-ones Lambda); at m = n alignment then cannot reach n/2."""
+    """Whether Lambda + I is singular over the rationals; at m = n alignment
+    then cannot reach n/2.  None is the all-ones Lambda, whose Lambda + I is
+    the rank-1 all-ones matrix, so it is always singular."""
+    if signs is None:
+        return True
     rows = np.asarray(signs).tolist()
     return int_det([[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]) == 0
 
@@ -331,7 +334,7 @@ class GapFact:
     achievable: float
     c_tilde: float
     upper: float
-    violations: tuple[str, ...] = ()
+    violations: tuple[str, ...]
 
     @property
     def gap_ok(self) -> bool:
@@ -364,26 +367,15 @@ def gap_report(points) -> list[GapFact]:
     `_closed_forms` call per distinct K; the facts keep the input order.
     """
     points = list(points)
-    by_k: dict[int, list[int]] = {}
-    for n, params in enumerate(points):
-        by_k.setdefault(params.k, []).append(n)
     facts: list[GapFact] = [None] * len(points)
-    for k, where in by_k.items():
-        group = [points[n] for n in where]
-        forms = _closed_forms(
-            np.array([p.snr for p in group], dtype=float),
-            np.array([p.inr for p in group], dtype=float),
-            k,
-        )
-        violations = [()] * len(group)
-        for n in np.flatnonzero(forms.bad.any(axis=0)).tolist():
-            violations[n] = forms.violations(n)
-        group_facts = map(
-            GapFact, group, forms.regime.tolist(), forms.rate.tolist(),
-            forms.c_tilde.tolist(), forms.upper.tolist(), violations,
-        )
-        for n, fact in zip(where, group_facts):
-            facts[n] = fact
+    for k in {params.k for params in points}:
+        where = [n for n, params in enumerate(points) if params.k == k]
+        forms = _closed_forms(np.array([points[n].snr for n in where], dtype=float),
+                              np.array([points[n].inr for n in where], dtype=float), k)
+        for j, n in enumerate(where):
+            facts[n] = GapFact(points[n], forms.regime[j], float(forms.rate[j]),
+                               float(forms.c_tilde[j]), float(forms.upper[j]),
+                               forms.violations(j))
     return facts
 
 

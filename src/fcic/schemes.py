@@ -10,9 +10,11 @@ the all-ones Lambda, which aligns at the closed-form point
 (A, B, U, V) = (0, 1, K-1, K-2) because Lambda^2 = (K-1) I + (K-2) Lambda;
 signed channels get their point from the solver `qsym_solve`, which walks
 nullspace coordinates in array slices against the K linear forms of
-Delta's constant term.  At m = n the symmetric channel, and any signed one
-whose Lambda + I is singular, uses n/K time sharing instead; so does a
-signed channel with K != 3 that no scanned prime aligns.
+Delta's constant term.  At m = n, `build_scheme` asks `rates` once,
+before any prime, whether Lambda + I is singular (always, for the
+symmetric channel); if so it uses n/K time sharing instead.  Its prime
+scan only aligns, and a failed m = n scan falls back to time sharing
+only where `rates.det_converse` establishes no converse.
 
 Every scheme is written out as explicit GF(p) encoder and decoder maps (see
 `Scheme`).  The builder inverts each distinct decode matrix once at build
@@ -342,9 +344,10 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
 # construction dispatch and verification
 # ---------------------------------------------------------------------------
 
-def _try_build(params: DetParams, time_share: bool) -> Scheme:
-    if time_share:
-        return moderate_scheme(params)  # n/K time sharing meets the converse
+def _aligned_scheme(params: DetParams) -> Scheme:
+    """The two-block aligned scheme over GF(params.p): at the all-ones point
+    on the symmetric channel, at `qsym_solve`'s on a signed one; raises
+    SingularSystem where no scheme of the regime decodes."""
     K, n, m, signs = params.K, params.n, params.m, params.signs
     regime = "weak" if m < n else "strong" if m > n else "moderate"
     if signs is None:
@@ -355,11 +358,14 @@ def _try_build(params: DetParams, time_share: bool) -> Scheme:
 
 
 def build_scheme(K: int, n: int, m: int, p: int | None = None, signs=None) -> Scheme:
-    """Construct the regime-appropriate scheme.  Without p, it is built over
-    the smallest prime in `PRIME_SCAN` for which construction succeeds, and
-    the scan returns that build, or n/K time sharing over the smallest prime
-    for a channel with no converse that no prime aligns at m = n.  A failed
-    scan lists every prime's reason, in `PRIME_SCAN` order.
+    """Construct the regime-appropriate scheme.  At m = n a channel whose
+    Lambda + I is singular (the symmetric one included) gets n/K time
+    sharing, decided once, before any prime: over the given p, else GF(2),
+    the scan's first prime at m = n.  Every other build aligns.  Without p,
+    it is built over the smallest prime in `PRIME_SCAN` that aligns, and
+    a failed m = n scan falls back to time sharing over GF(2) where
+    `det_converse` establishes no rate.  Any other failed scan lists every
+    prime's reason, in `PRIME_SCAN` order.
 
     The scan tries the primes in order, except that an odd-K strong (m > n)
     scan tries GF(2) last, only for its reason: mod 2 every lambda_kj
@@ -374,19 +380,19 @@ def build_scheme(K: int, n: int, m: int, p: int | None = None, signs=None) -> Sc
     # GF(2) has no strong point at odd K (see above); a stable sort moves only 2
     scan = sorted(PRIME_SCAN, key=lambda p: p == 2 and m > n and K % 2 == 1)
     params = DetParams(K=K, n=n, m=m, p=scan[0] if p is None else p, signs=signs)
-    # whatever the prime, m = n time shares unless Lambda + I is invertible
-    time_share = n == m and (params.signs is None or lambda_plus_i_singular(params.signs))
+    if n == m and lambda_plus_i_singular(params.signs):
+        return moderate_scheme(params)  # n/K time sharing meets the converse
     if p is not None:
-        return _try_build(params, time_share)
+        return _aligned_scheme(params)
     reasons = {}  # the messages only: keeping an exception would keep its frames alive
     for p in scan:
         if p != params.p:
             params = replace(params, p=p)
         try:
-            return _try_build(params, time_share)
+            return _aligned_scheme(params)
         except SingularSystem as exc:  # NoSolution included
             reasons[p] = str(exc)
-    if n == m and K != 3:  # signed, so `det_converse` establishes no rate here
+    if n == m and det_converse(n, m, K, params.signs) is None:
         return moderate_scheme(replace(params, p=PRIME_SCAN[0]))
     raise SingularSystem(
         f"no prime in {PRIME_SCAN} yields a decodable scheme for K={K}, n={n}, m={m}:"
@@ -403,8 +409,8 @@ def select_prime(K: int, n: int, m: int, signs=None) -> int:
 class VerifyReport:
     """Outcome of replaying a scheme against random messages.  `transcript`
     is the first failing session, else session 0, and its `params` are the
-    report's; `converse_rate` is None where no converse is established
-    (signed channels with K != 3)."""
+    report's; `converse_rate` is `det_converse`'s, None where no converse
+    is established."""
 
     declared_rate: Fraction
     trials: int

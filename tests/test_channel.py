@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fcic.channel import DetParams, apply_channel, run_feedback_session
 from fcic.gf import is_prime
-from fcic.schemes import NoSolution, build_scheme
+from fcic.schemes import PRIME_SCAN, NoSolution, build_scheme
 
 from conftest import all_sign_matrices_k3
 
@@ -72,6 +74,29 @@ def test_channel_linearity():
         lhs = apply_channel(params, (x1 + x2) % 7)
         rhs = (apply_channel(params, x1) + apply_channel(params, x2)) % 7
         assert (lhs == rhs).all()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(k_users=st.integers(2, 5), n=st.integers(0, 4), m=st.integers(0, 4),
+       p=st.sampled_from(PRIME_SCAN), signed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_apply_channel_is_linear(k_users, n, m, p, signed, seed):
+    """apply(a x + b y) = a apply(x) + b apply(y) mod p, for one channel use
+    and for a batch of three, on the symmetric channel and on a random
+    signed one; a float64 block of residues gives the int64 values."""
+    assume(max(n, m) >= 1)
+    rng = np.random.default_rng(seed)
+    signs = None
+    if signed:
+        signs = rng.choice((-1, 1), size=(k_users, k_users))
+        np.fill_diagonal(signs, 0)
+    params = DetParams(K=k_users, n=n, m=m, p=p, signs=signs)
+    a, b = rng.integers(0, p, size=2).tolist()
+    for shape in ((k_users, params.q), (3, k_users, params.q)):
+        x, y = rng.integers(0, p, size=(2, *shape))
+        fx, fy = apply_channel(params, x), apply_channel(params, y)
+        assert np.array_equal(apply_channel(params, a * x + b * y), (a * fx + b * fy) % p)
+        floats = apply_channel(params, x.astype(np.float64))
+        assert floats.dtype == np.float64 and np.array_equal(floats, fx)
 
 
 def test_symmetric_permutation_equivariance():

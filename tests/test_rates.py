@@ -25,6 +25,7 @@ from fcic.rates import (
     gdof_nofb,
     gdof_slope_estimate,
     int_det,
+    lambda_plus_i_singular,
     negligible_gap_constant,
     secrecy_bound,
     weak_gap_constant,
@@ -145,6 +146,14 @@ def test_int_det_of_all_ones_lambda():
         lam = np.ones((k, k), dtype=np.int64) - np.eye(k, dtype=np.int64)
         assert int_det(lam + np.eye(k, dtype=np.int64)) == 0
         assert int_det(lam) == (-1) ** (k - 1) * (k - 1)
+
+
+def test_lambda_plus_i_singular_reads_none_as_the_all_ones_lambda():
+    """None is the symmetric channel's all-ones Lambda, whose Lambda + I is
+    the rank-1 all-ones matrix, so det_converse needs no case of its own."""
+    assert lambda_plus_i_singular(None)
+    assert lambda_plus_i_singular(np.ones((4, 4), dtype=np.int64) - np.eye(4, dtype=np.int64))
+    assert not lambda_plus_i_singular(((0, 1, 1), (1, 0, -1), (1, -1, 0)))
 
 
 def test_qsym_converse_off_diagonal_regimes_ignore_signs():
@@ -343,6 +352,19 @@ def test_gap_excluded_point_carries_no_claim():
     assert facts[0].regime == "excluded"
     assert math.isnan(facts[0].achievable)
     assert facts[0].gap_ok
+
+
+@pytest.mark.parametrize("snr", (1e-3, 1.0, 10.0, 1e4, 1e15))
+def test_negligible_gap_is_tight_at_two_users_just_below_inr_two(snr):
+    """At K = 2 the negligible-regime gap c_tilde - rate is exactly
+    (1/4) log2(1 + INR), which reaches `negligible_gap_constant(2)` =
+    (1/4) log2 3 as INR -> 2.  One ulp below INR = 2 the measured slack,
+    rate - (c_tilde - constant), lies between -8.9e-16 and 3.2e-17 over
+    these SNRs: rounding can put it below zero, and it is RATE_TOL that
+    keeps gap_ok true at this point."""
+    fact = gap_report([GaussParams(snr=snr, inr=float(np.nextafter(2.0, 0.0)), k=2)])[0]
+    assert fact.regime == "negligible" and fact.gap_ok
+    assert abs(fact.achievable - (fact.c_tilde - negligible_gap_constant(2))) <= 1e-12
 
 
 def test_gap_small_grid_zero_violations():

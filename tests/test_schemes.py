@@ -16,7 +16,7 @@ from fcic import schemes
 from fcic.channel import DetParams, run_feedback_session
 from fcic.cli import main
 from fcic.gf import GfMatrix, SingularSystem, is_prime, nullspace
-from fcic.rates import RegimeMismatch, det_converse
+from fcic.rates import RegimeMismatch, det_converse, int_det
 from fcic.schemes import (
     PRIME_SCAN,
     AlignmentSolution,
@@ -488,10 +488,10 @@ def test_qsym_solve_at_the_largest_prime_matches_pinned_outcomes(signs, outcomes
         assert _solve_outcome(signs, regime, P_MAX) == expected
 
 
-def _constraint_rows_by_definition(lam, p):
+def _constraint_rows_by_definition(lam, p=None):
     """Row (k, i), k != i in row-major order, of lambda_ki A_i
     + sum_{j not in {k,i}} lambda_kj lambda_ji B_j - lambda_ki V_k, over the
-    unknowns (A, B, V), in Python ints reduced mod p."""
+    unknowns (A, B, V), in Python ints, reduced mod p when p is given."""
     k_users = len(lam)
     rows = []
     for k in range(k_users):
@@ -504,7 +504,7 @@ def _constraint_rows_by_definition(lam, p):
                 if j != k and j != i:
                     row[k_users + j] += lam[k][j] * lam[j][i]
             row[2 * k_users + k] -= lam[k][i]
-            rows.append([v % p for v in row])
+            rows.append([v % p for v in row] if p else row)
     return rows
 
 
@@ -708,6 +708,99 @@ def test_qsym_sweep_weak_and_strong_decode():
             assert report.matches_converse
 
 
+# index in `all_sign_matrices_k3` -> (k, y): y . M is user k's m = n Delta
+# form b_k + v_k - a_k - u_k, u_k = sum_j lambda_kj lambda_jk b_j, where M
+# holds the integer alignment rows; one entry per det(Lambda + I) = 4 matrix
+DEAD_USER_CERTIFICATES = {
+    6: (2, (0, 0, 1, 1, 1, 0)), 9: (1, (-1, 1, 0, -1, 0, 0)), 11: (0, (-1, 0, 0, 0, 1, -1)),
+    14: (0, (0, -1, 1, -1, 0, 0)), 15: (0, (0, -1, 1, -1, 0, 0)),
+    17: (2, (0, 0, 1, -1, -1, 0)), 24: (0, (0, 1, 1, 1, 0, 0)), 25: (0, (0, 1, 1, 1, 0, 0)),
+    28: (0, (-1, 0, 0, 0, -1, 1)), 30: (1, (-1, -1, 0, 1, 0, 0)),
+    34: (0, (0, -1, -1, 1, 0, 0)), 35: (0, (0, -1, -1, 1, 0, 0)), 36: (1, (1, 1, 0, 1, 0, 0)),
+    38: (0, (1, 0, 0, 0, 1, 1)), 43: (2, (0, 0, -1, -1, 1, 0)),
+    49: (0, (1, 0, 0, 0, -1, -1)), 51: (1, (1, -1, 0, -1, 0, 0)), 52: (0, (0, 1, -1, -1, 0, 0)),
+    53: (0, (0, 1, -1, -1, 0, 0)), 60: (2, (0, 0, -1, 1, -1, 0)),
+}
+
+
+def test_dead_moderate_users_have_integer_certificates():
+    """On each K = 3 sign matrix with det(Lambda + I) = 4, one user's m = n
+    Delta form is an integer combination y . M of the alignment rows, with
+    no denominator.  Every solution satisfies M x = 0 over every GF(p), so
+    that user's condition is 0 on the whole solution space at every prime:
+    no prime aligns these 20 channels at m = n, and the scan's direct
+    solves agree."""
+    mats = list(all_sign_matrices_k3())
+    assert sorted(DEAD_USER_CERTIFICATES) == [
+        i for i, lam in enumerate(mats) if int_det(np.add(lam, np.eye(3, dtype=np.int64))) == 4]
+    for i, (k, y) in DEAD_USER_CERTIFICATES.items():
+        lam = mats[i]
+        rows = _constraint_rows_by_definition(lam)
+        form = [0] * 9  # b_k + v_k - a_k - u_k over (A, B, V)
+        form[k], form[3 + k], form[6 + k] = -1, 1, 1
+        for j in range(3):
+            form[3 + j] -= lam[k][j] * lam[j][k]
+        assert [sum(map(operator.mul, y, col)) for col in zip(*rows)] == form, i
+        for p in PRIME_SCAN:
+            with pytest.raises(NoSolution, match="is 0 on the whole"):
+                qsym_solve(lam, "moderate", p)
+
+
+def _k3_orbits():
+    """The 64 K = 3 sign matrices split by relabelling the users and by
+    Lambda -> D Lambda D, D a +-1 diagonal: {smallest index: indices}."""
+    mats = list(all_sign_matrices_k3())
+    index = {lam: i for i, lam in enumerate(mats)}
+    orbits = {}
+    for i, lam in enumerate(mats):
+        if any(i in orbit for orbit in orbits.values()):
+            continue
+        orbits[i] = sorted({
+            index[tuple(tuple(d[r] * d[c] * lam[perm[r]][perm[c]] if r != c else 0
+                              for c in range(3)) for r in range(3))]
+            for perm in itertools.permutations(range(3))
+            for d in itertools.product((1, -1), repeat=3)})
+    return orbits
+
+
+def test_k3_orbits_are_told_apart_by_two_invariants():
+    """det(Lambda + I) and the sorted pair products lambda_ij lambda_ji are
+    invariant under relabelling and D Lambda D, and they tell the six
+    orbits apart."""
+    expected = {0: (4, 0, (1, 1, 1)), 1: (24, 0, (-1, 1, 1)), 3: (12, 0, (-1, -1, 1)),
+                5: (4, -4, (1, 1, 1)), 6: (12, 4, (-1, -1, 1)), 11: (8, 4, (-1, -1, -1))}
+    mats = list(all_sign_matrices_k3())
+
+    def invariants(lam):
+        pairs = tuple(sorted(lam[i][j] * lam[j][i] for i, j in ((0, 1), (0, 2), (1, 2))))
+        return int_det(np.add(lam, np.eye(3, dtype=np.int64))), pairs
+
+    orbits = _k3_orbits()
+    assert {rep: len(orbit) for rep, orbit in orbits.items()} == {
+        rep: size for rep, (size, *_) in expected.items()}
+    for rep, orbit in orbits.items():
+        assert {invariants(mats[i]) for i in orbit} == {expected[rep][1:]}
+    assert len({facts[1:] for facts in expected.values()}) == len(expected)
+
+
+def test_build_outcome_is_constant_on_each_k3_orbit():
+    """Relabelling the users or conjugating by D changes no build outcome:
+    name, prime and rate, or exit 3."""
+    mats = list(all_sign_matrices_k3())
+
+    def outcome(lam, n, m, p):
+        try:
+            scheme = build_scheme(3, n, m, p=p, signs=lam)
+        except SingularSystem:
+            return "exit 3"
+        return scheme.name, scheme.params.p, scheme.declared_rate
+
+    orbits = _k3_orbits().values()
+    for n, m, p in ((2, 1, None), (1, 2, None), (2, 2, 5), (2, 2, 7), (3, 3, None)):
+        for orbit in orbits:
+            assert len({outcome(mats[i], n, m, p) for i in orbit}) == 1, (n, m, p, orbit)
+
+
 # ---------------------------------------------------------------------------
 # construction dispatch, prime selection, verification
 # ---------------------------------------------------------------------------
@@ -766,24 +859,25 @@ def test_auto_build_outcome_depends_only_on_lambda_and_regime():
 
 
 def test_auto_prime_build_tries_each_prime_once(monkeypatch):
-    """An auto-p build returns the scan's own build: _try_build runs once per
-    prime up to and including the chosen one, and once per scanned prime
-    when none works.  An odd-K strong scan tries GF(2) last, as no sign
-    matrix has a strong point there."""
+    """An auto-p build returns the scan's own build: _aligned_scheme runs
+    once per prime up to and including the chosen one, and once per scanned
+    prime when none works.  An odd-K strong scan tries GF(2) last, as no
+    sign matrix has a strong point there.  Time sharing at m = n is decided
+    before the scan, so it aligns nothing and builds over GF(2)."""
     calls = []
-    real = schemes._try_build
+    real = schemes._aligned_scheme
 
-    def counted(params, *rest):
+    def counted(params):
         calls.append(params.p)
-        return real(params, *rest)
+        return real(params)
 
-    monkeypatch.setattr(schemes, "_try_build", counted)
+    monkeypatch.setattr(schemes, "_aligned_scheme", counted)
     for k_users, n, m, signs, tried in ((3, 3, 1, None, [2]), (3, 1, 3, None, [3]),
                                         (5, 0, 3, None, [3]), (4, 1, 2, None, [2]),
-                                        (4, 2, 2, None, [2]), (3, 2, 2, SINGULAR_LAMBDA, [2]),
+                                        (4, 2, 2, None, []), (3, 2, 2, SINGULAR_LAMBDA, []),
                                         (3, 1, 2, SINGULAR_LAMBDA, [3])):
         calls.clear()
-        assert build_scheme(k_users, n, m, signs=signs).params.p == tried[-1]
+        assert build_scheme(k_users, n, m, signs=signs).params.p == (tried or [2])[-1]
         assert calls == tried
     for k_users, n, m, signs, tried in (  # no moderate point anywhere; no strong point anywhere
             (3, 2, 2, ((0, 1, -1), (-1, 0, 1), (1, 1, 0)), list(PRIME_SCAN)),
