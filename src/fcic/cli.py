@@ -154,29 +154,26 @@ def cmd_gauss_gap(args) -> int:
     except ValueError as exc:
         return _die_usage(str(exc))
     snrs, inrs = np.sort(snrs), np.sort(inrs)
-    forms = {k: rates.gap_grid(snrs, inrs, k) for k in ks}
-    # rows run SNR, then INR, then K; regime and c_tilde do not depend on K
+    forms = rates.gap_grid(snrs, inrs, ks)
+    # rows run SNR, then INR, then K; a K listed twice gives its rows twice
     snr_text, inr_text = _fmt_column(snrs), _fmt_column(inrs)
-    heads = [f"{s},{i}" for s in snr_text for i in inr_text]
-    regimes, c_tilde = forms[ks[0]].regime.tolist(), _fmt_column(forms[ks[0]].c_tilde)
-    columns, violated = {}, []
-    for k, f in forms.items():
-        flagged = f.bad.any(axis=0)
-        ok = map(("true", "false").__getitem__, flagged.tolist())
-        columns[k] = list(map(",".join, zip(
-            heads, [str(k)] * len(heads), regimes, _fmt_column(f.rate), c_tilde,
-            _fmt_column(f.upper), ok,
-        )))
-        # one stderr line per CSV row, so a K listed twice flags its points twice
-        violated += [(n, k) for n in np.flatnonzero(flagged).tolist()] * ks.count(k)
-    rows = [""] * (len(heads) * len(ks))
-    for j, k in enumerate(ks):
-        rows[j::len(ks)] = columns[k]
+    flagged = forms.bad.any(axis=1).T  # (point, K), in row order
+
+    def per_row(column):  # a K-free column, formatted once per point
+        return [v for v in column for _ in ks]
+
+    rows = map(",".join, zip(
+        per_row([f"{s},{i}" for s in snr_text for i in inr_text]),
+        [str(k) for k in ks] * forms.c_tilde.size,
+        per_row(forms.regime.tolist()), _fmt_column(forms.rate.T.ravel()),
+        per_row(_fmt_column(forms.c_tilde)), _fmt_column(forms.upper.T.ravel()),
+        map(("true", "false").__getitem__, flagged.ravel().tolist()),
+    ))
     sys.stdout.write("\n".join(["snr,inr,k,regime,achievable,c_tilde,upper,gap_ok", *rows, ""]))
     lines = [
         f"gap violated: snr={snr_text[n // inrs.size]} inr={inr_text[n % inrs.size]} "
-        f"k={k} violations={','.join(forms[k].violations(n))}"
-        for n, k in sorted(violated)
+        f"k={ks[r]} violations={','.join(forms.violations(r, n))}"
+        for n, r in np.argwhere(flagged).tolist()
     ]
     print("\n".join(lines + [f"violations={len(lines)}"]), file=sys.stderr)
     return EXIT_OK if not lines else 1
@@ -203,16 +200,7 @@ def cmd_lattice_demo(args) -> int:
             f"seed must be in [0, 2^64 - 2], got {args.seed} (the noisy run draws with seed + 1)"
         )
     lat = gauss_sim.make_lattice(args.coarse_step, args.refinement)
-    book = lat.codebook
-    sums = gauss_sim.mod_lattice(book[:, None] + book[None, :], lat)
-
-    def cosets(x):  # fine-lattice coset index mod M, and distance to the fine lattice
-        idx = np.round(x / lat.fine_step)
-        return np.mod(idx, lat.refinement), np.abs(x - idx * lat.fine_step)
-
-    (book_idx, book_off), (sum_idx, sum_off) = cosets(book), cosets(sums)
-    closure_ok = bool(max(book_off.max(), sum_off.max()) <= 1e-6 * lat.fine_step
-                      and np.isin(sum_idx, book_idx).all())
+    closure_ok = gauss_sim.codebook_closed(lat)
     clean = gauss_sim.sum_decode_check(args.users, lat, 0.0, args.trials, args.seed)
     noisy = gauss_sim.sum_decode_check(
         args.users, lat, args.noise_sigma, args.trials, args.seed + 1
@@ -226,7 +214,7 @@ def cmd_lattice_demo(args) -> int:
         "coarse_step": lat.coarse_step,
         "refinement": lat.refinement,
         "users": args.users,
-        "codebook": [float(v) for v in book],
+        "codebook": [float(v) for v in lat.codebook],
         "closure_ok": closure_ok,
         "noiseless_success_rate": clean,
         "noise_sigma": args.noise_sigma,

@@ -57,6 +57,7 @@ __all__ = [
     "zero_forcing_signal_coef",
     "simulate_strong_two_block",
     "make_lattice",
+    "codebook_closed",
     "mod_lattice",
     "quantize_fine",
     "sum_decode_check",
@@ -369,6 +370,23 @@ def make_lattice(c: float, m: int) -> NestedLattice1D:
                           codebook=np.sort(pts))
     lat.codebook.setflags(write=False)
     return lat
+
+
+def codebook_closed(lat: NestedLattice1D) -> bool:
+    """Whether the codebook lies on the fine lattice and is closed under
+    mod-c addition.  Points are compared by fine-lattice coset index
+    (round(x / fine step) mod M, with x at most 1e-6 fine steps off the
+    fine lattice), so codebooks binary64 cannot hold exactly still pass."""
+    book = lat.codebook
+    sums = mod_lattice(book[:, None] + book[None, :], lat)
+
+    def cosets(x):
+        idx = np.round(x / lat.fine_step)
+        return np.mod(idx, lat.refinement), np.abs(x - idx * lat.fine_step)
+
+    (book_idx, book_off), (sum_idx, sum_off) = cosets(book), cosets(sums)
+    return bool(max(book_off.max(), sum_off.max()) <= 1e-6 * lat.fine_step
+                and np.isin(sum_idx, book_idx).all())
 
 
 def mod_lattice(x, lat: NestedLattice1D) -> np.ndarray:

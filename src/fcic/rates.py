@@ -8,16 +8,18 @@ are exact `Fraction`s; Gaussian expressions are binary64.
 
 Every Gaussian closed form (regime split, achievable rate, c_tilde, upper
 bound and the gap/simplification inequalities) lives once, in the array
-kernel `_closed_forms` over SNR and INR arrays at one K.  Two readers run
-it: `gap_grid` gives its arrays on an SNR x INR grid, and `gap_report`
-gives one `GapFact` per point of a point list (one kernel call per
-distinct K); `gauss_achievable` is `gap_report` on one point.  The
-kernel's output is bit-for-bit what the same formulas give in scalar
-Python floats: numpy runs only +, -, *, /, sqrt and comparisons, which
-IEEE 754 rounds correctly either way, while every log2 and every square
-goes through `math.log2` and Python's `** 2` (libm) one element at a time,
-because `np.log2` and numpy's `x ** 2` differ from them in the last bit on
-a few inputs in 10^4 and the CLI prints these values.
+kernel `_closed_forms` over SNR and INR arrays and a list of K; it computes
+the terms that do not depend on K once per point.  Two readers run it:
+`gap_grid` gives its arrays on an SNR x INR grid for every K of a list in
+one call, and `gap_report` gives one `GapFact` per point of a point list
+(one kernel call per distinct K, at that K alone); `gauss_achievable` is
+`gap_report` on one point.  The kernel's output is bit-for-bit what the
+same formulas give in scalar Python floats: numpy runs only +, -, *, /,
+sqrt and comparisons, which IEEE 754 rounds correctly either way, while
+every log2 and every square goes through `math.log2` and Python's `** 2`
+(libm) one element at a time, because `np.log2` and numpy's `x ** 2`
+differ from them in the last bit on a few inputs in 10^4 and the CLI
+prints these values.
 """
 
 from __future__ import annotations
@@ -92,14 +94,17 @@ def det_converse(n: int, m: int, k: int, signs=None) -> Fraction | None:
     n - m/2 in the weak regime (m < n), m/2 in the strong regime (m > n),
     and n/K at the m = n discontinuity, where all receivers see identical
     signals and must share one decoding budget.  A k x k sign matrix
-    `signs` changes only that last value, and only for K = 3: n/2 when
-    Lambda + I is invertible over the rationals (else some receivers see
-    duplicated outputs).  Signed channels with K != 3 give None.
+    `signs` with lambda_kj = d_k d_j for some d in {+-1}^K is the all-ones
+    channel after each user k multiplies its symbols by d_k, so it has the
+    same values at every K.  Any other sign matrix changes only the m = n
+    value, and only for K = 3: n/2 when Lambda + I is invertible over the
+    rationals (else some receivers see duplicated outputs).  Other signed
+    channels with K != 3 give None.
 
     For the 20 K = 3 sign matrices with det(Lambda + I) = 4, n/2 at m = n
-    is a converse bound that no scheme here reaches (no prime of the scan
-    aligns them, and `build_scheme` raises SingularSystem), not a shown
-    capacity.
+    is a converse bound that no scheme here reaches (no prime aligns them:
+    one user's Delta term is an integer combination of the alignment rows,
+    and `build_scheme` raises SingularSystem), not a shown capacity.
     """
     if n < 0 or m < 0 or (n == 0 and m == 0):
         raise ValueError("need n, m >= 0 and not both zero")
@@ -107,7 +112,11 @@ def det_converse(n: int, m: int, k: int, signs=None) -> Fraction | None:
         raise ValueError(f"need k >= 2, got {k}")
     if signs is not None:
         signs = _validate_signs(signs, k)
-        if k != 3:
+        d = (1, *signs[0][1:])  # d_0 = 1 fixes the sign of d
+        if all(v == d[r] * d[c] for r, row in enumerate(signs)
+               for c, v in enumerate(row) if r != c):
+            signs = None
+        elif k != 3:
             return None
     if m < n:
         return Fraction(2 * n - m, 2)
@@ -205,23 +214,26 @@ _VIOLATIONS = ("gap", "upper", "weak-simplify", "constraints", "strong-simplify"
 
 
 class ClosedForms(NamedTuple):
-    """Every Gaussian closed form over one K, one entry per (SNR, INR) pair.
+    """Every Gaussian closed form over a K list, one column per (SNR, INR)
+    pair and one row per K.
 
-    `regime` and `c_tilde` do not depend on K.  The verdicts are read off
-    `bad`: an entry meets the gap inequalities where its column is all
+    `regime` and `c_tilde` do not depend on K and have one entry per pair;
+    `rate`, `upper` and `bad` have a leading K axis.  The verdicts are read
+    off `bad`: an entry meets the gap inequalities where its column is all
     False, and a weak entry's rate split passes its re-check where the
     "constraints" row is False.
     """
 
-    regime: np.ndarray  # regime names (object array)
-    rate: np.ndarray  # achievable rate, NaN where excluded
-    c_tilde: np.ndarray
-    upper: np.ndarray
-    bad: np.ndarray  # (len(_VIOLATIONS), N) violated-inequality flags
+    regime: np.ndarray  # regime names (object array), (N,)
+    rate: np.ndarray  # achievable rate, NaN where excluded, (len(ks), N)
+    c_tilde: np.ndarray  # (N,)
+    upper: np.ndarray  # (len(ks), N)
+    bad: np.ndarray  # (len(ks), len(_VIOLATIONS), N) violated-inequality flags
 
-    def violations(self, n: int) -> tuple[str, ...]:
-        """Names of the inequalities that entry n violates, in a fixed order."""
-        return tuple(v for v, b in zip(_VIOLATIONS, self.bad[:, n].tolist()) if b)
+    def violations(self, row: int, n: int) -> tuple[str, ...]:
+        """Names of the inequalities entry n violates at the K of `row`, in
+        a fixed order."""
+        return tuple(v for v, b in zip(_VIOLATIONS, self.bad[row, :, n].tolist()) if b)
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
@@ -232,59 +244,66 @@ def _square(x: np.ndarray) -> np.ndarray:
     return np.fromiter((v ** 2 for v in x.tolist()), dtype=float, count=x.size)
 
 
-def _closed_forms(s: np.ndarray, i: np.ndarray, k: int) -> ClosedForms:
+def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
     """Regimes (as in `gauss_achievable`), rates, bounds and the gap
-    inequalities of `gap_report` at SNR s and INR i, for one K.
+    inequalities of `gap_report` at SNR s and INR i, for each K of `ks`.
 
-    K stays a Python int: each K-dependent factor is the Python float of
-    its exact integer value, as scalar arithmetic would convert it, so any
-    K the scalar formulas accept gives the same bits.
+    The terms that do not depend on K (regimes, 1 + SNR + INR, c_tilde, the
+    square roots and the K-free squares) are computed once; only the rest
+    is computed per K.  Each K stays a Python int: each K-dependent factor
+    is the Python float of its exact integer value, as scalar arithmetic
+    would convert it, so any K the scalar formulas accept gives the same
+    bits.
     """
-    kf, km1, kp1 = float(k), float(k - 1), float(k + 1)
     with np.errstate(all="ignore"):  # inf and NaN propagate as in Python floats
         total = 1 + s + i
         c_tilde = 0.25 * _log2(total) + 0.25 * _log2(1 + s / (1 + i))
-        upper = c_tilde + (k - 1) / 4 + 0.5 * math.log2(k)
         neg = i < 2
         weak = ~neg & (i <= s / 2)
         strong = ~neg & ~weak & (i >= 2 * np.maximum(s, 1.0))
-        rate = np.full(s.shape, math.nan)
-        bad = np.zeros((len(_VIOLATIONS), s.size), dtype=bool)
-
-        rate[neg] = 0.5 * _log2(1 + s[neg] / (1 + km1 * i[neg]))
-
-        sw, iw = s[weak], i[weak]
-        r0_arg = (iw - 1) / float(8 * (k + 1))
-        r12_arg = 1 + sw / (kf * iw)
-        r0, r12 = 0.5 * _log2(r0_arg), 0.5 * _log2(r12_arg)
-        rate[weak] = 0.5 * (r0 + 2 * r12)
-        # re-check (R0*, R1*, R2*) against the five decodability constraints;
-        # R1* = R2* sit at their own cap, so that one fails only on NaN
+        sn, in_ = s[neg], i[neg]
+        sw, iw, tw = s[weak], i[weak], total[weak]
         root_s, root_i = np.sqrt(sw), np.sqrt(iw)
-        r0_caps = (
-            0.5 * _log2((iw - 1) / kp1),
-            0.5 * _log2((iw - 1) * _square(root_s + km1 * root_i) / (sw + kf * iw)),
-            0.5 * _log2((iw - 1) * _square(root_s - root_i) / (sw + kf * iw)),
-        )
-        split_ok = r12 <= r12 + RATE_TOL
-        for cap in r0_caps:
-            split_ok &= ~(r0 > cap + RATE_TOL)
+        diff_sq = _square(root_s - root_i)
+        ss, is_, ts = s[strong], i[strong], total[strong]
+        strong_sq, steep = _square(is_ - ss), is_ >= 2 * ss
+        rate = np.full((len(ks), s.size), math.nan)
+        upper = np.empty((len(ks), s.size))
+        bad = np.zeros((len(ks), len(_VIOLATIONS), s.size), dtype=bool)
+        for row, k in enumerate(ks):
+            kf, km1, kp1 = float(k), float(k - 1), float(k + 1)
+            r, flags = rate[row], bad[row]
+            upper[row] = c_tilde + (k - 1) / 4 + 0.5 * math.log2(k)
 
-        ss, is_ = s[strong], i[strong]
-        strong_arg = 1 + _square(is_ - ss) / (kf * (kf * is_ + 1))
-        rate[strong] = 0.25 * _log2(strong_arg)
+            r[neg] = 0.5 * _log2(1 + sn / (1 + km1 * in_))
 
-        # the comparisons are False on the NaN rate of excluded points
-        gap_const = np.where(neg, negligible_gap_constant(k), weak_gap_constant(k))
-        bad[0] = rate < c_tilde - gap_const - RATE_TOL
-        bad[1] = rate > upper + RATE_TOL
-        # (INR-1)/(8(K+1)) (1 + SNR/(K INR)) >= (1 + SNR + INR)/(16 K (K+1))
-        bad[2, weak] = r0_arg * r12_arg < total[weak] / float(16 * k * (k + 1)) - RATE_TOL
-        bad[3, weak] = ~split_ok
-        # 1 + (INR-SNR)^2/(K (K INR + 1)) >= (1 + SNR + INR)/(8 K^2), for INR >= 2 SNR
-        bad[4, strong] = (is_ >= 2 * ss) & (
-            strong_arg < total[strong] / float(8 * k * k) - RATE_TOL
-        )
+            r0_arg = (iw - 1) / float(8 * (k + 1))
+            r12_arg = 1 + sw / (kf * iw)
+            r0, r12 = 0.5 * _log2(r0_arg), 0.5 * _log2(r12_arg)
+            r[weak] = 0.5 * (r0 + 2 * r12)
+            # re-check (R0*, R1*, R2*) against the five decodability constraints;
+            # R1* = R2* sit at their own cap, so that one fails only on NaN
+            r0_caps = (
+                0.5 * _log2((iw - 1) / kp1),
+                0.5 * _log2((iw - 1) * _square(root_s + km1 * root_i) / (sw + kf * iw)),
+                0.5 * _log2((iw - 1) * diff_sq / (sw + kf * iw)),
+            )
+            split_ok = r12 <= r12 + RATE_TOL
+            for cap in r0_caps:
+                split_ok &= ~(r0 > cap + RATE_TOL)
+
+            strong_arg = 1 + strong_sq / (kf * (kf * is_ + 1))
+            r[strong] = 0.25 * _log2(strong_arg)
+
+            # the comparisons are False on the NaN rate of excluded points
+            gap_const = np.where(neg, negligible_gap_constant(k), weak_gap_constant(k))
+            flags[0] = r < c_tilde - gap_const - RATE_TOL
+            flags[1] = r > upper[row] + RATE_TOL
+            # (INR-1)/(8(K+1)) (1 + SNR/(K INR)) >= (1 + SNR + INR)/(16 K (K+1))
+            flags[2, weak] = r0_arg * r12_arg < tw / float(16 * k * (k + 1)) - RATE_TOL
+            flags[3, weak] = ~split_ok
+            # 1 + (INR-SNR)^2/(K (K INR + 1)) >= (1 + SNR + INR)/(8 K^2), for INR >= 2 SNR
+            flags[4, strong] = steep & (strong_arg < ts / float(8 * k * k) - RATE_TOL)
     regime = _REGIMES[np.where(neg, 0, np.where(weak, 1, np.where(strong, 2, 3)))]
     return ClosedForms(regime, rate, c_tilde, upper, bad)
 
@@ -345,17 +364,19 @@ class GapFact:
         return "constraints" not in self.violations if self.regime == "weak" else None
 
 
-def gap_grid(snrs, inrs, k: int) -> ClosedForms:
+def gap_grid(snrs, inrs, ks) -> ClosedForms:
     """The closed forms and gap inequalities at every point of the grid
-    snrs x inrs, for one K, SNR-major: entry a * len(inrs) + b is
+    snrs x inrs, for each K of the list `ks` (row r of `rate`, `upper` and
+    `bad` is ks[r]), SNR-major: entry a * len(inrs) + b is
     (snrs[a], inrs[b]).  Same values as `gap_report` on the same points.
     """
     s, i = np.asarray(snrs, dtype=float), np.asarray(inrs, dtype=float)
     if not ((s > 0) & np.isfinite(s)).all() or not ((i >= 0) & np.isfinite(i)).all():
         raise ValueError("need positive finite snrs and non-negative finite inrs")
-    if k < 2:
-        raise ValueError(f"need k >= 2 users, got {k}")
-    return _closed_forms(np.repeat(s, i.size), np.tile(i, s.size), k)
+    for k in ks:
+        if k < 2:
+            raise ValueError(f"need k >= 2 users, got {k}")
+    return _closed_forms(np.repeat(s, i.size), np.tile(i, s.size), ks)
 
 
 def gap_report(points) -> list[GapFact]:
@@ -364,18 +385,19 @@ def gap_report(points) -> list[GapFact]:
     Excluded-band points are tagged and carry no claim (gap_ok stays True
     there); every other point must satisfy its regime's inequalities at
     tolerance RATE_TOL.  The points are evaluated as arrays, one
-    `_closed_forms` call per distinct K; the facts keep the input order.
+    `_closed_forms` call per distinct K, each at that K alone; the facts
+    keep the input order.
     """
     points = list(points)
     facts: list[GapFact] = [None] * len(points)
     for k in {params.k for params in points}:
         where = [n for n, params in enumerate(points) if params.k == k]
         forms = _closed_forms(np.array([points[n].snr for n in where], dtype=float),
-                              np.array([points[n].inr for n in where], dtype=float), k)
+                              np.array([points[n].inr for n in where], dtype=float), [k])
         for j, n in enumerate(where):
-            facts[n] = GapFact(points[n], forms.regime[j], float(forms.rate[j]),
-                               float(forms.c_tilde[j]), float(forms.upper[j]),
-                               forms.violations(j))
+            facts[n] = GapFact(points[n], forms.regime[j], float(forms.rate[0, j]),
+                               float(forms.c_tilde[j]), float(forms.upper[0, j]),
+                               forms.violations(0, j))
     return facts
 
 

@@ -83,8 +83,9 @@ SIGNS_K4 = "0 -1 1 1\n1 0 -1 1\n-1 1 0 1\n1 1 1 0\n"
     ("4", SIGNS_K4, None),
 ])
 def test_det_converse_signs_must_match_k(capsys, tmp_path, k, rows, rate):
-    """--signs must be k x k, and the signed converse exists only for K = 3:
-    anything else is one error line and exit 2."""
+    """--signs must be k x k, and a signed channel that is not the all-ones
+    one up to sign flips has a converse only for K = 3: anything else is
+    one error line and exit 2."""
     signs = tmp_path / "signs.txt"
     signs.write_text(rows)
     code, out, err = run_cli(
@@ -98,9 +99,33 @@ def test_det_converse_signs_must_match_k(capsys, tmp_path, k, rows, rate):
         assert json.loads(out) == {"n": 2, "m": 2, "k": 3, "rate": rate}
 
 
+@pytest.mark.parametrize("k", [2, 4, 5])
+@pytest.mark.parametrize("d_last", [1, -1])
+def test_sign_switched_all_ones_channel_has_the_symmetric_converse(capsys, tmp_path,
+                                                                   k, d_last):
+    """A --signs matrix with lambda_kj = d_k d_j is the symmetric channel
+    after sign flips: det-converse prints the symmetric JSON, and det-verify
+    judges its scheme against that converse, in every regime."""
+    d = [1] * (k - 1) + [d_last]
+    rows = [" ".join(str(0 if r == c else d[r] * d[c]) for c in range(k)) for r in range(k)]
+    signs = tmp_path / "signs.txt"
+    signs.write_text("\n".join(rows) + "\n")
+    for n, m in (("2", "1"), ("1", "2"), ("2", "2")):
+        plain = ("--k", str(k), "--n", n, "--m", m)
+        symmetric = run_cli(capsys, "det-converse", *plain)
+        assert run_cli(capsys, "det-converse", *plain, "--signs", str(signs)) == symmetric
+        code, out, _ = run_cli(capsys, "det-verify", *plain, "--trials", "10",
+                               "--signs", str(signs))
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["converse_rate"] == json.loads(symmetric[1])["rate"]
+        assert doc["matches_converse"] is True
+
+
 def test_det_verify_signed_k4_has_no_converse(capsys, tmp_path):
-    """No converse is established for signed K != 3, so a scheme that decodes
-    every session exits 0 with a null converse_rate and matches_converse."""
+    """No converse is established for this signed K = 4 channel (not the
+    all-ones one up to sign flips), so a scheme that decodes every session
+    exits 0 with a null converse_rate and matches_converse."""
     signs = tmp_path / "signs.txt"
     signs.write_text(SIGNS_K4)
     code, out, _ = run_cli(
@@ -446,6 +471,34 @@ def test_gauss_gap_reports_each_violation_on_stderr(capsys, monkeypatch):
         f"gap violated: snr={snr} inr={inr} k={k} violations=gap"
         for snr, inr, k, *_ in failing
     ] + [f"violations={len(failing)}"]
+
+
+def test_gauss_gap_runs_the_kernel_once_and_c_tilde_once_per_point(capsys, monkeypatch):
+    """One gauss-gap run is one `_closed_forms` pass over every K, and c_tilde's
+    two log2 inputs are evaluated once per (SNR, INR) point, not once per K.
+    Per K, a negligible point takes one more log2, a weak point five (R0*,
+    R1* = R2* and three R0 caps) and a strong point one."""
+    calls, logged = [], []
+    kernel, log2 = rates._closed_forms, rates._log2
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    def counted_log2(x):
+        logged.append(x.size)
+        return log2(x)
+
+    monkeypatch.setattr(rates, "_closed_forms", counted)
+    monkeypatch.setattr(rates, "_log2", counted_log2)
+    ks = (2, 3, 5, 3)
+    code, out, _ = run_cli(capsys, "gauss-gap", "--snr-grid", "logspace:1:1e6:8",
+                           "--inr-grid", "logspace:1:1e6:8", "--k-list", ",".join(map(str, ks)))
+    regimes = [line.split(",")[3] for line in out.splitlines()[1:]]
+    per_k = {"negligible": 1, "weak": 5, "strong": 1, "excluded": 0}
+    assert {"negligible", "weak", "strong", "excluded"} <= set(regimes)
+    assert (code, len(calls), len(regimes)) == (0, 1, 64 * len(ks))
+    assert sum(logged) == 2 * 64 + sum(per_k[regime] for regime in regimes)
 
 
 def _gap_oracle(snrs, inrs, ks):

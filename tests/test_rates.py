@@ -89,7 +89,8 @@ def test_det_converse_validation():
 
 def test_det_converse_signed_needs_k_by_k_and_k_3():
     """A sign matrix must be k x k; no converse is established for signed
-    channels with K != 3, in any regime."""
+    channels with K != 3 other than the sign-switched all-ones ones, in
+    any regime."""
     lam4 = ((0, -1, 1, 1), (1, 0, -1, 1), (-1, 1, 0, 1), (1, 1, 1, 0))
     for n, m in ((2, 2), (2, 1), (1, 2)):
         assert det_converse(n, m, 4, lam4) is None
@@ -100,6 +101,20 @@ def test_det_converse_signed_needs_k_by_k_and_k_3():
         det_converse(2, 2, 3, lam4)
     with pytest.raises(ValueError):
         det_converse(2, 2, 3, ((1, -1, 1), (1, 0, -1), (1, -1, 0)))  # nonzero diagonal
+
+
+@pytest.mark.parametrize("k", (2, 3, 4, 5))
+def test_sign_switched_all_ones_channels_have_the_symmetric_converse(k):
+    """lambda_kj = d_k d_j is the all-ones channel after user k multiplies
+    its symbols by d_k, so it has the symmetric converse in every regime
+    and at every K; one flipped entry makes it another signed channel."""
+    for d in itertools.product((1, -1), repeat=k):
+        lam = [[0 if r == c else d[r] * d[c] for c in range(k)] for r in range(k)]
+        for n, m in ((2, 1), (1, 2), (2, 2), (3, 3), (2, 0), (0, 2)):
+            assert det_converse(n, m, k, lam) == det_converse(n, m, k), (d, n, m)
+        lam[0][1] = -lam[0][1]
+        if k != 3:
+            assert det_converse(2, 1, k, lam) is None
 
 
 def test_qsym_converse_singular_example():
@@ -380,20 +395,21 @@ def test_gap_small_grid_zero_violations():
 
 
 def test_gap_grid_is_gap_report_on_the_grid_points(monkeypatch):
-    """Entry a * len(inrs) + b of the grid is the fact at (snrs[a], inrs[b]),
-    forced violations included, with the same violation names."""
-    snrs, inrs = [1e4, 1.0, 100.0], [1.0, 100.0, 1e6, 10.0]
+    """Entry a * len(inrs) + b of row r of the grid is the fact at
+    (snrs[a], inrs[b], ks[r]), forced violations included, with the same
+    violation names."""
+    snrs, inrs, ks = [1e4, 1.0, 100.0], [1.0, 100.0, 1e6, 10.0], [2, 3, 10**20]
     monkeypatch.setattr("fcic.rates.RATE_TOL", -1e9)  # every checked inequality fails
     names = set()
-    for k in (2, 3, 10**20):
-        forms = gap_grid(snrs, inrs, k)
+    forms = gap_grid(snrs, inrs, ks)
+    for row, k in enumerate(ks):
         facts = gap_report([GaussParams(s, i, k) for s in snrs for i in inrs])
         assert forms.regime.tolist() == [f.regime for f in facts]
         for n, fact in enumerate(facts):
             assert same_bits(forms.c_tilde[n], fact.c_tilde)
-            assert same_bits(forms.upper[n], fact.upper)
-            assert same_bits(forms.rate[n], fact.achievable)
-            assert forms.violations(n) == fact.violations
+            assert same_bits(forms.upper[row, n], fact.upper)
+            assert same_bits(forms.rate[row, n], fact.achievable)
+            assert forms.violations(row, n) == fact.violations
             names.update(fact.violations)
     assert names == {
         "gap", "upper", "weak-simplify", "constraints", "strong-simplify"}
@@ -447,7 +463,7 @@ def test_results_store_only_what_they_cannot_derive():
 ])
 def test_gap_grid_rejects_what_gauss_params_rejects(snrs, inrs, k):
     with pytest.raises(ValueError):
-        gap_grid(snrs, inrs, k)
+        gap_grid(snrs, inrs, [k])
 
 
 def test_gap_constants():

@@ -801,6 +801,39 @@ def test_build_outcome_is_constant_on_each_k3_orbit():
             assert len({outcome(mats[i], n, m, p) for i in orbit}) == 1, (n, m, p, orbit)
 
 
+def test_build_outcome_and_converse_are_constant_on_k4_orbits():
+    """The K = 3 orbit check on a seeded sample of K = 4 sign matrices, the
+    sign-switched all-ones one included: relabelling the users and
+    Lambda -> D Lambda D change neither the auto-p build outcome (prime,
+    rate and name, or exception type) nor `det_converse`."""
+    rng = np.random.default_rng(404)
+    flips = (1, -1, -1, 1)
+    switched = tuple(tuple(0 if r == c else flips[r] * flips[c] for c in range(4))
+                     for r in range(4))
+
+    def outcome(lam, n, m):
+        try:
+            scheme = build_scheme(4, n, m, signs=lam)
+            built = scheme.name, scheme.params.p, scheme.declared_rate
+        except SingularSystem as exc:  # NoSolution included
+            built = type(exc)
+        return built, det_converse(n, m, 4, lam)
+
+    seen = set()
+    for lam in [*_random_sign_matrices(4, 8, seed=404), switched]:
+        for n, m in ((2, 1), (1, 2), (2, 2)):
+            want = outcome(lam, n, m)
+            seen.add(want)
+            for _ in range(12):
+                perm, d = rng.permutation(4).tolist(), rng.choice((-1, 1), size=4).tolist()
+                image = tuple(tuple(d[r] * d[c] * lam[perm[r]][perm[c]] if r != c else 0
+                                    for c in range(4)) for r in range(4))
+                assert outcome(image, n, m) == want, (lam, n, m, perm, d)
+    assert {built[0] for built, _ in seen if isinstance(built, tuple)} == {"qsym", "moderate"}
+    assert {converse for _, converse in seen} == {
+        None, Fraction(3, 2), Fraction(1), Fraction(1, 2)}
+
+
 # ---------------------------------------------------------------------------
 # construction dispatch, prime selection, verification
 # ---------------------------------------------------------------------------
