@@ -121,15 +121,15 @@ class MCConfig:
 class EffectiveChannelStats:
     """Empirical vs. predicted powers of the zero-forced effective channel.
 
+    Only the configuration and the six measured statistics are stored.
     `samples`, the number of user-0 samples behind each estimate, is read
-    off the configuration: block_len * trials.
+    off the configuration (block_len * trials), and the two predictions
+    are the closed forms of its parameters (`_predictions`).
     """
 
     config: MCConfig
     signal_power_hat: float
     noise_power_hat: float
-    predicted_noise_power: float
-    predicted_signal_lb: float
     signal_se: float
     noise_se: float
     tx_power_hat: float
@@ -138,6 +138,14 @@ class EffectiveChannelStats:
     @property
     def samples(self) -> int:
         return self.config.block_len * self.config.trials
+
+    @property
+    def predicted_noise_power(self) -> float:
+        return _predictions(self.config.params)[0]
+
+    @property
+    def predicted_signal_lb(self) -> float:
+        return _predictions(self.config.params)[1]
 
     def gate_failures(self) -> list[str]:
         """One line per failed three-sigma gate (noise power, signal power,
@@ -180,6 +188,14 @@ class EffectiveChannelStats:
         }
 
 
+def _predictions(params: GaussParams) -> tuple[float, float]:
+    """The effective channel's residual noise power (K^2 INR + 1)/(K INR + 1)
+    and signal-power lower bound (INR - SNR)^2 / (K INR + 1).  The square
+    raises OverflowError beyond binary64."""
+    s, i, k = params.snr, params.inr, params.k
+    return (k * k * i + 1.0) / (k * i + 1.0), (i - s) ** 2 / (k * i + 1.0)
+
+
 def zero_forcing_signal_coef(snr: float, inr: float, k: int) -> float:
     """Coefficient of the intended codeword after the two-block combiner:
     gamma (sqrt(SNR) + (K-1) sqrt(INR)) (sqrt(INR) - sqrt(SNR)).
@@ -201,7 +217,10 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
     cross codeword.  The residual-noise power must match
     (K^2 INR + 1)/(K INR + 1) and the signal power must not fall below
     (INR - SNR)^2 / (K INR + 1).  Statistics are gathered from user 0
-    (users are exchangeable), one Philox stream per trial.
+    (users are exchangeable), one Philox stream per trial.  The returned
+    stats read both closed forms off the configuration (`_predictions`);
+    they are evaluated once here too, before the first draw, so a square
+    beyond binary64 raises OverflowError without drawing a trial.
 
     Only user 0's combiner path (y1, y2 and z2 of row 0) is computed, in
     place on the trial's draws (`_two_block_trial`); x2 is computed for every
@@ -239,6 +258,7 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
     # column blocks [a, b), with no one-column tail (see the docstring)
     ends = [*range(_BLOCK, t_len - 1, _BLOCK), t_len]
     blocks = list(zip([0, *ends], ends))
+    _predictions(cfg.params)  # an OverflowError here comes before any draw
 
     def run_worker(first: int) -> None:
         c, z1, z2 = np.empty((k, t_len)), np.empty((k, t_len)), np.empty(t_len)
@@ -260,10 +280,6 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run_worker, range(workers)))
-        # the closed forms first: (INR - SNR)^2 beyond binary64 raises
-        # OverflowError before the statistics can warn
-        predicted_noise_power = (k * k * i + 1.0) / (k * i + 1.0)
-        predicted_signal_lb = (i - s) ** 2 / (k * i + 1.0)
         (signal_power_hat, signal_se), (noise_power_hat, noise_se), (tx_power_hat, tx_se) = (
             pool.map(_mean_and_se, (sig_sq, noise_sq, tx_sq))
         )
@@ -271,8 +287,6 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
         config=cfg,
         signal_power_hat=signal_power_hat,
         noise_power_hat=noise_power_hat,
-        predicted_noise_power=predicted_noise_power,
-        predicted_signal_lb=predicted_signal_lb,
         signal_se=signal_se,
         noise_se=noise_se,
         tx_power_hat=tx_power_hat,

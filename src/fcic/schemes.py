@@ -28,8 +28,8 @@ Without p, `build_scheme` returns the first success of its `PRIME_SCAN`
 scan, which tries GF(2) last at odd K in the strong regime: there U_k =
 S - B_k mod 2 (S the sum of the B_j), and no B makes every U_k nonzero
 when K is odd.  `verify_scheme` replays all of its trials as one batch
-through `run_feedback_session` and judges the declared rate against
-`rates.det_converse`.
+through `run_feedback_session`; its report judges the rate that its kept
+session carries against `rates.det_converse`.
 """
 
 from __future__ import annotations
@@ -103,17 +103,19 @@ def moderate_scheme(params: DetParams) -> Scheme:
 
 @dataclass(frozen=True)
 class AlignmentSolution:
-    """Diagonal coefficients (A, B, U, V) over GF(p) satisfying the
-    simultaneous-alignment identity  Lambda A + Lambda B Lambda = U + V Lambda.
+    """Diagonal coefficients (A, B, V) over GF(p) and the U they fix, which
+    satisfy the simultaneous-alignment identity
+    Lambda A + Lambda B Lambda = U + V Lambda.
 
-    The identity is re-checked entrywise by direct matrix arithmetic at
-    construction, with U pinned to its diagonal consequence
-    U_k = sum_j lambda_kj B_j lambda_jk.
+    U is not stored: `u` reads it off B as the identity's diagonal,
+    U_k = sum_j lambda_kj B_j lambda_jk.  The identity is re-checked
+    entrywise by direct matrix arithmetic at construction; with U derived
+    its diagonal holds by construction, and its off-diagonal entries reject
+    a wrong A, B or V.
     """
 
     a: tuple[int, ...]
     b: tuple[int, ...]
-    u: tuple[int, ...]
     v: tuple[int, ...]
     p: int
     signs: tuple[tuple[int, ...], ...]
@@ -121,7 +123,7 @@ class AlignmentSolution:
     def __post_init__(self):
         lam = np.asarray(self.signs, dtype=np.int64)
         k = lam.shape[0]
-        for name, vec in (("a", self.a), ("b", self.b), ("u", self.u), ("v", self.v)):
+        for name, vec in (("a", self.a), ("b", self.b), ("v", self.v)):
             if len(vec) != k:
                 raise ValueError(f"{name} must have {k} entries")
         p = self.p
@@ -129,6 +131,12 @@ class AlignmentSolution:
         rhs = (np.diag(self.u) + np.diag(self.v) @ lam) % p
         if not (lhs == rhs).all():
             raise ValueError("alignment identity Lambda A + Lambda B Lambda = U + V Lambda fails")
+
+    @property
+    def u(self) -> tuple[int, ...]:
+        """U_k = sum_j lambda_kj B_j lambda_jk mod p, in Python ints."""
+        return tuple(sum(l_kj * b_j * l_jk for l_kj, b_j, l_jk in zip(row, self.b, col)) % self.p
+                     for row, col in zip(self.signs, zip(*self.signs)))
 
     def to_json_dict(self) -> dict:
         return {"a": list(self.a), "b": list(self.b),
@@ -186,16 +194,17 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     invertible: a nonzero constant term of its `two_block_delta`.
 
     The off-diagonal constraints are linear in (A, B, V) and U = (Lambda o
-    Lambda^T) B, so one (dim, 4K) map `coords_map` takes nullspace
-    coordinates to (A, B, U, V), and one (dim, K) matrix `forms` to the K
-    users' conditions, Delta's constant term being linear: a zero column
+    Lambda^T) B, so the nullspace basis takes coordinates to (A, B, V), U's
+    rows follow from B's, and one (dim, K) matrix `forms` takes them to the
+    K users' conditions, Delta's constant term being linear: a zero column
     fails everywhere and is reported at once.  Otherwise the search reads
     only `forms`, `_SLICE` candidates per array slice, over an r**dim grid:
     coordinates take the first r of 1, ..., p-1, 0 (non-degenerate points
     first) in lexicographic order, r the largest radix <= p with r**dim <=
     `ENUM_CAP` (r = p whenever p**dim <= `ENUM_CAP`).  The first candidate
-    meeting the condition wins, mapped through `coords_map` in Python ints;
-    else the search reports the r**dim candidates and per-user failures.
+    meeting the condition wins, mapped through the (A, B, V) basis in Python
+    ints (`AlignmentSolution` reads its U off B); else the search reports
+    the r**dim candidates and per-user failures.
     """
     if regime not in _REGIME_SIGN:
         raise ValueError(f"unknown regime {regime!r}")
@@ -206,10 +215,9 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     signs = _validate_signs(lam, k_users)
     abv = nullspace(qsym_constraint_matrix(lam, p))
     dim = len(abv)
-    u_rows = abv[:, k_users:2 * k_users] @ (lam * lam.T) % p
-    coords_map = np.concatenate([abv[:, :2 * k_users], u_rows, abv[:, 2 * k_users:]], axis=1)
+    a_rows, b_rows, v_rows = np.split(abv, 3, axis=1)
     sign = _REGIME_SIGN[regime]
-    forms = two_block_delta(sign, *np.split(coords_map, 4, axis=1), p)[0]  # (dim, K)
+    forms = two_block_delta(sign, a_rows, b_rows, b_rows @ (lam * lam.T) % p, v_rows, p)[0]
     dead = np.flatnonzero(~forms.any(axis=0))  # users whose condition is 0 everywhere
     if dead.size:
         raise NoSolution(f"no {regime}-regime alignment point over GF({p}): user {dead[0]}'s "
@@ -232,8 +240,8 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
         if passing.size:  # the winner's coordinates, mapped in Python ints
             digits = np.unravel_index(start + int(passing[0]), (radix,) * dim)
             coords = [(int(d) + 1) % p for d in digits]
-            x = [sum(map(operator.mul, coords, col)) % p for col in zip(*coords_map.tolist())]
-            point = (tuple(x[j:j + k_users]) for j in range(0, 4 * k_users, k_users))
+            x = [sum(map(operator.mul, coords, col)) % p for col in zip(*abv.tolist())]
+            point = (tuple(x[j:j + k_users]) for j in range(0, 3 * k_users, k_users))
             return AlignmentSolution(*point, p=p, signs=signs)
         fail_counts += np.bincount(fails.argmax(axis=1), minlength=k_users)
     worst = int(np.argmax(fail_counts))
@@ -407,20 +415,30 @@ def select_prime(K: int, n: int, m: int, signs=None) -> int:
 
 @dataclass
 class VerifyReport:
-    """Outcome of replaying a scheme against random messages.  `transcript`
-    is the first failing session, else session 0, and its `params` are the
-    report's; `converse_rate` is `det_converse`'s, None where no converse
-    is established."""
+    """Outcome of replaying a scheme against random messages.  It stores the
+    counts and `transcript`, the first failing session, else session 0, and
+    reads the rest off that session: its `params` are the report's, and
+    `declared_rate` is its message symbols per block, so a report cannot
+    declare a rate its replayed session did not carry.  `converse_rate` is
+    `det_converse`'s at those params, None where no converse is
+    established."""
 
-    declared_rate: Fraction
     trials: int
     successes: int
-    converse_rate: Fraction | None
     transcript: Transcript
 
     @property
     def params(self) -> DetParams:
         return self.transcript.params
+
+    @property
+    def declared_rate(self) -> Fraction:
+        return Fraction(self.transcript.messages_in.shape[-1], len(self.transcript.blocks))
+
+    @property
+    def converse_rate(self) -> Fraction | None:
+        params = self.params
+        return det_converse(params.n, params.m, params.K, params.signs)
 
     @property
     def all_passed(self) -> bool:
@@ -456,9 +474,7 @@ def verify_scheme(
     batch = run_feedback_session(params, scheme, msgs)
     failed = np.flatnonzero((batch.messages_out != batch.messages_in).any(axis=(1, 2)))
     return VerifyReport(
-        declared_rate=scheme.declared_rate,
         trials=trials,
         successes=trials - failed.size,
-        converse_rate=det_converse(params.n, params.m, params.K, params.signs),
         transcript=batch.trial(failed[0] if failed.size else 0),
     )

@@ -201,8 +201,6 @@ def reference_mc(cfg: MCConfig) -> EffectiveChannelStats:
         config=cfg,
         signal_power_hat=float(sig_sq.mean()),
         noise_power_hat=float(noise_sq.mean()),
-        predicted_noise_power=(k * k * i + 1.0) / (k * i + 1.0),
-        predicted_signal_lb=(i - s) ** 2 / (k * i + 1.0),
         signal_se=float(sig_sq.std(ddof=1) / math.sqrt(n)),
         noise_se=float(noise_sq.std(ddof=1) / math.sqrt(n)),
         tx_power_hat=float(tx_sq.mean()),
@@ -210,12 +208,26 @@ def reference_mc(cfg: MCConfig) -> EffectiveChannelStats:
     )
 
 
-def stats_bits(stats: EffectiveChannelStats) -> dict:
-    """Every field, floats as their IEEE bytes (exact, and NaN == NaN)."""
+def reference_predictions(cfg: MCConfig) -> dict:
+    """The values the stats read off their config, from the formulas."""
+    s, i, k = cfg.params.snr, cfg.params.inr, cfg.params.k
     return {
-        f.name: np.float64(v).tobytes() if isinstance(v, float) else v
-        for f in dataclasses.fields(stats) for v in [getattr(stats, f.name)]
+        "predicted_noise_power": (k * k * i + 1.0) / (k * i + 1.0),
+        "predicted_signal_lb": (i - s) ** 2 / (k * i + 1.0),
+        "samples": cfg.block_len * cfg.trials,
     }
+
+
+def float_bits(values: dict) -> dict:
+    """Floats as their IEEE bytes (exact, and NaN == NaN)."""
+    return {name: np.float64(v).tobytes() if isinstance(v, float) else v
+            for name, v in values.items()}
+
+
+def stats_bits(stats: EffectiveChannelStats) -> dict:
+    """Every field, and every value read off the config, as `float_bits`."""
+    names = [f.name for f in dataclasses.fields(stats)] + list(reference_predictions(stats.config))
+    return float_bits({name: getattr(stats, name) for name in names})
 
 
 @pytest.mark.parametrize("k", [2, 3, 8, 9])
@@ -228,7 +240,12 @@ def test_mc_is_bit_identical_to_all_users_reference(k, trials, block):
         return
     for seed in (0, 5, 2**40 + 3):
         cfg = strong_cfg(snr=2.0, inr=30.0, k=k, block=block, trials=trials, seed=seed)
-        assert stats_bits(simulate_strong_two_block(cfg)) == stats_bits(reference_mc(cfg))
+        stats = simulate_strong_two_block(cfg)
+        assert stats_bits(stats) == stats_bits(reference_mc(cfg))
+        # the fast path and the reference share these properties, so they
+        # are checked against the formulas themselves
+        ref = reference_predictions(cfg)
+        assert float_bits({name: getattr(stats, name) for name in ref}) == float_bits(ref)
 
 
 @pytest.mark.parametrize("k", [8, 9])
@@ -287,6 +304,27 @@ def test_mc_scaled_noise_exits_1_with_its_json(capsys, monkeypatch):
     failed = err.splitlines()
     assert [line.split()[2] for line in failed] == ["noise", "tx"]
     assert all(" se=" in line and "estimate=" in line for line in failed)
+
+
+def test_mc_overflow_raises_before_any_draw(capsys, monkeypatch):
+    """(INR - SNR)^2 beyond binary64 is found before the first trial's
+    stream is made: one error line, exit 2, and no trial drawn."""
+    real = gauss_sim._trial_rng
+    drawn = []
+
+    def recording(seed, trial):
+        drawn.append(trial)
+        return real(seed, trial)
+
+    monkeypatch.setattr(gauss_sim, "_trial_rng", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["mc-strong", "--snr", "1", "--inr", "1e200", "--block", "2",
+                     "--trials", "3"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a value is too large for binary64") and err.count("\n") == 1
+    assert drawn == []
 
 
 def test_seeds_outside_the_philox_key_range_are_rejected():
@@ -529,6 +567,30 @@ def test_noisy_success_matches_gaussian_tail():
     p_fail = 2 * gaussian_tail((1.0 / (2 * m)) / sigma)
     se = math.sqrt(p_fail * (1 - p_fail) / trials)
     assert abs((1 - rate) - p_fail) <= 3 * se
+
+
+@pytest.mark.parametrize("k,c,m,sigma,trials,seed", [
+    (3, 1.0, 8, 0.02, 200_000, 1),
+    (2, 3.0, 6, 0.15, 100_000, 2),  # M = 6 is not a power of two
+    (8, 1.0, 8, 0.04, 50_000, 3),   # numpy sums 8 users pairwise
+    (5, 1.0, 10, 0.03, 50_000, 4),  # fine step 0.1 is not a binary64 value
+    (8, 2.5, 5, 0.2, 50_000, 5),
+])
+def test_noisy_successes_are_the_noise_draws_inside_the_fine_cell(k, c, m, sigma, trials, seed):
+    """Dither cancellation plus codebook closure: a noisy trial decodes
+    exactly when its noise, reduced mod the coarse step, lies inside the
+    fine cell.  So the success count is the number of noise draws z with
+    |mod_lattice(z)| < fine_step / 2, read from the same Philox stream after
+    the codeword indices and the dithers."""
+    lat = make_lattice(c, m)
+    rate = sum_decode_check(k, lat, sigma, trials, seed)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng.integers(0, m, size=(trials, k))
+    rng.random(size=(trials, k))
+    noise = rng.normal(0.0, sigma, size=trials)
+    inside = int(np.count_nonzero(np.abs(mod_lattice(noise, lat)) < 0.5 * lat.fine_step))
+    assert 0 < inside < trials  # the noise leaves the fine cell on some trials
+    assert round(rate * trials) == inside
 
 
 def test_huge_noise_approaches_uniform_guess():

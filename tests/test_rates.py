@@ -30,7 +30,7 @@ from fcic.rates import (
     secrecy_bound,
     weak_gap_constant,
 )
-from fcic.schemes import VerifyReport
+from fcic.schemes import AlignmentSolution, VerifyReport
 
 # sign matrix whose Lambda + I has identical first and third rows
 SINGULAR_LAMBDA = ((0, -1, 1), (1, 0, -1), (1, -1, 0))
@@ -441,16 +441,17 @@ def test_verdicts_read_off_forced_violations(monkeypatch):
 
 
 def test_results_store_only_what_they_cannot_derive():
-    """A scheme's size and rate, a report's parameters, a point's verdicts
-    and a Monte Carlo run's sample count are read off other fields, not
-    stored beside them."""
+    """A scheme's size and rate, a report's parameters and rates, a
+    solution's U, a point's verdicts and a Monte Carlo run's sample count
+    and predictions are read off other fields, not stored beside them."""
     stored = {
         Scheme: ["params", "encoders", "decoders", "name"],
-        VerifyReport: ["declared_rate", "trials", "successes", "converse_rate", "transcript"],
+        VerifyReport: ["trials", "successes", "transcript"],
+        AlignmentSolution: ["a", "b", "v", "p", "signs"],
         GapFact: ["params", "regime", "achievable", "c_tilde", "upper", "violations"],
         EffectiveChannelStats: [
-            "config", "signal_power_hat", "noise_power_hat", "predicted_noise_power",
-            "predicted_signal_lb", "signal_se", "noise_se", "tx_power_hat", "tx_se"],
+            "config", "signal_power_hat", "noise_power_hat",
+            "signal_se", "noise_se", "tx_power_hat", "tx_se"],
     }
     for cls, names in stored.items():
         assert [f.name for f in dataclasses.fields(cls)] == names

@@ -65,12 +65,14 @@ def symmetric_decode_matrix(k_users, n, m, p):
 def test_all_ones_alignment_point():
     """Lambda^2 = (K-1) I + (K-2) Lambda for the all-ones Lambda, so
     (0, 1, K-1, K-2) satisfies the alignment identity for every K and p;
-    AlignmentSolution re-checks the identity and rejects V = K-1."""
+    AlignmentSolution reads U = K-1 off B, re-checks the identity and
+    rejects V = K-1."""
     for k_users in range(2, 9):
         for p in PRIME_SCAN:
-            point = dict(a=(0,) * k_users, b=(1,) * k_users, u=(k_users - 1,) * k_users,
+            point = dict(a=(0,) * k_users, b=(1,) * k_users,
                          p=p, signs=all_ones_lambda(k_users))
-            AlignmentSolution(v=(k_users - 2,) * k_users, **point)
+            sol = AlignmentSolution(v=(k_users - 2,) * k_users, **point)
+            assert sol.u == ((k_users - 1) % p,) * k_users
             with pytest.raises(ValueError):
                 AlignmentSolution(v=(k_users - 1,) * k_users, **point)
 
@@ -268,14 +270,15 @@ def test_qsym_solve_all_ones_weak():
 
 
 def test_alignment_identity_manual_point():
+    """U is read off B; a wrong V fails an off-diagonal entry."""
     sol = AlignmentSolution(
-        a=(0, 0, 0), b=(1, 1, 1), u=(2, 2, 2), v=(1, 1, 1),
+        a=(0, 0, 0), b=(1, 1, 1), v=(1, 1, 1),
         p=5, signs=all_ones_lambda(),
     )
-    assert sol.b == (1, 1, 1)
+    assert (sol.b, sol.u) == ((1, 1, 1), (2, 2, 2))
     with pytest.raises(ValueError):
         AlignmentSolution(
-            a=(0, 0, 0), b=(1, 1, 1), u=(3, 2, 2), v=(1, 1, 1),
+            a=(0, 0, 0), b=(1, 1, 1), v=(2, 1, 1),
             p=5, signs=all_ones_lambda(),
         )
 
@@ -615,7 +618,7 @@ def test_qsym_all_ones_matches_weak_scheme_transcripts():
     p = 5
     sym = build_scheme(3, 3, 1, p=p)
     sol = AlignmentSolution(
-        a=(0, 0, 0), b=(1, 1, 1), u=(2, 2, 2), v=(1, 1, 1),
+        a=(0, 0, 0), b=(1, 1, 1), v=(1, 1, 1),
         p=p, signs=all_ones_lambda(),
     )
     signed_params = DetParams(K=3, n=3, m=1, p=p, signs=all_ones_lambda())
@@ -1190,6 +1193,38 @@ def test_build_fails_typed_or_decodes_every_message(k_users, n, m, p, signs):
     except (SingularSystem, NoSolution):
         return
     assert _unit_message_replay_is_identity(scheme)
+
+
+@st.composite
+def _k4_k5_sign_matrices(draw):
+    """A K x K sign matrix, K = 4 or 5: zero diagonal, each off-diagonal
+    entry -1 or +1."""
+    k_users = draw(st.sampled_from((4, 5)))
+    flips = iter(draw(st.lists(st.booleans(), min_size=k_users * (k_users - 1),
+                               max_size=k_users * (k_users - 1))))
+    return tuple(tuple(0 if r == c else (-1 if next(flips) else 1) for c in range(k_users))
+                 for r in range(k_users))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(signs=_k4_k5_sign_matrices(),
+       regime=st.sampled_from(("weak", "strong", "moderate")), data=st.data())
+def test_signed_k4_k5_builds_decode_every_message(signs, regime, data):
+    """Every auto-p build of a signed K = 4 or 5 channel gives back the
+    identity on the unit-vector batch; draws with no build are skipped."""
+    n, m = data.draw(_regime_sizes(regime), label="n, m")
+    try:
+        scheme = build_scheme(len(signs), n, m, signs=signs)
+    except SingularSystem:  # NoSolution included
+        return
+    assert _unit_message_replay_is_identity(scheme)
+
+
+def test_signed_k4_corrupted_decoder_fails_the_unit_batch():
+    lam = ((0, -1, 1, 1), (1, 0, -1, 1), (-1, 1, 0, 1), (1, 1, 1, 0))
+    scheme = build_scheme(4, 3, 1, signs=lam)
+    assert scheme.name == "qsym" and _unit_message_replay_is_identity(scheme)
+    assert not _unit_message_replay_is_identity(_corrupt_decoder(scheme))
 
 
 def test_primes_beyond_int64_are_rejected():
