@@ -19,12 +19,18 @@ one session or a batch of sessions through those maps and `apply_channel`.
 The replay is one matrix product per user and block.  Every entry is a
 residue in [0, p), so with d the longest dot product a scheme forms
 (`Scheme.dot_length`), every partial sum is an integer of magnitude at most
-max(d, K) (p - 1)^2.  Below 2^53 that is exact in binary64 whatever the
-summation order, so the replay runs in float64 and BLAS; above it, the same
-code runs in int64, which `check_dot_length` keeps below 2^63.  Transcripts
-are int64 either way.  Messages, integer channel inputs and products are
+max(d, K) (p - 1)^2.  Below 2^24 that is exact in binary32 whatever the
+summation order, and below 2^53 in binary64, so the replay runs in float32
+or float64 and BLAS, the narrowest that is exact; above 2^53, the same code
+runs in int64, which `check_dot_length` keeps below 2^63.  Transcripts are
+int64 in every tier.  Messages, integer channel inputs and products are
 reduced by floor division (`_reduce`), as numpy's int64 `%` by a scalar
-divides once per element.
+divides once per element.  A replay runs with numpy's invalid and overflow
+reports off: a BLAS kernel may compute on lanes it then discards and raise
+those flags there, and every value the replay keeps is an exact integer.
+(With numpy 2.4.6 and OpenBLAS 0.3.31 on an AVX-512 Xeon, about one fresh
+process in 300 raised invalid on its first float32 products, with exact
+results.)
 """
 
 from __future__ import annotations
@@ -105,11 +111,19 @@ class DetParams:
         }
 
 
+# every integer of magnitude below the bound is exact in the float type
+_EXACT_BELOW = {np.float32: 2**24, np.float64: 2**53}
+
+
 def _reduce(a: np.ndarray, p: int) -> np.ndarray:
     """a mod p in place, as a - p floor(a / p); returns a.
 
-    An int64 array floor-divides.  A float64 array divides and floors, which
-    is exact for integers |a| < 2^53: floor(fl(a / p)) = floor(a / p) there.
+    An int64 array floor-divides.  A float32 or float64 array divides and
+    floors, which is exact for integers with |a| + p at most its
+    `_EXACT_BELOW` bound, 2^24 or 2^53: there floor(fl(a / p)) =
+    floor(a / p), as a / p lies at least 1/p from the next integer up,
+    farther than half a unit in its last place, and p floor(a / p) lies
+    within p of a, so the product and the difference are exact too.
     """
     p = a.dtype.type(p)  # one conversion, not one per step
     if a.dtype == np.int64:
@@ -127,13 +141,14 @@ def apply_channel(params: DetParams, x: np.ndarray) -> np.ndarray:
 
     A leading batch axis, (B, K, q) -> (B, K, q), runs B independent
     sessions' channel uses at once.  Integer input is reduced mod p and
-    gives int64 output.  A float64 block of integers, as the replay passes,
-    gives float64 output, exact while K times its largest magnitude stays
-    below 2^53 (an output level sums K inputs).
+    gives int64 output.  A float32 or float64 block of integers, as the
+    replay passes, gives output of its own dtype, exact while K times its
+    largest magnitude, plus p, stays within 2^24 or 2^53 (an output level
+    sums K inputs, see `_reduce`).
     """
     K, n, m, q, p = params.K, params.n, params.m, params.q, params.p
     x = np.asarray(x)
-    if x.dtype != np.float64:
+    if x.dtype.type not in _EXACT_BELOW:
         x = _reduce(np.array(x, dtype=np.int64), p)  # a copy: the caller's stays
     if x.ndim not in (2, 3) or x.shape[-2:] != (K, q):
         raise ValueError(
@@ -286,8 +301,8 @@ def run_feedback_session(params: DetParams, scheme: Scheme, messages) -> Transcr
     each decoder is applied to the user's own outputs from every block.
     Messages must match the scheme's declared size exactly; short messages
     are rejected rather than padded so rate accounting stays honest.
-    The arithmetic is float64 when it is exact there (see the module
-    docstring), else int64.
+    The arithmetic is float32 or float64, the first that is exact (see the
+    module docstring), else int64.
     """
     if scheme.params != params:
         raise ValueError("scheme was built for different channel parameters")
@@ -300,17 +315,18 @@ def run_feedback_session(params: DetParams, scheme: Scheme, messages) -> Transcr
             f"messages must have shape {(K, L)} or (B, {K}, {L}), got {msgs.shape}"
         )
 
-    exact = max(scheme.dot_length, K) * (p - 1) ** 2 < 2**53  # in binary64
-    dtype = np.float64 if exact else np.int64
+    reach = max(scheme.dot_length, K) * (p - 1) ** 2  # the largest partial sum
+    dtype = next((t for t, bound in _EXACT_BELOW.items() if reach < bound), np.int64)
     # per user and session: the message, then each block's outputs
     seen = np.empty((K, batch.shape[0], L + T * q), dtype)
     seen[:, :, :L] = batch.swapaxes(0, 1)
     sent = np.empty((T, K, batch.shape[0], q), dtype)  # each block's inputs
-    for t, enc in enumerate(scheme.encoders):
-        x = _user_products(enc, seen[:, :, :L + t * q], p, out=sent[t])
-        y = apply_channel(params, x.swapaxes(0, 1))
-        seen[:, :, L + t * q:L + (t + 1) * q] = y.swapaxes(0, 1)
-    out = _record(_user_products(scheme.decoders, seen[:, :, L:], p))
+    with np.errstate(invalid="ignore", over="ignore"):  # see the module docstring
+        for t, enc in enumerate(scheme.encoders):
+            x = _user_products(enc, seen[:, :, :L + t * q], p, out=sent[t])
+            y = apply_channel(params, x.swapaxes(0, 1))
+            seen[:, :, L + t * q:L + (t + 1) * q] = y.swapaxes(0, 1)
+        out = _record(_user_products(scheme.decoders, seen[:, :, L:], p))
     inputs, outputs = _record(sent), _record(seen[:, :, L:])
     if single:  # one session's arrays, as views of its own buffers
         inputs, outputs, out = inputs[:, 0], outputs[0], out[0]

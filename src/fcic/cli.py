@@ -113,8 +113,9 @@ def cmd_det_verify(args) -> int:
         with open(args.dump, "w") as fh:
             json.dump(report.transcript.to_json_dict(), fh)
         print(f"transcript written to {args.dump}", file=sys.stderr)
-    print(json.dumps(report.to_json_dict()))
-    return EXIT_OK if report.all_passed and report.matches_converse is not False else 1
+    doc = report.to_json_dict()
+    print(json.dumps(doc))
+    return EXIT_OK if report.all_passed and doc["matches_converse"] is not False else 1
 
 
 def cmd_qsym(args) -> int:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import GaussParams, RegimeMismatch
+from .rates import GaussParams, RegimeMismatch, _square_overflow
 
 __all__ = [
     "MCConfig",
@@ -190,10 +190,14 @@ class EffectiveChannelStats:
 
 def _predictions(params: GaussParams) -> tuple[float, float]:
     """The effective channel's residual noise power (K^2 INR + 1)/(K INR + 1)
-    and signal-power lower bound (INR - SNR)^2 / (K INR + 1).  The square
-    raises OverflowError beyond binary64."""
+    and signal-power lower bound (INR - SNR)^2 / (K INR + 1).  A square
+    beyond binary64 raises OverflowError naming it and the point."""
     s, i, k = params.snr, params.inr, params.k
-    return (k * k * i + 1.0) / (k * i + 1.0), (i - s) ** 2 / (k * i + 1.0)
+    try:
+        square = (i - s) ** 2
+    except OverflowError:
+        raise _square_overflow("(INR - SNR)^2", s, i) from None
+    return (k * k * i + 1.0) / (k * i + 1.0), square / (k * i + 1.0)
 
 
 def zero_forcing_signal_coef(snr: float, inr: float, k: int) -> float:

@@ -240,8 +240,24 @@ def _log2(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log2, x.tolist()), dtype=float, count=x.size)
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    return np.fromiter((v ** 2 for v in x.tolist()), dtype=float, count=x.size)
+def _square_overflow(term: str, snr: float, inr: float) -> OverflowError:
+    """The error for a square beyond binary64, naming its term and point."""
+    return OverflowError(f"{term} at SNR = {snr:.12g}, INR = {inr:.12g}")
+
+
+def _square(x: np.ndarray, term: str, s: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """x ** 2 in Python floats; an element beyond binary64 raises
+    OverflowError naming `term` and the first such point (s, i)."""
+    values = x.tolist()
+    try:
+        return np.fromiter((v ** 2 for v in values), dtype=float, count=x.size)
+    except OverflowError:
+        for v, snr, inr in zip(values, s.tolist(), i.tolist()):
+            try:
+                v ** 2
+            except OverflowError:
+                raise _square_overflow(term, snr, inr) from None
+        raise
 
 
 def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
@@ -264,9 +280,9 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
         sn, in_ = s[neg], i[neg]
         sw, iw, tw = s[weak], i[weak], total[weak]
         root_s, root_i = np.sqrt(sw), np.sqrt(iw)
-        diff_sq = _square(root_s - root_i)
+        diff_sq = _square(root_s - root_i, "(sqrt(SNR) - sqrt(INR))^2", sw, iw)
         ss, is_, ts = s[strong], i[strong], total[strong]
-        strong_sq, steep = _square(is_ - ss), is_ >= 2 * ss
+        strong_sq, steep = _square(is_ - ss, "(INR - SNR)^2", ss, is_), is_ >= 2 * ss
         rate = np.full((len(ks), s.size), math.nan)
         upper = np.empty((len(ks), s.size))
         bad = np.zeros((len(ks), len(_VIOLATIONS), s.size), dtype=bool)
@@ -285,7 +301,9 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
             # R1* = R2* sit at their own cap, so that one fails only on NaN
             r0_caps = (
                 0.5 * _log2((iw - 1) / kp1),
-                0.5 * _log2((iw - 1) * _square(root_s + km1 * root_i) / (sw + kf * iw)),
+                0.5 * _log2((iw - 1) * _square(root_s + km1 * root_i,
+                                               f"(sqrt(SNR) + {k - 1} sqrt(INR))^2", sw, iw)
+                            / (sw + kf * iw)),
                 0.5 * _log2((iw - 1) * diff_sq / (sw + kf * iw)),
             )
             split_ok = r12 <= r12 + RATE_TOL

@@ -27,9 +27,10 @@ NoSolution, on the whole solution space, or else the candidates searched).
 Without p, `build_scheme` returns the first success of its `PRIME_SCAN`
 scan, which tries GF(2) last at odd K in the strong regime: there U_k =
 S - B_k mod 2 (S the sum of the B_j), and no B makes every U_k nonzero
-when K is odd.  `verify_scheme` replays all of its trials as one batch
-through `run_feedback_session`; its report judges the rate that its kept
-session carries against `rates.det_converse`.
+when K is odd.  `verify_scheme` replays its trials through
+`run_feedback_session` in batches of at most `_CHUNK` sessions, so its
+memory does not grow with the trial count; its report judges the rate
+that its kept session carries against `rates.det_converse`.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ __all__ = [
 PRIME_SCAN = (2, 3, 5, 7, 11, 13)
 ENUM_CAP = 10**6
 _SLICE = 256  # solver candidates per array slice; small, so peak memory stays flat
+_CHUNK = 1024  # verify sessions per replay; a bounded batch, so memory stays flat in trials
 _REGIME_SIGN = {"weak": 1, "strong": -1, "moderate": 0}  # the sign of n - m
 _DELTA_TERM = {1: "B", -1: "-U", 0: "B + V - A - U"}  # Delta's constant term by sign
 
@@ -267,7 +269,9 @@ def _decode_inverse(params: DetParams, a: int, b: int, u: int, v: int) -> np.nda
     cut there; it exists iff d0 != 0 mod p, the condition `qsym_solve`
     enforces.  A block's first column is c0 s + c1 D s, in Python ints
     reduced mod p (exact for every p `DetParams` accepts), and the block is
-    the lower-triangular Toeplitz matrix of it, spaced |n-m| apart.
+    the lower-triangular Toeplitz matrix of it, spaced |n-m| apart: entry
+    (i, j) reads the column at lag i - j, one strided view of all four
+    columns, each behind q - 1 zeros, copied once into the 2q x 2q result.
     """
     n, m, q, p = params.n, params.m, params.q, params.p
     s = abs(n - m)
@@ -281,15 +285,19 @@ def _decode_inverse(params: DetParams, a: int, b: int, u: int, v: int) -> np.nda
     for _ in range(2, terms):
         series.append((e1 * series[-1] + e2 * series[-2]) % p)
     shifted = [0, *series[:-1]] if s else series  # D Delta^-1
-    # E, -B, -C, A as (c0, c1) in D; a negative lag (above the diagonal)
-    # reads the zero padding of their first columns
+    # E, -B, -C, A as (c0, c1) in D, lag 0 at column q - 1; a negative lag
+    # (above the diagonal) reads the zero padding to its left
     blks = ((b, v), (0, -1), (-a, -u), (1, 0)) if n >= m else ((v, b), (-1, 0), (-u, -a), (0, 1))
-    cols = np.zeros((4, 2 * q), dtype=np.int64)
+    cols = np.zeros((4, 2 * q - 1), dtype=np.int64)
     for row, (c0, c1) in enumerate(blks):
         # D^j's coefficient sits j |n-m| rows down; at m = n only j = 0 exists
-        cols[row, :q:s or q] = [(c0 * x + c1 * y) % p for x, y in zip(series, shifted)]
-    blocks = cols.take(np.subtract.outer(np.arange(q), np.arange(q)), axis=1)
-    return blocks.reshape(2, 2, q, q).transpose(0, 2, 1, 3).reshape(2 * q, 2 * q)
+        cols[row, q - 1::s or q] = [(c0 * x + c1 * y) % p for x, y in zip(series, shifted)]
+    # [block row, i, block column, j] reads cols[2 block row + block column,
+    # q - 1 + i - j], a lag in [1 - q, q - 1]; numpy checks the view lies in cols
+    rows, step = cols.strides
+    blocks = np.ndarray((2, q, 2, q), cols.dtype, cols, (q - 1) * step,
+                        (2 * rows, step, rows, -step))
+    return blocks.reshape(2 * q, 2 * q)
 
 
 def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
@@ -450,31 +458,36 @@ class VerifyReport:
         return None if self.converse_rate is None else self.declared_rate == self.converse_rate
 
     def to_json_dict(self) -> dict:
+        converse = self.converse_rate  # one det_converse call for both keys
         return {
             "params": self.params.to_json_dict(),
             "declared_rate": rate_json(self.declared_rate),
             "trials": self.trials,
             "successes": self.successes,
-            "converse_rate": rate_json(self.converse_rate),
-            "matches_converse": self.matches_converse,
+            "converse_rate": rate_json(converse),
+            "matches_converse": None if converse is None else self.declared_rate == converse,
         }
 
 
 def verify_scheme(
     params: DetParams, scheme: Scheme, trials: int, seed: int
 ) -> VerifyReport:
-    """Replay `trials` >= 1 sessions with seeded uniform messages as one
-    batch; bit-exactness of every user's decode counts as success, failures
-    are data (the first failing session's transcript, else session 0's, is
-    attached for inspection)."""
+    """Replay `trials` >= 1 sessions with seeded uniform messages, in
+    batches of at most `_CHUNK` sessions drawn one after another from one
+    generator (the same messages as one draw of every trial); bit-exactness
+    of every user's decode counts as success, failures are data (the first
+    failing session's transcript, else session 0's, is attached for
+    inspection)."""
     if trials < 1:
         raise ValueError("need trials >= 1")
     rng = np.random.default_rng(seed)
-    msgs = rng.integers(0, params.p, size=(trials, params.K, scheme.msg_symbols))
-    batch = run_feedback_session(params, scheme, msgs)
-    failed = np.flatnonzero((batch.messages_out != batch.messages_in).any(axis=(1, 2)))
-    return VerifyReport(
-        trials=trials,
-        successes=trials - failed.size,
-        transcript=batch.trial(failed[0] if failed.size else 0),
-    )
+    successes, kept = 0, None
+    for start in range(0, trials, _CHUNK):
+        size = min(_CHUNK, trials - start)
+        msgs = rng.integers(0, params.p, size=(size, params.K, scheme.msg_symbols))
+        batch = run_feedback_session(params, scheme, msgs)
+        failed = np.flatnonzero((batch.messages_out != batch.messages_in).any(axis=(1, 2)))
+        if kept is None or failed.size and successes == start:  # no failure kept yet
+            kept = batch.trial(failed[0] if failed.size else 0)
+        successes += size - failed.size
+    return VerifyReport(trials=trials, successes=successes, transcript=kept)

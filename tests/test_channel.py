@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fcic import channel
 from fcic.channel import DetParams, apply_channel, run_feedback_session
 from fcic.gf import is_prime
 from fcic.schemes import PRIME_SCAN, NoSolution, build_scheme
@@ -368,15 +369,21 @@ def test_batched_replay_matches_single_sessions_signed():
     assert {"qsym", "moderate"} <= set(names) and len(names) >= 40
 
 
-def _binary64_bound_primes(scheme):
-    """The largest prime p whose replay of `scheme` is exact in binary64,
-    max(dot length, K) (p - 1)^2 < 2^53, and the next prime above it."""
+def _bound_primes(scheme, bound):
+    """The largest prime p whose replay of `scheme` keeps every partial sum
+    below `bound`, max(dot length, K) (p - 1)^2 < bound, and the next prime
+    above it."""
     reach = max(scheme.dot_length, scheme.params.K)
-    top = math.isqrt((2**53 - 1) // reach) + 1  # the largest p with reach (p - 1)^2 < 2^53
+    top = math.isqrt((bound - 1) // reach) + 1  # the largest p with reach (p - 1)^2 < bound
     below = next(p for p in range(top, 2, -1) if is_prime(p))
     above = next(p for p in itertools.count(top + 1) if is_prime(p))
-    assert reach * (below - 1) ** 2 < 2**53 <= reach * (above - 1) ** 2
+    assert reach * (below - 1) ** 2 < bound <= reach * (above - 1) ** 2
     return below, above
+
+
+def _binary64_bound_primes(scheme):
+    """The primes on both sides of the binary64 bound, 2^53."""
+    return _bound_primes(scheme, 2**53)
 
 
 def test_replay_is_exact_on_both_sides_of_the_binary64_bound():
@@ -396,6 +403,56 @@ def test_replay_is_exact_on_both_sides_of_the_binary64_bound():
         _assert_replays_match_reference(scheme, msgs)
         assert (run_feedback_session(scheme.params, scheme, msgs).messages_out
                 == msgs % p).all()
+
+
+@pytest.mark.parametrize("signs", [None, ((0, -1, 1), (1, 0, -1), (1, -1, 0))])
+def test_replay_is_exact_on_both_sides_of_the_binary32_bound(monkeypatch, signs):
+    """K = 3, n = 3, m = 1 (longest dot product 8), symmetric and signed, at
+    the largest prime below its binary32 bound, where every channel use runs
+    in float32, and at the next prime, where it runs in float64.  Messages
+    of all p - 1 put the encoder sums at their largest."""
+    uses = []
+
+    def recording(params, x):
+        uses.append(x.dtype.type)
+        return apply_channel(params, x)
+
+    monkeypatch.setattr(channel, "apply_channel", recording)
+    rng = np.random.default_rng(14)
+    primes = _bound_primes(build_scheme(3, 3, 1, p=5), 2**24)
+    assert primes == (1447, 1451)
+    for p, dtype in zip(primes, (np.float32, np.float64)):
+        scheme = build_scheme(3, 3, 1, p=p, signs=signs)
+        assert scheme.name == ("weak" if signs is None else "qsym")
+        msgs = rng.integers(0, p, size=(4, 3, scheme.msg_symbols))
+        msgs[0] = p - 1
+        msgs[1] = -1  # reduced to p - 1 on entry
+        uses.clear()
+        _assert_replays_match_reference(scheme, msgs)
+        assert uses and set(uses) == {dtype}
+        assert (run_feedback_session(scheme.params, scheme, msgs).messages_out
+                == msgs % p).all()
+
+
+def test_apply_channel_float32_block_equals_its_int64_result():
+    """A float32 block of integers comes back float32 with the values of the
+    int64 channel use, inputs outside [0, p) too, up to the largest p with
+    K (3p) + p within 2^24."""
+    rng = np.random.default_rng(15)
+    signs = ((0, -1, 1), (1, 0, -1), (1, -1, 0))
+    for params in (DetParams(K=3, n=2, m=4, p=7), DetParams(K=4, n=5, m=0, p=3),
+                   DetParams(K=3, n=3, m=1, p=1677721, signs=signs)):
+        p = params.p
+        assert params.K * 3 * p + p <= 2**24
+        for shape in ((params.K, params.q), (5, params.K, params.q)):
+            x = rng.integers(-3 * p, 3 * p, size=shape)
+            x[..., 0] = -3 * p  # the extremes, on every user
+            x[..., -1] = 3 * p - 1
+            ints = apply_channel(params, x)
+            floats = apply_channel(params, x.astype(np.float32))
+            assert ints.dtype == np.int64 and floats.dtype == np.float32
+            assert np.array_equal(floats, ints)
+            assert ((ints >= 0) & (ints < p)).all()
 
 
 @pytest.mark.parametrize("p", (2, 13, 1073741789))

@@ -367,6 +367,59 @@ def test_det_verify_output_matches_pinned_sha256(capsys, tmp_path, runs):
     assert h.hexdigest() == digest
 
 
+def test_det_verify_computes_the_converse_once(capsys, monkeypatch):
+    """One det_converse call per det-verify process, for its JSON and its
+    exit code alike, on a symmetric and a signed-K-4 (no converse) run."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rates.det_converse(*args)
+
+    monkeypatch.setattr(schemes, "det_converse", counted)
+    with tempfile.TemporaryDirectory() as tmp:
+        signs = pathlib.Path(tmp) / "signs.txt"
+        signs.write_text(SIGNS_K4)
+        for argv, tail in (
+            (("--k", "3", "--n", "2", "--m", "1"), '"matches_converse": true}'),
+            (("--k", "4", "--n", "2", "--m", "2", "--signs", str(signs)),
+             '"matches_converse": null}'),
+        ):
+            calls.clear()
+            code, out, _ = run_cli(capsys, "det-verify", *argv, "--trials", "5")
+            assert (code, len(calls)) == (0, 1)
+            assert out.endswith(tail + "\n")
+
+
+def _large_runs():
+    """The benchmark's det-large configurations: K in (3, 7, 8), n up to 64
+    and m != n at the other three n values and n - 1 (q up to 64)."""
+    levels = (16, 32, 48, 64)
+    for k_users in (3, 7, 8):
+        for n in levels:
+            for m in sorted(set(levels) | {n - 1}):
+                if m != n:
+                    yield ("--k", str(k_users), "--n", str(n), "--m", str(m))
+
+
+def test_det_verify_large_output_matches_pinned_sha256(capsys, tmp_path):
+    """sha256 over the 48 det-large runs (10 trials each) as in
+    `test_det_verify_output_matches_pinned_sha256`, recorded from the
+    parent tree of the change that replays in binary32 below 2^24."""
+    dump = tmp_path / "transcript.json"
+    h = hashlib.sha256()
+    runs = list(_large_runs())
+    assert len(runs) == 48
+    for flags in runs:
+        dump.unlink(missing_ok=True)
+        code, out, err = run_cli(capsys, "det-verify", *flags, "--trials", "10",
+                                 "--dump", str(dump))
+        text = f"{flags}:{code}\n{out}\n{err}\n{dump.read_text()}\n"
+        h.update(text.replace(str(tmp_path), "<tmp>").encode())
+    assert h.hexdigest() == (
+        "69e2f07a5b16d44ae570b4ace993175cbc4faea1ca9c14affc53b59783328129")
+
+
 # ---------------------------------------------------------------------------
 # qsym
 # ---------------------------------------------------------------------------
@@ -718,6 +771,19 @@ def test_binary64_overflow_exits_2(capsys, argv):
         code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: a value is too large for binary64") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("gauss-rates", "--snr", "1", "--inr", "1e200", "--k", "2"),
+    ("mc-strong", "--snr", "1", "--inr", "1e200", "--block", "2", "--trials", "3"),
+    ("gauss-gap", "--snr-grid", "1,10", "--inr-grid", "100,1e200", "--k-list", "2,3"),
+])
+def test_binary64_overflow_names_the_square_and_the_point(capsys, argv):
+    """The error line names (INR - SNR)^2 and the first point where it leaves
+    binary64 (the grid's (1, 1e200), SNR-major), not the raw OverflowError."""
+    assert run_cli(capsys, *argv) == (2, "", (
+        "error: a value is too large for binary64 floating point: "
+        "(INR - SNR)^2 at SNR = 1, INR = 1e+200\n"))
 
 
 @pytest.mark.parametrize("argv,subject", [

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import operator
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1006,6 +1007,82 @@ def test_verify_scheme_reports_fault_injection():
     passing = verify_scheme(base.params, base, 20, seed=22)
     assert passing.all_passed
     assert passing.transcript.messages_in.tolist() == msgs[0].tolist()
+
+
+def _one_batch_report(scheme, trials, seed):
+    """(successes, kept transcript as JSON) of one replay of every trial's
+    messages, drawn at once: what `verify_scheme` reports, chunk by chunk."""
+    params = scheme.params
+    msgs = np.random.default_rng(seed).integers(
+        0, params.p, size=(trials, params.K, scheme.msg_symbols))
+    batch = run_feedback_session(params, scheme, msgs)
+    failed = np.flatnonzero((batch.messages_out != batch.messages_in).any(axis=(1, 2)))
+    kept = batch.trial(failed[0] if failed.size else 0)
+    return trials - failed.size, kept.to_json_dict()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_verify_scheme_replays_in_chunks_like_one_batch(monkeypatch, offset):
+    """trials = _CHUNK - 1, _CHUNK and _CHUNK + 1 replay in one, one and two
+    batches of at most _CHUNK sessions, and the report equals one replay of
+    every trial drawn at once: counts and kept transcript, for a scheme that
+    decodes and for a corrupted decoder."""
+    chunk = schemes._CHUNK
+    trials = chunk + offset
+    batches = {-1: [chunk - 1], 0: [chunk], 1: [chunk, 1]}[offset]
+    calls = []
+
+    def counted(params, scheme, messages):
+        calls.append(len(messages))
+        return run_feedback_session(params, scheme, messages)
+
+    monkeypatch.setattr(schemes, "run_feedback_session", counted)
+    base = build_scheme(3, 3, 1, p=2)
+    for scheme in (base, _corrupt_decoder(base)):
+        expect = _one_batch_report(scheme, trials, seed=31)
+        calls.clear()
+        report = verify_scheme(base.params, scheme, trials, seed=31)
+        assert calls == batches
+        assert report.trials == trials
+        assert (report.successes, report.transcript.to_json_dict()) == expect
+    assert report.successes < trials  # the corrupted decoder fails sessions
+
+
+def test_verify_scheme_keeps_a_first_failure_from_a_later_chunk(monkeypatch):
+    """With 4 sessions a chunk, a corrupted decoder over GF(2) (a session
+    fails iff user 1's first message symbol is 1) whose first failure lies
+    in the third chunk: the report keeps that session, not session 0 nor a
+    later failure, and counts every chunk's failures."""
+    monkeypatch.setattr(schemes, "_CHUNK", 4)
+    broken = _corrupt_decoder(build_scheme(3, 3, 1, p=2))
+    trials = 19
+    seed = next(seed for seed in itertools.count() if np.flatnonzero(
+        np.random.default_rng(seed).integers(0, 2, size=(trials, 3, 5))[:, 1, 0])[0] >= 8)
+    msgs = np.random.default_rng(seed).integers(0, 2, size=(trials, 3, 5))
+    failing = np.flatnonzero(msgs[:, 1, 0])
+    assert failing[0] >= 8 and failing.size >= 2
+    report = verify_scheme(broken.params, broken, trials, seed)
+    assert report.successes == trials - failing.size
+    assert report.transcript.messages_in.tolist() == msgs[failing[0]].tolist()
+    assert (report.successes, report.transcript.to_json_dict()) == \
+        _one_batch_report(broken, trials, seed)
+
+
+def test_verify_scheme_memory_does_not_grow_with_trials():
+    """64 chunks of sessions peak below half the bytes of one draw of all
+    their messages; a replay of all of them as one batch holds that draw
+    several times over."""
+    scheme = build_scheme(3, 2, 1)
+    trials = 64 * schemes._CHUNK
+    all_messages = trials * 3 * scheme.msg_symbols * 8  # int64
+    tracemalloc.start()
+    try:
+        report = verify_scheme(scheme.params, scheme, trials, seed=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed and report.trials == trials
+    assert peak < all_messages / 2
 
 
 def _unit_message_replay_is_identity(scheme) -> bool:
