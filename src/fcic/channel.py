@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -93,13 +94,17 @@ class DetParams:
     def q(self) -> int:
         return max(self.n, self.m)
 
+    @cached_property
     def sign_matrix(self) -> np.ndarray:
-        """K x K signed cross-link matrix; all-ones off-diagonal when symmetric."""
+        """K x K signed cross-link matrix, all-ones off the diagonal when
+        symmetric: built on first use, once, and read-only."""
         if self.signs is None:
             lam = np.ones((self.K, self.K), dtype=np.int64)
             np.fill_diagonal(lam, 0)
-            return lam
-        return np.asarray(self.signs, dtype=np.int64)
+        else:
+            lam = np.array(self.signs, dtype=np.int64)
+        lam.flags.writeable = False
+        return lam
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,7 +160,7 @@ def apply_channel(params: DetParams, x: np.ndarray) -> np.ndarray:
             f"block signal must have shape {(K, q)} or (B, {K}, {q}), got {x.shape}"
         )
     users = x.swapaxes(0, -2)  # (K, [B,] q): Lambda acts on the user axis
-    lam = params.sign_matrix().astype(x.dtype, copy=False)
+    lam = params.sign_matrix.astype(x.dtype, copy=False)
     cross = (lam @ users.reshape(K, -1)).reshape(users.shape)
     # q = max(n, m), so the stronger link is not shifted: the weaker link's
     # signal is added into it, shifted down

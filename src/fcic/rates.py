@@ -96,10 +96,11 @@ def det_converse(n: int, m: int, k: int, signs=None) -> Fraction | None:
     signals and must share one decoding budget.  A k x k sign matrix
     `signs` with lambda_kj = d_k d_j for some d in {+-1}^K is the all-ones
     channel after each user k multiplies its symbols by d_k, so it has the
-    same values at every K.  Any other sign matrix changes only the m = n
-    value, and only for K = 3: n/2 when Lambda + I is invertible over the
-    rationals (else some receivers see duplicated outputs).  Other signed
-    channels with K != 3 give None.
+    same values at every K: with D = diag(d), Lambda + I = D J D has rank 1,
+    so the m = n value below is n/K as for the all-ones Lambda.  Any other
+    sign matrix changes only the m = n value, and only for K = 3: n/2 when
+    Lambda + I is invertible over the rationals (else some receivers see
+    duplicated outputs).  Other signed channels with K != 3 give None.
 
     For the 20 K = 3 sign matrices with det(Lambda + I) = 4, n/2 at m = n
     is a converse bound that no scheme here reaches (no prime aligns them:
@@ -113,10 +114,8 @@ def det_converse(n: int, m: int, k: int, signs=None) -> Fraction | None:
     if signs is not None:
         signs = _validate_signs(signs, k)
         d = (1, *signs[0][1:])  # d_0 = 1 fixes the sign of d
-        if all(v == d[r] * d[c] for r, row in enumerate(signs)
-               for c, v in enumerate(row) if r != c):
-            signs = None
-        elif k != 3:
+        if k != 3 and not all(v == d[r] * d[c] for r, row in enumerate(signs)
+                              for c, v in enumerate(row) if r != c):
             return None
     if m < n:
         return Fraction(2 * n - m, 2)
@@ -241,8 +240,18 @@ def _log2(x: np.ndarray) -> np.ndarray:
 
 
 def _square_overflow(term: str, snr: float, inr: float) -> OverflowError:
-    """The error for a square beyond binary64, naming its term and point."""
+    """The error for a term beyond binary64 (a square, or a weak point's
+    1 + SNR + INR or K INR), naming it and its point."""
     return OverflowError(f"{term} at SNR = {snr:.12g}, INR = {inr:.12g}")
+
+
+def _finite(x: np.ndarray, term: str, s: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """x, unless an element overflowed to inf: then OverflowError naming
+    `term` and the first such point (s, i)."""
+    beyond = np.flatnonzero(np.isinf(x)).tolist()
+    if beyond:
+        raise _square_overflow(term, float(s[beyond[0]]), float(i[beyond[0]]))
+    return x
 
 
 def _square(x: np.ndarray, term: str, s: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -264,12 +273,23 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
     """Regimes (as in `gauss_achievable`), rates, bounds and the gap
     inequalities of `gap_report` at SNR s and INR i, for each K of `ks`.
 
-    The terms that do not depend on K (regimes, 1 + SNR + INR, c_tilde, the
-    square roots and the K-free squares) are computed once; only the rest
-    is computed per K.  Each K stays a Python int: each K-dependent factor
-    is the Python float of its exact integer value, as scalar arithmetic
-    would convert it, so any K the scalar formulas accept gives the same
-    bits.
+    The terms that do not depend on K (regimes, 1 + SNR + INR, c_tilde and
+    the strong regime's square) are computed once; only the rest is
+    computed per K.  Each K stays a Python int: each K-dependent factor is
+    the Python float of its exact integer value, as scalar arithmetic would
+    convert it, so any K the scalar formulas accept gives the same bits.
+
+    The weak rate split meets three of its five decodability constraints,
+    the caps on R0* = (1/2) log2((INR - 1)/(8(K + 1))), by algebra: with
+    INR - 1 common to both sides, R0* lies 1.5 bits below
+    (1/2) log2((INR - 1)/(K + 1)), at least (1/2) log2 12 below
+    (1/2) log2((INR - 1)(sqrt(SNR) + (K - 1) sqrt(INR))^2 / (SNR + K INR))
+    and at least (1/2) log2(12 (3/2 - sqrt 2)) = 0.0209 bits below
+    (1/2) log2((INR - 1)(sqrt(SNR) - sqrt(INR))^2 / (SNR + K INR)), tight
+    at K = 2 on INR = SNR/2.  So they are not computed: the "constraints"
+    flag re-checks only R1* = R2* = (1/2) log2(1 + SNR/(K INR)) against its
+    own cap, which fails only on NaN or a negative RATE_TOL, and a negative
+    RATE_TOL large enough for a cap to fire fails it first.
     """
     with np.errstate(all="ignore"):  # inf and NaN propagate as in Python floats
         total = 1 + s + i
@@ -278,37 +298,26 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
         weak = ~neg & (i <= s / 2)
         strong = ~neg & ~weak & (i >= 2 * np.maximum(s, 1.0))
         sn, in_ = s[neg], i[neg]
-        sw, iw, tw = s[weak], i[weak], total[weak]
-        root_s, root_i = np.sqrt(sw), np.sqrt(iw)
-        diff_sq = _square(root_s - root_i, "(sqrt(SNR) - sqrt(INR))^2", sw, iw)
+        sw, iw = s[weak], i[weak]
         ss, is_, ts = s[strong], i[strong], total[strong]
-        strong_sq, steep = _square(is_ - ss, "(INR - SNR)^2", ss, is_), is_ >= 2 * ss
+        strong_sq = _square(is_ - ss, "(INR - SNR)^2", ss, is_)
+        # an infinite c_tilde would fail a weak point's gap checks falsely (a
+        # strong point's square overflows first, a negligible total cannot)
+        tw = _finite(total[weak], "1 + SNR + INR", sw, iw)
         rate = np.full((len(ks), s.size), math.nan)
         upper = np.empty((len(ks), s.size))
         bad = np.zeros((len(ks), len(_VIOLATIONS), s.size), dtype=bool)
         for row, k in enumerate(ks):
-            kf, km1, kp1 = float(k), float(k - 1), float(k + 1)
+            kf, km1 = float(k), float(k - 1)
             r, flags = rate[row], bad[row]
             upper[row] = c_tilde + (k - 1) / 4 + 0.5 * math.log2(k)
 
             r[neg] = 0.5 * _log2(1 + sn / (1 + km1 * in_))
 
             r0_arg = (iw - 1) / float(8 * (k + 1))
-            r12_arg = 1 + sw / (kf * iw)
+            r12_arg = 1 + sw / _finite(kf * iw, f"{k} INR", sw, iw)  # inf would make R1* 0
             r0, r12 = 0.5 * _log2(r0_arg), 0.5 * _log2(r12_arg)
             r[weak] = 0.5 * (r0 + 2 * r12)
-            # re-check (R0*, R1*, R2*) against the five decodability constraints;
-            # R1* = R2* sit at their own cap, so that one fails only on NaN
-            r0_caps = (
-                0.5 * _log2((iw - 1) / kp1),
-                0.5 * _log2((iw - 1) * _square(root_s + km1 * root_i,
-                                               f"(sqrt(SNR) + {k - 1} sqrt(INR))^2", sw, iw)
-                            / (sw + kf * iw)),
-                0.5 * _log2((iw - 1) * diff_sq / (sw + kf * iw)),
-            )
-            split_ok = r12 <= r12 + RATE_TOL
-            for cap in r0_caps:
-                split_ok &= ~(r0 > cap + RATE_TOL)
 
             strong_arg = 1 + strong_sq / (kf * (kf * is_ + 1))
             r[strong] = 0.25 * _log2(strong_arg)
@@ -319,9 +328,10 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
             flags[1] = r > upper[row] + RATE_TOL
             # (INR-1)/(8(K+1)) (1 + SNR/(K INR)) >= (1 + SNR + INR)/(16 K (K+1))
             flags[2, weak] = r0_arg * r12_arg < tw / float(16 * k * (k + 1)) - RATE_TOL
-            flags[3, weak] = ~split_ok
-            # 1 + (INR-SNR)^2/(K (K INR + 1)) >= (1 + SNR + INR)/(8 K^2), for INR >= 2 SNR
-            flags[4, strong] = steep & (strong_arg < ts / float(8 * k * k) - RATE_TOL)
+            flags[3, weak] = ~(r12 <= r12 + RATE_TOL)  # R1* = R2* at their cap
+            # 1 + (INR-SNR)^2/(K (K INR + 1)) >= (1 + SNR + INR)/(8 K^2); the
+            # strong regime has INR >= 2 max(SNR, 1) >= 2 SNR
+            flags[4, strong] = strong_arg < ts / float(8 * k * k) - RATE_TOL
     regime = _REGIMES[np.where(neg, 0, np.where(weak, 1, np.where(strong, 2, 3)))]
     return ClosedForms(regime, rate, c_tilde, upper, bad)
 
@@ -361,9 +371,11 @@ class GapFact:
     `achievable` is NaN in the excluded band.  `violations` names the
     inequalities the point violates, and both verdicts are read off it:
     `gap_ok` holds when it is empty, and `constraints_ok`, set only in the
-    weak regime, holds when the chosen rate split (R0*, R1*, R2*) passes
-    its re-check against all five decodability constraints of the lattice
-    scheme ("constraints" is not among them); it is None elsewhere.
+    weak regime, holds when the chosen rate split (R0*, R1*, R2*) meets the
+    five decodability constraints of the lattice scheme ("constraints" is
+    not among them); it is None elsewhere.  Three of them, the caps on R0*,
+    hold by algebra with at least 0.0209 bits to spare (see
+    `_closed_forms`), so the flag re-checks only R1* = R2* at their cap.
     """
 
     params: GaussParams

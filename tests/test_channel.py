@@ -139,6 +139,20 @@ def test_signed_channel_uses_signs():
     assert (y[0] == y[2]).all()
 
 
+@pytest.mark.parametrize("signs", [None, ((0, -1, 1), (1, 0, -1), (1, -1, 0))])
+def test_sign_matrix_is_built_once_and_read_only(signs):
+    """Every channel use reads the one Lambda its parameters built, which
+    no caller can change; equal parameters stay equal and hash alike."""
+    params = DetParams(K=3, n=2, m=1, p=5, signs=signs)
+    lam = params.sign_matrix
+    apply_channel(params, np.ones((3, 2), dtype=np.int64))
+    assert params.sign_matrix is lam and not lam.flags.writeable
+    assert lam.tolist() == [[0 if r == c else (1 if signs is None else signs[r][c])
+                             for c in range(3)] for r in range(3)]
+    twin = DetParams(K=3, n=2, m=1, p=5, signs=signs)
+    assert (twin, hash(twin)) == (params, hash(params))
+
+
 # ---------------------------------------------------------------------------
 # session driver
 # ---------------------------------------------------------------------------
@@ -175,6 +189,32 @@ def test_driver_rejects_short_messages():
         run_feedback_session(scheme.params, scheme, np.zeros((3, 4), dtype=int))
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (3, 6), (2, 3, 5, 1), (5,)])
+def test_driver_names_the_message_shape_it_needs(shape):
+    scheme = build_scheme(3, 3, 1, p=5)
+    with pytest.raises(ValueError, match=r"^messages must have shape \(3, 5\) or \(B, 3, 5\)"):
+        run_feedback_session(scheme.params, scheme, np.zeros(shape, dtype=int))
+
+
+def test_driver_rejects_a_scheme_built_for_other_parameters():
+    scheme = build_scheme(3, 3, 1, p=5)
+    other = dataclasses.replace(scheme.params, p=7)
+    with pytest.raises(ValueError, match="scheme was built for different channel parameters"):
+        run_feedback_session(other, scheme, np.zeros((3, 5), dtype=int))
+
+
+def test_maps_and_blocks_may_be_nested_lists():
+    """Scheme maps and a channel use's inputs are taken as arrays of what
+    they are given, so nested lists give the same scheme and outputs."""
+    scheme = build_scheme(3, 3, 1, p=5)
+    listed = dataclasses.replace(scheme, encoders=tuple(e.tolist() for e in scheme.encoders),
+                                 decoders=scheme.decoders.tolist())
+    msgs = np.arange(15).reshape(3, 5) % 5
+    assert (run_feedback_session(listed.params, listed, msgs).messages_out == msgs).all()
+    x = [[1, 2, 3], [4, 0, 1], [2, 2, 2]]
+    assert (apply_channel(scheme.params, x) == apply_channel(scheme.params, np.array(x))).all()
+
+
 def test_encoders_receive_only_past_outputs():
     """Block t's encoder map has exactly L + t*q columns, its own message and
     its outputs of blocks < t, so no scheme can see current or future
@@ -190,6 +230,18 @@ def test_encoders_receive_only_past_outputs():
     leaky[0] = np.concatenate([leaky[0], np.zeros((3, 3, 1), dtype=np.int64)], axis=2)
     with pytest.raises(ValueError):
         dataclasses.replace(scheme, encoders=tuple(leaky))
+
+
+def test_block_1_encoder_sees_exactly_the_block_0_outputs():
+    """A block-1 encoder map with columns for its own block-1 outputs, or
+    with none for block 0's, is rejected at construction: the one-step
+    feedback contract is the encoder shapes."""
+    scheme = build_scheme(3, 3, 1, p=5)
+    q, msg = scheme.params.q, scheme.msg_symbols
+    for width in (msg + 2 * q, msg):
+        block1 = np.zeros((3, q, width), dtype=np.int64)
+        with pytest.raises(ValueError, match="block-1 encoder must have shape"):
+            dataclasses.replace(scheme, encoders=(scheme.encoders[0], block1))
 
 
 @pytest.mark.parametrize("k_users, n, m, size, rate", [

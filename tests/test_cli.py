@@ -3,7 +3,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -42,6 +46,23 @@ def test_gdof_csv(capsys):
     assert rows["0.5"] == "0.5,0.75,0.5"
     assert rows["1"].split(",")[1] == "NaN"
     assert rows["1"].split(",")[2] == "0.333333333333"
+
+
+def test_python_dash_m_fcic_runs_the_cli():
+    """`python -m fcic` is `cli.entry`: main's exit code, its stdout, and a
+    usage error as one stderr line without a traceback."""
+    src = str(pathlib.Path(fcic.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        done = subprocess.run([sys.executable, "-m", "fcic", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    assert run("gdof", "--steps", "2") == (0, "alpha,d_fb,d_nofb\n0,1,1\n2,1,1\n", "")
+    assert run("det-verify", "--k", "1", "--n", "1", "--m", "1") == (
+        2, "", "error: need K >= 2 users, got 1\n")
 
 
 def test_gdof_rejects_single_step(capsys):
@@ -323,6 +344,37 @@ def test_det_verify_bad_input_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,signs,message", [
+    (("qsym", "--regime", "weak"), "0 2 1\n1 0 1\n1 1 0\n",
+     "off-diagonal signs must be -1 or +1"),
+    (("det-verify", "--k", "3", "--n", "-1", "--m", "1"), None,
+     "level counts must be non-negative"),
+    (("det-verify", "--k", "3", "--n", "2", "--m", "1"), "0 1 1\n1 0 1\n",
+     "is not a square matrix"),
+    (("det-converse", "--n", "2", "--m", "2"), "0 1\n1 0 1\n", "is not a square matrix"),
+    (("gauss-gap", "--snr-grid", "logspace:1:10", "--inr-grid", "1", "--k-list", "2"), None,
+     "bad logspace grid 'logspace:1:10'"),
+])
+def test_malformed_inputs_exit_2_naming_the_fault(capsys, tmp_path, argv, signs, message):
+    """A sign entry outside {-1, +1}, a negative level count, a sign file
+    that is not square or a logspace grid without its count is one error
+    line naming the fault, and exit 2."""
+    if signs is not None:
+        path = tmp_path / "signs.txt"
+        path.write_text(signs)
+        argv += ("--signs", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_sign_files_may_hold_blank_lines_and_padding(capsys, tmp_path):
+    signs = tmp_path / "signs.txt"
+    signs.write_text("\n  0 -1 1 \n\n1 0 -1\n\t1 -1 0\n\n")
+    assert run_cli(capsys, "det-converse", "--n", "2", "--m", "2", "--signs", str(signs)) == (
+        0, '{"n": 2, "m": 2, "k": 3, "rate": {"num": 2, "den": 3}}\n', "")
+
+
 def _criterion_grid_runs(_signs_dir):
     for k_users in (2, 3, 4, 5):
         for n in range(7):
@@ -529,8 +581,9 @@ def test_gauss_gap_reports_each_violation_on_stderr(capsys, monkeypatch):
 def test_gauss_gap_runs_the_kernel_once_and_c_tilde_once_per_point(capsys, monkeypatch):
     """One gauss-gap run is one `_closed_forms` pass over every K, and c_tilde's
     two log2 inputs are evaluated once per (SNR, INR) point, not once per K.
-    Per K, a negligible point takes one more log2, a weak point five (R0*,
-    R1* = R2* and three R0 caps) and a strong point one."""
+    Per K, a negligible point takes one more log2, a weak point two (R0* and
+    R1* = R2*; the R0 caps hold by algebra and are not computed) and a
+    strong point one."""
     calls, logged = [], []
     kernel, log2 = rates._closed_forms, rates._log2
 
@@ -548,7 +601,7 @@ def test_gauss_gap_runs_the_kernel_once_and_c_tilde_once_per_point(capsys, monke
     code, out, _ = run_cli(capsys, "gauss-gap", "--snr-grid", "logspace:1:1e6:8",
                            "--inr-grid", "logspace:1:1e6:8", "--k-list", ",".join(map(str, ks)))
     regimes = [line.split(",")[3] for line in out.splitlines()[1:]]
-    per_k = {"negligible": 1, "weak": 5, "strong": 1, "excluded": 0}
+    per_k = {"negligible": 1, "weak": 2, "strong": 1, "excluded": 0}
     assert {"negligible", "weak", "strong", "excluded"} <= set(regimes)
     assert (code, len(calls), len(regimes)) == (0, 1, 64 * len(ks))
     assert sum(logged) == 2 * 64 + sum(per_k[regime] for regime in regimes)
@@ -784,6 +837,44 @@ def test_binary64_overflow_names_the_square_and_the_point(capsys, argv):
     assert run_cli(capsys, *argv) == (2, "", (
         "error: a value is too large for binary64 floating point: "
         "(INR - SNR)^2 at SNR = 1, INR = 1e+200\n"))
+
+
+@pytest.mark.parametrize("argv,term,point", [
+    (("gauss-rates", "--snr", "1.5e308", "--inr", "7e307", "--k", "2"),
+     "1 + SNR + INR", "SNR = 1.5e+308, INR = 7e+307"),
+    (("gauss-gap", "--snr-grid", "1.5e308", "--inr-grid", "2,7e307", "--k-list", "2"),
+     "1 + SNR + INR", "SNR = 1.5e+308, INR = 7e+307"),
+    # the strong point's square is checked before the weak point's sum
+    (("gauss-gap", "--snr-grid", "1,1.5e308", "--inr-grid", "7e307,1e200", "--k-list", "2"),
+     "(INR - SNR)^2", "SNR = 1, INR = 1e+200"),
+    (("gauss-rates", "--snr", "1e308", "--inr", "1e288", "--k", str(2 * 10**20)),
+     f"{2 * 10**20} INR", "SNR = 1e+308, INR = 1e+288"),
+])
+def test_weak_overflow_names_the_term_and_the_point(capsys, argv, term, point):
+    """A weak point whose 1 + SNR + INR, or K INR, is beyond binary64 would
+    give c_tilde = inf or R1* = 0: one error line naming the term instead."""
+    assert run_cli(capsys, *argv) == (2, "", (
+        f"error: a value is too large for binary64 floating point: {term} at {point}\n"))
+
+
+@pytest.mark.parametrize("snr,inr,k", [(1e300, 1e270, 10**20), (1.2e308, 1e307, 2)])
+def test_weak_points_past_the_r0_cap_squares_are_evaluated(capsys, snr, inr, k):
+    """(sqrt(SNR) + (K-1) sqrt(INR))^2 is beyond binary64 at these weak
+    points, but the R0 cap it enters never binds and is not computed:
+    gauss-rates prints the scalar closed forms and exits 0."""
+    with pytest.raises(OverflowError):
+        (math.sqrt(snr) + (k - 1) * math.sqrt(inr)) ** 2
+    code, out, err = run_cli(capsys, "gauss-rates", "--snr", repr(snr), "--inr", repr(inr),
+                             "--k", str(k))
+    r0 = 0.5 * math.log2((inr - 1) / (8 * (k + 1)))
+    r12 = 0.5 * math.log2(1 + snr / (k * inr))
+    c_tilde = 0.25 * math.log2(1 + snr + inr) + 0.25 * math.log2(1 + snr / (1 + inr))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "snr": snr, "inr": inr, "k": k, "regime": "weak", "achievable": 0.5 * (r0 + 2 * r12),
+        "constraints_ok": True, "c_tilde": c_tilde,
+        "upper": c_tilde + (k - 1) / 4 + 0.5 * math.log2(k),
+    }
 
 
 @pytest.mark.parametrize("argv,subject", [

@@ -52,3 +52,23 @@ def test_readme_python_blocks_run():
     namespace = {}
     for n, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {n}", "exec"), namespace)
+
+
+def test_package_exposes_its_api_and_version():
+    """The names `import fcic` gives, beyond its submodules, and a version
+    that is the one pyproject.toml declares."""
+    pyproject = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert fcic.__version__ == re.search(r'^version = "(.+)"$', pyproject, flags=re.M)[1]
+    names = {n for n, v in vars(fcic).items()
+             if not n.startswith("_") and not isinstance(v, type(fcic))}
+    assert names == {
+        "DetParams", "Scheme", "Transcript", "apply_channel", "run_feedback_session",
+        "EffectiveChannelStats", "MCConfig", "NestedLattice1D", "make_lattice", "mod_lattice",
+        "simulate_strong_two_block", "sum_decode_check", "zero_forcing_signal_coef",
+        "SingularSystem", "is_prime",
+        "GapFact", "GaussParams", "RegimeMismatch", "SecrecyBound", "alpha_one_upper",
+        "det_converse", "gap_grid", "gap_report", "gauss_achievable", "gdof_fb", "gdof_nofb",
+        "gdof_slope_estimate", "secrecy_bound",
+        "AlignmentSolution", "NoSolution", "VerifyReport", "build_scheme", "moderate_scheme",
+        "qsym_solve", "select_prime", "verify_scheme",
+    }

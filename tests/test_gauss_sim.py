@@ -306,6 +306,29 @@ def test_mc_scaled_noise_exits_1_with_its_json(capsys, monkeypatch):
     assert all(" se=" in line and "estimate=" in line for line in failed)
 
 
+@pytest.mark.parametrize("gate,estimate", [
+    ("noise", {"noise_power_hat": 1.0}), ("signal", {"signal_power_hat": 0.0}),
+    ("tx", {"tx_power_hat": 2.0}),
+])
+def test_each_failed_gate_is_one_line(gate, estimate):
+    """Estimates on their predictions fail no gate; one estimate three
+    standard errors or more off its gate fails that gate alone, in one line."""
+    cfg = strong_cfg(block=2, trials=1)
+    noise, signal_lb = gauss_sim._predictions(cfg.params)
+    ok = EffectiveChannelStats(cfg, signal_power_hat=signal_lb, noise_power_hat=noise,
+                               signal_se=0.1, noise_se=0.1, tx_power_hat=1.0, tx_se=0.1)
+    assert ok.gate_failures() == []
+    failed = dataclasses.replace(ok, **estimate).gate_failures()
+    assert [line.split()[:3] for line in failed] == [["gate", "failed:", gate]]
+
+
+def test_mc_config_needs_a_positive_block_and_trial_count():
+    """Two negative counts multiply to enough samples; each is still
+    rejected on its own."""
+    with pytest.raises(ValueError, match="block_len and trials must be >= 1"):
+        strong_cfg(block=-1, trials=-2)
+
+
 def test_mc_overflow_raises_before_any_draw(capsys, monkeypatch):
     """(INR - SNR)^2 beyond binary64 is found before the first trial's
     stream is made: one error line, exit 2, and no trial drawn."""
@@ -458,6 +481,13 @@ def test_make_lattice_codebook():
     lat = make_lattice(1.0, 4)
     assert lat.codebook.tolist() == [-0.5, -0.25, 0.0, 0.25]
     assert np.diff(lat.codebook).tolist() == [0.25, 0.25, 0.25]
+
+
+def test_make_lattice_codebook_is_read_only():
+    """A lattice is a frozen value: its codebook cannot be written either."""
+    lat = make_lattice(1.0, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        lat.codebook[0] = 0.5
 
 
 def test_make_lattice_validation():

@@ -34,6 +34,14 @@ def test_matrix_requires_prime_modulus():
         GfMatrix([[1]], 6)
 
 
+def test_numpy_integer_moduli_are_checked_as_python_ints():
+    """An int64 p is bounded in Python ints, where (p - 1)^2 cannot wrap: the
+    prime 4294967291 is rejected as an int64 too, and the modulus kept is an int."""
+    with pytest.raises(ValueError, match="too large for int64 arithmetic"):
+        GfMatrix([[1]], np.int64(4294967291))
+    assert type(GfMatrix([[1]], np.int64(5)).p) is int
+
+
 def test_entries_canonicalised():
     m = GfMatrix([[7, -1], [5, 12]], 5)
     assert m.data.tolist() == [[2, 4], [0, 2]]

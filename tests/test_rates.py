@@ -206,6 +206,17 @@ def test_gdof_nofb_continuous_off_alpha_one():
             assert abs(left - right) < 1e-9
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: gdof_fb(-0.5), "alpha must be >= 0, got -0.5"),
+    (lambda: gdof_nofb(-0.5, 3), "alpha must be >= 0, got -0.5"),
+    (lambda: alpha_one_upper(0.0, 3), "snr must be positive, got 0.0"),
+    (lambda: alpha_one_upper(1.0, 1), "need k >= 2, got 1"),
+], ids=["gdof_fb", "gdof_nofb", "alpha_one_upper-snr", "alpha_one_upper-k"])
+def test_curves_reject_arguments_off_their_domain(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_feedback_never_hurts():
     for k in (2, 3, 5, 9):
         for a in np.linspace(0, 3, 301):
@@ -265,10 +276,22 @@ def test_achievable_negligible_point():
 def test_weak_rate_split_satisfies_all_constraints():
     """Re-derive the five decodability constraints of the weak-regime scheme
     longhand and confirm the chosen split (R0*, R1*, R2*) obeys every one,
-    across the whole regime (so constraints_ok is never False there)."""
+    across the whole regime up to K = 10^20 and on its INR = SNR/2 edge (so
+    constraints_ok is never False there).  INR - 1 is common to R0* and its
+    three caps, so their slacks are closed forms: 1.5 bits,
+    (1/2) log2(8(K+1)(sqrt(SNR) + (K-1) sqrt(INR))^2 / (SNR + K INR)) >=
+    (1/2) log2(16(K+1)/(K+2)) >= (1/2) log2 12, and
+    (1/2) log2(8(K+1)(sqrt(SNR) - sqrt(INR))^2 / (SNR + K INR)) >=
+    (1/2) log2(16(K+1)(3/2 - sqrt 2)/(K+2)) >= (1/2) log2(12(3/2 - sqrt 2))
+    = 0.0209 bits.  The third's bound in K is met on the INR = SNR/2 edge,
+    and at K = 2 it is the 0.0209.  So no cap binds, and the kernel
+    computes none of the three."""
+    bound2, bound3 = 0.5 * math.log2(12), 0.5 * math.log2(12 * (1.5 - math.sqrt(2)))
+    assert round(bound3, 4) == 0.0209
+    smallest3 = math.inf
     for s in np.geomspace(4, 1e9, 12):
-        for i in np.geomspace(2, float(s) / 2, 10):
-            for k in (2, 3, 5, 8):
+        for i in [*np.geomspace(2, float(s) / 2, 9)[:-1], float(s) / 2]:
+            for k in (2, 3, 5, 8, 1000, 10**20):
                 s_, i_ = float(s), float(i)
                 r0_star = 0.5 * math.log2((i_ - 1) / (8 * (k + 1)))
                 r12_star = 0.5 * math.log2(1 + s_ / (k * i_))
@@ -282,7 +305,14 @@ def test_weak_rate_split_satisfies_all_constraints():
                         (i_ - 1) * (math.sqrt(s_) - math.sqrt(i_)) ** 2 / (s_ + k * i_)
                     ),
                 ]
-                assert all(r0_star <= cap + RATE_TOL for cap in caps), (s_, i_, k)
+                slack1, slack2, slack3 = (cap - r0_star for cap in caps)
+                assert slack1 == pytest.approx(1.5, abs=1e-12), (s_, i_, k)
+                assert slack2 >= 0.5 * math.log2(16 * (k + 1) / (k + 2)) - 1e-12 >= bound2 - 2e-12
+                edge3 = 0.5 * math.log2(16 * (k + 1) * (1.5 - math.sqrt(2)) / (k + 2))
+                assert slack3 >= edge3 - 1e-12 >= bound3 - 2e-12, (s_, i_, k)
+                if i_ == s_ / 2:
+                    assert slack3 == pytest.approx(edge3, abs=1e-12), (s_, k)
+                smallest3 = min(smallest3, slack3)
                 assert r12_star <= 0.5 * math.log2(1 + s_ / (k * i_)) + RATE_TOL
                 ach = gauss_achievable(GaussParams(snr=s_, inr=i_, k=k))
                 assert ach.regime == "weak"
@@ -290,6 +320,7 @@ def test_weak_rate_split_satisfies_all_constraints():
                 assert ach.achievable == pytest.approx(
                     0.5 * (r0_star + 2 * r12_star), abs=1e-12
                 )
+    assert smallest3 == pytest.approx(bound3, abs=1e-12)
 
 
 def test_achievable_excluded_band():
@@ -465,6 +496,11 @@ def test_results_store_only_what_they_cannot_derive():
 def test_gap_grid_rejects_what_gauss_params_rejects(snrs, inrs, k):
     with pytest.raises(ValueError):
         gap_grid(snrs, inrs, [k])
+
+
+def test_gap_report_takes_any_iterable_of_points():
+    points = [GaussParams(1e4, 1e2, 3), GaussParams(1.0, 10.0, 2), GaussParams(1e4, 1e2, 2)]
+    assert gap_report(iter(points)) == gap_report(tuple(points)) == gap_report(points)
 
 
 def test_gap_constants():

@@ -284,6 +284,13 @@ def test_alignment_identity_manual_point():
         )
 
 
+@pytest.mark.parametrize("name", ["a", "b", "v"])
+def test_alignment_solution_needs_one_entry_per_user(name):
+    vectors = {"a": (0, 0, 0), "b": (1, 1, 1), "v": (1, 1, 1), name: (1, 1)}
+    with pytest.raises(ValueError, match=f"^{name} must have 3 entries$"):
+        AlignmentSolution(**vectors, p=5, signs=all_ones_lambda())
+
+
 def test_qsym_solve_mixed_sign_matrix():
     sol = qsym_solve(SINGULAR_LAMBDA, "weak", 5)
     assert all(b != 0 for b in sol.b)
@@ -400,18 +407,27 @@ def test_qsym_solve_matches_reference_enumeration(monkeypatch):
 def test_qsym_solve_capped_search_matches_reference(monkeypatch):
     """With the cap and the slice below the candidate count, the search
     walks the largest radix r with r**dim <= ENUM_CAP, a partial last slice
-    included, and reports r**dim candidates: at ENUM_CAP 10 over GF(3), the
-    32 K = 3 matrices with a 3-dimensional space, where no user's weak or
-    strong condition vanishes, walk 2**3 = 8 = 3 + 3 + 2 candidates."""
-    monkeypatch.setattr(schemes, "ENUM_CAP", 10)
+    included, and reports r**dim candidates: at ENUM_CAP 10 or 20 over
+    GF(3), the 32 K = 3 matrices with a 3-dimensional space, where no user's
+    weak or strong condition vanishes, walk 2**3 = 8 = 3 + 3 + 2 candidates.
+    At 20 the rounded cube root is 3, and 3**3 = 27 > 20 takes it down to 2."""
     monkeypatch.setattr(schemes, "_SLICE", 3)
-    for regime in ("weak", "strong"):
-        walked = 0
-        for lam in all_sign_matrices_k3():
-            got = _solve_outcome(lam, regime, 3)
-            assert got == _reference_qsym_solve(lam, regime, 3, 10)
-            walked += "after 8 candidates" in got
-        assert walked == 32
+    for cap in (10, 20):
+        monkeypatch.setattr(schemes, "ENUM_CAP", cap)
+        for regime in ("weak", "strong"):
+            walked = 0
+            for lam in all_sign_matrices_k3():
+                got = _solve_outcome(lam, regime, 3)
+                assert got == _reference_qsym_solve(lam, regime, 3, cap)
+                walked += "after 8 candidates" in got
+            assert walked == 32
+
+
+def test_qsym_solve_rejects_an_unknown_regime():
+    """The regime names the Delta condition to search for; any other name
+    is a ValueError before the search."""
+    with pytest.raises(ValueError, match="unknown regime 'moderately'"):
+        qsym_solve(all_ones_lambda(), "moderately", 5)
 
 
 def test_qsym_walk_is_the_whole_space_for_k3():
