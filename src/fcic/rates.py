@@ -240,14 +240,15 @@ def _log2(x: np.ndarray) -> np.ndarray:
 
 
 def _square_overflow(term: str, snr: float, inr: float) -> OverflowError:
-    """The error for a term beyond binary64 (a square, or a weak point's
-    1 + SNR + INR or K INR), naming it and its point."""
+    """The error for a term beyond binary64 ((INR - SNR)^2, 1 + SNR + INR
+    or K INR), naming it and its point."""
     return OverflowError(f"{term} at SNR = {snr:.12g}, INR = {inr:.12g}")
 
 
 def _finite(x: np.ndarray, term: str, s: np.ndarray, i: np.ndarray) -> np.ndarray:
     """x, unless an element overflowed to inf: then OverflowError naming
-    `term` and the first such point (s, i)."""
+    `term` and the first such point (s, i).  The kernel's one overflow
+    check: every term that can leave binary64 passes through it."""
     beyond = np.flatnonzero(np.isinf(x)).tolist()
     if beyond:
         raise _square_overflow(term, float(s[beyond[0]]), float(i[beyond[0]]))
@@ -255,18 +256,13 @@ def _finite(x: np.ndarray, term: str, s: np.ndarray, i: np.ndarray) -> np.ndarra
 
 
 def _square(x: np.ndarray, term: str, s: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """x ** 2 in Python floats; an element beyond binary64 raises
-    OverflowError naming `term` and the first such point (s, i)."""
-    values = x.tolist()
-    try:
-        return np.fromiter((v ** 2 for v in values), dtype=float, count=x.size)
-    except OverflowError:
-        for v, snr, inr in zip(values, s.tolist(), i.tolist()):
-            try:
-                v ** 2
-            except OverflowError:
-                raise _square_overflow(term, snr, inr) from None
-        raise
+    """x ** 2 in Python floats, checked by `_finite`.  Python's `v ** 2`
+    raises OverflowError exactly where |v| >= 2^512, so those elements
+    square as inf instead, and `_finite` names `term` and the first such
+    point (s, i)."""
+    values = np.where(np.abs(x) < 2.0 ** 512, x, math.inf).tolist()
+    return _finite(np.fromiter((v ** 2 for v in values), dtype=float, count=x.size),
+                   term, s, i)
 
 
 def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
@@ -278,6 +274,12 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
     computed per K.  Each K stays a Python int: each K-dependent factor is
     the Python float of its exact integer value, as scalar arithmetic would
     convert it, so any K the scalar formulas accept gives the same bits.
+
+    A point whose (INR - SNR)^2 (strong), 1 + SNR + INR (any regime, the
+    excluded band included) or K INR (weak) leaves binary64 raises
+    OverflowError through `_finite`, naming the term and the first such
+    point, in that order of terms; a strong point's sum cannot overflow
+    before its square, nor a negligible point's sum at all.
 
     The weak rate split meets three of its five decodability constraints,
     the caps on R0* = (1/2) log2((INR - 1)/(8(K + 1))), by algebra: with
@@ -292,18 +294,16 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
     RATE_TOL large enough for a cap to fire fails it first.
     """
     with np.errstate(all="ignore"):  # inf and NaN propagate as in Python floats
-        total = 1 + s + i
-        c_tilde = 0.25 * _log2(total) + 0.25 * _log2(1 + s / (1 + i))
         neg = i < 2
         weak = ~neg & (i <= s / 2)
         strong = ~neg & ~weak & (i >= 2 * np.maximum(s, 1.0))
         sn, in_ = s[neg], i[neg]
         sw, iw = s[weak], i[weak]
-        ss, is_, ts = s[strong], i[strong], total[strong]
+        ss, is_ = s[strong], i[strong]
         strong_sq = _square(is_ - ss, "(INR - SNR)^2", ss, is_)
-        # an infinite c_tilde would fail a weak point's gap checks falsely (a
-        # strong point's square overflows first, a negligible total cannot)
-        tw = _finite(total[weak], "1 + SNR + INR", sw, iw)
+        total = _finite(1 + s + i, "1 + SNR + INR", s, i)
+        c_tilde = 0.25 * _log2(total) + 0.25 * _log2(1 + s / (1 + i))
+        ts, tw = total[strong], total[weak]
         rate = np.full((len(ks), s.size), math.nan)
         upper = np.empty((len(ks), s.size))
         bad = np.zeros((len(ks), len(_VIOLATIONS), s.size), dtype=bool)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -429,7 +430,7 @@ class VerifyReport:
     `declared_rate` is its message symbols per block, so a report cannot
     declare a rate its replayed session did not carry.  `converse_rate` is
     `det_converse`'s at those params, None where no converse is
-    established."""
+    established, computed once per report."""
 
     trials: int
     successes: int
@@ -443,7 +444,7 @@ class VerifyReport:
     def declared_rate(self) -> Fraction:
         return Fraction(self.transcript.messages_in.shape[-1], len(self.transcript.blocks))
 
-    @property
+    @cached_property
     def converse_rate(self) -> Fraction | None:
         params = self.params
         return det_converse(params.n, params.m, params.K, params.signs)
@@ -458,14 +459,13 @@ class VerifyReport:
         return None if self.converse_rate is None else self.declared_rate == self.converse_rate
 
     def to_json_dict(self) -> dict:
-        converse = self.converse_rate  # one det_converse call for both keys
         return {
             "params": self.params.to_json_dict(),
             "declared_rate": rate_json(self.declared_rate),
             "trials": self.trials,
             "successes": self.successes,
-            "converse_rate": rate_json(converse),
-            "matches_converse": None if converse is None else self.declared_rate == converse,
+            "converse_rate": rate_json(self.converse_rate),
+            "matches_converse": self.matches_converse,
         }
 
 

@@ -461,8 +461,11 @@ def test_replay_is_exact_on_both_sides_of_the_binary64_bound():
 def test_replay_is_exact_on_both_sides_of_the_binary32_bound(monkeypatch, signs):
     """K = 3, n = 3, m = 1 (longest dot product 8), symmetric and signed, at
     the largest prime below its binary32 bound, where every channel use runs
-    in float32, and at the next prime, where it runs in float64.  Messages
-    of all p - 1 put the encoder sums at their largest."""
+    in float32, and at the next prime, where it runs in float64.  Then at
+    p = 257 the bound itself: n = 100, m = 44 has dot length 256, so its
+    reach 256 (p - 1)^2 is 2^24 exactly and it runs in float64, while
+    m = 45 (dot length 255) stays in float32.  Messages of all p - 1 put
+    the encoder sums at their largest."""
     uses = []
 
     def recording(params, x):
@@ -473,8 +476,12 @@ def test_replay_is_exact_on_both_sides_of_the_binary32_bound(monkeypatch, signs)
     rng = np.random.default_rng(14)
     primes = _bound_primes(build_scheme(3, 3, 1, p=5), 2**24)
     assert primes == (1447, 1451)
-    for p, dtype in zip(primes, (np.float32, np.float64)):
-        scheme = build_scheme(3, 3, 1, p=p, signs=signs)
+    for n, m, p, dots, dtype in ((3, 1, primes[0], 8, np.float32),
+                                 (3, 1, primes[1], 8, np.float64),
+                                 (100, 45, 257, 255, np.float32),
+                                 (100, 44, 257, 256, np.float64)):
+        scheme = build_scheme(3, n, m, p=p, signs=signs)
+        assert scheme.dot_length == dots
         assert scheme.name == ("weak" if signs is None else "qsym")
         msgs = rng.integers(0, p, size=(4, 3, scheme.msg_symbols))
         msgs[0] = p - 1

@@ -857,6 +857,36 @@ def test_weak_overflow_names_the_term_and_the_point(capsys, argv, term, point):
         f"error: a value is too large for binary64 floating point: {term} at {point}\n"))
 
 
+@pytest.mark.parametrize("argv", [
+    ("gauss-gap", "--snr-grid", "1.7e308", "--inr-grid", "1e308", "--k-list", "2"),
+    ("gauss-rates", "--snr", "1.7e308", "--inr", "1e308", "--k", "2"),
+])
+def test_excluded_overflow_names_the_sum_and_the_point(capsys, argv):
+    """An excluded point carries no claim, yet with 1 + SNR + INR beyond
+    binary64 its c_tilde and upper bound would be inf: the sum is checked
+    at every point, before gauss-rates reads the regime (exit 4)."""
+    assert run_cli(capsys, *argv) == (2, "", (
+        "error: a value is too large for binary64 floating point: "
+        "1 + SNR + INR at SNR = 1.7e+308, INR = 1e+308\n"))
+
+
+@pytest.mark.parametrize("inr,code", [
+    ("1.3407807929942596e+154", 0),
+    ("1.3407807929942597e+154", 2),
+])
+def test_the_strong_square_leaves_binary64_at_2_to_the_512(capsys, inr, code):
+    """At SNR = 1, INR - SNR rounds to INR here: the largest float below
+    2^512 squares to a finite value and 2^512 itself does not."""
+    assert float(inr) == (math.nextafter(2.0 ** 512, 0) if code == 0 else 2.0 ** 512)
+    got, out, err = run_cli(capsys, "gauss-rates", "--snr", "1", "--inr", inr, "--k", "2")
+    assert got == code
+    if code == 0:
+        assert (json.loads(out)["regime"], err) == ("strong", "")
+    else:
+        assert (out, err) == ("", "error: a value is too large for binary64 floating point: "
+                                  "(INR - SNR)^2 at SNR = 1, INR = 1.34078079299e+154\n")
+
+
 @pytest.mark.parametrize("snr,inr,k", [(1e300, 1e270, 10**20), (1.2e308, 1e307, 2)])
 def test_weak_points_past_the_r0_cap_squares_are_evaluated(capsys, snr, inr, k):
     """(sqrt(SNR) + (K-1) sqrt(INR))^2 is beyond binary64 at these weak

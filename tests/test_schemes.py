@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -17,7 +18,7 @@ from fcic import schemes
 from fcic.channel import DetParams, run_feedback_session
 from fcic.cli import main
 from fcic.gf import GfMatrix, SingularSystem, is_prime, nullspace
-from fcic.rates import RegimeMismatch, det_converse, int_det
+from fcic.rates import RegimeMismatch, det_converse, int_det, lambda_plus_i_singular
 from fcic.schemes import (
     PRIME_SCAN,
     AlignmentSolution,
@@ -854,6 +855,51 @@ def test_build_outcome_and_converse_are_constant_on_k4_orbits():
         None, Fraction(3, 2), Fraction(1), Fraction(1, 2)}
 
 
+def _k4_orbits():
+    """The 4096 K = 4 sign matrices split by relabelling the users and by
+    Lambda -> D Lambda D: {representative: orbit size}.  A matrix is coded
+    by its 12 off-diagonal signs as bits (1 for -1); each map permutes the
+    bits and flips some, and an orbit's representative has its least code."""
+    pos = [(r, c) for r in range(4) for c in range(4) if r != c]
+    codes = np.arange(2 ** len(pos))
+    bits = codes[:, None] >> np.arange(len(pos)) & 1
+    least = codes.copy()
+    for perm in itertools.permutations(range(4)):
+        moved = bits[:, [pos.index((perm[r], perm[c])) for r, c in pos]]
+        for d in itertools.product((0, 1), repeat=4):
+            image = (moved ^ [d[r] ^ d[c] for r, c in pos]) @ (1 << np.arange(len(pos)))
+            np.minimum(least, image, out=least)
+    reps, sizes = np.unique(least, return_counts=True)
+    return {tuple(tuple(0 if r == c else 1 - 2 * (code >> pos.index((r, c)) & 1)
+                        for c in range(4)) for r in range(4)): size
+            for code, size in zip(reps.tolist(), sizes.tolist())}
+
+
+def test_k4_census_of_the_primes_that_align():
+    """Every K = 4 sign matrix, through its orbit's representative, solved
+    at each prime of `PRIME_SCAN` in each regime: the number of matrices
+    per set of aligning primes (and, at m = n, per Lambda + I singular or
+    not).  The weak 1536 align over GF(2) only, the strong 128 at every
+    prime but GF(3), and of the 1392 m = n matrices with Lambda + I
+    nonsingular, 160 at every prime but GF(2) and 1232 at none."""
+    orbits = _k4_orbits()
+    assert (len(orbits), sum(orbits.values())) == (38, 4096)
+    every = frozenset(PRIME_SCAN)
+    census = collections.Counter()
+    for lam, size in orbits.items():
+        for regime in ("weak", "strong", "moderate"):
+            aligned = frozenset(p for p in PRIME_SCAN
+                                if not isinstance(_solve_outcome(lam, regime, p), str))
+            singular = regime == "moderate" and lambda_plus_i_singular(lam)
+            census[regime, singular, aligned] += size
+    assert census == {
+        ("weak", False, every): 2560, ("weak", False, frozenset({2})): 1536,
+        ("strong", False, every): 3968, ("strong", False, every - {3}): 128,
+        ("moderate", True, frozenset()): 2704,
+        ("moderate", False, every - {2}): 160, ("moderate", False, frozenset()): 1232,
+    }
+
+
 # ---------------------------------------------------------------------------
 # construction dispatch, prime selection, verification
 # ---------------------------------------------------------------------------
@@ -1370,6 +1416,27 @@ def test_verify_report_json_keys():
     assert doc["declared_rate"] == {"num": 3, "den": 2}
     assert doc["converse_rate"] == {"num": 3, "den": 2}
     assert doc["matches_converse"] is True
+
+
+def test_verify_report_reads_its_converse_once(monkeypatch):
+    """`matches_converse`, `converse_rate` and `to_json_dict` all read one
+    `det_converse` call per report, on a signed m = n report too."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return det_converse(*args)
+
+    monkeypatch.setattr(schemes, "det_converse", counted)
+    for scheme, converse in ((build_scheme(3, 1, 3, p=5), Fraction(3, 2)),
+                             (build_scheme(3, 2, 2, p=5, signs=((0, 1, 1), (1, 0, -1),
+                                                                (1, -1, 0))), Fraction(1))):
+        report = verify_scheme(scheme.params, scheme, 3, seed=19)
+        calls.clear()
+        assert report.matches_converse is True
+        assert report.converse_rate == converse
+        assert report.to_json_dict()["matches_converse"] is True
+        assert len(calls) == 1
 
 
 def test_verify_scheme_is_seeded_and_reproducible():
