@@ -99,8 +99,9 @@ class DetParams:
         """K x K signed cross-link matrix, all-ones off the diagonal when
         symmetric: built on first use, once, and read-only."""
         if self.signs is None:
-            lam = np.ones((self.K, self.K), dtype=np.int64)
-            np.fill_diagonal(lam, 0)
+            lam = np.empty((self.K, self.K), dtype=np.int64)
+            lam.fill(1)
+            lam.flat[::self.K + 1] = 0  # the diagonal
         else:
             lam = np.array(self.signs, dtype=np.int64)
         lam.flags.writeable = False
@@ -201,7 +202,10 @@ class Scheme:
     L and T are read off the maps (block 0's columns, the number of
     blocks), and so is the rate L/T: a scheme cannot declare a rate its
     maps do not carry.  Maps must be int64 residues in [0, p) and are not
-    copied, so a map shared by every user can be one broadcast array.
+    copied, so a map shared by every user can be one (rows, cols) array
+    viewed with a zero stride on the user axis (read-only, as a write
+    through one user's map would change every user's); the replay and the
+    residue check read such a map's base once.
     Their shapes are checked, so an encoder cannot see an output it does
     not causally have.
     """

@@ -143,6 +143,7 @@ def nullspace(m: GfMatrix) -> np.ndarray:
     red, pivots, _ = m._echelon()
     cols = m.data.shape[1]
     free = [c for c in range(cols) if c not in pivots]
-    basis = np.eye(cols, dtype=np.int64)[free]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[range(len(free)), free] = 1
     basis[:, pivots] = -red[:len(pivots), free].T % m.p
     return basis

@@ -303,7 +303,8 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
         strong_sq = _square(is_ - ss, "(INR - SNR)^2", ss, is_)
         total = _finite(1 + s + i, "1 + SNR + INR", s, i)
         c_tilde = 0.25 * _log2(total) + 0.25 * _log2(1 + s / (1 + i))
-        ts, tw = total[strong], total[weak]
+        ts = total[strong]
+        weak_snr_term = sw * (iw - 2)  # >= 0: weak points have INR >= 2
         rate = np.full((len(ks), s.size), math.nan)
         upper = np.empty((len(ks), s.size))
         bad = np.zeros((len(ks), len(_VIOLATIONS), s.size), dtype=bool)
@@ -326,8 +327,14 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
             gap_const = np.where(neg, negligible_gap_constant(k), weak_gap_constant(k))
             flags[0] = r < c_tilde - gap_const - RATE_TOL
             flags[1] = r > upper[row] + RATE_TOL
-            # (INR-1)/(8(K+1)) (1 + SNR/(K INR)) >= (1 + SNR + INR)/(16 K (K+1))
-            flags[2, weak] = r0_arg * r12_arg < tw / float(16 * k * (k + 1)) - RATE_TOL
+            # (INR-1)/(8(K+1)) (1 + SNR/(K INR)) >= (1 + SNR + INR)/(16 K (K+1)),
+            # compared as LHS - RHS = [INR ((2K-1) INR - (2K+1)) + SNR (INR - 2)]
+            # / (16 K (K+1) INR), two terms >= 0 on weak points: the sides can
+            # differ by less than their rounding (by (2K-3)/(16 K (K+1)) at
+            # INR = 2, where each is ~SNR/(16 K (K+1)))
+            slack = ((iw * (float(2 * k - 1) * iw - float(2 * k + 1)) + weak_snr_term)
+                     / (float(16 * k * (k + 1)) * iw))
+            flags[2, weak] = slack < -RATE_TOL
             flags[3, weak] = ~(r12 <= r12 + RATE_TOL)  # R1* = R2* at their cap
             # 1 + (INR-SNR)^2/(K (K INR + 1)) >= (1 + SNR + INR)/(8 K^2); the
             # strong regime has INR >= 2 max(SNR, 1) >= 2 SNR

@@ -9,18 +9,20 @@ Lambda A + Lambda B Lambda = U + V Lambda.  The fully symmetric channel is
 the all-ones Lambda, which aligns at the closed-form point
 (A, B, U, V) = (0, 1, K-1, K-2) because Lambda^2 = (K-1) I + (K-2) Lambda;
 signed channels get their point from the solver `qsym_solve`, which walks
-nullspace coordinates in array slices against the K linear forms of
-Delta's constant term.  At m = n, `build_scheme` asks `rates` once,
-before any prime, whether Lambda + I is singular (always, for the
-symmetric channel); if so it uses n/K time sharing instead.  Its prime
-scan only aligns, and a failed m = n scan falls back to time sharing
-only where `rates.det_converse` establishes no converse.
+nullspace coordinates in array slices, one coordinate table and one
+product with the K linear forms of Delta's constant term per slice.  At
+m = n, `build_scheme` asks `rates` once, before any prime, whether
+Lambda + I is singular (always, for the symmetric channel); if so it uses
+n/K time sharing instead.  Its prime scan only aligns, and a failed m = n
+scan falls back to time sharing only where `rates.det_converse`
+establishes no converse.
 
 Every scheme is written out as explicit GF(p) encoder and decoder maps (see
-`Scheme`).  The builder inverts each distinct decode matrix once at build
-time, in closed form: its blocks are polynomials in one shift, so
-`_decode_inverse` reads the inverse off a power series, with no
-elimination; it and the solver test one condition, the constant term of
+`Scheme`); a map every user shares is one read-only zero-stride view of a
+single (rows, cols) array.  The builder inverts each distinct decode
+matrix once at build time, in closed form: its blocks are polynomials in
+one shift, so `_decode_inverse` reads the inverse off a power series, with
+no elimination; it and the solver test one condition, the constant term of
 `two_block_delta`, the only evidence of infeasibility: SingularSystem and
 its subclass NoSolution name the user whose term is 0 mod p (for
 NoSolution, on the whole solution space, or else the candidates searched).
@@ -31,6 +33,12 @@ when K is odd.  `verify_scheme` replays its trials through
 `run_feedback_session` in batches of at most `_CHUNK` sessions, so its
 memory does not grow with the trial count; its report judges the rate
 that its kept session carries against `rates.det_converse`.
+
+Each of these runs once or more per build or replay, so the module calls
+no module-level numpy function written in Python (`np.broadcast_to`,
+`np.stack`, `np.split`, `np.eye`, `np.diag`, `np.flatnonzero`, ...): on
+arrays this small each costs microseconds of interpreter work, where the
+ndarray constructor, a method, a slice or one ufunc does the same in C.
 """
 
 from __future__ import annotations
@@ -87,17 +95,15 @@ def moderate_scheme(params: DetParams) -> Scheme:
     K, n, m = params.K, params.n, params.m
     if m != n:
         raise RegimeMismatch(f"time sharing applies at m = n, got n={n}, m={m}")
+    lvl = range(n)
     encoders = []
     for t in range(K):  # block t: user t sends its message, everyone else is silent
         enc = np.zeros((K, n, (t + 1) * n), dtype=np.int64)
-        enc[t, :, :n] = np.eye(n, dtype=np.int64)
+        enc[t, lvl, lvl] = 1
         encoders.append(enc)
-    return Scheme(
-        params=params,
-        encoders=tuple(encoders),
-        decoders=np.eye(K * n, dtype=np.int64).reshape(K, n, K * n),  # user k reads block k
-        name="moderate",
-    )
+    decoders = np.zeros((K, n, K * n), dtype=np.int64)
+    decoders.reshape(K * n, K * n).flat[::K * n + 1] = 1  # user k reads block k
+    return Scheme(params=params, encoders=tuple(encoders), decoders=decoders, name="moderate")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +118,8 @@ class AlignmentSolution:
 
     U is not stored: `u` reads it off B as the identity's diagonal,
     U_k = sum_j lambda_kj B_j lambda_jk.  The identity is re-checked
-    entrywise by direct matrix arithmetic at construction; with U derived
+    entrywise at construction, each diagonal factor applied by broadcasting
+    (Lambda A scales Lambda's columns, V Lambda its rows); with U derived
     its diagonal holds by construction, and its off-diagonal entries reject
     a wrong A, B or V.
     """
@@ -129,10 +136,11 @@ class AlignmentSolution:
         for name, vec in (("a", self.a), ("b", self.b), ("v", self.v)):
             if len(vec) != k:
                 raise ValueError(f"{name} must have {k} entries")
-        p = self.p
-        lhs = (lam @ np.diag(self.a) + lam @ np.diag(self.b) @ lam) % p
-        rhs = (np.diag(self.u) + np.diag(self.v) @ lam) % p
-        if not (lhs == rhs).all():
+        a, b, v = (np.array(vec, dtype=np.int64) for vec in (self.a, self.b, self.v))
+        # Lambda A + Lambda B Lambda - V Lambda - U, each diagonal factor broadcast
+        residual = lam * a + (lam * b) @ lam - v[:, None] * lam
+        residual.flat[::k + 1] -= self.u
+        if (residual % self.p).any():
             raise ValueError("alignment identity Lambda A + Lambda B Lambda = U + V Lambda fails")
 
     @property
@@ -157,7 +165,9 @@ def qsym_constraint_matrix(signs, p: int) -> GfMatrix:
     """
     lam = np.asarray(signs, dtype=np.int64)
     k_users = lam.shape[0]
-    ks, cs = np.nonzero(~np.eye(k_users, dtype=bool))  # row (k, i), k-major
+    diag = np.zeros((k_users, k_users), dtype=bool)
+    diag.flat[::k_users + 1] = True
+    ks, cs = (~diag).nonzero()  # row (k, i), k-major
     rows = np.arange(ks.size)
     mat = np.zeros((ks.size, 3 * k_users), dtype=np.int64)
     mat[rows, cs] = lam[ks, cs]
@@ -204,10 +214,15 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     only `forms`, `_SLICE` candidates per array slice, over an r**dim grid:
     coordinates take the first r of 1, ..., p-1, 0 (non-degenerate points
     first) in lexicographic order, r the largest radix <= p with r**dim <=
-    `ENUM_CAP` (r = p whenever p**dim <= `ENUM_CAP`).  The first candidate
-    meeting the condition wins, mapped through the (A, B, V) basis in Python
-    ints (`AlignmentSolution` reads its U off B); else the search reports
-    the r**dim candidates and per-user failures.
+    `ENUM_CAP` (r = p whenever p**dim <= `ENUM_CAP`).  A slice is one
+    (candidates, dim) table of coordinates, decided by one product
+    `coords @ forms % p`, exact in int64: each coordinate is at most r and
+    each form entry at most p - 1, so a sum is at most dim r (p - 1), with
+    r**dim <= `ENUM_CAP` and p < 2^32 (`DetParams` and `GfMatrix` reject
+    larger p).  The first candidate meeting the condition wins, its row
+    of the table mapped through the (A, B, V) basis in Python ints
+    (`AlignmentSolution` reads its U off B); else the search reports the
+    r**dim candidates and per-user failures.
     """
     if regime not in _REGIME_SIGN:
         raise ValueError(f"unknown regime {regime!r}")
@@ -218,10 +233,10 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     signs = _validate_signs(lam, k_users)
     abv = nullspace(qsym_constraint_matrix(lam, p))
     dim = len(abv)
-    a_rows, b_rows, v_rows = np.split(abv, 3, axis=1)
+    a_rows, b_rows, v_rows = abv[:, :k_users], abv[:, k_users:2 * k_users], abv[:, 2 * k_users:]
     sign = _REGIME_SIGN[regime]
     forms = two_block_delta(sign, a_rows, b_rows, b_rows @ (lam * lam.T) % p, v_rows, p)[0]
-    dead = np.flatnonzero(~forms.any(axis=0))  # users whose condition is 0 everywhere
+    dead = (~forms.any(axis=0)).nonzero()[0]  # users whose condition is 0 everywhere
     if dead.size:
         raise NoSolution(f"no {regime}-regime alignment point over GF({p}): user {dead[0]}'s "
                          f"Delta constant term {_DELTA_TERM[sign]} is 0 on the whole "
@@ -232,22 +247,21 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
         radix -= radix**dim > ENUM_CAP
     fail_counts = np.zeros(k_users, dtype=np.int64)
     checked = radix**dim
+    place = np.array([radix**j for j in range(dim - 1, -1, -1)], dtype=np.int64)
     for start in range(0, checked, _SLICE):
         idx = np.arange(start, min(start + _SLICE, checked), dtype=np.int64)
-        conds = np.zeros((idx.size, k_users), dtype=np.int64)
-        for form in forms[::-1]:  # the last coordinate varies fastest
-            idx, digit = np.divmod(idx, radix)
-            conds = (conds + ((digit + 1) % p)[:, None] * form) % p  # digit d -> value (d+1) mod p
-        fails = conds == 0
-        passing = np.flatnonzero(~fails.any(axis=1))
+        coords = idx[:, None] // place % radix  # the last coordinate varies fastest
+        coords += 1
+        coords %= p  # digit d -> value (d+1) mod p
+        fails = coords @ forms % p == 0
+        passing = (~fails.any(axis=1)).nonzero()[0]
         if passing.size:  # the winner's coordinates, mapped in Python ints
-            digits = np.unravel_index(start + int(passing[0]), (radix,) * dim)
-            coords = [(int(d) + 1) % p for d in digits]
+            coords = coords[passing[0]].tolist()
             x = [sum(map(operator.mul, coords, col)) % p for col in zip(*abv.tolist())]
             point = (tuple(x[j:j + k_users]) for j in range(0, 3 * k_users, k_users))
             return AlignmentSolution(*point, p=p, signs=signs)
         fail_counts += np.bincount(fails.argmax(axis=1), minlength=k_users)
-    worst = int(np.argmax(fail_counts))
+    worst = int(fail_counts.argmax())
     raise NoSolution(
         f"no {regime}-regime alignment point over GF({p}) after {checked} candidates; "
         f"the {regime} condition failed most often at user {worst} "
@@ -313,8 +327,8 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
     own diagonal, B_k where R adds and -B_k mod p where it subtracts.  Each
     distinct tuple's decode matrix is inverted once, in closed form by
     `_decode_inverse`, and its rows that yield the user's own symbols are
-    the decoder; when every user shares one tuple, the maps stay single
-    broadcast arrays.
+    the decoder.  Block 1's map, and the other two when every user shares
+    one tuple, are each one array that every user reads (see `_user_maps`).
     """
     K, n, m, q, p = params.K, params.n, params.m, params.q, params.p
     L = 2 * n - m if n > m else q  # message symbols
@@ -350,11 +364,21 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
         second[:, lvl[m - n:], lvl[:n]] = minus_b
     return Scheme(
         params=params,
-        encoders=(np.broadcast_to(first, (K, q, L)),
-                  np.broadcast_to(second, (K, q, L + q))),
-        decoders=np.broadcast_to(np.stack([inverses[c] for c in coeffs]), (K, L, 2 * q)),
+        encoders=(_user_maps(first[None], K), _user_maps(second, K)),
+        decoders=_user_maps(np.array([inverses[c] for c in coeffs]), K),
         name=name,
     )
+
+
+def _user_maps(maps: np.ndarray, k: int) -> np.ndarray:
+    """A contiguous (1 or k, rows, cols) array of maps as the read-only
+    (k, rows, cols) maps of k users: a single map is shared as one view with
+    a zero stride on the user axis (the ndarray construction of
+    `_decode_inverse`), not k copies."""
+    if len(maps) == 1:
+        maps = np.ndarray((k, *maps.shape[1:]), maps.dtype, maps, 0, (0, *maps.strides[1:]))
+    maps.flags.writeable = False
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +510,7 @@ def verify_scheme(
         size = min(_CHUNK, trials - start)
         msgs = rng.integers(0, params.p, size=(size, params.K, scheme.msg_symbols))
         batch = run_feedback_session(params, scheme, msgs)
-        failed = np.flatnonzero((batch.messages_out != batch.messages_in).any(axis=(1, 2)))
+        failed = (batch.messages_out != batch.messages_in).any(axis=(1, 2)).nonzero()[0]
         if kept is None or failed.size and successes == start:  # no failure kept yet
             kept = batch.trial(failed[0] if failed.size else 0)
         successes += size - failed.size

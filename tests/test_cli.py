@@ -555,6 +555,14 @@ def test_gauss_gap_sweep(capsys):
     assert any(",excluded," in line for line in lines[1:])
 
 
+def test_gauss_gap_weak_point_at_inr_two_and_huge_snr_exits_0(capsys):
+    code, out, err = run_cli(capsys, "gauss-gap", "--snr-grid", "1e19",
+                             "--inr-grid", "2", "--k-list", "2")
+    assert code == 0
+    assert out.splitlines()[1].endswith(",weak,29.4120762762,31.1620762762,31.9120762762,true")
+    assert err == "violations=0\n"
+
+
 def test_gauss_gap_reports_each_violation_on_stderr(capsys, monkeypatch):
     """Forced violations name their point and inequality on stderr, in row
     order (SNR, then INR, then K), before the count; stdout keeps its CSV

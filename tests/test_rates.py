@@ -413,6 +413,18 @@ def test_negligible_gap_is_tight_at_two_users_just_below_inr_two(snr):
     assert abs(fact.achievable - (fact.c_tilde - negligible_gap_constant(2))) <= 1e-12
 
 
+@pytest.mark.parametrize("k", (2, 3, 8))
+def test_weak_simplify_holds_at_inr_two_and_huge_snr(k):
+    """At INR = 2 the two sides of the weak simplification differ by
+    (2K - 3)/(16 K (K + 1)) while each is ~SNR/(16 K (K + 1)): compared as
+    plain products, rounding flagged it from SNR ~ 1e19.  Their difference,
+    a sum of two terms >= 0, holds on every weak point."""
+    snrs = [1e19, 1e25, 1e300]
+    facts = gap_report([GaussParams(snr=s, inr=i, k=k) for s in snrs for i in (2.0, 3.0, s / 2)])
+    assert {f.regime for f in facts} == {"weak"}
+    assert [f.violations for f in facts] == [()] * len(facts)
+
+
 def test_gap_small_grid_zero_violations():
     grid = [
         GaussParams(snr=float(s), inr=float(i), k=k)
@@ -618,9 +630,10 @@ def ref_gap_checks(s, i, k, rate, regime, constraints_ok, tilde, upper):
     if rate > upper + RATE_TOL:
         bad.append("upper")
     if regime == "weak":
-        lhs = (i - 1) / (8 * (k + 1)) * (1 + s / (k * i))
-        rhs = (1 + s + i) / (16 * k * (k + 1))
-        if lhs < rhs - RATE_TOL:
+        # (i - 1)/(8(k + 1)) (1 + s/(k i)) - (1 + s + i)/(16 k (k + 1)), as a
+        # sum of two terms that are >= 0 at i >= 2
+        slack = (i * ((2 * k - 1) * i - (2 * k + 1)) + s * (i - 2)) / (16 * k * (k + 1) * i)
+        if slack < -RATE_TOL:
             bad.append("weak-simplify")
         if constraints_ok is not True:
             bad.append("constraints")

@@ -439,6 +439,23 @@ def test_qsym_walk_is_the_whole_space_for_k3():
     assert max(dims) == 4 and PRIME_SCAN[-1] ** 4 <= schemes.ENUM_CAP
 
 
+def test_qsym_solve_matches_reference_at_the_real_cap_with_a_capped_radix():
+    """Over GF(1009) the walk is capped at the real ENUM_CAP: the radix is
+    100 at dim 3 and 31 at dim 4, below p, so coordinates take 1..r only.
+    Every K = 3 sign matrix and regime finds the reference's point, or
+    fails with its text."""
+    assert schemes.ENUM_CAP == 10**6
+    p = 1009
+    dims, outcomes = set(), set()
+    for lam in all_sign_matrices_k3():
+        dims.add(len(nullspace(qsym_constraint_matrix(lam, p))))
+        for regime in ("weak", "strong", "moderate"):
+            got = _solve_outcome(lam, regime, p)
+            assert got == _reference_qsym_solve(lam, regime, p, schemes.ENUM_CAP)
+            outcomes.add(type(got))
+    assert dims == {3, 4} and outcomes == {tuple, str}
+
+
 def test_qsym_solve_varies_every_coordinate_at_a_large_prime():
     """At p = 1073741789 the walk varies all three coordinates over 1..100
     within ENUM_CAP; varying only the last coordinate found nothing, yet
@@ -1263,10 +1280,47 @@ def test_build_maps_match_pinned_sha256(grid):
 @pytest.mark.parametrize("k_users, n, m", [(3, 3, 1), (8, 64, 32), (7, 16, 64), (3, 48, 47)])
 def test_symmetric_maps_are_user_broadcasts(k_users, n, m):
     """A symmetric scheme's three maps are one base each, broadcast over
-    the users with a zero stride, not K copies."""
+    the users with a zero stride, not K copies, and read-only: a write
+    through one user's map would change every user's."""
     scheme = build_scheme(k_users, n, m)
     for arr in (*scheme.encoders, scheme.decoders):
         assert arr.strides[0] == 0
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 0
+
+
+# numpy functions implemented in Python: 3-25 us each on a cold call, which
+# a det op pays on every build and replay
+NUMPY_PY_HELPERS = frozenset({"broadcast_to", "stack", "split", "diag", "eye", "fill_diagonal",
+                              "flatnonzero", "unravel_index"})
+
+
+def test_det_ops_call_no_python_level_numpy_helpers():
+    """A symmetric two-block build, a symmetric time-sharing build and a
+    signed build, each verified, call none of `NUMPY_PY_HELPERS` from fcic
+    code: maps are direct views, diagonals are set by index and the solver
+    reads its slices and winners without them."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event != "call" or frame.f_code.co_name not in NUMPY_PY_HELPERS:
+            return
+        caller = frame.f_back
+        if (frame.f_globals.get("__name__", "").startswith("numpy") and caller is not None
+                and caller.f_globals.get("__name__", "").startswith("fcic")):
+            calls.append(f"{caller.f_code.co_name} -> {frame.f_code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        for k_users, n, m, signs in ((3, 3, 1, None), (3, 2, 2, None), (3, 2, 1, SINGULAR_LAMBDA)):
+            scheme = build_scheme(k_users, n, m, signs=signs)
+            assert verify_scheme(scheme.params, scheme, 5, seed=2).all_passed
+    finally:
+        sys.setprofile(None)
+    assert calls == []
 
 
 def _second_by_definition(params, a: int, b: int):
