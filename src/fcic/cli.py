@@ -42,11 +42,6 @@ def _fmt_column(values: np.ndarray) -> list[str]:
     return text
 
 
-def _die_usage(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _parse_grid(text: str) -> np.ndarray:
     """Comma-separated positive finite reals, or logspace:lo:hi:n."""
     if text.startswith("logspace:"):
@@ -81,9 +76,9 @@ def _read_signs(path: str) -> tuple[tuple[int, ...], ...]:
 
 def cmd_gdof(args) -> int:
     if not (0 <= args.alpha_min < args.alpha_max < math.inf):
-        return _die_usage("need 0 <= alpha-min < alpha-max < inf")
+        raise ValueError("need 0 <= alpha-min < alpha-max < inf")
     if args.steps < 2:
-        return _die_usage("need steps >= 2")
+        raise ValueError("need steps >= 2")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     # first, so that gdof_nofb rejects k < 2 on the first alpha
     d_nofb = np.array([rates.gdof_nofb(a, args.k) for a in alphas.tolist()])
@@ -97,7 +92,7 @@ def cmd_det_converse(args) -> int:
     signs = _read_signs(args.signs) if args.signs is not None else None
     rate = rates.det_converse(args.n, args.m, args.k, signs)
     if rate is None:
-        return _die_usage(f"no converse is established for a signed {args.k}-user channel")
+        raise ValueError(f"no converse is established for a signed {args.k}-user channel")
     print(json.dumps({
         "n": args.n, "m": args.m, "k": args.k,
         "rate": rates.rate_json(rate),
@@ -148,12 +143,8 @@ def cmd_gauss_rates(args) -> int:
 
 
 def cmd_gauss_gap(args) -> int:
-    try:
-        snrs = _parse_grid(args.snr_grid)
-        inrs = _parse_grid(args.inr_grid)
-        ks = sorted(int(v) for v in args.k_list.split(","))
-    except ValueError as exc:
-        return _die_usage(str(exc))
+    snrs, inrs = _parse_grid(args.snr_grid), _parse_grid(args.inr_grid)
+    ks = sorted(int(v) for v in args.k_list.split(","))
     snrs, inrs = np.sort(snrs), np.sort(inrs)
     forms = rates.gap_grid(snrs, inrs, ks)
     # rows run SNR, then INR, then K; a K listed twice gives its rows twice
@@ -197,7 +188,7 @@ def cmd_mc_strong(args) -> int:
 
 def cmd_lattice_demo(args) -> int:
     if not 0 <= args.seed <= 2**64 - 2:  # checked before any draw
-        return _die_usage(
+        raise ValueError(
             f"seed must be in [0, 2^64 - 2], got {args.seed} (the noisy run draws with seed + 1)"
         )
     lat = gauss_sim.make_lattice(args.coarse_step, args.refinement)
@@ -306,21 +297,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.  A command returns 0, or
+    1 for a failed verdict; every failure reaches this function as an
+    exception, and only here is it mapped to its exit code and stderr line."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        return _die_usage(str(exc))
-    except MemoryError as exc:  # a size too large to allocate
-        return _die_usage(str(exc) or "out of memory")
-    except (OverflowError, FloatingPointError) as exc:  # beyond the binary64 range
-        return _die_usage(f"a value is too large for binary64 floating point: {exc}")
     except SingularSystem as exc:  # schemes.NoSolution included
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except rates.RegimeMismatch as exc:
         print(f"regime mismatch: {exc}", file=sys.stderr)
         return EXIT_REGIME
+    except MemoryError as exc:  # a size too large to allocate
+        msg = str(exc) or "out of memory"
+    except (OverflowError, FloatingPointError) as exc:  # beyond the binary64 range
+        msg = f"a value is too large for binary64 floating point: {exc}"
+    except (ValueError, OSError) as exc:
+        msg = str(exc)
+    print(f"error: {msg}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def entry() -> None:

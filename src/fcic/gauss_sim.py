@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import GaussParams, RegimeMismatch, _square_overflow
+from .rates import GaussParams, RegimeMismatch, _square
 
 __all__ = [
     "MCConfig",
@@ -190,13 +190,13 @@ class EffectiveChannelStats:
 
 def _predictions(params: GaussParams) -> tuple[float, float]:
     """The effective channel's residual noise power (K^2 INR + 1)/(K INR + 1)
-    and signal-power lower bound (INR - SNR)^2 / (K INR + 1).  A square
-    beyond binary64 raises OverflowError naming it and the point."""
+    and signal-power lower bound (INR - SNR)^2 / (K INR + 1), as Python
+    floats.  The square goes through `rates._square`, the gap kernel's one
+    overflow rule: beyond binary64 it raises OverflowError naming the
+    square and the point."""
     s, i, k = params.snr, params.inr, params.k
-    try:
-        square = (i - s) ** 2
-    except OverflowError:
-        raise _square_overflow("(INR - SNR)^2", s, i) from None
+    snr, inr = np.array([s]), np.array([i])
+    square = _square(inr - snr, "(INR - SNR)^2", snr, inr).item()
     return (k * k * i + 1.0) / (k * i + 1.0), square / (k * i + 1.0)
 
 
@@ -465,7 +465,14 @@ def sum_decode_check(
     certain; with small noise the decision fails when the noise leaves the
     fine cell (|z| > c/(2M), probability ~ 2 Q(c/(2 M sigma))); with huge
     noise the decision is a uniform guess over the M cosets.  A sum or noise
-    draw beyond the binary64 range raises FloatingPointError.
+    draw beyond the binary64 range raises FloatingPointError.  The Monte
+    Carlo's one term that can leave binary64, its prediction's
+    (INR - SNR)^2, is squared through `rates._square` before any draw; this
+    check has no such term, as a huge coarse step or noise overflows inside
+    the array pipeline (the codebook, the sums over users, the noise
+    draws).  So it runs with numpy raising on overflow and invalid results,
+    which turns the first inf (or the inf - inf it leads to) into
+    FloatingPointError at no cost per element.
 
     All draws come first, in stream order: the codeword indices, the
     dithers (`random()` scaled to [-c/2, c/2), the bytes of `uniform`) and

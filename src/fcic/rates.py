@@ -20,6 +20,12 @@ every log2 and every square goes through `math.log2` and Python's `** 2`
 (libm) one element at a time, because `np.log2` and numpy's `x ** 2`
 differ from them in the last bit on a few inputs in 10^4 and the CLI
 prints these values.
+
+The kernel has one overflow check, `_finite`: each term that can leave
+binary64 passes through it and raises OverflowError naming the term and
+the first point where it did.  Squares go through `_square`, whose Python
+`** 2` overflows exactly where |v| >= 2^512; `gauss_sim` squares the Monte
+Carlo's INR - SNR through it too, so both layers share the one rule.
 """
 
 from __future__ import annotations
@@ -239,27 +245,24 @@ def _log2(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log2, x.tolist()), dtype=float, count=x.size)
 
 
-def _square_overflow(term: str, snr: float, inr: float) -> OverflowError:
-    """The error for a term beyond binary64 ((INR - SNR)^2, 1 + SNR + INR
-    or K INR), naming it and its point."""
-    return OverflowError(f"{term} at SNR = {snr:.12g}, INR = {inr:.12g}")
-
-
 def _finite(x: np.ndarray, term: str, s: np.ndarray, i: np.ndarray) -> np.ndarray:
     """x, unless an element overflowed to inf: then OverflowError naming
     `term` and the first such point (s, i).  The kernel's one overflow
-    check: every term that can leave binary64 passes through it."""
+    check: every term that can leave binary64 passes through it, the Monte
+    Carlo's square included (through `_square`)."""
     beyond = np.flatnonzero(np.isinf(x)).tolist()
     if beyond:
-        raise _square_overflow(term, float(s[beyond[0]]), float(i[beyond[0]]))
+        n = beyond[0]
+        raise OverflowError(f"{term} at SNR = {float(s[n]):.12g}, INR = {float(i[n]):.12g}")
     return x
 
 
 def _square(x: np.ndarray, term: str, s: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """x ** 2 in Python floats, checked by `_finite`.  Python's `v ** 2`
-    raises OverflowError exactly where |v| >= 2^512, so those elements
-    square as inf instead, and `_finite` names `term` and the first such
-    point (s, i)."""
+    """x ** 2 in Python floats, checked by `_finite`: the one overflow rule
+    for a square, in the gap kernel and in `gauss_sim`'s predictions alike.
+    Python's `v ** 2` raises OverflowError exactly where |v| >= 2^512, so
+    those elements square as inf instead, and `_finite` names `term` and
+    the first such point (s, i)."""
     values = np.where(np.abs(x) < 2.0 ** 512, x, math.inf).tolist()
     return _finite(np.fromiter((v ** 2 for v in values), dtype=float, count=x.size),
                    term, s, i)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fcic
-from fcic import gauss_sim, gf, rates, schemes
+from fcic import cli, gauss_sim, gf, rates, schemes
 from fcic.cli import main
 
 
@@ -366,6 +366,34 @@ def test_malformed_inputs_exit_2_naming_the_fault(capsys, tmp_path, argv, signs,
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("gdof", "--alpha-min", "2", "--alpha-max", "1"), "need 0 <= alpha-min < alpha-max < inf"),
+    (("gdof", "--steps", "1"), "need steps >= 2"),
+    (("det-converse", "--n", "2", "--m", "2", "--k", "4", "--signs", "SIGNS_K4"),
+     "no converse is established for a signed 4-user channel"),
+    (("gauss-gap", "--snr-grid", "logspace:1:10", "--inr-grid", "1", "--k-list", "2"),
+     "bad logspace grid 'logspace:1:10'"),
+    (("gauss-gap", "--snr-grid", "1", "--inr-grid", "1,-2", "--k-list", "2"),
+     "grid values must be positive and finite, got '1,-2'"),
+    (("gauss-gap", "--snr-grid", "1", "--inr-grid", "1", "--k-list", "2,x"),
+     "invalid literal for int() with base 10: 'x'"),
+    (("lattice-demo", f"--seed={2**64 - 1}"),
+     f"seed must be in [0, 2^64 - 2], got {2**64 - 1} (the noisy run draws with seed + 1)"),
+])
+def test_commands_raise_their_usage_errors_for_main_to_report(tmp_path, argv, message):
+    """Called directly on the parsed arguments, a command reports a bad
+    value by raising ValueError with its text: it neither prints the error
+    line nor returns exit code 2, which `main` alone does for every
+    command."""
+    signs = tmp_path / "signs.txt"
+    signs.write_text(SIGNS_K4)
+    args = cli._build_parser().parse_args([str(signs) if a == "SIGNS_K4" else a for a in argv])
+    assert args.func is getattr(cli, "cmd_" + argv[0].replace("-", "_"))
+    with pytest.raises(ValueError) as info:
+        args.func(args)
+    assert str(info.value) == message
 
 
 def test_sign_files_may_hold_blank_lines_and_padding(capsys, tmp_path):
@@ -884,15 +912,30 @@ def test_excluded_overflow_names_the_sum_and_the_point(capsys, argv):
 ])
 def test_the_strong_square_leaves_binary64_at_2_to_the_512(capsys, inr, code):
     """At SNR = 1, INR - SNR rounds to INR here: the largest float below
-    2^512 squares to a finite value and 2^512 itself does not."""
+    2^512 squares to a finite value and 2^512 itself does not, in the gap
+    kernel (`gauss-rates`) and in the Monte Carlo's predictions
+    (`mc-strong`) alike, since both square through `rates._square`."""
     assert float(inr) == (math.nextafter(2.0 ** 512, 0) if code == 0 else 2.0 ** 512)
+    error = ("error: a value is too large for binary64 floating point: "
+             "(INR - SNR)^2 at SNR = 1, INR = 1.34078079299e+154\n")
     got, out, err = run_cli(capsys, "gauss-rates", "--snr", "1", "--inr", inr, "--k", "2")
     assert got == code
     if code == 0:
         assert (json.loads(out)["regime"], err) == ("strong", "")
     else:
-        assert (out, err) == ("", "error: a value is too large for binary64 floating point: "
-                                  "(INR - SNR)^2 at SNR = 1, INR = 1.34078079299e+154\n")
+        assert (out, err) == ("", error)
+    # below the bound the signal samples' squared deviations sum past
+    # binary64 in the standard error, and numpy warns of it: recorded here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, out, err = run_cli(capsys, "mc-strong", "--snr", "1", "--inr", inr,
+                                "--block", "2", "--trials", "1")
+    if code == 0:
+        assert (got, "error:" in err) == (0, False)
+        assert json.loads(out)["predicted_signal_lb"] == float(inr) ** 2 / (2 * float(inr) + 1)
+        assert [str(w.message) for w in caught] == ["overflow encountered in reduce"]
+    else:
+        assert (got, out, err, caught) == (2, "", error, [])
 
 
 @pytest.mark.parametrize("snr,inr,k", [(1e300, 1e270, 10**20), (1.2e308, 1e307, 2)])

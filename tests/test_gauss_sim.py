@@ -315,6 +315,7 @@ def test_each_failed_gate_is_one_line(gate, estimate):
     standard errors or more off its gate fails that gate alone, in one line."""
     cfg = strong_cfg(block=2, trials=1)
     noise, signal_lb = gauss_sim._predictions(cfg.params)
+    assert (type(noise), type(signal_lb)) == (float, float)  # the lines print them with !r
     ok = EffectiveChannelStats(cfg, signal_power_hat=signal_lb, noise_power_hat=noise,
                                signal_se=0.1, noise_se=0.1, tx_power_hat=1.0, tx_se=0.1)
     assert ok.gate_failures() == []

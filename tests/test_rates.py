@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -423,6 +424,71 @@ def test_weak_simplify_holds_at_inr_two_and_huge_snr(k):
     facts = gap_report([GaussParams(snr=s, inr=i, k=k) for s in snrs for i in (2.0, 3.0, s / 2)])
     assert {f.regime for f in facts} == {"weak"}
     assert [f.violations for f in facts] == [()] * len(facts)
+
+
+# the weak family in sympy: SNR, INR and K as positive reals
+SNR, INR, K = sympy.symbols("SNR INR K", positive=True)
+
+
+def _nonnegative_polynomial(expr, *symbols):
+    """expr as a polynomial in `symbols` (each >= 0) whose coefficients are
+    all >= 0, so expr >= 0 wherever they are; the polynomial is returned."""
+    poly = sympy.Poly(sympy.cancel(expr), *symbols)
+    assert min(poly.coeffs()) >= 0, poly
+    return poly
+
+
+def test_weak_simplify_difference_is_the_two_sides_difference():
+    """The weak-simplify flag's difference [INR ((2K-1) INR - (2K+1))
+    + SNR (INR - 2)] / (16 K (K+1) INR) is LHS - RHS of
+    (INR-1)/(8(K+1)) (1 + SNR/(K INR)) >= (1 + SNR + INR)/(16 K (K+1))
+    identically, and both its terms are >= 0 on weak points: with
+    INR = 2 + a and K = 2 + c (a, c >= 0), the first is a polynomial with
+    no negative coefficient, and SNR (INR - 2) = SNR a.  In floats the
+    sum of the two stays >= 0 too: with INR >= 2 and K >= 2, 2K + 1 is
+    at most 5/6 of (2K-1) INR, far beyond the subtraction's rounding."""
+    a, c = sympy.symbols("a c", nonnegative=True)
+    lhs = (INR - 1) / (8 * (K + 1)) * (1 + SNR / (K * INR))
+    rhs = (1 + SNR + INR) / (16 * K * (K + 1))
+    first, second = INR * ((2 * K - 1) * INR - (2 * K + 1)), SNR * (INR - 2)
+    assert sympy.cancel(lhs - rhs - (first + second) / (16 * K * (K + 1) * INR)) == 0
+    _nonnegative_polynomial(first.subs({INR: 2 + a, K: 2 + c}), a, c)
+    assert sympy.expand(second.subs(INR, 2 + a)) == SNR * a
+
+
+def test_weak_gap_slack_is_a_closed_form_at_least_a_quarter_log2_of_three_halves():
+    """On a weak point the achievable rate exceeds c_tilde minus the gap
+    constant (1/4) log2(16 K^2 (K+1)) by exactly
+    (1/4) log2[2 (INR^2 - 1)(K INR + SNR)^2 / (INR^2 (1 + SNR + INR)^2)].
+    That is at least (1/4) log2(3/2) = 0.146 bits: with INR = 2 + a and
+    (K - 1) INR = 1 + b, a, b >= 0 (INR >= 2 and K >= 2 on weak points),
+    2 (INR^2 - 1)(K INR + SNR)^2 - (3/2) INR^2 (1 + SNR + INR)^2 is a
+    polynomial in a, b and SNR with no negative coefficient, and no
+    constant term: the bound is what INR >= 2 and (K - 1) INR >= 1 give.
+    The kernel agrees on points across the regime."""
+    rate = (sympy.log((INR - 1) / (8 * (K + 1)), 2) / 4
+            + sympy.log(1 + SNR / (K * INR), 2) / 2)  # (R0* + 2 R12*) / 2
+    c_tilde = sympy.log(1 + SNR + INR, 2) / 4 + sympy.log(1 + SNR / (1 + INR), 2) / 4
+    slack = rate - (c_tilde - sympy.log(16 * K ** 2 * (K + 1), 2) / 4)
+    arg = 2 * (INR ** 2 - 1) * (K * INR + SNR) ** 2 / (INR ** 2 * (1 + SNR + INR) ** 2)
+    assert sympy.simplify(sympy.expand_log(
+        4 * slack * sympy.log(2) - sympy.log(sympy.factor(arg)), force=True)) == 0
+    a, b = sympy.symbols("a b", nonnegative=True)
+    excess = (arg - sympy.Rational(3, 2)) * INR ** 2 * (1 + SNR + INR) ** 2
+    poly = _nonnegative_polynomial(excess.subs(K, (1 + b + INR) / INR).subs(INR, 2 + a),
+                                   a, b, SNR)
+    assert poly.eval({a: 0, b: 0, SNR: 0}) == 0
+    bound = 0.25 * math.log2(1.5)
+    assert round(bound, 4) == 0.1462
+    closed = sympy.lambdify((SNR, INR, K), sympy.log(arg, 2) / 4, "math")
+    for k in (2, 3, 8, 1000):
+        for s in (4.0, 1e3, 1e9, 1e15):
+            for i in (2.0, math.sqrt(s), s / 2):
+                fact = gauss_achievable(GaussParams(snr=s, inr=i, k=k))
+                assert fact.regime == "weak"
+                measured = fact.achievable - (fact.c_tilde - weak_gap_constant(k))
+                assert measured == pytest.approx(closed(s, i, k), abs=1e-12), (s, i, k)
+                assert measured >= bound - 1e-12
 
 
 def test_gap_small_grid_zero_violations():

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import inspect
 import itertools
+import math
 import operator
 import sys
 import tracemalloc
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -774,10 +776,7 @@ def test_dead_moderate_users_have_integer_certificates():
     for i, (k, y) in DEAD_USER_CERTIFICATES.items():
         lam = mats[i]
         rows = _constraint_rows_by_definition(lam)
-        form = [0] * 9  # b_k + v_k - a_k - u_k over (A, B, V)
-        form[k], form[3 + k], form[6 + k] = -1, 1, 1
-        for j in range(3):
-            form[3 + j] -= lam[k][j] * lam[j][k]
+        form = _delta_form(lam, "moderate", k)
         assert [sum(map(operator.mul, y, col)) for col in zip(*rows)] == form, i
         for p in PRIME_SCAN:
             with pytest.raises(NoSolution, match="is 0 on the whole"):
@@ -914,6 +913,100 @@ def test_k4_census_of_the_primes_that_align():
         ("strong", False, every): 3968, ("strong", False, every - {3}): 128,
         ("moderate", True, frozenset()): 2704,
         ("moderate", False, every - {2}): 160, ("moderate", False, frozenset()): 1232,
+    }
+
+
+def _delta_form(lam, regime, k):
+    """User k's Delta form over the unknowns (A, B, V), in Python ints: B_k
+    (weak), -U_k (strong) or B_k + V_k - A_k - U_k (m = n), where
+    U_k = sum_j lambda_kj lambda_jk B_j."""
+    n = len(lam)
+    form = [0] * (3 * n)
+    if regime == "weak":
+        form[n + k] = 1
+        return form
+    for j in range(n):
+        form[n + j] -= lam[k][j] * lam[j][k]
+    if regime == "moderate":
+        form[k] -= 1
+        form[n + k] += 1
+        form[2 * n + k] += 1
+    return form
+
+
+def _certificates(rows, forms):
+    """For each form, an exact verdict on y . rows == form over the
+    rationals, in Python ints: (z, d) with z . rows == d * form, d the least
+    common denominator of the solution y whose free coordinates are 0, or
+    (x, None) with rows . x == 0 and form . x != 0, which proves there is no
+    solution.  One reduced echelon form of [rows^T | I] serves every form:
+    its right half E has E rows^T in reduced echelon form, so the rows of E
+    below the rank span the null space of rows, and above it E form gives
+    y's pivot coordinates."""
+    cols = len(rows[0])
+    red, pivots = sympy.Matrix(rows).T.row_join(sympy.eye(cols)).rref()
+    rank = sum(c < len(rows) for c in pivots)
+    ech = [[Fraction(int(v.p), int(v.q)) for v in red.row(r)[len(rows):]] for r in range(cols)]
+    out = []
+    for form in forms:
+        ef = [sum(map(operator.mul, e, form)) for e in ech]
+        seen = next((r for r in range(rank, cols) if ef[r]), None)
+        if seen is None:
+            vec = [0] * len(rows)
+            for r in range(rank):
+                vec[pivots[r]] = ef[r]
+        else:
+            vec = ech[seen]
+        scale = math.lcm(*(Fraction(v).denominator for v in vec))
+        out.append(([int(v * scale) for v in vec], scale if seen is None else None))
+    return out
+
+
+def test_k4_certificates_predict_the_primes_that_align():
+    """For each K = 4 orbit representative, regime and user, an exact
+    verdict on the user's Delta form f: a certificate z . M = d f, checked
+    in Python ints (M the integer alignment rows of `qsym_constraint_matrix`,
+    d >= 1), or a null vector x of M with f . x != 0, which shows f is not a
+    rational combination of the rows.  A certificate makes f vanish on the
+    solution space over GF(p) for every p not dividing d: the user is dead
+    there.  The rule "dead at p exactly when p does not divide d" predicts
+    `qsym_solve` at every prime of `PRIME_SCAN` but at p < K: the 160 m = n
+    matrices that fail over GF(2) and the 128 strong ones that fail over
+    GF(3) have no certificate, yet K = 4 hyperplanes, one per user, cover
+    the solution space there (fewer than p + 1 cannot).  Denominators: 1 at
+    m = n (one to four users, 3936 matrices), 4 for two weak users (1536),
+    and no strong certificate."""
+    census, missed = collections.Counter(), collections.Counter()
+    for lam, size in _k4_orbits().items():
+        # entries lie in [-(K-2), K-2], so their residues mod 13 lift back
+        rows = [[v - 13 if v > 6 else v for v in row]
+                for row in qsym_constraint_matrix(lam, 13).data.tolist()]
+        regimes = ("weak", "strong", "moderate")
+        forms = [_delta_form(lam, regime, k) for regime in regimes for k in range(4)]
+        verdicts = _certificates(rows, forms)
+        for n, regime in enumerate(regimes):
+            dens = []
+            for form, (vec, d) in zip(forms[4 * n:], verdicts[4 * n:4 * n + 4]):
+                if d is None:
+                    assert [sum(map(operator.mul, row, vec)) for row in rows] == [0] * len(rows)
+                    assert sum(map(operator.mul, form, vec)) != 0
+                else:
+                    assert [sum(map(operator.mul, vec, col)) for col in zip(*rows)] == [
+                        d * v for v in form]
+                dens.append(d)
+            census[regime, tuple(sorted(dens, key=str))] += size
+            for p in PRIME_SCAN:
+                dead = any(d is not None and d % p for d in dens)
+                aligned = not isinstance(_solve_outcome(lam, regime, p), str)
+                if aligned == dead:
+                    missed[regime, p, aligned] += size
+    assert missed == {("moderate", 2, False): 160, ("strong", 3, False): 128}
+    assert census == {
+        ("weak", (None,) * 4): 2560, ("weak", (4, 4, None, None)): 1536,
+        ("strong", (None,) * 4): 4096,
+        ("moderate", (1, 1, 1, 1)): 1184, ("moderate", (1, 1, 1, None)): 1664,
+        ("moderate", (1, 1, None, None)): 960, ("moderate", (1, None, None, None)): 128,
+        ("moderate", (None,) * 4): 160,
     }
 
 
