@@ -149,26 +149,25 @@ class EffectiveChannelStats:
 
     def gate_failures(self) -> list[str]:
         """One line per failed three-sigma gate (noise power, signal power,
-        unit transmit power), with its estimate, bound and standard error."""
-        failures = []
-        if not abs(self.noise_power_hat - self.predicted_noise_power) <= 3 * self.noise_se:
-            failures.append(
-                f"gate failed: noise estimate={self.noise_power_hat!r} "
-                f"predicted={self.predicted_noise_power!r} se={self.noise_se!r} "
-                f"(needs |estimate - predicted| <= 3 se)"
-            )
-        if not self.signal_power_hat >= self.predicted_signal_lb - 3 * self.signal_se:
-            failures.append(
-                f"gate failed: signal estimate={self.signal_power_hat!r} "
-                f"lower_bound={self.predicted_signal_lb!r} se={self.signal_se!r} "
-                f"(needs estimate >= lower_bound - 3 se)"
-            )
-        if not self.tx_power_hat <= 1.0 + 3 * self.tx_se:
-            failures.append(
-                f"gate failed: tx estimate={self.tx_power_hat!r} "
-                f"bound=1.0 se={self.tx_se!r} (needs estimate <= bound + 3 se)"
-            )
-        return failures
+        unit transmit power), with its estimate, bound and standard error.
+        A gate whose estimate or standard error is inf or NaN fails: an
+        infinite SE would pass any estimate."""
+        noise, signal = self.predicted_noise_power, self.predicted_signal_lb
+        gates = (
+            (self.noise_power_hat, self.noise_se,
+             abs(self.noise_power_hat - noise) <= 3 * self.noise_se,
+             f"noise estimate={self.noise_power_hat!r} predicted={noise!r} "
+             f"se={self.noise_se!r} (needs |estimate - predicted| <= 3 se)"),
+            (self.signal_power_hat, self.signal_se,
+             self.signal_power_hat >= signal - 3 * self.signal_se,
+             f"signal estimate={self.signal_power_hat!r} lower_bound={signal!r} "
+             f"se={self.signal_se!r} (needs estimate >= lower_bound - 3 se)"),
+            (self.tx_power_hat, self.tx_se, self.tx_power_hat <= 1.0 + 3 * self.tx_se,
+             f"tx estimate={self.tx_power_hat!r} bound=1.0 se={self.tx_se!r} "
+             f"(needs estimate <= bound + 3 se)"),
+        )
+        return [f"gate failed: {text}" for estimate, se, holds, text in gates
+                if not (holds and math.isfinite(estimate) and math.isfinite(se))]
 
     @property
     def gates_ok(self) -> bool:
@@ -258,7 +257,10 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
     sig_sq = np.empty(n)
     noise_sq = np.empty(n)
     tx_sq = np.empty(n)
-    workers = min(cfg.trials, len(os.sched_getaffinity(0)))
+    # the usable CPUs where the OS reports them (Linux), else all of them
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cfg.trials, cpus)
     # column blocks [a, b), with no one-column tail (see the docstring)
     ends = [*range(_BLOCK, t_len - 1, _BLOCK), t_len]
     blocks = list(zip([0, *ends], ends))

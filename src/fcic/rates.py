@@ -9,7 +9,12 @@ are exact `Fraction`s; Gaussian expressions are binary64.
 Every Gaussian closed form (regime split, achievable rate, c_tilde, upper
 bound and the gap/simplification inequalities) lives once, in the array
 kernel `_closed_forms` over SNR and INR arrays and a list of K; it computes
-the terms that do not depend on K once per point.  Two readers run it:
+the terms that do not depend on K once per point.  It flags three
+inequalities, "gap", "upper" and "strong-simplify", each on a value it
+computed, as the runtime check on its floating-point arithmetic.  The weak
+split's decodability constraints and the weak simplification read no
+kernel value and hold by algebra, so they are proven in the tests, not
+flagged.  Two readers run it:
 `gap_grid` gives its arrays on an SNR x INR grid for every K of a list in
 one call, and `gap_report` gives one `GapFact` per point of a point list
 (one kernel call per distinct K, at that K alone); `gauss_achievable` is
@@ -215,7 +220,7 @@ def gdof_nofb(alpha: float, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 _REGIMES = np.array(["negligible", "weak", "strong", "excluded"], dtype=object)
-_VIOLATIONS = ("gap", "upper", "weak-simplify", "constraints", "strong-simplify")
+_VIOLATIONS = ("gap", "upper", "strong-simplify")
 
 
 class ClosedForms(NamedTuple):
@@ -223,10 +228,10 @@ class ClosedForms(NamedTuple):
     pair and one row per K.
 
     `regime` and `c_tilde` do not depend on K and have one entry per pair;
-    `rate`, `upper` and `bad` have a leading K axis.  The verdicts are read
-    off `bad`: an entry meets the gap inequalities where its column is all
-    False, and a weak entry's rate split passes its re-check where the
-    "constraints" row is False.
+    `rate`, `upper` and `bad` have a leading K axis.  An entry meets the
+    gap inequalities where its column of `bad` is all False.  Each flag
+    compares a value the kernel computed (the rate, c_tilde or the strong
+    regime's argument), so the flags check the floating-point kernel.
     """
 
     regime: np.ndarray  # regime names (object array), (N,)
@@ -284,17 +289,18 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
     point, in that order of terms; a strong point's sum cannot overflow
     before its square, nor a negligible point's sum at all.
 
-    The weak rate split meets three of its five decodability constraints,
-    the caps on R0* = (1/2) log2((INR - 1)/(8(K + 1))), by algebra: with
-    INR - 1 common to both sides, R0* lies 1.5 bits below
+    The weak rate split meets its five decodability constraints by algebra,
+    so none is computed.  R1* = R2* = (1/2) log2(1 + SNR/(K INR)) are their
+    own caps.  With INR - 1 common to both sides, R0* =
+    (1/2) log2((INR - 1)/(8(K + 1))) lies 1.5 bits below
     (1/2) log2((INR - 1)/(K + 1)), at least (1/2) log2 12 below
     (1/2) log2((INR - 1)(sqrt(SNR) + (K - 1) sqrt(INR))^2 / (SNR + K INR))
     and at least (1/2) log2(12 (3/2 - sqrt 2)) = 0.0209 bits below
     (1/2) log2((INR - 1)(sqrt(SNR) - sqrt(INR))^2 / (SNR + K INR)), tight
-    at K = 2 on INR = SNR/2.  So they are not computed: the "constraints"
-    flag re-checks only R1* = R2* = (1/2) log2(1 + SNR/(K INR)) against its
-    own cap, which fails only on NaN or a negative RATE_TOL, and a negative
-    RATE_TOL large enough for a cap to fire fails it first.
+    at K = 2 on INR = SNR/2.  The weak simplification
+    (INR-1)/(8(K+1)) (1 + SNR/(K INR)) >= (1 + SNR + INR)/(16 K (K+1)) holds
+    on every weak point too.  tests/test_rates.py proves all of these with
+    sympy.
     """
     with np.errstate(all="ignore"):  # inf and NaN propagate as in Python floats
         neg = i < 2
@@ -307,7 +313,6 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
         total = _finite(1 + s + i, "1 + SNR + INR", s, i)
         c_tilde = 0.25 * _log2(total) + 0.25 * _log2(1 + s / (1 + i))
         ts = total[strong]
-        weak_snr_term = sw * (iw - 2)  # >= 0: weak points have INR >= 2
         rate = np.full((len(ks), s.size), math.nan)
         upper = np.empty((len(ks), s.size))
         bad = np.zeros((len(ks), len(_VIOLATIONS), s.size), dtype=bool)
@@ -330,18 +335,9 @@ def _closed_forms(s: np.ndarray, i: np.ndarray, ks) -> ClosedForms:
             gap_const = np.where(neg, negligible_gap_constant(k), weak_gap_constant(k))
             flags[0] = r < c_tilde - gap_const - RATE_TOL
             flags[1] = r > upper[row] + RATE_TOL
-            # (INR-1)/(8(K+1)) (1 + SNR/(K INR)) >= (1 + SNR + INR)/(16 K (K+1)),
-            # compared as LHS - RHS = [INR ((2K-1) INR - (2K+1)) + SNR (INR - 2)]
-            # / (16 K (K+1) INR), two terms >= 0 on weak points: the sides can
-            # differ by less than their rounding (by (2K-3)/(16 K (K+1)) at
-            # INR = 2, where each is ~SNR/(16 K (K+1)))
-            slack = ((iw * (float(2 * k - 1) * iw - float(2 * k + 1)) + weak_snr_term)
-                     / (float(16 * k * (k + 1)) * iw))
-            flags[2, weak] = slack < -RATE_TOL
-            flags[3, weak] = ~(r12 <= r12 + RATE_TOL)  # R1* = R2* at their cap
             # 1 + (INR-SNR)^2/(K (K INR + 1)) >= (1 + SNR + INR)/(8 K^2); the
             # strong regime has INR >= 2 max(SNR, 1) >= 2 SNR
-            flags[4, strong] = strong_arg < ts / float(8 * k * k) - RATE_TOL
+            flags[2, strong] = strong_arg < ts / float(8 * k * k) - RATE_TOL
     regime = _REGIMES[np.where(neg, 0, np.where(weak, 1, np.where(strong, 2, 3)))]
     return ClosedForms(regime, rate, c_tilde, upper, bad)
 
@@ -379,13 +375,11 @@ class GapFact:
     (1/4) log2(1 + SNR + INR) + (1/4) log2(1 + SNR / (1 + INR)), and
     `upper` the capacity upper bound c_tilde + (K-1)/4 + (1/2) log2 K.
     `achievable` is NaN in the excluded band.  `violations` names the
-    inequalities the point violates, and both verdicts are read off it:
-    `gap_ok` holds when it is empty, and `constraints_ok`, set only in the
-    weak regime, holds when the chosen rate split (R0*, R1*, R2*) meets the
-    five decodability constraints of the lattice scheme ("constraints" is
-    not among them); it is None elsewhere.  Three of them, the caps on R0*,
-    hold by algebra with at least 0.0209 bits to spare (see
-    `_closed_forms`), so the flag re-checks only R1* = R2* at their cap.
+    inequalities the point violates, and `gap_ok` holds when it is empty.
+    `constraints_ok` says whether the weak rate split (R0*, R1*, R2*) meets
+    the five decodability constraints of the lattice scheme: True on every
+    weak point, where they hold by algebra (proven in tests/test_rates.py,
+    see `_closed_forms`), and None in the other regimes.
     """
 
     params: GaussParams
@@ -401,7 +395,7 @@ class GapFact:
 
     @property
     def constraints_ok(self) -> bool | None:
-        return "constraints" not in self.violations if self.regime == "weak" else None
+        return True if self.regime == "weak" else None
 
 
 def gap_grid(snrs, inrs, ks) -> ClosedForms:

@@ -914,7 +914,9 @@ def test_the_strong_square_leaves_binary64_at_2_to_the_512(capsys, inr, code):
     """At SNR = 1, INR - SNR rounds to INR here: the largest float below
     2^512 squares to a finite value and 2^512 itself does not, in the gap
     kernel (`gauss-rates`) and in the Monte Carlo's predictions
-    (`mc-strong`) alike, since both square through `rates._square`."""
+    (`mc-strong`) alike, since both square through `rates._square`.  Below
+    the bound the Monte Carlo's signal standard error is inf, and a gate
+    on an infinite statistic fails: mc-strong exits 1."""
     assert float(inr) == (math.nextafter(2.0 ** 512, 0) if code == 0 else 2.0 ** 512)
     error = ("error: a value is too large for binary64 floating point: "
              "(INR - SNR)^2 at SNR = 1, INR = 1.34078079299e+154\n")
@@ -931,8 +933,12 @@ def test_the_strong_square_leaves_binary64_at_2_to_the_512(capsys, inr, code):
         got, out, err = run_cli(capsys, "mc-strong", "--snr", "1", "--inr", inr,
                                 "--block", "2", "--trials", "1")
     if code == 0:
-        assert (got, "error:" in err) == (0, False)
-        assert json.loads(out)["predicted_signal_lb"] == float(inr) ** 2 / (2 * float(inr) + 1)
+        doc = json.loads(out)
+        assert doc["predicted_signal_lb"] == float(inr) ** 2 / (2 * float(inr) + 1)
+        assert (got, err) == (1, (
+            f"gate failed: signal estimate={doc['signal_power_hat']!r} "
+            f"lower_bound={doc['predicted_signal_lb']!r} se=inf "
+            "(needs estimate >= lower_bound - 3 se)\n"))
         assert [str(w.message) for w in caught] == ["overflow encountered in reduce"]
     else:
         assert (got, out, err, caught) == (2, "", error, [])

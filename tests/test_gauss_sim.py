@@ -261,13 +261,19 @@ def test_mc_block_tails_keep_the_users_sum_order(k, block):
         assert stats_bits(simulate_strong_two_block(cfg)) == stats_bits(reference_mc(cfg))
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8, "no affinity", "no count"])
 def test_mc_bits_do_not_depend_on_cpu_count(monkeypatch, cpus):
     """The pool is sized from the usable CPUs and each worker runs every
     W-th trial (3 workers do not divide 40 trials); with more workers than
     cores and a short switch interval the trials interleave, and each must
-    still land in its own slice of the shared buffers."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    still land in its own slice of the shared buffers.  Where the OS has no
+    `sched_getaffinity` (only Linux has it) the pool is sized from
+    `os.cpu_count()`, or 1 worker when that is unknown."""
+    if isinstance(cpus, str):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3 if cpus == "no affinity" else None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     cfg = strong_cfg(k=3, block=257, trials=40, seed=9)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -321,6 +327,24 @@ def test_each_failed_gate_is_one_line(gate, estimate):
     assert ok.gate_failures() == []
     failed = dataclasses.replace(ok, **estimate).gate_failures()
     assert [line.split()[:3] for line in failed] == [["gate", "failed:", gate]]
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("gate,field", [
+    ("noise", "noise_power_hat"), ("noise", "noise_se"), ("signal", "signal_power_hat"),
+    ("signal", "signal_se"), ("tx", "tx_power_hat"), ("tx", "tx_se"),
+])
+def test_a_gate_on_a_non_finite_statistic_fails(gate, field, value):
+    """An infinite standard error would pass any estimate, and an infinite
+    signal estimate any lower bound: a gate whose estimate or standard
+    error is inf or NaN fails, alone, in its usual line."""
+    cfg = strong_cfg(block=2, trials=1)
+    noise, signal_lb = gauss_sim._predictions(cfg.params)
+    ok = EffectiveChannelStats(cfg, signal_power_hat=signal_lb, noise_power_hat=noise,
+                               signal_se=0.1, noise_se=0.1, tx_power_hat=1.0, tx_se=0.1)
+    [line] = dataclasses.replace(ok, **{field: value}).gate_failures()
+    assert line.split()[:3] == ["gate", "failed:", gate]
+    assert f" {'se' if field.endswith('_se') else 'estimate'}={value!r} " in line
 
 
 def test_mc_config_needs_a_positive_block_and_trial_count():

@@ -439,7 +439,7 @@ def _nonnegative_polynomial(expr, *symbols):
 
 
 def test_weak_simplify_difference_is_the_two_sides_difference():
-    """The weak-simplify flag's difference [INR ((2K-1) INR - (2K+1))
+    """The weak simplification's difference [INR ((2K-1) INR - (2K+1))
     + SNR (INR - 2)] / (16 K (K+1) INR) is LHS - RHS of
     (INR-1)/(8(K+1)) (1 + SNR/(K INR)) >= (1 + SNR + INR)/(16 K (K+1))
     identically, and both its terms are >= 0 on weak points: with
@@ -491,6 +491,43 @@ def test_weak_gap_slack_is_a_closed_form_at_least_a_quarter_log2_of_three_halves
                 assert measured >= bound - 1e-12
 
 
+def test_weak_r0_caps_hold_by_algebra():
+    """The weak split's three caps on R0* = (1/2) log2((INR - 1)/(8(K+1)))
+    never bind, so `constraints_ok` is True on every weak point (R1* = R2*
+    are their own caps).  Each slack is (1/2) log2 of cap / R0*'s argument,
+    with INR - 1 common to both: with t = sqrt(SNR/INR), t >= sqrt 2 on
+    weak points, the ratios are 8, 8(K+1)(t+K-1)^2/(t^2+K) and
+    8(K+1)(t-1)^2/(t^2+K).  So the slacks are 1.5 bits; at least
+    (1/2) log2(16(K+1)/(K+2)) >= (1/2) log2 12, as
+    (t+K-1)^2 (K+2) - 2(t^2+K) has no negative coefficient in t and
+    K - 2; and at least (1/2) log2(16(K+1)(3/2 - sqrt 2)/(K+2)) >=
+    (1/2) log2(12 (3/2 - sqrt 2)) = 0.0209 bits, as (t-1)^2/(t^2+K) has
+    derivative 2(t-1)(t+K)/(t^2+K)^2 > 0 for t > 1, so its least value is
+    at t = sqrt 2 (INR = SNR/2), and (K+1)/(K+2) rises in K from 3/4 at
+    K = 2, where the bound is met."""
+    t, c = sympy.symbols("t c", positive=True)
+    r0_arg = (INR - 1) / (8 * (K + 1))
+    cap_args = [(INR - 1) / (K + 1),
+                (INR - 1) * (sympy.sqrt(SNR) + (K - 1) * sympy.sqrt(INR)) ** 2 / (SNR + K * INR),
+                (INR - 1) * (sympy.sqrt(SNR) - sympy.sqrt(INR)) ** 2 / (SNR + K * INR)]
+    ratios = [8, 8 * (K + 1) * (t + K - 1) ** 2 / (t ** 2 + K),
+              8 * (K + 1) * (t - 1) ** 2 / (t ** 2 + K)]
+    for cap_arg, ratio in zip(cap_args, ratios):
+        assert sympy.simplify((cap_arg / r0_arg).subs(SNR, t ** 2 * INR) - ratio) == 0
+    # the second cap: ratio >= 16(K+1)/(K+2) >= 12
+    _nonnegative_polynomial(((t + K - 1) ** 2 * (K + 2) - 2 * (t ** 2 + K)).subs(K, 2 + c), t, c)
+    assert sympy.simplify(16 * (K + 1) / (K + 2) - 12 - 4 * (K - 2) / (K + 2)) == 0
+    # the third cap: least at t = sqrt 2, then at K = 2
+    f = (t - 1) ** 2 / (t ** 2 + K)
+    assert sympy.simplify(sympy.diff(f, t) - 2 * (t - 1) * (t + K) / (t ** 2 + K) ** 2) == 0
+    edge = 16 * (K + 1) * (sympy.Rational(3, 2) - sympy.sqrt(2)) / (K + 2)
+    assert sympy.simplify(ratios[2].subs(t, sympy.sqrt(2)) - edge) == 0
+    assert sympy.simplify(sympy.diff((K + 1) / (K + 2), K) - 1 / (K + 2) ** 2) == 0
+    floor3 = 12 * (sympy.Rational(3, 2) - sympy.sqrt(2))
+    assert sympy.simplify(edge.subs(K, 2) - floor3) == 0
+    assert floor3 > 1 and round(0.5 * math.log2(float(floor3)), 4) == 0.0209
+
+
 def test_gap_small_grid_zero_violations():
     grid = [
         GaussParams(snr=float(s), inr=float(i), k=k)
@@ -520,14 +557,14 @@ def test_gap_grid_is_gap_report_on_the_grid_points(monkeypatch):
             assert same_bits(forms.rate[row, n], fact.achievable)
             assert forms.violations(row, n) == fact.violations
             names.update(fact.violations)
-    assert names == {
-        "gap", "upper", "weak-simplify", "constraints", "strong-simplify"}
+    assert names == {"gap", "upper", "strong-simplify"}
 
 
 def test_verdicts_read_off_forced_violations(monkeypatch):
-    """Under RATE_TOL = -1e9 every weak point's rate split fails its re-check
-    and every point outside the excluded band violates an inequality: the
-    verdicts read off `violations` say so, as the scalar reference does."""
+    """Under RATE_TOL = -1e9 every point outside the excluded band violates
+    an inequality: `gap_ok` reads so off `violations`, as the scalar
+    reference does.  A weak point's rate split stays decodable: its
+    constraints hold by algebra and no tolerance enters them."""
     monkeypatch.setattr("fcic.rates.RATE_TOL", -1e9)
     monkeypatch.setitem(globals(), "RATE_TOL", -1e9)  # the reference's tolerance
     grid = np.geomspace(1e-2, 1e8, 9).tolist()
@@ -541,8 +578,7 @@ def test_verdicts_read_off_forced_violations(monkeypatch):
             assert (fact.gap_ok, fact.constraints_ok, fact.violations) == (True, None, ())
             continue
         rate, regime, constraints_ok = ref
-        assert constraints_ok is (False if regime == "weak" else None)
-        assert fact.constraints_ok is constraints_ok
+        assert fact.constraints_ok is (True if regime == "weak" else None)
         tilde, upper = ref_c_sym_tilde(s, i), ref_gauss_upper(s, i, k)
         bad = ref_gap_checks(s, i, k, rate, regime, constraints_ok, tilde, upper)
         assert fact.violations == bad
@@ -686,6 +722,10 @@ def ref_gauss_achievable(s, i, k):
 
 
 def ref_gap_checks(s, i, k, rate, regime, constraints_ok, tilde, upper):
+    """The violated inequalities, in the kernel's order.  `constraints_ok`
+    enters none of them: the weak split's constraints hold by algebra
+    (`test_weak_r0_caps_hold_by_algebra`), and the longhand verdict is
+    compared with `GapFact.constraints_ok` on its own."""
     bad = []
     if regime in ("weak", "strong"):
         if rate < tilde - weak_gap_constant(k) - RATE_TOL:
@@ -695,14 +735,6 @@ def ref_gap_checks(s, i, k, rate, regime, constraints_ok, tilde, upper):
             bad.append("gap")
     if rate > upper + RATE_TOL:
         bad.append("upper")
-    if regime == "weak":
-        # (i - 1)/(8(k + 1)) (1 + s/(k i)) - (1 + s + i)/(16 k (k + 1)), as a
-        # sum of two terms that are >= 0 at i >= 2
-        slack = (i * ((2 * k - 1) * i - (2 * k + 1)) + s * (i - 2)) / (16 * k * (k + 1) * i)
-        if slack < -RATE_TOL:
-            bad.append("weak-simplify")
-        if constraints_ok is not True:
-            bad.append("constraints")
     if i >= 2 * s and regime == "strong":
         lhs = 1 + (i - s) ** 2 / (k * (k * i + 1))
         rhs = (1 + s + i) / (8 * k * k)

@@ -15,6 +15,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
 from fcic import schemes
 from fcic.channel import DetParams, run_feedback_session
@@ -1008,6 +1009,46 @@ def test_k4_certificates_predict_the_primes_that_align():
         ("moderate", (1, 1, None, None)): 960, ("moderate", (1, None, None, None)): 128,
         ("moderate", (None,) * 4): 160,
     }
+
+
+def test_k3_rank_rule_decides_every_solve():
+    """For all 64 K = 3 sign matrices, each regime and each prime of
+    `PRIME_SCAN`: the rank of an integer matrix mod p is the number of its
+    invariant factors that p does not divide, and user k's Delta form f_k
+    is 0 on the whole solution space over GF(p) exactly when
+    rank_p([M; f_k]) = rank_p(M), M the integer alignment rows of
+    `qsym_constraint_matrix`.  That rule decides every solve:
+    `qsym_solve` ends at its zero-column check, naming the first such
+    user, exactly when one exists, and otherwise finds a point, but for
+    the 64 strong walks over GF(2), where no user is dead and the walk runs
+    out of candidates (`test_gf2_has_a_strong_point_exactly_at_even_k`)."""
+    def rank(factors, p):
+        return sum(d % p != 0 for d in factors)
+
+    tally = collections.Counter()
+    for lam in all_sign_matrices_k3():
+        # entries lie in [-1, 1], so their residues mod 13 lift back
+        rows = [[v - 13 if v > 6 else v for v in row]
+                for row in qsym_constraint_matrix(lam, 13).data.tolist()]
+        base = invariant_factors(sympy.Matrix(rows))
+        for regime in ("weak", "strong", "moderate"):
+            with_form = [invariant_factors(sympy.Matrix([*rows, _delta_form(lam, regime, k)]))
+                         for k in range(3)]
+            for p in PRIME_SCAN:
+                dead = [k for k in range(3) if rank(with_form[k], p) == rank(base, p)]
+                got = _solve_outcome(lam, regime, p)
+                if dead:
+                    assert got.startswith(f"no {regime}-regime alignment point over GF({p}): "
+                                          f"user {dead[0]}'s Delta"), (lam, regime, p)
+                    assert got.endswith("solution space")
+                    tally["dead"] += 1
+                elif regime == "strong" and p == 2:
+                    assert "candidates" in got, lam
+                    tally["strong GF(2) walk"] += 1
+                else:
+                    assert isinstance(got, tuple), (lam, regime, p, got)
+                    tally["aligned"] += 1
+    assert tally == {"dead": 364, "aligned": 724, "strong GF(2) walk": 64}
 
 
 # ---------------------------------------------------------------------------
