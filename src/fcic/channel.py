@@ -35,7 +35,7 @@ results.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -108,13 +108,8 @@ class DetParams:
         return lam
 
     def to_json_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "n": self.n,
-            "m": self.m,
-            "p": self.p,
-            "signs": None if self.signs is None else [list(r) for r in self.signs],
-        }
+        """The fields by name, in order; `json` writes `signs` as lists."""
+        return asdict(self)
 
 
 # every integer of magnitude below the bound is exact in the float type

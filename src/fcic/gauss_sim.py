@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -107,14 +107,8 @@ class MCConfig:
         _check_seed(self.seed)
 
     def to_json_dict(self) -> dict:
-        return {
-            "snr": self.params.snr,
-            "inr": self.params.inr,
-            "k": self.params.k,
-            "block_len": self.block_len,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return {**asdict(self.params), "block_len": self.block_len, "trials": self.trials,
+                "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -237,9 +231,9 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
     the whole array is: numpy sums a (K, 1) view pairwise from K = 8 on, so
     a one-column tail joins the block before it.  Each trial writes its
     squared samples into its own slice of three preallocated
-    (trials * block_len,) buffers, and the pool then takes each buffer's
-    mean and standard error in place (`_mean_and_se`), the three
-    concurrently.  The estimates are
+    (trials * block_len,) buffers; after the pool, the calling thread takes
+    each buffer's mean and standard error in place (`_mean_and_se`), a
+    memory-bound pass that a pool does not speed up.  The estimates are
     bit-identical to an all-users loop that concatenates per-trial arrays,
     for any CPU count.  The transmit-power gate is not enforced here:
     ``gates_ok`` reports it.
@@ -286,9 +280,9 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run_worker, range(workers)))
-        (signal_power_hat, signal_se), (noise_power_hat, noise_se), (tx_power_hat, tx_se) = (
-            pool.map(_mean_and_se, (sig_sq, noise_sq, tx_sq))
-        )
+    (signal_power_hat, signal_se), (noise_power_hat, noise_se), (tx_power_hat, tx_se) = (
+        map(_mean_and_se, (sig_sq, noise_sq, tx_sq))
+    )
     return EffectiveChannelStats(
         config=cfg,
         signal_power_hat=signal_power_hat,

@@ -117,11 +117,12 @@ class AlignmentSolution:
     Lambda A + Lambda B Lambda = U + V Lambda.
 
     U is not stored: `u` reads it off B as the identity's diagonal,
-    U_k = sum_j lambda_kj B_j lambda_jk.  The identity is re-checked
-    entrywise at construction, each diagonal factor applied by broadcasting
-    (Lambda A scales Lambda's columns, V Lambda its rows); with U derived
-    its diagonal holds by construction, and its off-diagonal entries reject
-    a wrong A, B or V.
+    U_k = sum_j lambda_kj B_j lambda_jk, so the diagonal holds by
+    definition.  Construction validates `signs` as `DetParams` does (a K x K
+    matrix of +-1 with a zero diagonal), stores it as a tuple of tuples,
+    and re-checks the identity's off-diagonal entries, which reject a wrong
+    A, B or V; each diagonal factor is applied by broadcasting (Lambda A
+    scales Lambda's columns, V Lambda its rows).
     """
 
     a: tuple[int, ...]
@@ -131,15 +132,16 @@ class AlignmentSolution:
     signs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        lam = np.asarray(self.signs, dtype=np.int64)
-        k = lam.shape[0]
+        k = len(self.signs)
+        object.__setattr__(self, "signs", _validate_signs(self.signs, k))
         for name, vec in (("a", self.a), ("b", self.b), ("v", self.v)):
             if len(vec) != k:
                 raise ValueError(f"{name} must have {k} entries")
+        lam = np.array(self.signs, dtype=np.int64)
         a, b, v = (np.array(vec, dtype=np.int64) for vec in (self.a, self.b, self.v))
-        # Lambda A + Lambda B Lambda - V Lambda - U, each diagonal factor broadcast
+        # Lambda A + Lambda B Lambda - V Lambda off the diagonal, each factor broadcast
         residual = lam * a + (lam * b) @ lam - v[:, None] * lam
-        residual.flat[::k + 1] -= self.u
+        residual.flat[::k + 1] = 0
         if (residual % self.p).any():
             raise ValueError("alignment identity Lambda A + Lambda B Lambda = U + V Lambda fails")
 
@@ -154,14 +156,16 @@ class AlignmentSolution:
                 "u": list(self.u), "v": list(self.v), "p": self.p}
 
 
-def qsym_constraint_matrix(signs, p: int) -> GfMatrix:
-    """Off-diagonal alignment constraints as K(K-1) rows over the 3K
-    unknowns (A_1..A_K, B_1..B_K, V_1..V_K).
+def qsym_constraint_matrix(signs) -> np.ndarray:
+    """Off-diagonal alignment constraints as the K(K-1) integer rows, int64,
+    over the 3K unknowns (A_1..A_K, B_1..B_K, V_1..V_K); a caller reduces
+    them mod p (`qsym_solve` through `GfMatrix`).
 
     Row (k, i), k != i, k-major:  lambda_ki A_i + sum_j lambda_kj lambda_ji
-    B_j - lambda_ki V_k = 0, where Lambda's zero diagonal drops j in {k, i}.
-    The diagonal entries of the identity do not constrain (A, B, V); they
-    define U_k = sum_j lambda_kj B_j lambda_jk.
+    B_j - lambda_ki V_k = 0, where Lambda's zero diagonal drops j in {k, i},
+    so the sum has the one term j != k, i per B_j and every entry is -1, 0
+    or 1.  The diagonal entries of the identity do not constrain (A, B, V);
+    they define U_k = sum_j lambda_kj B_j lambda_jk.
     """
     lam = np.asarray(signs, dtype=np.int64)
     k_users = lam.shape[0]
@@ -173,7 +177,7 @@ def qsym_constraint_matrix(signs, p: int) -> GfMatrix:
     mat[rows, cs] = lam[ks, cs]
     mat[:, k_users:2 * k_users] = lam[ks] * lam.T[cs]
     mat[rows, 2 * k_users + ks] = -lam[ks, cs]
-    return GfMatrix(mat, p)
+    return mat
 
 
 def moderate_margin(a: int, b: int, u: int, v: int, p: int) -> int:
@@ -206,11 +210,12 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     identity such that every user's decode matrix in the regime is
     invertible: a nonzero constant term of its `two_block_delta`.
 
-    The off-diagonal constraints are linear in (A, B, V) and U = (Lambda o
-    Lambda^T) B, so the nullspace basis takes coordinates to (A, B, V), U's
-    rows follow from B's, and one (dim, K) matrix `forms` takes them to the
-    K users' conditions, Delta's constant term being linear: a zero column
-    fails everywhere and is reported at once.  Otherwise the search reads
+    The off-diagonal constraints, `qsym_constraint_matrix`'s integer rows
+    reduced mod p, are linear in (A, B, V) and U = (Lambda o Lambda^T) B,
+    so the nullspace basis takes coordinates to (A, B, V), U's rows follow
+    from B's, and one (dim, K) matrix `forms` takes them to the K users'
+    conditions, Delta's constant term being linear: a zero column fails
+    everywhere and is reported at once.  Otherwise the search reads
     only `forms`, `_SLICE` candidates per array slice, over an r**dim grid:
     coordinates take the first r of 1, ..., p-1, 0 (non-degenerate points
     first) in lexicographic order, r the largest radix <= p with r**dim <=
@@ -231,7 +236,7 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     if k_users < 2:
         raise ValueError(f"need K >= 2 users, got {k_users}")
     signs = _validate_signs(lam, k_users)
-    abv = nullspace(qsym_constraint_matrix(lam, p))
+    abv = nullspace(GfMatrix(qsym_constraint_matrix(lam), p))
     dim = len(abv)
     a_rows, b_rows, v_rows = abv[:, :k_users], abv[:, k_users:2 * k_users], abv[:, 2 * k_users:]
     sign = _REGIME_SIGN[regime]

@@ -166,8 +166,7 @@ def test_nullspace_alignment_constraints_all_ones():
     p = 5
     lam = np.ones((3, 3), dtype=np.int64)
     np.fill_diagonal(lam, 0)
-    mat = qsym_constraint_matrix(lam, p)
-    basis = nullspace(mat)
+    basis = nullspace(GfMatrix(qsym_constraint_matrix(lam), p))
     target = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1], dtype=np.int64)  # (A, B, V)
     # target lies in the span iff appending it as a column keeps the rank
     span_rank = rank(GfMatrix(basis.T, p))

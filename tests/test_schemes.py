@@ -295,6 +295,22 @@ def test_alignment_solution_needs_one_entry_per_user(name):
         AlignmentSolution(**vectors, p=5, signs=all_ones_lambda())
 
 
+@pytest.mark.parametrize("row, col, value, text", [
+    (0, 0, 1, "sign matrix diagonal must be 0"),
+    (0, 1, 2, "off-diagonal signs must be -1 or \\+1"),
+], ids=["diagonal", "off-diagonal"])
+def test_alignment_solution_checks_lambda_by_the_detparams_rule(row, col, value, text):
+    """Lambda is checked by `DetParams`' rule before the identity, so a
+    nonzero diagonal entry or an off-diagonal 2 raises that rule's text;
+    a valid Lambda given as an array is stored as a tuple of tuples."""
+    point = dict(a=(0, 0, 0), b=(1, 1, 1), v=(1, 1, 1), p=5)
+    lam = np.array(all_ones_lambda())
+    assert AlignmentSolution(**point, signs=lam).signs == all_ones_lambda()
+    lam[row, col] = value
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        AlignmentSolution(**point, signs=lam)
+
+
 def test_qsym_solve_mixed_sign_matrix():
     sol = qsym_solve(SINGULAR_LAMBDA, "weak", 5)
     assert all(b != 0 for b in sol.b)
@@ -343,7 +359,7 @@ def _reference_qsym_solve(signs, regime, p, cap):
     ends the search.  Returns the (A, B, U, V) found, or the NoSolution
     text."""
     k = len(signs)
-    basis = [vec.tolist() for vec in nullspace(qsym_constraint_matrix(signs, p))]
+    basis = [vec.tolist() for vec in nullspace(GfMatrix(qsym_constraint_matrix(signs), p))]
     cols = list(zip(*basis)) or [()] * (3 * k)
     cross = [[signs[i][j] * signs[j][i] for j in range(k)] for i in range(k)]
     term = {"weak": "B", "strong": "-U", "moderate": "B + V - A - U"}[regime]
@@ -437,7 +453,7 @@ def test_qsym_solve_rejects_an_unknown_regime():
 def test_qsym_walk_is_the_whole_space_for_k3():
     """p**dim <= ENUM_CAP for every K = 3 sign matrix and prime in
     PRIME_SCAN, so the radix is p there and no K = 3 search is capped."""
-    dims = {len(nullspace(qsym_constraint_matrix(lam, p)))
+    dims = {len(nullspace(GfMatrix(qsym_constraint_matrix(lam), p)))
             for lam in all_sign_matrices_k3() for p in PRIME_SCAN}
     assert max(dims) == 4 and PRIME_SCAN[-1] ** 4 <= schemes.ENUM_CAP
 
@@ -451,7 +467,7 @@ def test_qsym_solve_matches_reference_at_the_real_cap_with_a_capped_radix():
     p = 1009
     dims, outcomes = set(), set()
     for lam in all_sign_matrices_k3():
-        dims.add(len(nullspace(qsym_constraint_matrix(lam, p))))
+        dims.add(len(nullspace(GfMatrix(qsym_constraint_matrix(lam), p))))
         for regime in ("weak", "strong", "moderate"):
             got = _solve_outcome(lam, regime, p)
             assert got == _reference_qsym_solve(lam, regime, p, schemes.ENUM_CAP)
@@ -529,10 +545,10 @@ def test_qsym_solve_at_the_largest_prime_matches_pinned_outcomes(signs, outcomes
         assert _solve_outcome(signs, regime, P_MAX) == expected
 
 
-def _constraint_rows_by_definition(lam, p=None):
+def _constraint_rows_by_definition(lam):
     """Row (k, i), k != i in row-major order, of lambda_ki A_i
     + sum_{j not in {k,i}} lambda_kj lambda_ji B_j - lambda_ki V_k, over the
-    unknowns (A, B, V), in Python ints, reduced mod p when p is given."""
+    unknowns (A, B, V), in Python ints."""
     k_users = len(lam)
     rows = []
     for k in range(k_users):
@@ -545,7 +561,7 @@ def _constraint_rows_by_definition(lam, p=None):
                 if j != k and j != i:
                     row[k_users + j] += lam[k][j] * lam[j][i]
             row[2 * k_users + k] -= lam[k][i]
-            rows.append([v % p for v in row] if p else row)
+            rows.append(row)
     return rows
 
 
@@ -559,7 +575,8 @@ def _random_sign_matrices(k_users, count, seed):
 
 def test_constraint_rows_follow_the_alignment_identity():
     """The constraint matrix is the identity's off-diagonal rows as defined,
-    and every nullspace vector, with U = (Lambda o Lambda^T) B, satisfies
+    in int64 with every entry -1, 0 or 1, and every nullspace vector of its
+    rows mod p, with U = (Lambda o Lambda^T) B, satisfies
     Lambda A + Lambda B Lambda = U + V Lambda mod p entrywise: over the 64
     K = 3 matrices and a seeded sample at K = 4, 5 and 6."""
     cases = list(all_sign_matrices_k3())
@@ -568,10 +585,11 @@ def test_constraint_rows_follow_the_alignment_identity():
     checked = 0
     for lam in cases:
         k_users = len(lam)
+        rows = qsym_constraint_matrix(lam)
+        assert rows.dtype == np.int64 and set(rows.ravel().tolist()) <= {-1, 0, 1}
+        assert rows.tolist() == _constraint_rows_by_definition(lam)
         for p in PRIME_SCAN:
-            mat = qsym_constraint_matrix(lam, p)
-            assert mat.data.tolist() == _constraint_rows_by_definition(lam, p)
-            for vec in nullspace(mat).tolist():
+            for vec in nullspace(GfMatrix(rows, p)).tolist():
                 a, b, v = vec[:k_users], vec[k_users:2 * k_users], vec[2 * k_users:]
                 u = [sum(lam[k][j] * b[j] * lam[j][k] for j in range(k_users))
                      for k in range(k_users)]
@@ -973,15 +991,14 @@ def test_k4_certificates_predict_the_primes_that_align():
     there.  The rule "dead at p exactly when p does not divide d" predicts
     `qsym_solve` at every prime of `PRIME_SCAN` but at p < K: the 160 m = n
     matrices that fail over GF(2) and the 128 strong ones that fail over
-    GF(3) have no certificate, yet K = 4 hyperplanes, one per user, cover
-    the solution space there (fewer than p + 1 cannot).  Denominators: 1 at
+    GF(3) have no certificate, yet a user is dead there: its form is a
+    combination of the rows mod p only, where p divides an invariant
+    factor (`test_k4_rank_rule_decides_every_solve`).  Denominators: 1 at
     m = n (one to four users, 3936 matrices), 4 for two weak users (1536),
     and no strong certificate."""
     census, missed = collections.Counter(), collections.Counter()
     for lam, size in _k4_orbits().items():
-        # entries lie in [-(K-2), K-2], so their residues mod 13 lift back
-        rows = [[v - 13 if v > 6 else v for v in row]
-                for row in qsym_constraint_matrix(lam, 13).data.tolist()]
+        rows = qsym_constraint_matrix(lam).tolist()
         regimes = ("weak", "strong", "moderate")
         forms = [_delta_form(lam, regime, k) for regime in regimes for k in range(4)]
         verdicts = _certificates(rows, forms)
@@ -1011,44 +1028,100 @@ def test_k4_certificates_predict_the_primes_that_align():
     }
 
 
-def test_k3_rank_rule_decides_every_solve():
-    """For all 64 K = 3 sign matrices, each regime and each prime of
-    `PRIME_SCAN`: the rank of an integer matrix mod p is the number of its
-    invariant factors that p does not divide, and user k's Delta form f_k
-    is 0 on the whole solution space over GF(p) exactly when
-    rank_p([M; f_k]) = rank_p(M), M the integer alignment rows of
-    `qsym_constraint_matrix`.  That rule decides every solve:
-    `qsym_solve` ends at its zero-column check, naming the first such
-    user, exactly when one exists, and otherwise finds a point, but for
-    the 64 strong walks over GF(2), where no user is dead and the walk runs
-    out of candidates (`test_gf2_has_a_strong_point_exactly_at_even_k`)."""
+def _rank_rule_census(weighted):
+    """Each (Lambda, orbit size) of `weighted`, each regime and each prime
+    of `PRIME_SCAN`: the rank of an integer matrix mod p is the number of
+    its invariant factors that p does not divide, and user k's Delta form
+    f_k is 0 on the whole solution space over GF(p) exactly when
+    rank_p([M; f_k]) = rank_p(M), M = `qsym_constraint_matrix(Lambda)`.
+    Asserts that this rule decides the solve: `qsym_solve` ends at its
+    zero-column check, naming the first such user, exactly when one
+    exists, and otherwise finds a point, but for a strong walk over GF(2)
+    at odd K, where no B makes every U_k nonzero and the walk runs out of
+    candidates (`test_gf2_has_a_strong_point_exactly_at_even_k`).  Returns
+    the solves per verdict and the matrices per (regime, primes where a
+    user is dead), each weighted by orbit size."""
     def rank(factors, p):
         return sum(d % p != 0 for d in factors)
 
-    tally = collections.Counter()
-    for lam in all_sign_matrices_k3():
-        # entries lie in [-1, 1], so their residues mod 13 lift back
-        rows = [[v - 13 if v > 6 else v for v in row]
-                for row in qsym_constraint_matrix(lam, 13).data.tolist()]
+    tally, census = collections.Counter(), collections.Counter()
+    for lam, size in weighted:
+        k_users = len(lam)
+        rows = qsym_constraint_matrix(lam).tolist()
         base = invariant_factors(sympy.Matrix(rows))
         for regime in ("weak", "strong", "moderate"):
             with_form = [invariant_factors(sympy.Matrix([*rows, _delta_form(lam, regime, k)]))
-                         for k in range(3)]
+                         for k in range(k_users)]
+            dead_at = set()
             for p in PRIME_SCAN:
-                dead = [k for k in range(3) if rank(with_form[k], p) == rank(base, p)]
+                dead = [k for k in range(k_users) if rank(with_form[k], p) == rank(base, p)]
                 got = _solve_outcome(lam, regime, p)
                 if dead:
                     assert got.startswith(f"no {regime}-regime alignment point over GF({p}): "
                                           f"user {dead[0]}'s Delta"), (lam, regime, p)
                     assert got.endswith("solution space")
-                    tally["dead"] += 1
-                elif regime == "strong" and p == 2:
+                    dead_at.add(p)
+                    tally["dead"] += size
+                elif regime == "strong" and p == 2 and k_users % 2:
                     assert "candidates" in got, lam
-                    tally["strong GF(2) walk"] += 1
+                    tally["strong GF(2) walk"] += size
                 else:
                     assert isinstance(got, tuple), (lam, regime, p, got)
-                    tally["aligned"] += 1
+                    tally["aligned"] += size
+            census[regime, frozenset(dead_at)] += size
+    return tally, census
+
+
+def test_k3_rank_rule_decides_every_solve():
+    """The rank rule (`_rank_rule_census`) decides all 1152 solves of the 64
+    K = 3 sign matrices: 364 end at the zero-column check, 724 align, and
+    64 are the strong walks over GF(2).  No weak or strong user is dead at
+    any prime.  At m = n a user is dead at every prime on the 40 matrices
+    with Lambda + I singular and the 20 with det(Lambda + I) = 4
+    (`DEAD_USER_CERTIFICATES`), and over GF(2) alone on the 4 with
+    det(Lambda + I) = -4."""
+    tally, census = _rank_rule_census((lam, 1) for lam in all_sign_matrices_k3())
     assert tally == {"dead": 364, "aligned": 724, "strong GF(2) walk": 64}
+    assert census == {
+        ("weak", frozenset()): 64, ("strong", frozenset()): 64,
+        ("moderate", frozenset(PRIME_SCAN)): 60, ("moderate", frozenset({2})): 4,
+    }
+
+
+def test_k4_rank_rule_decides_every_solve():
+    """The rank rule decides every solve of the 38 K = 4 orbit
+    representatives (4096 matrices, solves weighted by orbit size) with no
+    exception: K is even, so GF(2) has strong points.  It predicts the two
+    rows that the certificates' rule leaves observed only
+    (`test_k4_certificates_predict_the_primes_that_align`): the 160 m = n
+    matrices that fail over GF(2) alone and the 128 strong ones that fail
+    over GF(3) alone have a user dead there.  The census is that of
+    `test_k4_census_of_the_primes_that_align`, by the primes where a user
+    is dead."""
+    tally, census = _rank_rule_census(_k4_orbits().items())
+    assert tally == {"dead": 31_584, "aligned": 42_144}
+    every = frozenset(PRIME_SCAN)
+    assert census == {
+        ("weak", frozenset()): 2560, ("weak", every - {2}): 1536,
+        ("strong", frozenset()): 3968, ("strong", frozenset({3})): 128,
+        ("moderate", every): 2704 + 1232, ("moderate", frozenset({2})): 160,
+    }
+
+
+def test_k5_rank_rule_decides_a_sample_of_solves():
+    """The rank rule decides the 360 solves of 20 seeded K = 5 sign
+    matrices, but for the 20 strong walks over GF(2), which run out of
+    candidates at odd K.  Most of the sample aligns weak over GF(2) alone,
+    and none aligns at m = n."""
+    tally, census = _rank_rule_census(
+        (lam, 1) for lam in _random_sign_matrices(5, 20, seed=20261020))
+    assert tally == {"dead": 250, "aligned": 90, "strong GF(2) walk": 20}
+    every = frozenset(PRIME_SCAN)
+    assert census == {
+        ("weak", frozenset()): 2, ("weak", every - {2}): 18,
+        ("strong", frozenset()): 12, ("strong", every - {2}): 8,
+        ("moderate", every): 20,
+    }
 
 
 # ---------------------------------------------------------------------------
