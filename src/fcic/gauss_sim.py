@@ -24,19 +24,18 @@ estimates are the same bits for any CPU count.
 
 Both kernels work in place and keep the floating-point operations, and their
 association, of the plain out-of-place formulas, so their output bits are
-those formulas' bits.  They draw into their own arrays with two identities
-that give the bytes of numpy's `normal` and `uniform`, signed zeros included:
-`standard_normal(out=b)` then `b += 0.0` is `normal()`'s 0.0 + 1.0 z, and
-`random()` times (high - low) plus low is `uniform(low, high)`.  The
-arithmetic after the draws runs on blocks of `_BLOCK` columns (Monte Carlo)
-or rows (lattice), so each block's working set stays in L2 instead of every
-pass streaming whole arrays from memory; no operation crosses a block.
-A Monte Carlo trial overwrites its own draws (z1 becomes x2) and allocates
-one block-length sum per block; each sample buffer's mean and standard error
-follow numpy's `mean`/`std` arithmetic on the buffer itself.  The lattice
-check sums over users by adding columns left to right, which is numpy's own
-order for a row of fewer than 8 terms; from 8 terms numpy sums a row
-pairwise, so there the sum is `x.sum(axis=1)` itself.
+those formulas' bits.  A Monte Carlo trial is one pass over its worker's whole
+(K, T) draws that allocates nothing: it overwrites its draws (z1 becomes x2)
+and sums over users into its own slice of the residual buffer.  The draws are
+`standard_normal(out=...)`, which may give -0.0 where `normal()` gives +0.0;
+every statistic squares its samples, so a zero's sign cannot reach it.  Each
+sample buffer's mean and standard error follow numpy's `mean`/`std`
+arithmetic on the buffer itself.  The lattice check runs on blocks of
+`_BLOCK` rows, so each block's working set stays in L2 instead of every pass
+streaming whole arrays from memory; no operation crosses a block.  It sums
+over users by adding columns left to right, which is numpy's own order for a
+row of fewer than 8 terms; from 8 terms numpy sums a row pairwise, so there
+the sum is `x.sum(axis=1)` itself.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ __all__ = [
 
 RNG_NAME = "philox"
 
-# columns (Monte Carlo) or rows (lattice) per block: a block's working set
-# stays in L2, where the whole arrays stream from memory once per pass
+# lattice rows per block: a block's working set stays in L2, where the whole
+# arrays stream from memory once per pass
 _BLOCK = 16_384
 
 
@@ -224,19 +223,14 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
     user because its row-by-row sum feeds y2.  The trials run on a thread
     pool of W = min(trials, usable CPUs) workers; worker w allocates its draw
     buffers c, z1 (K, T) and z2 (T,) once and runs trials w, w + W, ...,
-    filling them with `standard_normal(out=...)` and `+= 0.0`, the bytes of
-    the `normal()` draws.  The trial body and the squares run on column
-    blocks of `_BLOCK`; the sums over users add whole rows in order, the same
-    on a block as on the whole array.  No block is one column wide unless
-    the whole array is: numpy sums a (K, 1) view pairwise from K = 8 on, so
-    a one-column tail joins the block before it.  Each trial writes its
-    squared samples into its own slice of three preallocated
-    (trials * block_len,) buffers; after the pool, the calling thread takes
-    each buffer's mean and standard error in place (`_mean_and_se`), a
-    memory-bound pass that a pool does not speed up.  The estimates are
-    bit-identical to an all-users loop that concatenates per-trial arrays,
-    for any CPU count.  The transmit-power gate is not enforced here:
-    ``gates_ok`` reports it.
+    filling them with `standard_normal(out=...)` in the order of the
+    `normal()` draws.  Each trial writes its squared samples into its own
+    slice of three preallocated (trials * block_len,) buffers, and allocates
+    nothing; after the pool, the calling thread takes each buffer's mean and
+    standard error in place (`_mean_and_se`), a memory-bound pass that a
+    pool does not speed up.  The estimates are bit-identical to an all-users
+    loop that concatenates per-trial arrays, for any CPU count.  The
+    transmit-power gate is not enforced here: ``gate_failures`` reports it.
     """
     # imported here so that `import fcic` does not pay for concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
@@ -255,9 +249,6 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(cfg.trials, cpus)
-    # column blocks [a, b), with no one-column tail (see the docstring)
-    ends = [*range(_BLOCK, t_len - 1, _BLOCK), t_len]
-    blocks = list(zip([0, *ends], ends))
     _predictions(cfg.params)  # an OverflowError here comes before any draw
 
     def run_worker(first: int) -> None:
@@ -265,18 +256,14 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
         for trial in range(first, cfg.trials, workers):
             rng = _trial_rng(cfg.seed, trial)
             # normal() draws in this order (z2 is row 0 of a (k, t_len) draw)
-            # and returns 0.0 + 1.0 z: the += 0.0 turns -0.0 into +0.0 as it does
             for buf in (c, z1, z2):
                 rng.standard_normal(out=buf)
-                buf += 0.0
-            base = trial * t_len
-            for a, b in blocks:
-                part = slice(base + a, base + b)
-                sig = sig_sq[part]
-                resid, tx = _two_block_trial(c[:, a:b], z1[:, a:b], z2[a:b], s, i, sig)
-                np.square(sig, out=sig)
-                np.square(resid, out=noise_sq[part])
-                np.square(tx, out=tx_sq[part])
+            part = slice(trial * t_len, (trial + 1) * t_len)
+            sig, resid = sig_sq[part], noise_sq[part]
+            tx = _two_block_trial(c, z1, z2, s, i, sig, resid)
+            np.square(sig, out=sig)
+            np.square(resid, out=resid)
+            np.square(tx, out=tx_sq[part])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run_worker, range(workers)))
@@ -294,15 +281,15 @@ def simulate_strong_two_block(cfg: MCConfig) -> EffectiveChannelStats:
     )
 
 
-def _two_block_trial(c, z1, z2, snr: float, inr: float, sig: np.ndarray):
+def _two_block_trial(c, z1, z2, snr: float, inr: float, sig: np.ndarray, resid: np.ndarray):
     """User 0's two-block combiner on one trial's draws, in place.
 
     `c` and `z1` are the (K, T) codewords and block-1 noises, `z2` user 0's
-    (T,) block-2 noise.  Writes coef * c[0] into `sig` and returns
-    (y_tilde - sig, x2[0]): the residual noise and user 0's block-2 input.
-    Overwrites `c` (row 1 ends as y1) and `z1` (it becomes x2; the returned
-    x2[0] is its row 0), and allocates one (T,) array, `tot`, which ends as
-    the residual.  Each step performs the operations of the formula
+    (T,) block-2 noise.  Writes coef * c[0] into `sig` and the residual
+    noise y_tilde - sig into `resid`, which also holds the sums over users
+    on the way, and returns x2[0], user 0's block-2 input.  Overwrites `c`
+    (row 1 ends as y1) and `z1` (it becomes x2; x2[0] is its row 0), and
+    allocates nothing.  Each step performs the operations of the formula
     in its comment with their association kept; only operands of + and *
     trade places, which IEEE arithmetic allows.  The combiner is linear in the
     draws, so unit-vector columns give its coefficients exactly.
@@ -312,7 +299,7 @@ def _two_block_trial(c, z1, z2, snr: float, inr: float, sig: np.ndarray):
     gamma = 1.0 / math.sqrt(k * inr + 1.0)
     comb = gamma * (root_s + (k - 1) * root_i)
     np.multiply(c[0], zero_forcing_signal_coef(snr, inr, k), out=sig)
-    tot = c.sum(axis=0)
+    tot = c.sum(axis=0, out=resid)
     # y1 = sqrt(SNR) c0 + sqrt(INR) (tot - c0) + z1[0], built in row 1
     y1 = np.subtract(tot, c[0], out=c[1])
     y1 *= root_i
@@ -325,8 +312,8 @@ def _two_block_trial(c, z1, z2, snr: float, inr: float, sig: np.ndarray):
     x2 = z1
     x2 += tot
     x2 *= gamma
-    # y2 = sqrt(SNR) x2[0] + sqrt(INR) (tot2 - x2[0]) + z2, built in tot
-    y2 = np.sum(x2, axis=0, out=tot)
+    # y2 = sqrt(SNR) x2[0] + sqrt(INR) (tot2 - x2[0]) + z2, built in resid
+    y2 = np.sum(x2, axis=0, out=resid)
     y2 -= x2[0]
     y2 *= root_i
     y2 += np.multiply(x2[0], root_s, out=c[0])
@@ -335,7 +322,7 @@ def _two_block_trial(c, z1, z2, snr: float, inr: float, sig: np.ndarray):
     y1 *= comb
     y2 -= y1
     y2 -= sig
-    return y2, x2[0]
+    return x2[0]
 
 
 def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
@@ -471,12 +458,11 @@ def sum_decode_check(
     FloatingPointError at no cost per element.
 
     All draws come first, in stream order: the codeword indices, the
-    dithers (`random()` scaled to [-c/2, c/2), the bytes of `uniform`) and
-    the noise.  The decoding then runs on blocks of `_BLOCK` trials and the
-    successes are counted as an int, divided once: the value of `np.mean`
-    over all trials.  It stays in the calling thread, because the
-    `np.errstate` that turns overflow into FloatingPointError does not carry
-    into pool threads.
+    dithers (`uniform` on [-c/2, c/2)) and the noise.  The decoding then
+    runs on blocks of `_BLOCK` trials and the successes are counted as an
+    int, divided once: the value of `np.mean` over all trials.  It stays in
+    the calling thread, because the `np.errstate` that turns overflow into
+    FloatingPointError does not carry into pool threads.
     """
     if k < 2:
         raise ValueError(f"need k >= 2 users, got {k}")
@@ -488,11 +474,7 @@ def sum_decode_check(
     c = lat.coarse_step
     rng = np.random.Generator(np.random.Philox(key=seed))
     idx = rng.integers(0, lat.refinement, size=(trials, k))
-    # uniform(low, high) is low + (high - low) u with u = random()
-    low, high = -c / 2, c / 2
-    d = rng.random(size=(trials, k))
-    d *= high - low
-    d += low
+    d = rng.uniform(-c / 2, c / 2, size=(trials, k))
     noise = rng.normal(0.0, noise_sigma, size=trials) if noise_sigma > 0 else None
     successes = 0
     for a in range(0, trials, _BLOCK):

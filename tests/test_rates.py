@@ -9,6 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fcic import rates
 from fcic.channel import Scheme
 from fcic.gauss_sim import EffectiveChannelStats
 from fcic.rates import (
@@ -526,6 +527,50 @@ def test_weak_r0_caps_hold_by_algebra():
     floor3 = 12 * (sympy.Rational(3, 2) - sympy.sqrt(2))
     assert sympy.simplify(edge.subs(K, 2) - floor3) == 0
     assert floor3 > 1 and round(0.5 * math.log2(float(floor3)), 4) == 0.0209
+
+
+def test_strong_simplify_holds_by_algebra_with_a_third_to_spare(monkeypatch):
+    """On strong points (INR >= 2 max(SNR, 1), K >= 2) the strong-simplify
+    flag's left side 1 + (INR - SNR)^2 / (K (K INR + 1)) is at least 4/3 of
+    its right side (1 + SNR + INR) / (8 K^2), so the flag cannot fire on
+    exact arithmetic.  The left side falls and the right side rises in SNR
+    (INR - SNR >= 0 there), so SNR = INR/2 is the worst case.  There the
+    difference is (12 K^3 INR + 12 K^2 - 2 K INR - 3 INR - 2) /
+    (12 K^2 (K INR + 1)), whose numerator has no negative coefficient at
+    K = 2 + a, INR = 2 + b (a, b >= 0).  The constant 4/3 is tight: the
+    ratio tends to it as INR grows.  At strong points the two sides are
+    `_closed_forms`' `strong_arg` (the argument of the strong rate's log2)
+    and its `ts / (8K^2)` (`ts` is 1 + SNR + INR, c_tilde's first log2
+    argument), so the proof covers the flag's own operands."""
+    a, b = sympy.symbols("a b", nonnegative=True)
+    left = 1 + (INR - SNR) ** 2 / (K * (K * INR + 1))
+    right = (1 + SNR + INR) / (8 * K ** 2)
+    assert sympy.simplify(sympy.diff(left, SNR) + 2 * (INR - SNR) / (K * (K * INR + 1))) == 0
+    assert sympy.diff(right, SNR) == 1 / (8 * K ** 2)
+    numerator = 12 * K ** 3 * INR + 12 * K ** 2 - 2 * K * INR - 3 * INR - 2
+    worst = (left - sympy.Rational(4, 3) * right).subs(SNR, INR / 2)
+    assert sympy.cancel(worst - numerator / (12 * K ** 2 * (K * INR + 1))) == 0
+    _nonnegative_polynomial(numerator.subs({K: 2 + a, INR: 2 + b}), a, b)
+    assert sympy.limit((left / right).subs(SNR, INR / 2), INR, sympy.oo) == sympy.Rational(4, 3)
+
+    logged, plain_log2 = [], rates._log2
+
+    def log2(x):
+        logged.append(x.copy())
+        return plain_log2(x)
+
+    monkeypatch.setattr(rates, "_log2", log2)
+    for s, i, k in [(1.0, 2.0, 2), (0.5, 2.0, 3), (10.0, 20.0, 8), (1e3, 1e9, 1000),
+                    (3.0, 1e15, 2)]:
+        logged.clear()
+        forms = rates._closed_forms(np.array([s]), np.array([i]), [k])
+        assert forms.regime.tolist() == ["strong"] and not forms.bad.any()
+        # the non-empty log2 arguments: 1 + SNR + INR, 1 + SNR/(1 + INR), strong_arg
+        total, _, strong_arg = [x.item() for x in logged if x.size]
+        point = {SNR: sympy.Rational(s), INR: sympy.Rational(i), K: k}
+        assert strong_arg == pytest.approx(float(left.subs(point)), rel=1e-15)
+        assert total / float(8 * k * k) == pytest.approx(float(right.subs(point)), rel=1e-15)
+        assert strong_arg >= 4 / 3 * (total / float(8 * k * k)) * (1 - 1e-15)
 
 
 def test_gap_small_grid_zero_violations():

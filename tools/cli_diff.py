@@ -75,6 +75,9 @@ CASES = {
                               "--k-list", "2,3"),
     "mc-strong": ("mc-strong", "--snr", "1", "--inr", "10", "--block", "1000", "--trials", "4",
                   "--seed", "1"),
+    # a one-column block changed this input's stdout before commit 4d05f3e
+    "mc-strong-k8-block-tail": ("mc-strong", "--snr", "2", "--inr", "1e12", "--k", "8",
+                                "--block", "16385", "--trials", "3", "--seed", "3"),
     "mc-strong-below-2-512": ("mc-strong", "--snr", "1", "--inr", BELOW_2_512,
                               "--block", "2", "--trials", "1"),
     "mc-strong-k3-below-2-512": ("mc-strong", "--snr", "1", "--inr", BELOW_2_512, "--k", "3",
