@@ -52,7 +52,6 @@ __all__ = [
     "SecrecyBound",
     "RATE_TOL",
     "det_converse",
-    "int_det",
     "lambda_plus_i_singular",
     "rate_json",
     "gdof_fb",
@@ -105,13 +104,14 @@ def det_converse(n: int, m: int, k: int, signs=None) -> Fraction | None:
     n - m/2 in the weak regime (m < n), m/2 in the strong regime (m > n),
     and n/K at the m = n discontinuity, where all receivers see identical
     signals and must share one decoding budget.  A k x k sign matrix
-    `signs` with lambda_kj = d_k d_j for some d in {+-1}^K is the all-ones
-    channel after each user k multiplies its symbols by d_k, so it has the
-    same values at every K: with D = diag(d), Lambda + I = D J D has rank 1,
-    so the m = n value below is n/K as for the all-ones Lambda.  Any other
+    `signs` whose Lambda + I has rank 1 is lambda_kj = d_k d_j for some d
+    in {+-1}^K (a rank-1 matrix with unit diagonal and +-1 entries is
+    D J D, D = diag(d)): the all-ones channel after each user k multiplies
+    its symbols by d_k, so it has the same values at every K.  Any other
     sign matrix changes only the m = n value, and only for K = 3: n/2 when
-    Lambda + I is invertible over the rationals (else some receivers see
-    duplicated outputs).  Other signed channels with K != 3 give None.
+    Lambda + I has full rank (else some receivers see duplicated outputs).
+    Other signed channels with K != 3 give None.  The rank is taken only
+    where it decides: a signed K = 3 channel at m != n takes none.
 
     For the 20 K = 3 sign matrices with det(Lambda + I) = 4, n/2 at m = n
     is a converse bound that no scheme here reaches (no prime aligns them:
@@ -124,9 +124,7 @@ def det_converse(n: int, m: int, k: int, signs=None) -> Fraction | None:
         raise ValueError(f"need k >= 2, got {k}")
     if signs is not None:
         signs = _validate_signs(signs, k)
-        d = (1, *signs[0][1:])  # d_0 = 1 fixes the sign of d
-        if k != 3 and not all(v == d[r] * d[c] for r, row in enumerate(signs)
-                              for c, v in enumerate(row) if r != c):
+        if k != 3 and _plus_i_rank(signs) != 1:
             return None
     if m < n:
         return Fraction(2 * n - m, 2)
@@ -138,43 +136,45 @@ def det_converse(n: int, m: int, k: int, signs=None) -> Fraction | None:
 
 
 def lambda_plus_i_singular(signs) -> bool:
-    """Whether Lambda + I is singular over the rationals; at m = n alignment
-    then cannot reach n/2.  None is the all-ones Lambda, whose Lambda + I is
-    the rank-1 all-ones matrix, so it is always singular."""
-    if signs is None:
-        return True
-    rows = np.asarray(signs).tolist()
-    return int_det([[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]) == 0
+    """Whether Lambda + I is singular over the rationals, its rank below K;
+    at m = n alignment then cannot reach n/2.  None is the all-ones Lambda,
+    whose Lambda + I is the rank-1 all-ones matrix, so it is always
+    singular.  A non-square `signs` raises ValueError."""
+    return signs is None or _plus_i_rank(signs) < len(signs)
+
+
+def _plus_i_rank(signs) -> int:
+    """Rank of Lambda + I over the rationals, for a square integer matrix
+    `signs` (Lambda): the one exact kernel behind both sign-matrix rules,
+    rank < K (singular) and rank 1 (lambda_kj = d_k d_j).
+
+    Fraction-free (Bareiss) elimination in Python ints, with I added as the
+    rows are converted.  Each pivot row leaves the list, and a column with
+    no pivot is skipped, so the rank is the number of rows that left.
+    Every entry stays a minor of the input, so each division by the
+    previous pivot is exact: no rounding and no overflow.
+    """
+    a = [[int(v) + (i == j) for j, v in enumerate(row)]
+         for i, row in enumerate(np.asarray(signs).tolist())]
+    size = len(a)
+    if any(len(row) != size for row in a):
+        raise ValueError("Lambda + I of a non-square matrix")
+    prev = 1
+    for c in range(size):
+        pivot = next((i for i, row in enumerate(a) if row[c]), None)
+        if pivot is None:
+            continue
+        top = a.pop(pivot)
+        for row in a:
+            for j in range(c + 1, size):
+                row[j] = (row[j] * top[c] - row[c] * top[j]) // prev
+        prev = top[c]
+    return size - len(a)
 
 
 def rate_json(rate: Fraction | None) -> dict | None:
     """A rate as {"num": ..., "den": ...}, or None."""
     return None if rate is None else {"num": rate.numerator, "den": rate.denominator}
-
-
-def int_det(mat) -> int:
-    """Exact determinant of a square integer matrix of any size.
-
-    Fraction-free (Bareiss) elimination in Python ints: every division is
-    exact, so there is no rounding and no overflow.
-    """
-    a = [[int(v) for v in row] for row in np.asarray(mat).tolist()]
-    size = len(a)
-    if any(len(row) != size for row in a):
-        raise ValueError("determinant of a non-square matrix")
-    sign, prev = 1, 1
-    for c in range(size - 1):
-        if a[c][c] == 0:
-            swap = next((i for i in range(c + 1, size) if a[i][c]), None)
-            if swap is None:
-                return 0
-            a[c], a[swap] = a[swap], a[c]
-            sign = -sign
-        for i in range(c + 1, size):
-            for j in range(c + 1, size):
-                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) // prev
-        prev = a[c][c]
-    return sign * a[-1][-1] if size else 1
 
 
 # ---------------------------------------------------------------------------

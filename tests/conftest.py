@@ -33,6 +33,19 @@ def cofactor_det_mod(mat, p: int) -> int:
     return minor(0)
 
 
+def leibniz_det(mat) -> int:
+    """Permutation-sum determinant in Python ints, independent of elimination."""
+    size = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            term *= int(mat[r][c])
+        total += term
+    return total
+
+
 def eliminate_augmented(mat, rhs, p: int):
     """X with mat @ X == rhs over GF(p) for a square mat, or None when mat
     is singular, from one elimination of [mat | rhs] by the package's kernel:
@@ -66,11 +79,18 @@ def qsym_decode_matrix(params, a: int, b: int, u: int, v: int) -> np.ndarray:
     return np.concatenate([top, bot]) % params.p
 
 
-def all_sign_matrices_k3():
-    """All 64 valid 3x3 sign matrices (zero diagonal, +-1 elsewhere)."""
-    pos = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-    for bits in itertools.product((1, -1), repeat=6):
-        lam = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+def all_sign_matrices(k: int):
+    """All 2^(K(K-1)) valid K x K sign matrices (zero diagonal, +-1
+    elsewhere), as tuples of tuples, the off-diagonal entries in row-major
+    order taking +1 before -1."""
+    pos = [(r, c) for r in range(k) for c in range(k) if r != c]
+    for bits in itertools.product((1, -1), repeat=len(pos)):
+        lam = [[0] * k for _ in range(k)]
         for (r, c), s in zip(pos, bits):
             lam[r][c] = s
         yield tuple(tuple(row) for row in lam)
+
+
+def all_sign_matrices_k3():
+    """All 64 valid 3x3 sign matrices, in `all_sign_matrices`' order."""
+    return all_sign_matrices(3)

@@ -31,12 +31,11 @@ from fcic.rates import (
     gap_report,
     gdof_fb,
     gdof_slope_estimate,
-    int_det,
     secrecy_bound,
 )
 from fcic.schemes import build_scheme, qsym_solve, verify_scheme
 
-from conftest import all_sign_matrices_k3
+from conftest import all_sign_matrices_k3, leibniz_det
 
 # sign matrix whose Lambda + I has identical first and third rows
 SINGULAR_LAMBDA = ((0, -1, 1), (1, 0, -1), (1, -1, 0))
@@ -146,7 +145,7 @@ def test_signed_k3_census_proves_each_build_and_lists_each_failure():
                 assert np.array_equal(out, units), (lam, n, m)
                 built += 1
     det4 = [lam for lam in all_sign_matrices_k3()
-            if int_det(np.asarray(lam) + np.eye(3, dtype=np.int64)) == 4]
+            if leibniz_det(np.asarray(lam) + np.eye(3, dtype=np.int64)) == 4]
     assert len(det4) == 20
     assert failed == {(lam, n, n) for lam in det4 for n in range(1, 7)}
     assert built == 64 * 48 - 120 == 2952

@@ -26,13 +26,14 @@ from fcic.rates import (
     gdof_fb,
     gdof_nofb,
     gdof_slope_estimate,
-    int_det,
     lambda_plus_i_singular,
     negligible_gap_constant,
     secrecy_bound,
     weak_gap_constant,
 )
 from fcic.schemes import AlignmentSolution, VerifyReport
+
+from conftest import all_sign_matrices, leibniz_det
 
 # sign matrix whose Lambda + I has identical first and third rows
 SINGULAR_LAMBDA = ((0, -1, 1), (1, 0, -1), (1, -1, 0))
@@ -130,39 +131,32 @@ def test_qsym_converse_rank_dependent():
     assert det_converse(2, 2, 3, lam) == expected
 
 
-def leibniz_det(mat) -> int:
-    """Permutation-sum determinant in Python ints, independent of elimination."""
-    size = len(mat)
-    total = 0
-    for perm in itertools.permutations(range(size)):
-        inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
-        term = -1 if inversions % 2 else 1
-        for r, c in enumerate(perm):
-            term *= int(mat[r][c])
-        total += term
-    return total
-
-
-def test_int_det_matches_permutation_sum():
-    rng = np.random.default_rng(3)
-    for size in range(7):
-        for _ in range(30):
-            mat = rng.integers(-3, 4, size=(size, size))
-            if size > 1 and rng.random() < 0.5:
-                mat[0, 0] = 0  # force a row swap, or a zero column below
-                mat[1:, 0] *= rng.integers(0, 2)
-            assert int_det(mat) == leibniz_det(mat)
-    with pytest.raises(ValueError):
-        int_det([[1, 2, 3], [4, 5, 6]])
-
-
-def test_int_det_of_all_ones_lambda():
-    """Lambda + I = J is singular for the all-ones Lambda at any K, and
-    det(J - I) = (-1)^(K-1) (K-1)."""
+def test_plus_i_rank_against_independent_oracles():
+    """On every K = 2, 3 and 4 sign matrix, rank(Lambda + I) is 1 exactly
+    on the products lambda_kj = d_k d_j and below K exactly where the
+    Leibniz determinant of Lambda + I is 0.  On seeded integer matrices of
+    every rank up to 8 x 8 it is sympy's rank, so a column with no pivot is
+    skipped correctly; J = Lambda + I of the all-ones Lambda has rank 1 at
+    every K."""
+    for k in (2, 3, 4):
+        products = {tuple(tuple(0 if r == c else d[r] * d[c] for c in range(k))
+                          for r in range(k)) for d in itertools.product((1, -1), repeat=k)}
+        for lam in all_sign_matrices(k):
+            rank = rates._plus_i_rank(lam)
+            assert (rank == 1) == (lam in products), lam
+            plus_i = np.add(lam, np.eye(k, dtype=np.int64))
+            assert (rank < k) == (leibniz_det(plus_i) == 0) == lambda_plus_i_singular(lam), lam
+    rng = np.random.default_rng(5)
+    for n in range(200):
+        size = n % 8 + 1
+        inner = rng.integers(0, size + 1)
+        mat = rng.integers(-3, 4, size=(size, inner)) @ rng.integers(-3, 4, size=(inner, size))
+        lam = mat - np.eye(size, dtype=np.int64)
+        assert rates._plus_i_rank(lam) == sympy.Matrix(mat.tolist()).rank(), mat
     for k in range(2, 25):
-        lam = np.ones((k, k), dtype=np.int64) - np.eye(k, dtype=np.int64)
-        assert int_det(lam + np.eye(k, dtype=np.int64)) == 0
-        assert int_det(lam) == (-1) ** (k - 1) * (k - 1)
+        assert rates._plus_i_rank(np.ones((k, k), dtype=np.int64) - np.eye(k, dtype=np.int64)) == 1
+    with pytest.raises(ValueError, match="non-square"):
+        lambda_plus_i_singular([[0, 1, 1], [1, 0, 1]])
 
 
 def test_lambda_plus_i_singular_reads_none_as_the_all_ones_lambda():

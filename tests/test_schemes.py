@@ -21,7 +21,7 @@ from fcic import schemes
 from fcic.channel import DetParams, run_feedback_session
 from fcic.cli import main
 from fcic.gf import GfMatrix, SingularSystem, is_prime, nullspace
-from fcic.rates import RegimeMismatch, det_converse, int_det, lambda_plus_i_singular
+from fcic.rates import RegimeMismatch, det_converse, lambda_plus_i_singular
 from fcic.schemes import (
     PRIME_SCAN,
     AlignmentSolution,
@@ -40,6 +40,7 @@ from conftest import (
     all_sign_matrices_k3,
     cofactor_det_mod,
     eliminate_augmented,
+    leibniz_det,
     qsym_decode_matrix,
 )
 
@@ -791,7 +792,7 @@ def test_dead_moderate_users_have_integer_certificates():
     solves agree."""
     mats = list(all_sign_matrices_k3())
     assert sorted(DEAD_USER_CERTIFICATES) == [
-        i for i, lam in enumerate(mats) if int_det(np.add(lam, np.eye(3, dtype=np.int64))) == 4]
+        i for i, lam in enumerate(mats) if leibniz_det(np.add(lam, np.eye(3, dtype=np.int64))) == 4]
     for i, (k, y) in DEAD_USER_CERTIFICATES.items():
         lam = mats[i]
         rows = _constraint_rows_by_definition(lam)
@@ -829,7 +830,7 @@ def test_k3_orbits_are_told_apart_by_two_invariants():
 
     def invariants(lam):
         pairs = tuple(sorted(lam[i][j] * lam[j][i] for i, j in ((0, 1), (0, 2), (1, 2))))
-        return int_det(np.add(lam, np.eye(3, dtype=np.int64))), pairs
+        return leibniz_det(np.add(lam, np.eye(3, dtype=np.int64))), pairs
 
     orbits = _k3_orbits()
     assert {rep: len(orbit) for rep, orbit in orbits.items()} == {

@@ -29,11 +29,18 @@ import tempfile
 from pathlib import Path
 
 # K = 3 sign matrices: the benchmark's det-signed matrix (no prime aligns it
-# at m = n, exit 3), one with Lambda + I singular, one that aligns at m = n
+# at m = n, exit 3), one with Lambda + I singular, one that aligns at m = n;
+# then one sign matrix per rank branch of K != 3: Lambda + I of rank 1
+# (lambda_kj = d_k d_j), of rank 2 (singular, no product), of full rank 4
+# (no prime aligns it at m = n), and a K = 2 one of full rank
 SIGNS = {
     "unaligned.txt": "0 1 -1\n-1 0 1\n1 1 0\n",
     "singular.txt": "0 -1 1\n1 0 -1\n1 -1 0\n",
     "aligned.txt": "0 1 1\n1 0 -1\n1 -1 0\n",
+    "k4-product.txt": "0 -1 -1 -1\n-1 0 1 1\n-1 1 0 1\n-1 1 1 0\n",
+    "k4-rank-2.txt": "0 -1 -1 -1\n-1 0 -1 -1\n-1 1 0 1\n-1 1 1 0\n",
+    "k4-unaligned.txt": "0 1 1 1\n1 0 1 -1\n1 -1 0 1\n1 -1 -1 0\n",
+    "k2-crossed.txt": "0 1\n-1 0\n",
 }
 DUMP = "dump.json"
 BELOW_2_512 = "1.3407807929942596e+154"  # the largest float below 2^512
@@ -60,6 +67,20 @@ CASES = {
                                "--signs", "unaligned.txt", "--dump", DUMP),
     "det-verify-usage": ("det-verify", "--k", "1", "--n", "1", "--m", "1"),
     "det-converse-signed": ("det-converse", "--n", "2", "--m", "2", "--signs", "aligned.txt"),
+    # K != 3: the rank of Lambda + I picks the converse, or none (exit 2)
+    "det-converse-k4-product": ("det-converse", "--n", "2", "--m", "2", "--k", "4",
+                                "--signs", "k4-product.txt"),
+    "det-converse-k4-rank-2": ("det-converse", "--n", "2", "--m", "2", "--k", "4",
+                               "--signs", "k4-rank-2.txt"),
+    "det-converse-k2-crossed": ("det-converse", "--n", "2", "--m", "1", "--k", "2",
+                                "--signs", "k2-crossed.txt"),
+    "det-verify-k4-product-weak": ("det-verify", "--k", "4", "--n", "3", "--m", "1",
+                                   "--signs", "k4-product.txt"),
+    # time sharing before the scan (singular) and after a failed scan
+    "det-verify-k4-rank-2": ("det-verify", "--k", "4", "--n", "2", "--m", "2",
+                             "--signs", "k4-rank-2.txt"),
+    "det-verify-k4-unaligned": ("det-verify", "--k", "4", "--n", "2", "--m", "2",
+                                "--signs", "k4-unaligned.txt"),
     "qsym-p3": ("qsym", "--signs", "aligned.txt", "--regime", "moderate", "--p", "3"),
     "qsym-p5": ("qsym", "--signs", "singular.txt", "--regime", "strong", "--p", "5"),
     "qsym-exit-3": ("qsym", "--signs", "singular.txt", "--regime", "moderate", "--p", "5"),
