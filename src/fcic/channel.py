@@ -183,7 +183,7 @@ def _residues(maps, p: int) -> np.ndarray:
     return maps
 
 
-@dataclass
+@dataclass(eq=False)
 class Scheme:
     """A linear feedback coding scheme over GF(p), as explicit integer maps.
 
@@ -202,7 +202,8 @@ class Scheme:
     through one user's map would change every user's); the replay and the
     residue check read such a map's base once.
     Their shapes are checked, so an encoder cannot see an output it does
-    not causally have.
+    not causally have.  Schemes compare by identity: `==` on their maps
+    would be an array, not a bool.
     """
 
     params: DetParams
@@ -249,10 +250,11 @@ class Scheme:
         return max(L + (T - 1) * q, T * q)
 
 
-@dataclass
+@dataclass(eq=False)
 class Transcript:
     """Full record of one feedback session, or of a batch of B sessions when
-    every array carries a leading batch axis."""
+    every array carries a leading batch axis.  Transcripts compare by
+    identity, as `==` on their arrays would not give a bool."""
 
     params: DetParams
     blocks: list[tuple[np.ndarray, np.ndarray]]

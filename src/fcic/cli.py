@@ -116,7 +116,7 @@ def cmd_det_verify(args) -> int:
 def cmd_qsym(args) -> int:
     signs = _read_signs(args.signs)
     sol = schemes.qsym_solve(signs, args.regime, args.p)
-    margins = [schemes.moderate_margin(a, b, u, v, args.p)
+    margins = [schemes.two_block_delta(0, a, b, u, v, args.p)[0]
                for a, b, u, v in zip(sol.a, sol.b, sol.u, sol.v)]
     print(json.dumps({
         "signs": [list(r) for r in signs],

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -345,12 +345,13 @@ class NestedLattice1D:
     """Nested pair (coarse step c, fine step c/M) with its codebook.
 
     The codebook is the M fine-lattice points inside the coarse Voronoi cell
-    [-c/2, c/2), so it is closed under mod-c addition.
+    [-c/2, c/2), so it is closed under mod-c addition.  (c, M) fix the
+    codebook, so `==` and `hash` read those two and leave the array out.
     """
 
     coarse_step: float
     refinement: int
-    codebook: np.ndarray
+    codebook: np.ndarray = field(compare=False)
 
     @property
     def fine_step(self) -> float:

@@ -110,8 +110,11 @@ def det_converse(n: int, m: int, k: int, signs=None) -> Fraction | None:
     its symbols by d_k, so it has the same values at every K.  Any other
     sign matrix changes only the m = n value, and only for K = 3: n/2 when
     Lambda + I has full rank (else some receivers see duplicated outputs).
-    Other signed channels with K != 3 give None.  The rank is taken only
-    where it decides: a signed K = 3 channel at m != n takes none.
+    Other signed channels with K != 3 give None.  The rank of Lambda + I
+    is taken once, and only where it decides: for a signed channel with
+    K != 3, or at m = n.  `signs=None` is the all-ones Lambda, whose
+    Lambda + I has rank 1, and a signed K = 3 channel at m != n takes no
+    rank.
 
     For the 20 K = 3 sign matrices with det(Lambda + I) = 4, n/2 at m = n
     is a converse bound that no scheme here reaches (no prime aligns them:
@@ -122,17 +125,16 @@ def det_converse(n: int, m: int, k: int, signs=None) -> Fraction | None:
         raise ValueError("need n, m >= 0 and not both zero")
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    if signs is not None:
-        signs = _validate_signs(signs, k)
-        if k != 3 and _plus_i_rank(signs) != 1:
-            return None
+    signs = None if signs is None else _validate_signs(signs, k)
+    # where no rank decides, 1 stands in: the all-ones Lambda + I's rank
+    rank = 1 if signs is None or (k == 3 and m != n) else _plus_i_rank(signs)
+    if k != 3 and rank != 1:
+        return None
     if m < n:
         return Fraction(2 * n - m, 2)
     if m > n:
         return Fraction(m, 2)
-    if lambda_plus_i_singular(signs):
-        return Fraction(n, k)
-    return Fraction(n, 2)
+    return Fraction(n, k) if rank < k else Fraction(n, 2)
 
 
 def lambda_plus_i_singular(signs) -> bool:
@@ -232,6 +234,8 @@ class ClosedForms(NamedTuple):
     gap inequalities where its column of `bad` is all False.  Each flag
     compares a value the kernel computed (the rate, c_tilde or the strong
     regime's argument), so the flags check the floating-point kernel.
+    As a NamedTuple it keeps tuple equality: `==` compares its arrays, and
+    can raise ValueError, so compare its fields with numpy instead.
     """
 
     regime: np.ndarray  # regime names (object array), (N,)

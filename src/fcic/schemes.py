@@ -187,7 +187,8 @@ def moderate_margin(a: int, b: int, u: int, v: int, p: int) -> int:
     of the two-block system; decoding needs it nonzero.  The minus sign on u
     is load-bearing: a +u condition would declare sign matrices with
     duplicated receiver outputs decodable at n/2, above their n/3 capacity.
-    Works elementwise on arrays, as `qsym_solve` calls it on its forms.
+    Its one caller is `two_block_delta`, at m = n; it works elementwise on
+    arrays, as the solver's forms pass through it.
     """
     return (b + v - a - u) % p
 
@@ -459,7 +460,8 @@ class VerifyReport:
     `declared_rate` is its message symbols per block, so a report cannot
     declare a rate its replayed session did not carry.  `converse_rate` is
     `det_converse`'s at those params, None where no converse is
-    established, computed once per report."""
+    established, computed once per report.  `==` compares the counts and
+    the transcripts, the latter by identity."""
 
     trials: int
     successes: int

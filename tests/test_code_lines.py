@@ -1,6 +1,9 @@
 """The code-line counter in tools/ (stdlib only, not part of the package)."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fcic
@@ -50,3 +53,17 @@ def test_code_lines_covers_every_package_module(capsys):
     assert set(counts) == set(package.glob("*.py"))
     assert all(0 < n <= len(path.read_text().splitlines()) for path, n in counts.items())
     assert total == f"{sum(counts.values())} total"
+
+
+def test_a_closed_stdout_stops_the_tool_quietly():
+    """Into a pipe whose reader has already closed, as under `| head -1`,
+    the tool exits 1 with nothing on stderr, not a BrokenPipeError
+    traceback."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, str(TOOL)], stdout=write,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")

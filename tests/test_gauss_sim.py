@@ -357,6 +357,14 @@ def test_a_gate_on_a_non_finite_statistic_fails(gate, field, value):
     assert f" {'se' if field.endswith('_se') else 'estimate'}={value!r} " in line
 
 
+def test_gates_ok_is_no_gate_failure():
+    """`gates_ok` holds on a passing run and fails with a failing gate."""
+    stats = simulate_strong_two_block(strong_cfg(block=1000, trials=2))
+    assert stats.gate_failures() == [] and stats.gates_ok is True
+    failing = dataclasses.replace(stats, noise_power_hat=math.inf)
+    assert failing.gate_failures() and failing.gates_ok is False
+
+
 def test_mc_config_needs_a_positive_block_and_trial_count():
     """Two negative counts multiply to enough samples; each is still
     rejected on its own."""

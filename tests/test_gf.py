@@ -42,6 +42,11 @@ def test_numpy_integer_moduli_are_checked_as_python_ints():
     assert type(GfMatrix([[1]], np.int64(5)).p) is int
 
 
+def test_matrix_entries_must_be_2d():
+    with pytest.raises(ValueError, match="must be 2-D"):
+        GfMatrix([1, 2, 3], 5)
+
+
 def test_entries_canonicalised():
     m = GfMatrix([[7, -1], [5, 12]], 5)
     assert m.data.tolist() == [[2, 4], [0, 2]]
@@ -189,6 +194,11 @@ def test_det_matches_cofactor_expansion():
             for _ in range(8):
                 m = random_matrix(rng, n, n, p)
                 assert m.det() == cofactor_det_mod(m.data, p)
+
+
+def test_det_needs_a_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        GfMatrix([[1, 2, 3], [4, 5, 6]], 7).det()
 
 
 def test_inverse_roundtrip():

@@ -159,6 +159,42 @@ def test_plus_i_rank_against_independent_oracles():
         lambda_plus_i_singular([[0, 1, 1], [1, 0, 1]])
 
 
+def test_det_converse_takes_the_rank_once_where_it_decides(monkeypatch):
+    """On every K = 2, 3 and 4 sign matrix and six (n, m) pairs,
+    `det_converse` gives the paper's rule: the symmetric converse on the
+    products lambda_kj = d_k d_j, None on other signed channels with K != 3,
+    and for K = 3 the symmetric rates off m = n and n/2 or n/3 at m = n as
+    det(Lambda + I) is nonzero or zero.  It takes the rank of Lambda + I at
+    most once, and none for `signs=None` or a signed K = 3 channel at
+    m != n."""
+    calls = []
+    rank = rates._plus_i_rank
+    monkeypatch.setattr(rates, "_plus_i_rank", lambda signs: calls.append(1) or rank(signs))
+    pairs = ((2, 1), (1, 2), (2, 2), (3, 3), (0, 1), (1, 0))
+    for k in (2, 3, 4):
+        products = {tuple(tuple(0 if r == c else d[r] * d[c] for c in range(k))
+                          for r in range(k)) for d in itertools.product((1, -1), repeat=k)}
+        for lam in all_sign_matrices(k):
+            singular = leibniz_det(np.add(lam, np.eye(k, dtype=np.int64))) == 0
+            for n, m in pairs:
+                symmetric = det_converse(n, m, k)
+                expect = (symmetric if lam in products or (k == 3 and m != n)
+                          else None if k != 3
+                          else Fraction(n, 3) if singular else Fraction(n, 2))
+                calls.clear()
+                assert det_converse(n, m, k, lam) == expect, (lam, n, m)
+                assert len(calls) == (0 if k == 3 and m != n else 1), (lam, n, m)
+    for k in (2, 3, 4, 7):
+        for n, m in pairs:
+            calls.clear()
+            det_converse(n, m, k)
+            assert calls == []
+    product = ((0, -1, -1, -1), (-1, 0, 1, 1), (-1, 1, 0, 1), (-1, 1, 1, 0))
+    calls.clear()
+    assert det_converse(2, 2, 4, product) == Fraction(1, 2)
+    assert len(calls) == 1
+
+
 def test_lambda_plus_i_singular_reads_none_as_the_all_ones_lambda():
     """None is the symmetric channel's all-ones Lambda, whose Lambda + I is
     the rank-1 all-ones matrix, so det_converse needs no case of its own."""

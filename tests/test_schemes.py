@@ -20,6 +20,7 @@ from sympy.matrices.normalforms import invariant_factors
 from fcic import schemes
 from fcic.channel import DetParams, run_feedback_session
 from fcic.cli import main
+from fcic.gauss_sim import make_lattice
 from fcic.gf import GfMatrix, SingularSystem, is_prime, nullspace
 from fcic.rates import RegimeMismatch, det_converse, lambda_plus_i_singular
 from fcic.schemes import (
@@ -1706,6 +1707,23 @@ def test_verify_scheme_is_seeded_and_reproducible():
     r1 = verify_scheme(scheme.params, scheme, 25, seed=123)
     r2 = verify_scheme(scheme.params, scheme, 25, seed=123)
     assert r1.successes == r2.successes == 25
+
+
+def test_results_holding_arrays_compare_as_bools():
+    """A generated `==` over array fields would raise.  Two lattices from
+    the same (c, M) are equal and hash equal, as (c, M) fix the codebook;
+    schemes and transcripts compare by identity; reports compare their
+    counts and, by identity, their transcripts."""
+    lat = make_lattice(1.0, 4)
+    assert (lat == make_lattice(1.0, 4)) is True
+    assert hash(lat) == hash(make_lattice(1.0, 4))
+    assert (lat == make_lattice(1.0, 8)) is False
+    one, two = build_scheme(3, 3, 1, p=5), build_scheme(3, 3, 1, p=5)
+    first = verify_scheme(one.params, one, 3, seed=1)
+    second = verify_scheme(two.params, two, 3, seed=1)
+    for x, y in ((one, two), (first.transcript, second.transcript), (first, second)):
+        assert (x == y) is False and (x == x) is True
+    assert (first == dataclasses.replace(first)) is True
 
 
 def test_every_constructible_scheme_decodes_across_primes():

@@ -74,6 +74,11 @@ CASES = {
                                "--signs", "k4-rank-2.txt"),
     "det-converse-k2-crossed": ("det-converse", "--n", "2", "--m", "1", "--k", "2",
                                 "--signs", "k2-crossed.txt"),
+    # the rank taken off m = n: rank 1 gives m < n's rate, rank 4 no converse
+    "det-converse-k4-product-weak": ("det-converse", "--n", "3", "--m", "1", "--k", "4",
+                                     "--signs", "k4-product.txt"),
+    "det-converse-k4-unaligned-strong": ("det-converse", "--n", "1", "--m", "3", "--k", "4",
+                                         "--signs", "k4-unaligned.txt"),
     "det-verify-k4-product-weak": ("det-verify", "--k", "4", "--n", "3", "--m", "1",
                                    "--signs", "k4-product.txt"),
     # time sharing before the scan (singular) and after a failed scan
@@ -82,6 +87,7 @@ CASES = {
     "det-verify-k4-unaligned": ("det-verify", "--k", "4", "--n", "2", "--m", "2",
                                 "--signs", "k4-unaligned.txt"),
     "qsym-p3": ("qsym", "--signs", "aligned.txt", "--regime", "moderate", "--p", "3"),
+    "qsym-moderate-p5": ("qsym", "--signs", "aligned.txt", "--regime", "moderate", "--p", "5"),
     "qsym-p5": ("qsym", "--signs", "singular.txt", "--regime", "strong", "--p", "5"),
     "qsym-exit-3": ("qsym", "--signs", "singular.txt", "--regime", "moderate", "--p", "5"),
     "gdof": ("gdof", "--steps", "9", "--k", "3"),

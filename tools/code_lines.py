@@ -11,7 +11,8 @@ Usage: python tools/code_lines.py [PATH ...]
 Each PATH is a .py file or a directory searched for them recursively; the
 default is the `fcic` package beside this script.  Prints one
 "<lines> <module>" row per file, its path relative to the working
-directory, and then "<lines> total".
+directory, and then "<lines> total".  If the reader closes stdout early
+(`| head -1`), it stops with exit status 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -69,4 +70,13 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head -1`): stop with no traceback, as
+        # in the recipe of Python's `signal` docs; stdout goes to devnull so
+        # the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
