@@ -325,10 +325,16 @@ def _two_block_trial(c, z1, z2, snr: float, inr: float, sig: np.ndarray, resid: 
     return x2[0]
 
 
+@np.errstate(over="ignore")
 def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
     """(x.mean(), x.std(ddof=1) / sqrt(n)) with numpy's own arithmetic
     (`_mean`, `_var`: sum / n, subtract the mean, square, sum / (n - 1),
-    sqrt), one sum for both and no temporary.  Overwrites `x`."""
+    sqrt), one sum for both and no temporary.  Overwrites `x`.
+
+    Near INR = 2^512 the squares or their sum overflow to inf.  numpy's
+    overflow reporting is off here: an inf statistic already fails its
+    gate (`gate_failures`), which names it, so a numpy warning would report
+    the same fault twice.  The setting changes no value."""
     n = x.size
     mean = float(x.sum() / n)
     x -= mean

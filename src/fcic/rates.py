@@ -423,12 +423,12 @@ def gap_report(points) -> list[GapFact]:
     Excluded-band points are tagged and carry no claim (gap_ok stays True
     there); every other point must satisfy its regime's inequalities at
     tolerance RATE_TOL.  The points are evaluated as arrays, one
-    `_closed_forms` call per distinct K, each at that K alone; the facts
-    keep the input order.
+    `_closed_forms` call per distinct K, each at that K alone, the K in
+    the order they first appear; the facts keep the input order.
     """
     points = list(points)
     facts: list[GapFact] = [None] * len(points)
-    for k in {params.k for params in points}:
+    for k in dict.fromkeys(params.k for params in points):
         where = [n for n, params in enumerate(points) if params.k == k]
         forms = _closed_forms(np.array([points[n].snr for n in where], dtype=float),
                               np.array([points[n].inr for n in where], dtype=float), [k])

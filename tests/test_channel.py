@@ -139,6 +139,25 @@ def test_signed_channel_uses_signs():
     assert (y[0] == y[2]).all()
 
 
+def test_every_sign_matrix_is_the_symmetric_channel_over_gf2():
+    """Over GF(2), -1 = 1: each of the 4096 K = 4 sign matrices gives the
+    all-ones channel's outputs on a batch of 64 sessions.  Over GF(3) a
+    signed channel differs from it."""
+    rng = np.random.default_rng(36)
+    off = [(r, c) for r in range(4) for c in range(4) if r != c]
+    x = rng.integers(0, 2, size=(64, 4, 3))
+    symmetric = apply_channel(DetParams(K=4, n=3, m=2, p=2), x)
+    for bits in itertools.product((1, -1), repeat=len(off)):
+        lam = np.zeros((4, 4), dtype=int)
+        lam[tuple(zip(*off))] = bits
+        signed = apply_channel(DetParams(K=4, n=3, m=2, p=2, signs=lam.tolist()), x)
+        assert np.array_equal(signed, symmetric), lam
+    lam = ((0, -1, 1), (1, 0, -1), (1, -1, 0))
+    x = np.array([[1, 0], [1, 0], [1, 0]])
+    assert (apply_channel(DetParams(K=3, n=2, m=2, p=3, signs=lam), x).tolist()
+            != apply_channel(DetParams(K=3, n=2, m=2, p=3), x).tolist())
+
+
 @pytest.mark.parametrize("signs", [None, ((0, -1, 1), (1, 0, -1), (1, -1, 0))])
 def test_sign_matrix_is_built_once_and_read_only(signs):
     """Every channel use reads the one Lambda its parameters built, which

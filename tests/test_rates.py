@@ -432,6 +432,17 @@ def test_gap_excluded_point_carries_no_claim():
     assert facts[0].gap_ok
 
 
+@pytest.mark.parametrize("first", (0, 1))
+def test_gap_report_overflow_names_the_first_point(first):
+    """Two strong points whose (INR - SNR)^2 leaves binary64, at two K: in
+    either input order the error names the point that comes first."""
+    points = [GaussParams(1.0, 1e300, 2), GaussParams(1.0, 1.5e300, 8)]
+    points = points[first:] + points[:first]
+    with pytest.raises(OverflowError) as caught:
+        gap_report(points)
+    assert str(caught.value) == f"(INR - SNR)^2 at SNR = 1, INR = {points[0].inr:.12g}"
+
+
 @pytest.mark.parametrize("snr", (1e-3, 1.0, 10.0, 1e4, 1e15))
 def test_negligible_gap_is_tight_at_two_users_just_below_inr_two(snr):
     """At K = 2 the negligible-regime gap c_tilde - rate is exactly
