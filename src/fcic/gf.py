@@ -96,34 +96,44 @@ class GfMatrix:
         which keeps nullspace extraction trivial.  det is the product of the
         pivots as found, before normalisation, with the sign of the row
         swaps: for a square matrix with a pivot in every column it is the
-        determinant.
+        determinant.  A pivot that is already 1 is not normalised (every
+        entry of the alignment constraints is -1, 0 or 1), a row update
+        touches only the columns where the pivot row is nonzero, and the
+        scan stops once every row holds a pivot.
         """
         p = self.p
         n_rows, n_cols = self.data.shape
         red = self.data.tolist()
         pivots: list[int] = []
         det = 1
-        r = 0
         for c in range(n_cols):
-            sel = next((i for i in range(r, n_rows) if red[i][c]), -1)
-            if sel < 0:
+            r = len(pivots)
+            if r == n_rows:
+                break
+            for sel in range(r, n_rows):
+                if red[sel][c]:
+                    break
+            else:
                 continue
+            row = red[sel]
             if sel != r:
-                red[r], red[sel] = red[sel], red[r]
-                det = -det % p
-            piv = red[r][c]
-            det = det * piv % p
-            inv = pow(piv, p - 2, p)
-            # the pivot row is 0 left of c, so only columns c onwards change
-            row = [v * inv % p for v in red[r][c:]]
-            red[r][c:] = row
-            for i, other in enumerate(red):
+                red[r], red[sel] = row, red[r]
+                det = -det
+            piv = row[c]
+            if piv != 1:
+                det = det * piv % p
+                inv = pow(piv, p - 2, p)
+                # the pivot row is 0 left of c, so only columns c onwards change
+                row[c:] = [v * inv % p for v in row[c:]]
+            nonzero = [j for j in range(c + 1, n_cols) if row[j]]
+            for other in red:
                 f = other[c]
-                if i != r and f:
-                    other[c:] = [(v - f * w) % p for v, w in zip(other[c:], row)]
+                if f and other is not row:
+                    other[c] = 0
+                    for j in nonzero:
+                        other[j] = (other[j] - f * row[j]) % p
             pivots.append(c)
-            r += 1
-        return np.array(red, dtype=np.int64).reshape(n_rows, n_cols), pivots, det
+        return np.array(red, dtype=np.int64).reshape(n_rows, n_cols), pivots, det % p
 
     def det(self) -> int:
         """Determinant in [0, p), from one elimination by `_echelon`."""
@@ -139,11 +149,17 @@ def nullspace(m: GfMatrix) -> np.ndarray:
 
     Each basis vector has a 1 in its free coordinate and the negated reduced
     echelon entries in the pivot coordinates, so the output is deterministic.
+    It is written from the echelon's pivot rows in Python ints and becomes
+    one array in one constructor.
     """
     red, pivots, _ = m._echelon()
-    cols = m.data.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[range(len(free)), free] = 1
-    basis[:, pivots] = -red[:len(pivots), free].T % m.p
-    return basis
+    p, cols = m.p, red.shape[1]
+    rows = red[:len(pivots)].tolist()
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [0] * cols
+        vec[f] = 1
+        for c, row in zip(pivots, rows):
+            vec[c] = -row[f] % p
+        basis.append(vec)
+    return np.array(basis, dtype=np.int64).reshape(len(basis), cols)

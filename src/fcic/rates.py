@@ -424,18 +424,26 @@ def gap_report(points) -> list[GapFact]:
     there); every other point must satisfy its regime's inequalities at
     tolerance RATE_TOL.  The points are evaluated as arrays, one
     `_closed_forms` call per distinct K, each at that K alone, the K in
-    the order they first appear; the facts keep the input order.
+    the order they first appear; the facts keep the input order.  A K
+    group that overflows names its own first such point, which need not
+    be the first in the list, so the points are then evaluated one at a
+    time, in input order, and the first to overflow is named.
     """
     points = list(points)
     facts: list[GapFact] = [None] * len(points)
-    for k in dict.fromkeys(params.k for params in points):
-        where = [n for n, params in enumerate(points) if params.k == k]
-        forms = _closed_forms(np.array([points[n].snr for n in where], dtype=float),
-                              np.array([points[n].inr for n in where], dtype=float), [k])
-        for j, n in enumerate(where):
-            facts[n] = GapFact(points[n], forms.regime[j], float(forms.rate[0, j]),
-                               float(forms.c_tilde[j]), float(forms.upper[0, j]),
-                               forms.violations(0, j))
+    try:
+        for k in dict.fromkeys(params.k for params in points):
+            where = [n for n, params in enumerate(points) if params.k == k]
+            forms = _closed_forms(np.array([points[n].snr for n in where], dtype=float),
+                                  np.array([points[n].inr for n in where], dtype=float), [k])
+            for j, n in enumerate(where):
+                facts[n] = GapFact(points[n], forms.regime[j], float(forms.rate[0, j]),
+                                   float(forms.c_tilde[j]), float(forms.upper[0, j]),
+                                   forms.violations(0, j))
+    except OverflowError:
+        for params in points:
+            _closed_forms(np.array([params.snr]), np.array([params.inr]), [params.k])
+        raise
     return facts
 
 

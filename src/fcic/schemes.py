@@ -9,8 +9,9 @@ Lambda A + Lambda B Lambda = U + V Lambda.  The fully symmetric channel is
 the all-ones Lambda, which aligns at the closed-form point
 (A, B, U, V) = (0, 1, K-1, K-2) because Lambda^2 = (K-1) I + (K-2) Lambda;
 signed channels get their point from the solver `qsym_solve`, which walks
-nullspace coordinates in array slices, one coordinate table and one
-product with the K linear forms of Delta's constant term per slice.  At
+nullspace coordinates in Python ints, with no array slices: it keeps the
+K linear forms of Delta's constant term summed over each prefix of the
+coordinates and solves the last coordinate for each user.  At
 m = n, `build_scheme` asks `rates` once, before any prime, whether
 Lambda + I is singular (always, for the symmetric channel); if so it uses
 n/K time sharing instead.  Its prime scan only aligns, and a failed m = n
@@ -70,7 +71,6 @@ __all__ = [
 
 PRIME_SCAN = (2, 3, 5, 7, 11, 13)
 ENUM_CAP = 10**6
-_SLICE = 256  # solver candidates per array slice; small, so peak memory stays flat
 _CHUNK = 1024  # verify sessions per replay; a bounded batch, so memory stays flat in trials
 _REGIME_SIGN = {"weak": 1, "strong": -1, "moderate": 0}  # the sign of n - m
 _DELTA_TERM = {1: "B", -1: "-U", 0: "B + V - A - U"}  # Delta's constant term by sign
@@ -216,19 +216,21 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     so the nullspace basis takes coordinates to (A, B, V), U's rows follow
     from B's, and one (dim, K) matrix `forms` takes them to the K users'
     conditions, Delta's constant term being linear: a zero column fails
-    everywhere and is reported at once.  Otherwise the search reads
-    only `forms`, `_SLICE` candidates per array slice, over an r**dim grid:
-    coordinates take the first r of 1, ..., p-1, 0 (non-degenerate points
-    first) in lexicographic order, r the largest radix <= p with r**dim <=
-    `ENUM_CAP` (r = p whenever p**dim <= `ENUM_CAP`).  A slice is one
-    (candidates, dim) table of coordinates, decided by one product
-    `coords @ forms % p`, exact in int64: each coordinate is at most r and
-    each form entry at most p - 1, so a sum is at most dim r (p - 1), with
-    r**dim <= `ENUM_CAP` and p < 2^32 (`DetParams` and `GfMatrix` reject
-    larger p).  The first candidate meeting the condition wins, its row
-    of the table mapped through the (A, B, V) basis in Python ints
-    (`AlignmentSolution` reads its U off B); else the search reports the
-    r**dim candidates and per-user failures.
+    everywhere and is reported at once.  Otherwise the search reads only
+    `forms`, in Python ints, over an r**dim grid: coordinates take the
+    first r of 1, ..., p-1, 0 (non-degenerate points first) in
+    lexicographic order, r the largest radix <= p with r**dim <=
+    `ENUM_CAP` (r = p whenever p**dim <= `ENUM_CAP`).  It walks the
+    prefixes of all coordinates but the last and solves the last: a user
+    whose last form entry is nonzero fails at exactly one last value, which
+    counts only among the first r, and a user whose entry is 0 fails at
+    every last value or at none, so a prefix costs O(K) and its first last
+    value that no user fails at wins.  A coordinate whose forms are all 0
+    decides nothing: the walk skips it, the winner keeps its first value,
+    and it multiplies every count by r.  The winner's coordinates are
+    mapped through the (A, B, V) basis (`AlignmentSolution` reads its U off
+    B); else the search reports the r**dim candidates and the user that
+    failed first at most of them, with that count.
     """
     if regime not in _REGIME_SIGN:
         raise ValueError(f"unknown regime {regime!r}")
@@ -251,27 +253,59 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     if p**dim > ENUM_CAP:  # the largest r with r**dim <= ENUM_CAP
         radix = round(ENUM_CAP ** (1.0 / dim))
         radix -= radix**dim > ENUM_CAP
-    fail_counts = np.zeros(k_users, dtype=np.int64)
-    checked = radix**dim
-    place = np.array([radix**j for j in range(dim - 1, -1, -1)], dtype=np.int64)
-    for start in range(0, checked, _SLICE):
-        idx = np.arange(start, min(start + _SLICE, checked), dtype=np.int64)
-        coords = idx[:, None] // place % radix  # the last coordinate varies fastest
-        coords += 1
-        coords %= p  # digit d -> value (d+1) mod p
-        fails = coords @ forms % p == 0
-        passing = (~fails.any(axis=1)).nonzero()[0]
-        if passing.size:  # the winner's coordinates, mapped in Python ints
-            coords = coords[passing[0]].tolist()
+    # a coordinate whose forms are all 0 decides nothing: it keeps digit 0 in
+    # the first winner and stands for radix times the candidates in a count
+    rows = forms.tolist()
+    used = [j for j, row in enumerate(rows) if any(row)]
+    *head, last = (rows[j] for j in used)
+    # digit d is the value d + 1 mod p, linear in d.  At prefix sum s_k, user
+    # k fails at the last value c with s_k + c f_k = 0, f_k its last form
+    # entry: at the one digit -s_k / f_k - 1 if f_k != 0, else at every
+    # digit (s_k = 0) or at none.  t holds that digit for each live user
+    # (f_k != 0), in user order, then s_k for each flat one (f_k = 0); both
+    # move linearly with the prefix digits.
+    live = [k for k in range(k_users) if last[k]]
+    flat = [k for k in range(k_users) if not last[k]]
+    n_live = len(live)
+    scale = [p - pow(last[k], -1, p) for k in live] + [1] * len(flat)
+    steps = [[row[k] * w % p for k, w in zip(live + flat, scale)] for row in head]
+    t = [(sum(col) - (i < n_live)) % p for i, col in enumerate(zip(*steps, [0] * k_users))]
+    digits = [0] * len(head)
+    level = [t] * len(used)  # level[j]: t at the prefix digits before j, the rest at 0
+    fail_counts = [0] * (k_users + 1)  # the last slot stands for no user
+    while True:
+        live_t = t[:n_live]
+        # a flat user at s_k = 0 fails at every digit: the first such is a wall
+        wall = flat[t.index(0, n_live) - n_live] if 0 in t[n_live:] else k_users
+        hit = {d for d in live_t if d < radix}
+        if wall == k_users and len(hit) < radix:  # the first digit no user fails at wins
+            d = 0
+            while d in hit:
+                d += 1
+            coords = [1] * dim
+            for j, digit in zip(used, (*digits, d)):
+                coords[j] = (digit + 1) % p
             x = [sum(map(operator.mul, coords, col)) % p for col in zip(*abv.tolist())]
             point = (tuple(x[j:j + k_users]) for j in range(0, 3 * k_users, k_users))
             return AlignmentSolution(*point, p=p, signs=signs)
-        fail_counts += np.bincount(fails.argmax(axis=1), minlength=k_users)
-    worst = int(fail_counts.argmax())
+        # each digit's first failing user: its first live user, unless the wall is earlier
+        for d in hit:
+            fail_counts[min(live[live_t.index(d)], wall)] += 1
+        fail_counts[wall] += radix - len(hit)
+        j = len(head) - 1  # the next prefix: the last prefix digit moves fastest
+        while j >= 0 and digits[j] == radix - 1:
+            digits[j] = 0
+            j -= 1
+        if j < 0:
+            break
+        digits[j] += 1
+        t = [(x + y) % p for x, y in zip(level[j + 1], steps[j])]
+        level[j + 1:] = [t] * (len(head) - j)
+    worst = fail_counts.index(max(fail_counts))
     raise NoSolution(
-        f"no {regime}-regime alignment point over GF({p}) after {checked} candidates; "
+        f"no {regime}-regime alignment point over GF({p}) after {radix**dim} candidates; "
         f"the {regime} condition failed most often at user {worst} "
-        f"({int(fail_counts[worst])} times)"
+        f"({fail_counts[worst] * radix ** (dim - len(used))} times)"
     )
 
 

@@ -288,3 +288,80 @@ def test_echelon_matches_two_array_kernel(system):
     assert (pivots, det) == (old_pivots, old_det)
     assert red.dtype == np.int64 and red.shape == a.shape
     assert (red == old_red).all()
+
+
+# ---------------------------------------------------------------------------
+# the kernel against a plain reduced row echelon form
+# ---------------------------------------------------------------------------
+
+def _plain_rref(rows, n_cols, p):
+    """Textbook Gauss-Jordan over GF(p) in Python ints: every column is
+    visited, the first row at or below the next pivot row with a nonzero
+    entry is the pivot, every pivot is normalised and every other row is
+    cleared across its whole width.  Returns (rows, pivots, det), det the
+    product of the pivots as found with the sign of each swap, mod p."""
+    a = [list(row) for row in rows]
+    pivots, det = [], 1
+    for c in range(n_cols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if sel is None:
+            continue
+        if sel != r:
+            a[r], a[sel] = a[sel], a[r]
+            det = -det
+        det *= a[r][c]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots, det % p
+
+
+def _echelon_cases(seed, count):
+    """(p, entries) over the primes from 2 to the largest `check_dot_length`
+    admits: square, wide and tall shapes, rank-deficient products of two
+    random factors, entries -1, 0, 1 only (so most pivots are already 1),
+    all-zero rows mixed in, and matrices with no rows at all."""
+    rng = np.random.default_rng(seed)
+    for n in range(count):
+        p = (2, 3, 5, 13, 1009, 3037000493)[n % 6]
+        rows, cols = int(rng.integers(0 if n % 7 == 0 else 1, 9)), int(rng.integers(1, 9))
+        if n % 3 == 0:  # rank at most `inner`
+            inner = int(rng.integers(0, min(rows, cols) + 1))
+            left = rng.integers(0, min(p, 2**31), size=(rows, inner)).tolist()
+            right = rng.integers(0, min(p, 2**31), size=(inner, cols)).tolist()
+            entries = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)]
+                       if inner else [0] * cols for row in left]
+        elif n % 3 == 1:
+            entries = rng.integers(-1, 2, size=(rows, cols)).tolist()
+        else:
+            entries = rng.integers(0, min(p, 2**31), size=(rows, cols)).tolist()
+        for i in range(rows):
+            if rng.random() < 0.2:
+                entries[i] = [0] * cols
+        yield p, np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+
+def test_echelon_matches_a_plain_rref_and_det_the_cofactor_expansion():
+    """The kernel's early stop once every row holds a pivot, its skipped
+    normalisation of a pivot already 1 and its row updates over the pivot
+    row's nonzero columns change nothing: the same reduced rows, pivots and
+    det as a plain Gauss-Jordan elimination, and on a square matrix `det`
+    is the cofactor expansion."""
+    shapes = set()
+    for p, entries in _echelon_cases(seed=37, count=600):
+        m = GfMatrix(entries, p)
+        red, pivots, det = m._echelon()
+        want = _plain_rref(m.data.tolist(), entries.shape[1], p)
+        assert red.dtype == np.int64 and red.shape == entries.shape
+        assert (red.tolist(), pivots, det) == want
+        rows, cols = entries.shape
+        shapes.add("none" if rows == 0 else "square" if rows == cols else
+                   "wide" if rows < cols else "tall")
+        if rows == cols:
+            assert m.det() == cofactor_det_mod(entries, p)
+    assert shapes == {"none", "square", "wide", "tall"}

@@ -443,6 +443,16 @@ def test_gap_report_overflow_names_the_first_point(first):
     assert str(caught.value) == f"(INR - SNR)^2 at SNR = 1, INR = {points[0].inr:.12g}"
 
 
+def test_gap_report_overflow_names_the_first_point_across_interleaved_k():
+    """K groups are evaluated one at a time, and the K = 2 group comes first;
+    yet the first point to overflow in input order is the K = 8 one, the
+    second point, so the error names INR = 1.5e+300, not the third point's
+    1e+300."""
+    points = [GaussParams(1, 10, 2), GaussParams(1, 1.5e300, 8), GaussParams(1, 1e300, 2)]
+    with pytest.raises(OverflowError, match=r"^\(INR - SNR\)\^2 at SNR = 1, INR = 1\.5e\+300$"):
+        gap_report(points)
+
+
 @pytest.mark.parametrize("snr", (1e-3, 1.0, 10.0, 1e4, 1e15))
 def test_negligible_gap_is_tight_at_two_users_just_below_inr_two(snr):
     """At K = 2 the negligible-regime gap c_tilde - rate is exactly

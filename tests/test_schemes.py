@@ -409,13 +409,15 @@ def _solve_outcome(signs, regime, p):
 
 
 def test_qsym_solve_matches_reference_enumeration(monkeypatch):
-    """The sliced linear-map search finds the same first point, or fails
-    with the same text, as the per-candidate loop it replaced.  The cap is
-    lowered to 700 for both so the Python reference stays fast: every space
-    over GF(2), GF(3) and GF(5) is searched exhaustively, larger ones up to
-    the cap."""
+    """The prefix walk finds the same first point, or fails with the same
+    text, as the per-candidate loop it replaced: on the 64 K = 3 sign
+    matrices, the 38 K = 4 orbit representatives and 20 seeded K = 5
+    matrices.  The cap is lowered to 700 for both so the Python reference
+    stays fast: every K = 3 space over GF(2), GF(3) and GF(5) is searched
+    exhaustively, larger ones up to the cap."""
     monkeypatch.setattr(schemes, "ENUM_CAP", 700)
-    cases = [*all_sign_matrices_k3(), all_ones_lambda(2), all_ones_lambda(4)]
+    cases = [*all_sign_matrices_k3(), all_ones_lambda(2), all_ones_lambda(4), *_k4_orbits(),
+             *_random_sign_matrices(5, 20, seed=20261020)]
     outcomes = set()
     for lam in cases:
         for regime in ("weak", "strong", "moderate"):
@@ -427,13 +429,12 @@ def test_qsym_solve_matches_reference_enumeration(monkeypatch):
 
 
 def test_qsym_solve_capped_search_matches_reference(monkeypatch):
-    """With the cap and the slice below the candidate count, the search
-    walks the largest radix r with r**dim <= ENUM_CAP, a partial last slice
-    included, and reports r**dim candidates: at ENUM_CAP 10 or 20 over
-    GF(3), the 32 K = 3 matrices with a 3-dimensional space, where no user's
-    weak or strong condition vanishes, walk 2**3 = 8 = 3 + 3 + 2 candidates.
-    At 20 the rounded cube root is 3, and 3**3 = 27 > 20 takes it down to 2."""
-    monkeypatch.setattr(schemes, "_SLICE", 3)
+    """With the cap below the candidate count, the search walks the largest
+    radix r with r**dim <= ENUM_CAP and reports r**dim candidates: at
+    ENUM_CAP 10 or 20 over GF(3), the 32 K = 3 matrices with a
+    3-dimensional space, where no user's weak or strong condition vanishes,
+    walk 2**3 = 8 candidates.  At 20 the rounded cube root is 3, and
+    3**3 = 27 > 20 takes it down to 2."""
     for cap in (10, 20):
         monkeypatch.setattr(schemes, "ENUM_CAP", cap)
         for regime in ("weak", "strong"):
@@ -443,6 +444,81 @@ def test_qsym_solve_capped_search_matches_reference(monkeypatch):
                 assert got == _reference_qsym_solve(lam, regime, 3, cap)
                 walked += "after 8 candidates" in got
             assert walked == 32
+
+
+def _basis_forms(signs, regime, p):
+    """Each user's Delta constant term (`_delta_form`) at each nullspace basis
+    vector, mod p: row j holds the K users' forms on coordinate j."""
+    basis = nullspace(GfMatrix(qsym_constraint_matrix(signs), p)).tolist()
+    forms = [_delta_form(signs, regime, k) for k in range(len(signs))]
+    return [[sum(map(operator.mul, vec, form)) % p for form in forms] for vec in basis]
+
+
+def _point_at(signs, p, coords):
+    """(A, B, U, V) at the nullspace coordinates `coords`, in Python ints."""
+    k = len(signs)
+    basis = nullspace(GfMatrix(qsym_constraint_matrix(signs), p)).tolist()
+    x = [sum(map(operator.mul, coords, col)) % p for col in zip(*basis)]
+    a, b, v = x[:k], x[k:2 * k], x[2 * k:]
+    u = [sum(signs[i][j] * b[j] * signs[j][i] for j in range(k)) % p for i in range(k)]
+    return tuple(a), tuple(b), tuple(u), tuple(v)
+
+
+def test_qsym_walk_treats_a_user_with_a_zero_last_form_entry():
+    """User 2's weak form is 0 on the last coordinate over GF(5), so it fails
+    at every last value of a prefix or at none.  It fails at all five of
+    the first prefix (1, 1), where its prefix sum 4 + 1 is 0, and at none
+    of the second, (1, 2), whose last value 3 is the first that users 0 and
+    1 both pass: candidate 7 of the reference's walk."""
+    lam = ((0, 1, 1), (1, 0, 1), (1, -1, 0))
+    forms = _basis_forms(lam, "weak", 5)
+    assert forms == [[0, 1, 4], [1, 0, 1], [4, 4, 0]]
+    got = _solve_outcome(lam, "weak", 5)
+    assert got == _point_at(lam, 5, (1, 2, 3))
+    assert got == _reference_qsym_solve(lam, "weak", 5, schemes.ENUM_CAP)
+
+
+def test_qsym_walk_skips_a_failing_value_beyond_the_capped_radix(monkeypatch):
+    """At ENUM_CAP 20 over GF(3) the all-ones K = 3 strong walk has radix 2 on
+    a 4-dimensional space: digits 0 and 1, the values 1 and 2.  At the first
+    prefix user 2 fails only at the value 0, digit 2, beyond the radix, and
+    users 0 and 1 fail at value 2, so value 1 wins: the first candidate.
+    Counting digit 2 among the radix would fail the whole prefix."""
+    monkeypatch.setattr(schemes, "ENUM_CAP", 20)
+    lam = all_ones_lambda(3)
+    assert _basis_forms(lam, "strong", 3)[-1] == [2, 2, 1]
+    got = _solve_outcome(lam, "strong", 3)
+    assert got == _point_at(lam, 3, (1, 1, 1, 1))
+    assert got == _reference_qsym_solve(lam, "strong", 3, 20)
+
+
+def test_qsym_walk_counts_the_prefixes_a_flat_user_fails_whole(monkeypatch):
+    """At ENUM_CAP 20 the strong walks of the seeded K = 5 sample have radix
+    2 or 3.  Where a user with a zero last form entry fails at every last
+    value of a prefix, each value's first failing user is the earlier of
+    it and the first user failing there by its one value; such a user
+    takes part in 39 of the walks that run out.  Every outcome, the counts
+    in each NoSolution text included, is the reference's."""
+    monkeypatch.setattr(schemes, "ENUM_CAP", 20)
+    flat_walks = 0
+    for lam in _random_sign_matrices(5, 20, seed=20261020):
+        for p in PRIME_SCAN:
+            got = _solve_outcome(lam, "strong", p)
+            assert got == _reference_qsym_solve(lam, "strong", p, 20)
+            if "candidates" in got:  # a walk that ran out; its last coordinate's forms:
+                flat_walks += 0 in [row for row in _basis_forms(lam, "strong", p) if any(row)][-1]
+    assert flat_walks == 39
+
+
+def test_qsym_walk_finds_a_winner_past_the_first_prefix():
+    """Benchmark sign matrix 62, strong, over GF(3): user 2's last form entry
+    is 0 and its prefix sum is 0 at the first prefix (1, 1), which fails
+    whole; the second prefix (1, 2) wins at the last value 0, candidate 5."""
+    lam = ((0, 1, -1), (-1, 0, -1), (-1, -1, 0))
+    assert _basis_forms(lam, "strong", 3) == [[0, 2, 2], [1, 0, 1], [2, 1, 0]]
+    got = _solve_outcome(lam, "strong", 3)
+    assert got == _point_at(lam, 3, (1, 2, 0)) == ((1, 2, 0), (1, 1, 2), (1, 1, 2), (1, 2, 0))
+    assert got == _reference_qsym_solve(lam, "strong", 3, schemes.ENUM_CAP)
 
 
 def test_qsym_solve_rejects_an_unknown_regime():

@@ -29,11 +29,15 @@ from pathlib import Path
 # at m = n, exit 3), one with Lambda + I singular, one that aligns at m = n;
 # then one sign matrix per rank branch of K != 3: Lambda + I of rank 1
 # (lambda_kj = d_k d_j), of rank 2 (singular, no product), of full rank 4
-# (no prime aligns it at m = n), and a K = 2 one of full rank
+# (no prime aligns it at m = n), and a K = 2 one of full rank; the
+# benchmark's sign matrix 62, whose strong GF(3) point lies past the
+# solver's first prefix, and a K = 5 one no prime aligns in the strong regime
 SIGNS = {
     "unaligned.txt": "0 1 -1\n-1 0 1\n1 1 0\n",
     "singular.txt": "0 -1 1\n1 0 -1\n1 -1 0\n",
     "aligned.txt": "0 1 1\n1 0 -1\n1 -1 0\n",
+    "matrix-62.txt": "0 1 -1\n-1 0 -1\n-1 -1 0\n",
+    "k5-unaligned.txt": "0 1 1 -1 -1\n-1 0 -1 -1 1\n1 1 0 1 1\n1 1 1 0 1\n-1 1 1 -1 0\n",
     "k4-product.txt": "0 -1 -1 -1\n-1 0 1 1\n-1 1 0 1\n-1 1 1 0\n",
     "k4-rank-2.txt": "0 -1 -1 -1\n-1 0 -1 -1\n-1 1 0 1\n-1 1 1 0\n",
     "k4-unaligned.txt": "0 1 1 1\n1 0 1 -1\n1 -1 0 1\n1 -1 -1 0\n",
@@ -96,6 +100,11 @@ CASES = {
     "qsym-weak-p101": ("qsym", "--signs", "aligned.txt", "--regime", "weak", "--p", "101"),
     "qsym-strong-p2-exit-3": ("qsym", "--signs", "aligned.txt", "--regime", "strong",
                               "--p", "2"),
+    # a point past the first prefix; a K = 5 GF(2) walk that runs out of its 64 (exit 3)
+    "qsym-matrix-62-strong-p3": ("qsym", "--signs", "matrix-62.txt", "--regime", "strong",
+                                 "--p", "3"),
+    "det-verify-k5-strong-p2-exit-3": ("det-verify", "--k", "5", "--n", "1", "--m", "2",
+                                       "--p", "2", "--signs", "k5-unaligned.txt"),
     "gdof": ("gdof", "--steps", "9", "--k", "3"),
     "gauss-rates": ("gauss-rates", "--snr", "100", "--inr", "1000", "--k", "3"),
     "gauss-gap-inr-2": ("gauss-gap", "--snr-grid", "1,1e19,1e300",
