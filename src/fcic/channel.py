@@ -35,6 +35,7 @@ results.)
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,9 +54,14 @@ __all__ = [
 
 
 def _validate_signs(signs, k: int) -> tuple[tuple[int, ...], ...]:
-    arr = np.asarray(signs, dtype=np.int64)
+    """`signs` as a k x k tuple of Python int rows, +-1 off a zero diagonal.
+    A matrix that is not of integers (an entry 1.5 or "-1") fails the
+    off-diagonal rule, where an int64 cast would read 1 and -1."""
+    arr = np.asarray(signs)
     if arr.shape != (k, k):
         raise ValueError(f"sign matrix must be {k}x{k}, got {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise ValueError("off-diagonal signs must be -1 or +1")
     rows = arr.tolist()  # checked as Python ints: numpy scalar indexing tripled the cost
     for i, row in enumerate(rows):
         if row[i] != 0:
@@ -80,13 +86,15 @@ class DetParams:
     signs: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
+        for name in ("K", "n", "m"):  # stored as Python ints, as p is
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.K < 2:
             raise ValueError(f"need K >= 2 users, got {self.K}")
         if self.n < 0 or self.m < 0:
             raise ValueError("level counts must be non-negative")
         if max(self.n, self.m) < 1:
             raise ValueError("need at least one signal level (max(n, m) >= 1)")
-        _require_prime(self.p)
+        object.__setattr__(self, "p", _require_prime(self.p))
         if self.signs is not None:
             object.__setattr__(self, "signs", _validate_signs(self.signs, self.K))
 
@@ -174,12 +182,21 @@ def _distinct(maps: np.ndarray) -> np.ndarray:
     return maps[0] if maps.ndim and len(maps) and maps.strides[0] == 0 else maps
 
 
-def _residues(maps, p: int) -> np.ndarray:
-    maps = np.asarray(maps)
-    entries = _distinct(maps)  # a broadcast map is checked as its base, not K copies
+def _residues(maps, k: int, p: int) -> np.ndarray:
+    """`maps` as k users' read-only (k, rows, cols) view, checked to be int64
+    residues in [0, p).  A map every user shares, given as (1, rows, cols) or
+    broadcast with a zero stride on the user axis, is checked as its base,
+    once, and held as one zero-stride view of it, not k copies.  The
+    caller's array keeps its flags."""
+    maps = np.asarray(maps).view()  # the view is frozen below, not the caller's array
+    # as unsigned, a negative entry exceeds every p: one comparison for both bounds
     if (maps.ndim != 3 or maps.dtype != np.int64
-            or entries.min(initial=0) < 0 or entries.max(initial=0) >= p):
+            or _distinct(maps).view(np.uint64).max(initial=0) >= p):
         raise ValueError(f"scheme maps must be (K, rows, columns) int64 residues in [0, {p})")
+    if len(maps) == 1:  # one map for every user, viewed with a zero stride on the user axis
+        base = np.ascontiguousarray(maps[0])  # the view's buffer: a copy only if strided
+        maps = np.ndarray((k, *base.shape), base.dtype, base, 0, (0, *base.strides))
+    maps.flags.writeable = False
     return maps
 
 
@@ -196,11 +213,14 @@ class Scheme:
 
     L and T are read off the maps (block 0's columns, the number of
     blocks), and so is the rate L/T: a scheme cannot declare a rate its
-    maps do not carry.  Maps must be int64 residues in [0, p) and are not
-    copied, so a map shared by every user can be one (rows, cols) array
-    viewed with a zero stride on the user axis (read-only, as a write
-    through one user's map would change every user's); the replay and the
-    residue check read such a map's base once.
+    maps do not carry.  Maps must be int64 residues in [0, p), each given
+    as (K, rows, cols), or as (1, rows, cols) for a map every user shares,
+    which the scheme holds as one (rows, cols) array viewed with a zero
+    stride on the user axis, not K copies; the replay and the residue check
+    read such a map's base once.  Maps are not copied (but for a strided
+    shared one), and the scheme holds every map as a read-only view, so no
+    write through a scheme's map can change it (through a shared one, every
+    user's), while the caller's own array keeps its flags.
     Their shapes are checked, so an encoder cannot see an output it does
     not causally have.  Schemes compare by identity: `==` on their maps
     would be an array, not a bool.
@@ -213,8 +233,8 @@ class Scheme:
 
     def __post_init__(self):
         K, q, p = self.params.K, self.params.q, self.params.p
-        self.encoders = tuple(_residues(e, p) for e in self.encoders)
-        self.decoders = _residues(self.decoders, p)
+        self.encoders = tuple(_residues(e, K, p) for e in self.encoders)
+        self.decoders = _residues(self.decoders, K, p)
         if not self.encoders:
             raise ValueError("a scheme needs at least one block")
         L, T = self.msg_symbols, self.blocks

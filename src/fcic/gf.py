@@ -14,6 +14,7 @@ elimination.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -67,8 +68,14 @@ def check_dot_length(p: int, length: int) -> None:
         )
 
 
-def _require_prime(p: int) -> int:
-    p = int(p)
+def _require_prime(p) -> int:
+    """p as a Python int, prime and small enough for int64 products; a
+    non-integral p (5.5, "5") raises a ValueError that names it, where
+    int() would truncate or parse it."""
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise ValueError(f"p must be an integer, got {p!r}") from None
     check_dot_length(p, 1)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -92,14 +99,15 @@ class GfMatrix:
         the first nonzero entry of each column as its pivot.
 
         Returns (red, pivot column list, det): red is data in *reduced* row
-        echelon form (pivots normalised to 1, cleared above and below),
-        which keeps nullspace extraction trivial.  det is the product of the
-        pivots as found, before normalisation, with the sign of the row
-        swaps: for a square matrix with a pivot in every column it is the
-        determinant.  A pivot that is already 1 is not normalised (every
-        entry of the alignment constraints is -1, 0 or 1), a row update
-        touches only the columns where the pivot row is nonzero, and the
-        scan stops once every row holds a pivot.
+        echelon form (pivots normalised to 1, cleared above and below), as
+        a list of Python int rows, which keeps nullspace extraction
+        trivial.  det is the product of the pivots as found, before
+        normalisation, with the sign of the row swaps: for a square matrix
+        with a pivot in every column it is the determinant.  A pivot that
+        is already 1 is not normalised (every entry of the alignment
+        constraints is -1, 0 or 1), a row update touches only the columns
+        where the pivot row is nonzero, and the scan stops once every row
+        holds a pivot.
         """
         p = self.p
         n_rows, n_cols = self.data.shape
@@ -133,7 +141,7 @@ class GfMatrix:
                     for j in nonzero:
                         other[j] = (other[j] - f * row[j]) % p
             pivots.append(c)
-        return np.array(red, dtype=np.int64).reshape(n_rows, n_cols), pivots, det % p
+        return red, pivots, det % p
 
     def det(self) -> int:
         """Determinant in [0, p), from one elimination by `_echelon`."""
@@ -149,17 +157,16 @@ def nullspace(m: GfMatrix) -> np.ndarray:
 
     Each basis vector has a 1 in its free coordinate and the negated reduced
     echelon entries in the pivot coordinates, so the output is deterministic.
-    It is written from the echelon's pivot rows in Python ints and becomes
-    one array in one constructor.
+    It is written from the echelon's pivot rows, Python int lists, and
+    becomes one array in one constructor.
     """
     red, pivots, _ = m._echelon()
-    p, cols = m.p, red.shape[1]
-    rows = red[:len(pivots)].tolist()
+    p, cols = m.p, m.data.shape[1]
     basis = []
     for f in (c for c in range(cols) if c not in pivots):
         vec = [0] * cols
         vec[f] = 1
-        for c, row in zip(pivots, rows):
+        for c, row in zip(pivots, red):  # the pivot rows lead
             vec[c] = -row[f] % p
         basis.append(vec)
     return np.array(basis, dtype=np.int64).reshape(len(basis), cols)

@@ -19,14 +19,15 @@ scan falls back to time sharing only where `rates.det_converse`
 establishes no converse.
 
 Every scheme is written out as explicit GF(p) encoder and decoder maps (see
-`Scheme`); a map every user shares is one read-only zero-stride view of a
-single (rows, cols) array.  The builder inverts each distinct decode
-matrix once at build time, in closed form: its blocks are polynomials in
-one shift, so `_decode_inverse` reads the inverse off a power series, with
-no elimination; it and the solver test one condition, the constant term of
-`two_block_delta`, the only evidence of infeasibility: SingularSystem and
-its subclass NoSolution name the user whose term is 0 mod p (for
-NoSolution, on the whole solution space, or else the candidates searched).
+`Scheme`); a map every user shares is passed as one (1, rows, cols) array,
+which `Scheme` holds as a read-only zero-stride view.  The builder inverts
+each distinct decode matrix once at build time, in closed form: its blocks
+are polynomials in one shift, so `_decode_inverse` reads the inverse off a
+power series, with no elimination; it and the solver test one condition,
+the constant term of `two_block_delta`, the only evidence of
+infeasibility: SingularSystem and its subclass NoSolution name the user
+whose term is 0 mod p (for NoSolution, on the whole solution space, or
+else the candidates searched).
 Without p, `build_scheme` returns the first success of its `PRIME_SCAN`
 scan, which tries GF(2) last at odd K in the strong regime: there U_k =
 S - B_k mod 2 (S the sum of the B_j), and no B makes every U_k nonzero
@@ -52,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import DetParams, Scheme, Transcript, _validate_signs, run_feedback_session
-from .gf import GfMatrix, SingularSystem, nullspace
+from .gf import GfMatrix, SingularSystem, _require_prime, nullspace
 from .rates import RegimeMismatch, det_converse, lambda_plus_i_singular, rate_json
 
 __all__ = [
@@ -119,10 +120,11 @@ class AlignmentSolution:
     U is not stored: `u` reads it off B as the identity's diagonal,
     U_k = sum_j lambda_kj B_j lambda_jk, so the diagonal holds by
     definition.  Construction validates `signs` as `DetParams` does (a K x K
-    matrix of +-1 with a zero diagonal), stores it as a tuple of tuples,
-    and re-checks the identity's off-diagonal entries, which reject a wrong
-    A, B or V; each diagonal factor is applied by broadcasting (Lambda A
-    scales Lambda's columns, V Lambda its rows).
+    matrix of +-1 with a zero diagonal), stores it as a tuple of tuples and
+    A, B and V as tuples of Python ints, and re-checks the identity's
+    off-diagonal entries, which reject a wrong A, B or V, and one that is
+    not of integers (0.5 is no residue); each diagonal factor is applied by
+    broadcasting (Lambda A scales Lambda's columns, V Lambda its rows).
     """
 
     a: tuple[int, ...]
@@ -134,15 +136,20 @@ class AlignmentSolution:
     def __post_init__(self):
         k = len(self.signs)
         object.__setattr__(self, "signs", _validate_signs(self.signs, k))
-        for name, vec in (("a", self.a), ("b", self.b), ("v", self.v)):
-            if len(vec) != k:
-                raise ValueError(f"{name} must have {k} entries")
+        object.__setattr__(self, "p", _require_prime(self.p))
         lam = np.array(self.signs, dtype=np.int64)
-        a, b, v = (np.array(vec, dtype=np.int64) for vec in (self.a, self.b, self.v))
-        # Lambda A + Lambda B Lambda - V Lambda off the diagonal, each factor broadcast
-        residual = lam * a + (lam * b) @ lam - v[:, None] * lam
-        residual.flat[::k + 1] = 0
-        if (residual % self.p).any():
+        a, b, v = vecs = [np.asarray(getattr(self, name)) for name in "abv"]
+        for name, vec in zip("abv", vecs):
+            if vec.shape != (k,):
+                raise ValueError(f"{name} must have {k} entries")
+            object.__setattr__(self, name, tuple(vec.tolist()))  # as Python ints
+        # no residue is 0.5 or "1"; else Lambda A + Lambda B Lambda - V Lambda
+        # off the diagonal, each factor broadcast
+        integral = all(vec.dtype.kind in "iu" for vec in vecs)
+        if integral:
+            residual = lam * a + (lam * b) @ lam - v[:, None] * lam
+            residual.flat[::k + 1] = 0
+        if not integral or (residual % self.p).any():
             raise ValueError("alignment identity Lambda A + Lambda B Lambda = U + V Lambda fails")
 
     @property
@@ -234,11 +241,11 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     """
     if regime not in _REGIME_SIGN:
         raise ValueError(f"unknown regime {regime!r}")
-    lam = np.asarray(signs, dtype=np.int64)
-    k_users = lam.shape[0]
+    k_users = len(signs)
     if k_users < 2:
         raise ValueError(f"need K >= 2 users, got {k_users}")
-    signs = _validate_signs(lam, k_users)
+    signs = _validate_signs(signs, k_users)  # before any cast: 1.5 is no sign
+    lam = np.array(signs, dtype=np.int64)
     abv = nullspace(GfMatrix(qsym_constraint_matrix(lam), p))
     dim = len(abv)
     a_rows, b_rows, v_rows = abv[:, :k_users], abv[:, k_users:2 * k_users], abv[:, 2 * k_users:]
@@ -368,7 +375,8 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
     distinct tuple's decode matrix is inverted once, in closed form by
     `_decode_inverse`, and its rows that yield the user's own symbols are
     the decoder.  Block 1's map, and the other two when every user shares
-    one tuple, are each one array that every user reads (see `_user_maps`).
+    one tuple, are each passed as one (1, rows, cols) array, which `Scheme`
+    shares among the users.
     """
     K, n, m, q, p = params.K, params.n, params.m, params.q, params.p
     L = 2 * n - m if n > m else q  # message symbols
@@ -404,21 +412,10 @@ def _two_block_scheme(params: DetParams, coeffs, name: str) -> Scheme:
         second[:, lvl[m - n:], lvl[:n]] = minus_b
     return Scheme(
         params=params,
-        encoders=(_user_maps(first[None], K), _user_maps(second, K)),
-        decoders=_user_maps(np.array([inverses[c] for c in coeffs]), K),
+        encoders=(first[None], second),
+        decoders=np.array([inverses[c] for c in coeffs]),
         name=name,
     )
-
-
-def _user_maps(maps: np.ndarray, k: int) -> np.ndarray:
-    """A contiguous (1 or k, rows, cols) array of maps as the read-only
-    (k, rows, cols) maps of k users: a single map is shared as one view with
-    a zero stride on the user axis (the ndarray construction of
-    `_decode_inverse`), not k copies."""
-    if len(maps) == 1:
-        maps = np.ndarray((k, *maps.shape[1:]), maps.dtype, maps, 0, (0, *maps.strides[1:]))
-    maps.flags.writeable = False
-    return maps
 
 
 # ---------------------------------------------------------------------------

@@ -49,13 +49,15 @@ def leibniz_det(mat) -> int:
 def eliminate_augmented(mat, rhs, p: int):
     """X with mat @ X == rhs over GF(p) for a square mat, or None when mat
     is singular, from one elimination of [mat | rhs] by the package's kernel:
-    mat is invertible iff each of its columns holds a pivot, and the reduced
-    right half is then X."""
+    mat is invertible iff each of its columns holds a pivot, and the right
+    half of the reduced rows is then X, as an int64 array."""
     mat = np.asarray(mat, dtype=np.int64)
     rhs = np.asarray(rhs, dtype=np.int64).reshape(len(mat), -1)
     red, pivots, _ = GfMatrix(np.concatenate([mat, rhs], axis=1), p)._echelon()
     n = mat.shape[1]
-    return red[:, n:] if pivots[:n] == list(range(n)) else None
+    if pivots[:n] != list(range(n)):
+        return None
+    return np.array([row[n:] for row in red], dtype=np.int64).reshape(rhs.shape)
 
 
 def qsym_decode_matrix(params, a: int, b: int, u: int, v: int) -> np.ndarray:

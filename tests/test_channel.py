@@ -294,20 +294,24 @@ def _non_residue(maps, bad, p):
 
 
 @pytest.mark.parametrize("bad", ["p", "-1", "int32"])
-@pytest.mark.parametrize("layout", ["per-user", "broadcast"])
+@pytest.mark.parametrize("layout", ["per-user", "broadcast", "shared-1"])
 @pytest.mark.parametrize("block", [1, None])  # the block-1 encoder, or the decoder
 def test_scheme_rejects_maps_that_are_not_residues(bad, layout, block):
     """A per-user map is checked at every user (the bad entry sits at the
-    last one), and a broadcast map as its base, which carries the bad
-    entry; the same maps as residues are accepted in both layouts."""
+    last one), and a broadcast map, or a (1, rows, cols) map that every
+    user shares, as its base, which carries the bad entry; the same maps
+    as residues are accepted in every layout, a shared one as the users'
+    zero-stride view of its base."""
     scheme = build_scheme(3, 3, 1, p=5)
     good = scheme.decoders if block is None else scheme.encoders[block]
     assert good.strides[0] == 0  # the symmetric build shares one map
     if layout == "per-user":
         maps, ok = _non_residue(good, bad, 5), np.array(good)
-    else:
+    elif layout == "broadcast":
         maps = np.broadcast_to(_non_residue(good[0], bad, 5), good.shape)
         ok = np.broadcast_to(np.array(good[0]), good.shape)
+    else:
+        maps, ok = _non_residue(good[:1], bad, 5), np.array(good[:1])
     assert (maps.strides[0] == 0) == (ok.strides[0] == 0) == (layout == "broadcast")
 
     def rebuilt(m):
@@ -317,7 +321,10 @@ def test_scheme_rejects_maps_that_are_not_residues(bad, layout, block):
 
     with pytest.raises(ValueError, match=r"int64 residues in \[0, 5\)"):
         rebuilt(maps)
-    rebuilt(ok)
+    held = rebuilt(ok)
+    held = held.decoders if block is None else held.encoders[block]
+    assert held.shape == good.shape and (held == good).all()
+    assert (held.strides[0] == 0) == (layout != "per-user")
 
 
 def test_truncated_history_replay_reproduces_inputs():

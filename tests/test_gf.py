@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fcic.channel import DetParams
 from fcic.gf import GfMatrix, is_prime, nullspace
 
 from conftest import cofactor_det_mod, eliminate_augmented
@@ -40,6 +43,21 @@ def test_numpy_integer_moduli_are_checked_as_python_ints():
     with pytest.raises(ValueError, match="too large for int64 arithmetic"):
         GfMatrix([[1]], np.int64(4294967291))
     assert type(GfMatrix([[1]], np.int64(5)).p) is int
+
+
+@pytest.mark.parametrize("value", [5.5, "5"])
+def test_non_integral_parameters_are_rejected_not_truncated(value):
+    """p = 5.5 is not read as the prime 5, nor the string "5" as 5:
+    `GfMatrix` and `DetParams` raise a ValueError that names p.  K, n and m
+    pass through `operator.index`, which rejects them too."""
+    text = re.escape(f"p must be an integer, got {value!r}")
+    with pytest.raises(ValueError, match=text):
+        GfMatrix([[1]], value)
+    with pytest.raises(ValueError, match=text):
+        DetParams(K=3, n=2, m=1, p=value)
+    for name in ("K", "n", "m"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            DetParams(**{"K": 3, "n": 2, "m": 1, "p": 5, name: value})
 
 
 def test_matrix_entries_must_be_2d():
@@ -280,14 +298,14 @@ def _systems(draw):
                                     np.eye(3, dtype=np.int64)], axis=1)))
 @example(system=(13, np.zeros((2, 4), dtype=np.int64)))
 def test_echelon_matches_two_array_kernel(system):
-    """The kernel gives the same reduced array, pivots and det as its
-    predecessor."""
+    """The kernel gives the same reduced rows, as Python int lists, pivots
+    and det as its predecessor."""
     p, a = system
     red, pivots, det = GfMatrix(a, p)._echelon()
     old_red, old_pivots, old_det = _two_array_echelon(a, p)
     assert (pivots, det) == (old_pivots, old_det)
-    assert red.dtype == np.int64 and red.shape == a.shape
-    assert (red == old_red).all()
+    assert all(type(v) is int for row in red for v in row)
+    assert red == old_red.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +375,8 @@ def test_echelon_matches_a_plain_rref_and_det_the_cofactor_expansion():
         m = GfMatrix(entries, p)
         red, pivots, det = m._echelon()
         want = _plain_rref(m.data.tolist(), entries.shape[1], p)
-        assert red.dtype == np.int64 and red.shape == entries.shape
-        assert (red.tolist(), pivots, det) == want
+        assert all(type(v) is int for row in red for v in row)
+        assert (red, pivots, det) == want
         rows, cols = entries.shape
         shapes.add("none" if rows == 0 else "square" if rows == cols else
                    "wide" if rows < cols else "tall")

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import inspect
 import itertools
+import json
 import math
 import operator
 import sys
@@ -1575,6 +1576,85 @@ def test_symmetric_maps_are_user_broadcasts(k_users, n, m):
             arr[0, 0, 0] = 1
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
+
+
+# a strong-regime sign matrix whose users get distinct coefficients over GF(3)
+PER_USER_SIGNS = ((0, -1, -1), (1, 0, 1), (1, 1, 0))
+
+
+def test_every_build_holds_read_only_maps_and_the_callers_stay_writable():
+    """Time sharing's per-user maps, a signed build's per-user maps and a
+    per-user map the caller built are all read-only through the scheme,
+    which holds the caller's map as a view, not a copy, and leaves its
+    array writable."""
+    moderate = build_scheme(3, 2, 2)
+    signed = build_scheme(3, 1, 2, signs=PER_USER_SIGNS)
+    assert (moderate.name, signed.name, signed.params.p) == ("moderate", "qsym", 3)
+    assert all(arr.strides[0] != 0 for arr in (*moderate.encoders, moderate.decoders))
+    assert signed.encoders[1].strides[0] != 0 and signed.decoders.strides[0] != 0
+    mine = np.array(signed.decoders)
+    caller = dataclasses.replace(signed, decoders=mine)
+    assert np.shares_memory(caller.decoders, mine)
+    for scheme in (moderate, signed, caller):
+        for arr in (*scheme.encoders, scheme.decoders):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[-1, 0, 0] = arr[-1, 0, 0]
+    assert mine.flags.writeable
+    mine[-1, 0, 0] = mine[-1, 0, 0]
+
+
+@pytest.mark.parametrize("numpy_args", [{"K": np.int64(3)}, {"p": np.int64(5)},
+                                        {"K": np.int64(3), "n": np.int32(2),
+                                         "m": np.int64(1), "p": np.int64(5)}],
+                         ids=["K", "p", "all"])
+@pytest.mark.parametrize("signs", [None, PER_USER_SIGNS], ids=["symmetric", "signed"])
+def test_numpy_integer_parameters_build_the_python_int_scheme(numpy_args, signs):
+    """K, n, m and p given as numpy ints are stored as Python ints, so the
+    build has the same maps as with Python ints and its report writes the
+    same JSON (an int64 K once failed `json.dumps`, an int64 p `pow`)."""
+    args = {"K": 3, "n": 2, "m": 1, "p": 5 if "p" in numpy_args else None}
+    want = build_scheme(**args, signs=signs)
+    got = build_scheme(**{**args, **numpy_args}, signs=signs)
+    assert got.params == want.params
+    assert all(type(getattr(got.params, name)) is int for name in ("K", "n", "m", "p"))
+    for ours, theirs in zip((*got.encoders, got.decoders), (*want.encoders, want.decoders)):
+        assert ours.shape == theirs.shape and (ours == theirs).all()
+    reports = [verify_scheme(s.params, s, trials=20, seed=1).to_json_dict() for s in (got, want)]
+    assert json.dumps(reports[0]) == json.dumps(reports[1])
+
+
+@pytest.mark.parametrize("entry", [1.5, "-1"])
+def test_non_integral_signs_are_rejected_not_cast(entry):
+    """A sign 1.5 is not read as 1, nor "-1" as -1: `det_converse`,
+    `DetParams`, `qsym_solve` and `AlignmentSolution` reject the matrix
+    with the off-diagonal rule's text (an int64 cast once gave
+    `det_converse(2, 2, 3, ...)` = 2/3)."""
+    signs = [[0, entry, 1], [1, 0, 1], [1, 1, 0]]
+    text = r"^off-diagonal signs must be -1 or \+1$"
+    with pytest.raises(ValueError, match=text):
+        det_converse(2, 2, 3, signs)
+    with pytest.raises(ValueError, match=text):
+        DetParams(K=3, n=2, m=2, p=3, signs=signs)
+    with pytest.raises(ValueError, match=text):
+        qsym_solve(signs, "moderate", 3)
+    with pytest.raises(ValueError, match=text):
+        AlignmentSolution(a=(0, 0, 0), b=(1, 1, 1), v=(1, 1, 1), p=5, signs=signs)
+
+
+def test_non_integral_coefficients_are_rejected_and_numpy_ints_stored_as_ints():
+    """A coefficient 0.5 is not read as 0, nor 5.0, which would pass the
+    identity mod 5, as 5: both fail the identity's text.  numpy ints are
+    stored as Python ints, with the JSON of the Python-int point."""
+    ones = all_ones_lambda()
+    for a in ((0.5,) * 3, (5.0,) * 3, ("0",) * 3):
+        with pytest.raises(ValueError, match="^alignment identity .* fails$"):
+            AlignmentSolution(a=a, b=(1, 1, 1), v=(1, 1, 1), p=5, signs=ones)
+    sol = AlignmentSolution(a=np.zeros(3, dtype=np.int64), b=np.ones(3, dtype=np.int32),
+                            v=(np.int64(1),) * 3, p=5, signs=np.array(ones))
+    assert all(type(x) is int for x in (*sol.a, *sol.b, *sol.v, *sol.u))
+    want = AlignmentSolution(a=(0, 0, 0), b=(1, 1, 1), v=(1, 1, 1), p=5, signs=ones)
+    assert json.dumps(sol.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
 # numpy functions implemented in Python: 3-25 us each on a cold call, which
