@@ -16,8 +16,8 @@ split's decodability constraints and the weak simplification read no
 kernel value and hold by algebra, so they are proven in the tests, not
 flagged.  Two readers run it:
 `gap_grid` gives its arrays on an SNR x INR grid for every K of a list in
-one call, and `gap_report` gives one `GapFact` per point of a point list
-(one kernel call per distinct K, at that K alone); `gauss_achievable` is
+one call, and `gap_report` gives one `GapFact` per point of a point list,
+one kernel call per point at its own K; `gauss_achievable` is
 `gap_report` on one point.  The kernel's output is bit-for-bit what the
 same formulas give in scalar Python floats: numpy runs only +, -, *, /,
 sqrt and comparisons, which IEEE 754 rounds correctly either way, while
@@ -154,10 +154,14 @@ def _plus_i_rank(signs) -> int:
     rows are converted.  Each pivot row leaves the list, and a column with
     no pivot is skipped, so the rank is the number of rows that left.
     Every entry stays a minor of the input, so each division by the
-    previous pivot is exact: no rounding and no overflow.
+    previous pivot is exact: no rounding and no overflow.  A matrix that is
+    not of integers (an entry 1.5 or "-1") fails `_validate_signs`'
+    off-diagonal text, where an int cast would read 1 and -1.
     """
-    a = [[int(v) + (i == j) for j, v in enumerate(row)]
-         for i, row in enumerate(np.asarray(signs).tolist())]
+    arr = np.asarray(signs)
+    if arr.dtype.kind not in "iu":
+        raise ValueError("off-diagonal signs must be -1 or +1")
+    a = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(arr.tolist())]
     size = len(a)
     if any(len(row) != size for row in a):
         raise ValueError("Lambda + I of a non-square matrix")
@@ -406,7 +410,8 @@ def gap_grid(snrs, inrs, ks) -> ClosedForms:
     """The closed forms and gap inequalities at every point of the grid
     snrs x inrs, for each K of the list `ks` (row r of `rate`, `upper` and
     `bad` is ks[r]), SNR-major: entry a * len(inrs) + b is
-    (snrs[a], inrs[b]).  Same values as `gap_report` on the same points.
+    (snrs[a], inrs[b]).  Same values as `gap_report` on the same points,
+    which takes them one at a time; the grid is one kernel call.
     """
     s, i = np.asarray(snrs, dtype=float), np.asarray(inrs, dtype=float)
     if not ((s > 0) & np.isfinite(s)).all() or not ((i >= 0) & np.isfinite(i)).all():
@@ -422,28 +427,18 @@ def gap_report(points) -> list[GapFact]:
 
     Excluded-band points are tagged and carry no claim (gap_ok stays True
     there); every other point must satisfy its regime's inequalities at
-    tolerance RATE_TOL.  The points are evaluated as arrays, one
-    `_closed_forms` call per distinct K, each at that K alone, the K in
-    the order they first appear; the facts keep the input order.  A K
-    group that overflows names its own first such point, which need not
-    be the first in the list, so the points are then evaluated one at a
-    time, in input order, and the first to overflow is named.
+    tolerance RATE_TOL.  Each point is one `_closed_forms` call at its own
+    K, in input order, so the facts keep that order and the first point
+    to overflow is the one named.  `gauss_achievable` calls it on one
+    point; a grid goes through `gap_grid`.
     """
-    points = list(points)
-    facts: list[GapFact] = [None] * len(points)
-    try:
-        for k in dict.fromkeys(params.k for params in points):
-            where = [n for n, params in enumerate(points) if params.k == k]
-            forms = _closed_forms(np.array([points[n].snr for n in where], dtype=float),
-                                  np.array([points[n].inr for n in where], dtype=float), [k])
-            for j, n in enumerate(where):
-                facts[n] = GapFact(points[n], forms.regime[j], float(forms.rate[0, j]),
-                                   float(forms.c_tilde[j]), float(forms.upper[0, j]),
-                                   forms.violations(0, j))
-    except OverflowError:
-        for params in points:
-            _closed_forms(np.array([params.snr]), np.array([params.inr]), [params.k])
-        raise
+    facts = []
+    for params in points:
+        forms = _closed_forms(np.array([params.snr], dtype=float),
+                              np.array([params.inr], dtype=float), [params.k])
+        facts.append(GapFact(params, forms.regime[0], float(forms.rate[0, 0]),
+                             float(forms.c_tilde[0]), float(forms.upper[0, 0]),
+                             forms.violations(0, 0)))
     return facts
 
 

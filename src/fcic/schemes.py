@@ -9,9 +9,10 @@ Lambda A + Lambda B Lambda = U + V Lambda.  The fully symmetric channel is
 the all-ones Lambda, which aligns at the closed-form point
 (A, B, U, V) = (0, 1, K-1, K-2) because Lambda^2 = (K-1) I + (K-2) Lambda;
 signed channels get their point from the solver `qsym_solve`, which walks
-nullspace coordinates in Python ints, with no array slices: it keeps the
-K linear forms of Delta's constant term summed over each prefix of the
-coordinates and solves the last coordinate for each user.  At
+the prefixes of the nullspace coordinates with `itertools.product`, in
+Python ints and with no running state: it sums the K linear forms of
+Delta's constant term afresh at each prefix, from a table of each
+coordinate's multiples, and solves the last coordinate for each user.  At
 m = n, `build_scheme` asks `rates` once, before any prime, whether
 Lambda + I is singular (always, for the symmetric channel); if so it uses
 n/K time sharing instead.  Its prime scan only aligns, and a failed m = n
@@ -45,6 +46,7 @@ ndarray constructor, a method, a slice or one ufunc does the same in C.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -172,9 +174,13 @@ def qsym_constraint_matrix(signs) -> np.ndarray:
     B_j - lambda_ki V_k = 0, where Lambda's zero diagonal drops j in {k, i},
     so the sum has the one term j != k, i per B_j and every entry is -1, 0
     or 1.  The diagonal entries of the identity do not constrain (A, B, V);
-    they define U_k = sum_j lambda_kj B_j lambda_jk.
+    they define U_k = sum_j lambda_kj B_j lambda_jk.  A matrix that is not
+    of integers (an entry 1.5 or "-1") fails `_validate_signs`' off-diagonal
+    text, where an int64 cast would write 1 and -1.
     """
-    lam = np.asarray(signs, dtype=np.int64)
+    lam = np.asarray(signs)
+    if lam.dtype.kind not in "iu":
+        raise ValueError("off-diagonal signs must be -1 or +1")
     k_users = lam.shape[0]
     diag = np.zeros((k_users, k_users), dtype=bool)
     diag.flat[::k_users + 1] = True
@@ -228,16 +234,22 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     first r of 1, ..., p-1, 0 (non-degenerate points first) in
     lexicographic order, r the largest radix <= p with r**dim <=
     `ENUM_CAP` (r = p whenever p**dim <= `ENUM_CAP`).  It walks the
-    prefixes of all coordinates but the last and solves the last: a user
-    whose last form entry is nonzero fails at exactly one last value, which
-    counts only among the first r, and a user whose entry is 0 fails at
-    every last value or at none, so a prefix costs O(K) and its first last
-    value that no user fails at wins.  A coordinate whose forms are all 0
-    decides nothing: the walk skips it, the winner keeps its first value,
-    and it multiplies every count by r.  The winner's coordinates are
-    mapped through the (A, B, V) basis (`AlignmentSolution` reads its U off
-    B); else the search reports the r**dim candidates and the user that
-    failed first at most of them, with that count.
+    prefixes of all coordinates but the last, from `itertools.product`, and
+    solves the last.  Nothing is carried from one prefix to the next: each
+    prefix sums its K forms afresh from a table of each coordinate's digit
+    multiples, so a prefix costs O(K dim).  One pass over the users, in
+    order, follows: a user whose last form entry is nonzero fails at
+    exactly one last value, which counts only among the first r, and the
+    first user to fail at a value keeps it; a user whose entry is 0 fails
+    at every last value or at none, and one that fails at every value is a
+    wall that ends the pass.  With no wall, the first last value that no
+    user fails at wins; else each value counts for its first failing user
+    before the wall, and the wall takes the rest.  A coordinate whose
+    forms are all 0 decides nothing: the walk skips it, the winner keeps
+    its first value, and it multiplies every count by r.  The winner's
+    coordinates are mapped through the (A, B, V) basis (`AlignmentSolution`
+    reads its U off B); else the search reports the r**dim candidates and
+    the user that failed first at most of them, with that count.
     """
     if regime not in _REGIME_SIGN:
         raise ValueError(f"unknown regime {regime!r}")
@@ -265,49 +277,37 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     rows = forms.tolist()
     used = [j for j, row in enumerate(rows) if any(row)]
     *head, last = (rows[j] for j in used)
-    # digit d is the value d + 1 mod p, linear in d.  At prefix sum s_k, user
-    # k fails at the last value c with s_k + c f_k = 0, f_k its last form
-    # entry: at the one digit -s_k / f_k - 1 if f_k != 0, else at every
-    # digit (s_k = 0) or at none.  t holds that digit for each live user
-    # (f_k != 0), in user order, then s_k for each flat one (f_k = 0); both
-    # move linearly with the prefix digits.
-    live = [k for k in range(k_users) if last[k]]
-    flat = [k for k in range(k_users) if not last[k]]
-    n_live = len(live)
-    scale = [p - pow(last[k], -1, p) for k in live] + [1] * len(flat)
-    steps = [[row[k] * w % p for k, w in zip(live + flat, scale)] for row in head]
-    t = [(sum(col) - (i < n_live)) % p for i, col in enumerate(zip(*steps, [0] * k_users))]
-    digits = [0] * len(head)
-    level = [t] * len(used)  # level[j]: t at the prefix digits before j, the rest at 0
+    # digit d is the value d + 1: terms[j][d] holds each user's share of the
+    # prefix sum s_k when head coordinate j takes digit d.  User k fails at
+    # the last value c with s_k + c f_k = 0, f_k its last form entry: at the
+    # one digit -s_k / f_k - 1 if f_k != 0, else at every digit (s_k = 0, a
+    # wall, which ends the pass over the users) or at none
+    terms = [[[(d + 1) * f for f in row] for d in range(radix)] for row in head]
+    neg_inv = [p - pow(f, -1, p) if f else 0 for f in last]  # -1 / f_k, or 0 at f_k = 0
     fail_counts = [0] * (k_users + 1)  # the last slot stands for no user
-    while True:
-        live_t = t[:n_live]
-        # a flat user at s_k = 0 fails at every digit: the first such is a wall
-        wall = flat[t.index(0, n_live) - n_live] if 0 in t[n_live:] else k_users
-        hit = {d for d in live_t if d < radix}
+    for prefix in itertools.product(range(radix), repeat=len(head)):
+        sums = map(sum, zip([0] * k_users, *map(list.__getitem__, terms, prefix)))
+        failing, wall = {}, k_users  # each failing digit's first user
+        for k, (s, w) in enumerate(zip(sums, neg_inv)):
+            if w:
+                failing.setdefault((s * w - 1) % p, k)
+            elif s % p == 0:
+                wall = k
+                break
+        hit = {d: k for d, k in failing.items() if d < radix}
         if wall == k_users and len(hit) < radix:  # the first digit no user fails at wins
             d = 0
             while d in hit:
                 d += 1
             coords = [1] * dim
-            for j, digit in zip(used, (*digits, d)):
+            for j, digit in zip(used, (*prefix, d)):
                 coords[j] = (digit + 1) % p
             x = [sum(map(operator.mul, coords, col)) % p for col in zip(*abv.tolist())]
             point = (tuple(x[j:j + k_users]) for j in range(0, 3 * k_users, k_users))
             return AlignmentSolution(*point, p=p, signs=signs)
-        # each digit's first failing user: its first live user, unless the wall is earlier
-        for d in hit:
-            fail_counts[min(live[live_t.index(d)], wall)] += 1
+        for k in hit.values():  # a digit before the wall counts for its user
+            fail_counts[k] += 1
         fail_counts[wall] += radix - len(hit)
-        j = len(head) - 1  # the next prefix: the last prefix digit moves fastest
-        while j >= 0 and digits[j] == radix - 1:
-            digits[j] = 0
-            j -= 1
-        if j < 0:
-            break
-        digits[j] += 1
-        t = [(x + y) % p for x, y in zip(level[j + 1], steps[j])]
-        level[j + 1:] = [t] * (len(head) - j)
     worst = fail_counts.index(max(fail_counts))
     raise NoSolution(
         f"no {regime}-regime alignment point over GF({p}) after {radix**dim} candidates; "

@@ -444,9 +444,9 @@ def test_gap_report_overflow_names_the_first_point(first):
 
 
 def test_gap_report_overflow_names_the_first_point_across_interleaved_k():
-    """K groups are evaluated one at a time, and the K = 2 group comes first;
-    yet the first point to overflow in input order is the K = 8 one, the
-    second point, so the error names INR = 1.5e+300, not the third point's
+    """The points are evaluated one at a time, in input order, whatever
+    their K: the first point to overflow is the K = 8 one, the second
+    point, so the error names INR = 1.5e+300, not the later K = 2 point's
     1e+300."""
     points = [GaussParams(1, 10, 2), GaussParams(1, 1.5e300, 8), GaussParams(1, 1e300, 2)]
     with pytest.raises(OverflowError, match=r"^\(INR - SNR\)\^2 at SNR = 1, INR = 1\.5e\+300$"):
@@ -877,7 +877,7 @@ def same_bits(x, y):
     GaussParams(snr=346.8254241337069, inr=47.3851486015336, k=3),
 ])
 def test_kernel_matches_scalar_reference(points):
-    """gap_report (one kernel call per distinct K) and its one-point form
+    """gap_report (one kernel call per point) and its one-point form
     gauss_achievable give the scalar formulas' exact bits, regimes,
     rate-split re-checks and violation tuples, in input order."""
     facts = gap_report(points)

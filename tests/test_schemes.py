@@ -412,13 +412,15 @@ def _solve_outcome(signs, regime, p):
 def test_qsym_solve_matches_reference_enumeration(monkeypatch):
     """The prefix walk finds the same first point, or fails with the same
     text, as the per-candidate loop it replaced: on the 64 K = 3 sign
-    matrices, the 38 K = 4 orbit representatives and 20 seeded K = 5
-    matrices.  The cap is lowered to 700 for both so the Python reference
-    stays fast: every K = 3 space over GF(2), GF(3) and GF(5) is searched
+    matrices, the 38 K = 4 orbit representatives, 20 seeded K = 5
+    matrices and 10 seeded K = 7 ones, whose strong GF(2) walks run out.
+    The cap is lowered to 700 for both so the Python reference stays fast:
+    every K = 3 space over GF(2), GF(3) and GF(5) is searched
     exhaustively, larger ones up to the cap."""
     monkeypatch.setattr(schemes, "ENUM_CAP", 700)
     cases = [*all_sign_matrices_k3(), all_ones_lambda(2), all_ones_lambda(4), *_k4_orbits(),
-             *_random_sign_matrices(5, 20, seed=20261020)]
+             *_random_sign_matrices(5, 20, seed=20261020),
+             *_random_sign_matrices(7, 10, seed=20261027)]
     outcomes = set()
     for lam in cases:
         for regime in ("weak", "strong", "moderate"):
@@ -1640,6 +1642,20 @@ def test_non_integral_signs_are_rejected_not_cast(entry):
         qsym_solve(signs, "moderate", 3)
     with pytest.raises(ValueError, match=text):
         AlignmentSolution(a=(0, 0, 0), b=(1, 1, 1), v=(1, 1, 1), p=5, signs=signs)
+
+
+@pytest.mark.parametrize("entry", [1.5, "-1"])
+def test_sign_matrix_helpers_reject_non_integral_signs(entry):
+    """`lambda_plus_i_singular` (through `_plus_i_rank`) and
+    `qsym_constraint_matrix` reject a sign 1.5 or "-1" with the
+    off-diagonal rule's text too: they once read [[0, 1.5, 1], [1, 0, 1],
+    [1, 1, 0]] as the all-ones Lambda (singular: True) and wrote 1.5 as 1."""
+    signs = [[0, entry, 1], [1, 0, 1], [1, 1, 0]]
+    text = r"^off-diagonal signs must be -1 or \+1$"
+    with pytest.raises(ValueError, match=text):
+        lambda_plus_i_singular(signs)
+    with pytest.raises(ValueError, match=text):
+        qsym_constraint_matrix(signs)
 
 
 def test_non_integral_coefficients_are_rejected_and_numpy_ints_stored_as_ints():

@@ -31,13 +31,17 @@ from pathlib import Path
 # (lambda_kj = d_k d_j), of rank 2 (singular, no product), of full rank 4
 # (no prime aligns it at m = n), and a K = 2 one of full rank; the
 # benchmark's sign matrix 62, whose strong GF(3) point lies past the
-# solver's first prefix, and a K = 5 one no prime aligns in the strong regime
+# solver's first prefix, and a K = 5 and a K = 7 one no prime aligns in the
+# strong regime (the K = 7 one is random.Random(20261027)'s first matrix)
 SIGNS = {
     "unaligned.txt": "0 1 -1\n-1 0 1\n1 1 0\n",
     "singular.txt": "0 -1 1\n1 0 -1\n1 -1 0\n",
     "aligned.txt": "0 1 1\n1 0 -1\n1 -1 0\n",
     "matrix-62.txt": "0 1 -1\n-1 0 -1\n-1 -1 0\n",
     "k5-unaligned.txt": "0 1 1 -1 -1\n-1 0 -1 -1 1\n1 1 0 1 1\n1 1 1 0 1\n-1 1 1 -1 0\n",
+    "k7-unaligned.txt": ("0 -1 -1 -1 -1 -1 1\n-1 0 -1 -1 -1 1 1\n1 -1 0 -1 1 -1 1\n"
+                         "-1 1 1 0 -1 -1 1\n1 1 -1 1 0 1 1\n-1 -1 -1 -1 1 0 1\n"
+                         "-1 1 -1 1 -1 1 0\n"),
     "k4-product.txt": "0 -1 -1 -1\n-1 0 1 1\n-1 1 0 1\n-1 1 1 0\n",
     "k4-rank-2.txt": "0 -1 -1 -1\n-1 0 -1 -1\n-1 1 0 1\n-1 1 1 0\n",
     "k4-unaligned.txt": "0 1 1 1\n1 0 1 -1\n1 -1 0 1\n1 -1 -1 0\n",
@@ -105,8 +109,13 @@ CASES = {
                                  "--p", "3"),
     "det-verify-k5-strong-p2-exit-3": ("det-verify", "--k", "5", "--n", "1", "--m", "2",
                                        "--p", "2", "--signs", "k5-unaligned.txt"),
+    # a K = 7 scan whose GF(2) walk runs out of its 256 (exit 3)
+    "det-verify-k7-strong-exit-3": ("det-verify", "--k", "7", "--n", "1", "--m", "2",
+                                    "--signs", "k7-unaligned.txt"),
     "gdof": ("gdof", "--steps", "9", "--k", "3"),
     "gauss-rates": ("gauss-rates", "--snr", "100", "--inr", "1000", "--k", "3"),
+    # one point through `gap_report` whose square overflows (exit 2)
+    "gauss-rates-square-overflow": ("gauss-rates", "--snr", "1", "--inr", "1e300", "--k", "2"),
     "gauss-gap-inr-2": ("gauss-gap", "--snr-grid", "1,1e19,1e300",
                         "--inr-grid", "1.9999999,2,2.0000001", "--k-list", "2,3,8"),
     "gauss-gap-square-overflow": ("gauss-gap", "--snr-grid", "1,1.5e308",
