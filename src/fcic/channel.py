@@ -54,9 +54,14 @@ __all__ = [
 
 
 def _validate_signs(signs, k: int) -> tuple[tuple[int, ...], ...]:
-    """`signs` as a k x k tuple of Python int rows, +-1 off a zero diagonal.
-    A matrix that is not of integers (an entry 1.5 or "-1") fails the
-    off-diagonal rule, where an int64 cast would read 1 and -1."""
+    """`signs` as a k x k tuple of Python int rows, +-1 off a zero diagonal,
+    for k >= 2 users: the one check of a sign matrix Lambda, which every
+    function that reads a raw Lambda makes through here (a caller with no K
+    of its own passes len(signs)).  A matrix that is not of integers (an
+    entry 1.5 or "-1") fails the off-diagonal rule, where an int64 cast
+    would read 1 and -1."""
+    if k < 2:
+        raise ValueError(f"need K >= 2 users, got {k}")
     arr = np.asarray(signs)
     if arr.shape != (k, k):
         raise ValueError(f"sign matrix must be {k}x{k}, got {arr.shape}")
@@ -325,14 +330,18 @@ def run_feedback_session(params: DetParams, scheme: Scheme, messages) -> Transcr
     Transcript.  At block t each user's input is its block-t encoder applied
     to (its message, its own outputs from blocks < t); after the last block
     each decoder is applied to the user's own outputs from every block.
-    Messages must match the scheme's declared size exactly; short messages
-    are rejected rather than padded so rate accounting stays honest.
+    Messages must be integers and match the scheme's declared size exactly;
+    short messages are rejected rather than padded so rate accounting stays
+    honest.
     The arithmetic is float32 or float64, the first that is exact (see the
     module docstring), else int64.
     """
     if scheme.params != params:
         raise ValueError("scheme was built for different channel parameters")
     K, L, q, p, T = params.K, scheme.msg_symbols, params.q, params.p, scheme.blocks
+    messages = np.asarray(messages)
+    if messages.dtype.kind not in "iu":  # an int64 cast would truncate 0.5 to 0
+        raise ValueError("messages must be integers")
     msgs = _reduce(np.array(messages, dtype=np.int64), p)  # a copy: the caller's stays
     single = msgs.ndim == 2
     batch = msgs[None] if single else msgs

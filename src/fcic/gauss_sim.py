@@ -41,6 +41,7 @@ the sum is `x.sum(axis=1)` itself.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -91,7 +92,9 @@ def gaussian_tail(x: float) -> float:
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Monte Carlo run description for the strong-regime simulation."""
+    """Monte Carlo run description for the strong-regime simulation;
+    block_len, trials and seed are stored through `operator.index`, as
+    Python ints."""
 
     params: GaussParams
     block_len: int
@@ -99,6 +102,8 @@ class MCConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("block_len", "trials", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.block_len < 1 or self.trials < 1:
             raise ValueError("block_len and trials must be >= 1")
         if self.block_len * self.trials < 2:

@@ -36,6 +36,7 @@ Carlo's INR - SNR through it too, so both layers share the one rule.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -78,7 +79,9 @@ class RegimeMismatch(Exception):
 
 @dataclass(frozen=True)
 class GaussParams:
-    """Symmetric Gaussian network operating point (linear power ratios)."""
+    """Symmetric Gaussian network operating point (linear power ratios),
+    stored as Python numbers: k through `operator.index` (2.5 users is a
+    TypeError), snr and inr as floats once checked."""
 
     snr: float
     inr: float
@@ -89,8 +92,11 @@ class GaussParams:
             raise ValueError(f"snr must be positive and finite, got {self.snr}")
         if not (self.inr >= 0 and math.isfinite(self.inr)):
             raise ValueError(f"inr must be non-negative and finite, got {self.inr}")
+        object.__setattr__(self, "k", operator.index(self.k))
         if self.k < 2:
             raise ValueError(f"need k >= 2 users, got {self.k}")
+        for name in ("snr", "inr"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +127,7 @@ def det_converse(n: int, m: int, k: int, signs=None) -> Fraction | None:
     one user's Delta term is an integer combination of the alignment rows,
     and `build_scheme` raises SingularSystem), not a shown capacity.
     """
+    n, m, k = map(operator.index, (n, m, k))  # 3.5 users is a TypeError, as in DetParams
     if n < 0 or m < 0 or (n == 0 and m == 0):
         raise ValueError("need n, m >= 0 and not both zero")
     if k < 2:
@@ -141,30 +148,28 @@ def lambda_plus_i_singular(signs) -> bool:
     """Whether Lambda + I is singular over the rationals, its rank below K;
     at m = n alignment then cannot reach n/2.  None is the all-ones Lambda,
     whose Lambda + I is the rank-1 all-ones matrix, so it is always
-    singular.  A non-square `signs` raises ValueError."""
-    return signs is None or _plus_i_rank(signs) < len(signs)
+    singular.  Any other `signs` is checked by `_validate_signs` first, so
+    a matrix that is not a K x K sign matrix with K >= 2 raises its
+    ValueError."""
+    return signs is None or _plus_i_rank(_validate_signs(signs, len(signs))) < len(signs)
 
 
 def _plus_i_rank(signs) -> int:
     """Rank of Lambda + I over the rationals, for a square integer matrix
     `signs` (Lambda): the one exact kernel behind both sign-matrix rules,
-    rank < K (singular) and rank 1 (lambda_kj = d_k d_j).
+    rank < K (singular) and rank 1 (lambda_kj = d_k d_j).  It checks
+    nothing: each caller in the package passes a Lambda that
+    `_validate_signs` returned.
 
     Fraction-free (Bareiss) elimination in Python ints, with I added as the
     rows are converted.  Each pivot row leaves the list, and a column with
     no pivot is skipped, so the rank is the number of rows that left.
     Every entry stays a minor of the input, so each division by the
-    previous pivot is exact: no rounding and no overflow.  A matrix that is
-    not of integers (an entry 1.5 or "-1") fails `_validate_signs`'
-    off-diagonal text, where an int cast would read 1 and -1.
+    previous pivot is exact: no rounding and no overflow (`int` takes an
+    integer array's entries to Python ints).
     """
-    arr = np.asarray(signs)
-    if arr.dtype.kind not in "iu":
-        raise ValueError("off-diagonal signs must be -1 or +1")
-    a = [[v + (i == j) for j, v in enumerate(row)] for i, row in enumerate(arr.tolist())]
+    a = [[int(v) + (i == j) for j, v in enumerate(row)] for i, row in enumerate(signs)]
     size = len(a)
-    if any(len(row) != size for row in a):
-        raise ValueError("Lambda + I of a non-square matrix")
     prev = 1
     for c in range(size):
         pivot = next((i for i, row in enumerate(a) if row[c]), None)

@@ -121,12 +121,13 @@ class AlignmentSolution:
 
     U is not stored: `u` reads it off B as the identity's diagonal,
     U_k = sum_j lambda_kj B_j lambda_jk, so the diagonal holds by
-    definition.  Construction validates `signs` as `DetParams` does (a K x K
-    matrix of +-1 with a zero diagonal), stores it as a tuple of tuples and
-    A, B and V as tuples of Python ints, and re-checks the identity's
-    off-diagonal entries, which reject a wrong A, B or V, and one that is
-    not of integers (0.5 is no residue); each diagonal factor is applied by
-    broadcasting (Lambda A scales Lambda's columns, V Lambda its rows).
+    definition.  Construction validates `signs` with `_validate_signs`, as
+    `DetParams` does (a K x K matrix of +-1 with a zero diagonal, K >= 2),
+    stores it as a tuple of tuples and A, B and V as tuples of Python ints,
+    and re-checks the identity's off-diagonal entries, which reject a wrong
+    A, B or V, and one that is not of integers (0.5 is no residue); each
+    diagonal factor is applied by broadcasting (Lambda A scales Lambda's
+    columns, V Lambda its rows).
     """
 
     a: tuple[int, ...]
@@ -174,14 +175,12 @@ def qsym_constraint_matrix(signs) -> np.ndarray:
     B_j - lambda_ki V_k = 0, where Lambda's zero diagonal drops j in {k, i},
     so the sum has the one term j != k, i per B_j and every entry is -1, 0
     or 1.  The diagonal entries of the identity do not constrain (A, B, V);
-    they define U_k = sum_j lambda_kj B_j lambda_jk.  A matrix that is not
-    of integers (an entry 1.5 or "-1") fails `_validate_signs`' off-diagonal
-    text, where an int64 cast would write 1 and -1.
+    they define U_k = sum_j lambda_kj B_j lambda_jk.  `signs` is checked by
+    `_validate_signs` first, so a 2, a nonzero diagonal entry, a 1.5 or a
+    1 x 1 Lambda raises its ValueError and is never written into a row.
     """
-    lam = np.asarray(signs)
-    if lam.dtype.kind not in "iu":
-        raise ValueError("off-diagonal signs must be -1 or +1")
-    k_users = lam.shape[0]
+    lam = np.array(_validate_signs(signs, len(signs)), dtype=np.int64)
+    k_users = len(lam)
     diag = np.zeros((k_users, k_users), dtype=bool)
     diag.flat[::k_users + 1] = True
     ks, cs = (~diag).nonzero()  # row (k, i), k-major
@@ -224,7 +223,10 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     identity such that every user's decode matrix in the regime is
     invertible: a nonzero constant term of its `two_block_delta`.
 
-    The off-diagonal constraints, `qsym_constraint_matrix`'s integer rows
+    Lambda is checked where it is read: `qsym_constraint_matrix`, called
+    first, runs `_validate_signs` on the raw `signs`, and
+    `AlignmentSolution` runs it again as it stores the winner's tuple.  The
+    off-diagonal constraints, `qsym_constraint_matrix`'s integer rows
     reduced mod p, are linear in (A, B, V) and U = (Lambda o Lambda^T) B,
     so the nullspace basis takes coordinates to (A, B, V), U's rows follow
     from B's, and one (dim, K) matrix `forms` takes them to the K users'
@@ -253,12 +255,10 @@ def qsym_solve(signs, regime: str, p: int) -> AlignmentSolution:
     """
     if regime not in _REGIME_SIGN:
         raise ValueError(f"unknown regime {regime!r}")
-    k_users = len(signs)
-    if k_users < 2:
-        raise ValueError(f"need K >= 2 users, got {k_users}")
-    signs = _validate_signs(signs, k_users)  # before any cast: 1.5 is no sign
+    constraints = qsym_constraint_matrix(signs)  # checks Lambda before any cast
     lam = np.array(signs, dtype=np.int64)
-    abv = nullspace(GfMatrix(qsym_constraint_matrix(lam), p))
+    k_users = len(lam)
+    abv = nullspace(GfMatrix(constraints, p))
     dim = len(abv)
     a_rows, b_rows, v_rows = abv[:, :k_users], abv[:, k_users:2 * k_users], abv[:, 2 * k_users:]
     sign = _REGIME_SIGN[regime]

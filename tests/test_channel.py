@@ -215,6 +215,17 @@ def test_driver_names_the_message_shape_it_needs(shape):
         run_feedback_session(scheme.params, scheme, np.zeros(shape, dtype=int))
 
 
+@pytest.mark.parametrize("messages", [
+    np.full((3, 3, 3), 0.5), [[0.5, 1, 2]] * 3, np.ones((3, 3), dtype=bool),
+], ids=["halves", "list", "bool"])
+def test_driver_rejects_messages_that_are_not_integers(messages):
+    """A message 0.5 is not truncated to 0: a batch of halves once replayed
+    as zeros and decoded."""
+    scheme = build_scheme(3, 2, 1, p=5)
+    with pytest.raises(ValueError, match="^messages must be integers$"):
+        run_feedback_session(scheme.params, scheme, messages)
+
+
 def test_driver_rejects_a_scheme_built_for_other_parameters():
     scheme = build_scheme(3, 3, 1, p=5)
     other = dataclasses.replace(scheme.params, p=7)

@@ -163,6 +163,25 @@ def test_lattice_allocates_only_draws_and_sums():
     assert peak <= 1.1 * 8 * trials * 8 / 2**20
 
 
+@pytest.mark.parametrize("name, value", [
+    ("k", np.int64(2)), ("snr", np.float32(1)), ("block", np.int64(10)),
+    ("trials", np.int32(2)), ("seed", np.uint64(1)),
+])
+def test_numpy_scalars_give_the_python_number_json(name, value):
+    """`GaussParams` and `MCConfig` store Python numbers, so a numpy scalar
+    gives the report of its Python twin (its JSON once raised TypeError)."""
+    args = dict(snr=1.0, inr=10.0, k=2, block=10, trials=2, seed=1)
+    want = json.dumps(simulate_strong_two_block(strong_cfg(**args)).to_json_dict())
+    got = simulate_strong_two_block(strong_cfg(**{**args, name: value})).to_json_dict()
+    assert json.dumps(got) == want
+
+
+def test_non_integral_run_sizes_are_rejected():
+    for kwargs in (dict(block=2.5), dict(trials=2.0), dict(seed=1.5)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            strong_cfg(**kwargs)
+
+
 def test_stats_json_keys():
     stats = simulate_strong_two_block(strong_cfg(seed=5))
     doc = stats.to_json_dict()

@@ -155,8 +155,30 @@ def test_plus_i_rank_against_independent_oracles():
         assert rates._plus_i_rank(lam) == sympy.Matrix(mat.tolist()).rank(), mat
     for k in range(2, 25):
         assert rates._plus_i_rank(np.ones((k, k), dtype=np.int64) - np.eye(k, dtype=np.int64)) == 1
-    with pytest.raises(ValueError, match="non-square"):
+    with pytest.raises(ValueError, match=r"^sign matrix must be 2x2, got \(2, 3\)$"):
         lambda_plus_i_singular([[0, 1, 1], [1, 0, 1]])
+
+
+def test_det_converse_reads_its_levels_and_k_as_integers():
+    """n, m and k pass through `operator.index`, as in `DetParams`: 3.5
+    users is a TypeError at entry (it once gave 3/2), as is n = 2.5 (it
+    once passed the checks and failed inside `Fraction`); numpy ints give
+    the Python-int rate."""
+    for args in ((2, 1, 3.5), (2.5, 1, 3), (2, 1.0, 3)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            det_converse(*args)
+    assert det_converse(np.int64(2), np.int32(1), np.int64(3)) == det_converse(2, 1, 3)
+
+
+def test_gauss_params_store_python_numbers():
+    """k is read through `operator.index` (2.5 users once gave a rate of
+    3.914), and snr and inr are stored as Python floats once checked."""
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        gauss_achievable(GaussParams(snr=1e4, inr=10, k=2.5))
+    for snr, inr, k in ((np.float32(1e4), np.int64(10), np.int64(3)), (10_000, 10, 3)):
+        params = GaussParams(snr=snr, inr=inr, k=k)
+        assert (type(params.snr), type(params.inr), type(params.k)) == (float, float, int)
+        assert dataclasses.astuple(params) == (1e4, 10.0, 3)
 
 
 def test_det_converse_takes_the_rank_once_where_it_decides(monkeypatch):

@@ -1658,6 +1658,29 @@ def test_sign_matrix_helpers_reject_non_integral_signs(entry):
         qsym_constraint_matrix(signs)
 
 
+@pytest.mark.parametrize("signs, text", [
+    ([[0, 2, 1], [1, 0, 1], [1, 1, 0]], r"^off-diagonal signs must be -1 or \+1$"),
+    ([[7, 1, 1], [1, 0, 1], [1, 1, 0]], r"^sign matrix diagonal must be 0$"),
+    ([[0]], r"^need K >= 2 users, got 1$"),
+], ids=["sign-2", "diagonal-7", "single-user"])
+def test_every_sign_matrix_reader_applies_the_one_check(signs, text):
+    """`qsym_constraint_matrix`, `lambda_plus_i_singular`,
+    `AlignmentSolution` and `qsym_solve` reject a 2 off the diagonal, a
+    nonzero diagonal entry and a 1 x 1 Lambda with `_validate_signs`' text.
+    Partial copies of the rules once let these through: the 2 and the 7
+    were written into constraint rows, the matrix with the 2 read as
+    singular, and every reader but `qsym_solve` took a 1 x 1 Lambda."""
+    k = len(signs)
+    with pytest.raises(ValueError, match=text):
+        qsym_constraint_matrix(signs)
+    with pytest.raises(ValueError, match=text):
+        lambda_plus_i_singular(signs)
+    with pytest.raises(ValueError, match=text):
+        AlignmentSolution(a=(0,) * k, b=(1,) * k, v=(1,) * k, p=5, signs=signs)
+    with pytest.raises(ValueError, match=text):
+        qsym_solve(signs, "weak", 5)
+
+
 def test_non_integral_coefficients_are_rejected_and_numpy_ints_stored_as_ints():
     """A coefficient 0.5 is not read as 0, nor 5.0, which would pass the
     identity mod 5, as 5: both fail the identity's text.  numpy ints are

@@ -32,7 +32,9 @@ from pathlib import Path
 # (no prime aligns it at m = n), and a K = 2 one of full rank; the
 # benchmark's sign matrix 62, whose strong GF(3) point lies past the
 # solver's first prefix, and a K = 5 and a K = 7 one no prime aligns in the
-# strong regime (the K = 7 one is random.Random(20261027)'s first matrix)
+# strong regime (the K = 7 one is random.Random(20261027)'s first matrix);
+# last, two that `_validate_signs` rejects (exit 2): a 1 x 1 Lambda and a 2
+# off the diagonal
 SIGNS = {
     "unaligned.txt": "0 1 -1\n-1 0 1\n1 1 0\n",
     "singular.txt": "0 -1 1\n1 0 -1\n1 -1 0\n",
@@ -46,6 +48,8 @@ SIGNS = {
     "k4-rank-2.txt": "0 -1 -1 -1\n-1 0 -1 -1\n-1 1 0 1\n-1 1 1 0\n",
     "k4-unaligned.txt": "0 1 1 1\n1 0 1 -1\n1 -1 0 1\n1 -1 -1 0\n",
     "k2-crossed.txt": "0 1\n-1 0\n",
+    "single-user.txt": "0\n",
+    "sign-2.txt": "0 2 1\n1 0 1\n1 1 0\n",
 }
 DUMP = "dump.json"
 BELOW_2_512 = "1.3407807929942596e+154"  # the largest float below 2^512
@@ -112,6 +116,10 @@ CASES = {
     # a K = 7 scan whose GF(2) walk runs out of its 256 (exit 3)
     "det-verify-k7-strong-exit-3": ("det-verify", "--k", "7", "--n", "1", "--m", "2",
                                     "--signs", "k7-unaligned.txt"),
+    # sign matrices `_validate_signs` rejects: K < 2, then a 2 off the diagonal
+    "qsym-single-user": ("qsym", "--signs", "single-user.txt", "--regime", "moderate",
+                         "--p", "5"),
+    "qsym-sign-2": ("qsym", "--signs", "sign-2.txt", "--regime", "moderate", "--p", "5"),
     "gdof": ("gdof", "--steps", "9", "--k", "3"),
     "gauss-rates": ("gauss-rates", "--snr", "100", "--inr", "1000", "--k", "3"),
     # one point through `gap_report` whose square overflows (exit 2)
